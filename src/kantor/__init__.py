@@ -11,7 +11,6 @@ from .algebra import (
     generated_subalgebra,
     induced_algebra,
     is_nilpotent4,
-    multiply,
     verify_subalgebra,
 )
 from .codim1 import Codim1Report, codim1_subalgebras, pivot_system
@@ -48,7 +47,6 @@ from .linalg import (
     nullspace,
     rref,
     solve_linear,
-    subspace_equal,
 )
 from .multiops import MultilinearOp, insertion_product, kantor_bracket
 from .poly import GroebnerBasis, Poly, buchberger, normal_form, solve_rational

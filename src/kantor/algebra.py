@@ -172,42 +172,49 @@ class Element:
         return is_zero_vec(self.coords)
 
     def __str__(self):
-        parts = []
-        for name, c in zip(self.algebra.basis_names, self.coords):
-            if not c:
-                continue
-            if c == 1:
-                parts.append(f"+ {name}")
-            elif c == -1:
-                parts.append(f"- {name}")
-            elif c > 0:
-                parts.append(f"+ {c}*{name}")
-            else:
-                parts.append(f"- {-c}*{name}")
-        if not parts:
-            return "0"
-        first = parts[0]
-        first = first[2:] if first.startswith("+ ") else "-" + first[2:]
-        return " ".join([first] + parts[1:])
+        return format_combination(self.coords, self.algebra.basis_names)
 
     def _check(self, other: "Element"):
         if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise DimensionMismatchError("elements of different algebras")
 
 
-def multiply(alg: Algebra, x: Element, y: Element) -> Element:
-    return alg.multiply(x, y)
+def format_combination(coords, names) -> str:
+    """A linear combination as text, e.g. ``-e1 + 2/3*e3``; ``0`` when zero."""
+    parts = []
+    for name, c in zip(names, coords):
+        if not c:
+            continue
+        mag = "" if abs(c) == 1 else f"{abs(c)}*"
+        parts.append(("+ " if c > 0 else "- ") + mag + name)
+    if not parts:
+        return "0"
+    s = " ".join(parts)
+    return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
 
-def annihilator(alg: Algebra) -> Subspace:
-    """{x : x v = v x = 0 for every v}, via one linear solve over the basis."""
+def combination_document(coords, names) -> dict:
+    """The sparse {basis_name: "p/q"} map of the nonzero coordinates."""
+    return {name: str(c) for name, c in zip(names, coords) if c}
+
+
+def two_sided_system(alg: Algebra) -> Matrix:
+    """Matrix of x -> (x e_j, e_j x) for j = 1..n, one row per coordinate.
+
+    Rows alternate: coordinate k of x e_j, then coordinate k of e_j x.
+    """
     n = alg.dim
     rows = []
     for j in range(n):
         for k in range(n):
             rows.append([alg.c(i, j, k) for i in range(n)])
             rows.append([alg.c(j, i, k) for i in range(n)])
-    return nullspace(Matrix.from_rows(rows))
+    return Matrix.from_rows(rows)
+
+
+def annihilator(alg: Algebra) -> Subspace:
+    """{x : x v = v x = 0 for every v}, via one linear solve over the basis."""
+    return nullspace(two_sided_system(alg))
 
 
 def closure_witness(alg: Algebra, s: Subspace):

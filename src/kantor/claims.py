@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra, closure_witness
+from .algebra import Algebra, closure_witness, format_combination
 from .linalg import F0, Matrix, Subspace, unit_vec
 
 
@@ -84,19 +84,6 @@ def recorded_algebra(name: str) -> Algebra:
     return Algebra.from_products(dim, products)
 
 
-def _fmt(combo, names):
-    parts = []
-    for k, c in zip(range(len(names)), combo):
-        if not c:
-            continue
-        mag = "" if abs(c) == 1 else f"{abs(c)}*"
-        parts.append(("+ " if c > 0 else "- ") + mag + names[k])
-    if not parts:
-        return "0"
-    s = " ".join(parts)
-    return s[2:] if s.startswith("+ ") else "-" + s[2:]
-
-
 def audit_table(alg: Algebra, fixture_name: str):
     """Compare a computed multiplication table against the recorded one."""
     if fixture_name not in RECORDED_TABLES:
@@ -114,30 +101,16 @@ def audit_table(alg: Algebra, fixture_name: str):
                 errata.append(
                     Erratum(
                         f"{fixture_name}: {alg.basis_names[i]}*{alg.basis_names[j]}",
-                        _fmt(expected, alg.basis_names),
-                        _fmt(got, alg.basis_names),
+                        format_combination(expected, alg.basis_names),
+                        format_combination(got, alg.basis_names),
                     )
                 )
     return errata
 
 
-# Derivation family of W(2) as displayed (rows D(e_i) = sum_j x_ij e_j):
-# the displayed matrix carries a w in row 4, column 2.  The relations
-# narrated in the proof give the same family without that entry.
-def wn2_derivation_display(z, w) -> Matrix:
-    rows = [
-        [0, z, z, 0, 0, 0, 0, 0],
-        [0, w, 0, z, 0, 0, 0, 0],
-        [0, 0, w, z, 0, 0, 0, 0],
-        [0, w, 0, 2 * w, 0, 0, 0, 0],
-        [-z, 0, 0, 0, -w, z, z, 0],
-        [0, -z, 0, 0, 0, 0, 0, z],
-        [0, 0, -z, 0, 0, 0, 0, z],
-        [0, 0, 0, -z, 0, 0, 0, w],
-    ]
-    return Matrix.from_rows(rows).transpose()  # to column-action convention
-
-
+# Derivation family of W(2) as narrated by the relations in the proof (rows
+# D(e_i) = sum_j x_ij e_j).  The displayed matrix is the same family with a
+# stray w in row 4, column 2.
 def wn2_derivation_relations(z, w) -> Matrix:
     rows = [
         [0, z, z, 0, 0, 0, 0, 0],
@@ -149,7 +122,13 @@ def wn2_derivation_relations(z, w) -> Matrix:
         [0, 0, -z, 0, 0, 0, 0, z],
         [0, 0, 0, -z, 0, 0, 0, w],
     ]
-    return Matrix.from_rows(rows).transpose()
+    return Matrix.from_rows(rows).transpose()  # to column-action convention
+
+
+def wn2_derivation_display(z, w) -> Matrix:
+    stray = [[0] * 8 for _ in range(8)]
+    stray[3][1] = w
+    return wn2_derivation_relations(z, w) + Matrix.from_rows(stray).transpose()
 
 
 RECORDED_DERIVATION_DIMS = {"wn2": 2, "w2sym": 2, "s2": 0, "h1": 0}
@@ -224,7 +203,7 @@ def audit_codim1(fixture_name: str, alg: Algebra, report) -> list:
                 Erratum(
                     f"{fixture_name}: claimed codim-1 subalgebra (drop {alg.basis_names[d - 1]})",
                     claimed,
-                    f"not closed: {names[i]}*{names[j]} = {_fmt(prod, alg.basis_names)}",
+                    f"not closed: {names[i]}*{names[j]} = {format_combination(prod, alg.basis_names)}",
                 )
             )
         elif sub not in report.subalgebras:  # pragma: no cover - sweep is exhaustive

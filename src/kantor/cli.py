@@ -16,7 +16,13 @@ import sys
 from fractions import Fraction
 
 from . import claims, zoo
-from .algebra import Algebra, annihilator, generated_subalgebra
+from .algebra import (
+    Algebra,
+    annihilator,
+    combination_document,
+    format_combination,
+    generated_subalgebra,
+)
 from .codim1 import codim1_subalgebras
 from .conservative import (
     DEFAULT_TERMINAL_CONVENTION,
@@ -34,7 +40,7 @@ from .errors import (
     GateError,
     MissingBracketError,
 )
-from .identities import builtin_identities, check_identity, free_variables, identity
+from .identities import builtin_identities, check_identity, free_variables, identity, parse_expr
 from .storage import (
     algebra_document,
     dumps_algebra,
@@ -61,145 +67,112 @@ class _UsageError(Exception):
 
 
 def _build_parser():
+    # --json may come before or after the subcommand.  The subcommands' copy
+    # has no default, so it cannot reset a --json given before them.
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help="emit a JSON report")
     top = _Parser(prog="kantor", description="exact workbench for nonassociative algebras")
     top.add_argument("--json", action="store_true", help="emit a JSON report")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def command(name, **kw):
-        p = sub.add_parser(name, **kw)
-        return p
-
-    def with_input(p, positional=True):
-        if positional:
+    def command(name, help, group=sub, algebra=True, verdict=False, dim=False):
+        p = group.add_parser(name, help=help, parents=[json_flag])
+        if algebra:
             p.add_argument("algebra", nargs="?", help="algebra file (JSON)")
-        p.add_argument("--fixture", help=f"named fixture: {', '.join(sorted(zoo.FIXTURES))}")
+            p.add_argument("--fixture", help=f"named fixture: {', '.join(sorted(zoo.FIXTURES))}")
+        if verdict:
+            p.add_argument("--assert", dest="assert_true", action="store_true")
+            p.add_argument("--assert-not", dest="assert_false", action="store_true")
+        if dim:
+            p.add_argument("--assert-dim", type=int, default=None)
         return p
 
-    p = command("show", help="print an algebra's multiplication table")
-    with_input(p)
-
-    p = command("wn", help="build the algebra of bilinear operations W(n)")
+    command("show", "print an algebra's multiplication table")
+    p = command("wn", "build the algebra of bilinear operations W(n)", algebra=False)
     p.add_argument("n", type=int)
     p.add_argument("--table", action="store_true", help="print the table")
-
-    p = command("fixture", help="print a named fixture")
+    p = command("fixture", "print a named fixture", algebra=False)
     p.add_argument("name")
-
-    p = command("conservative", help="decide conservativity and construct F")
-    with_input(p)
-    p.add_argument("--assert", dest="assert_true", action="store_true")
-    p.add_argument("--assert-not", dest="assert_false", action="store_true")
-
-    p = command("terminal", help="triple-bracket terminality test")
-    with_input(p)
+    command("conservative", "decide conservativity and construct F", verdict=True)
+    p = command("terminal", "triple-bracket terminality test", verdict=True)
     p.add_argument("--convention", choices=TERMINAL_CONVENTIONS, default=DEFAULT_TERMINAL_CONVENTION)
-    p.add_argument("--assert", dest="assert_true", action="store_true")
-    p.add_argument("--assert-not", dest="assert_false", action="store_true")
-
-    p = command("derivations", help="compute Der(A) and its Lie structure")
-    with_input(p)
-    p.add_argument("--assert-dim", type=int, default=None)
-
-    p = command("jacobi", help="space of elements whose left multiplication derives")
-    with_input(p)
-    p.add_argument("--assert-dim", type=int, default=None)
-
-    p = command("quasiunit", help="solve the left quasi-unit equations")
-    with_input(p)
-    p.add_argument("--assert", dest="assert_true", action="store_true")
-    p.add_argument("--assert-not", dest="assert_false", action="store_true")
-
-    p = command("annihilator", help="two-sided annihilator")
-    with_input(p)
-    p.add_argument("--assert-dim", type=int, default=None)
-
-    p = command("closure", help="subalgebra generated by elements")
-    with_input(p)
+    command("derivations", "compute Der(A) and its Lie structure", dim=True)
+    command("jacobi", "space of elements whose left multiplication derives", dim=True)
+    command("quasiunit", "solve the left quasi-unit equations", verdict=True)
+    command("annihilator", "two-sided annihilator", dim=True)
+    p = command("closure", "subalgebra generated by elements", dim=True)
     p.add_argument("--gens", required=True, help="comma-separated basis names or indices")
-    p.add_argument("--assert-dim", type=int, default=None)
-
-    p = command("codim1", help="enumerate codimension-1 subalgebras")
-    with_input(p)
+    p = command("codim1", "enumerate codimension-1 subalgebras")
     p.add_argument("--budget", type=int, default=MAX_REDUCTIONS, help="max S-polynomial reductions per pivot")
     p.add_argument("--assert-count", type=int, default=None)
-
-    p = command("identity", help="check a polynomial identity")
-    with_input(p)
+    p = command("identity", "check a polynomial identity", verdict=True)
     p.add_argument("--name", help=f"builtin: {', '.join(sorted(builtin_identities()))}")
     p.add_argument("--expr", help="expression asserted identically zero")
     p.add_argument("--vars", help="free variables for --expr (comma-separated)")
-    p.add_argument("--assert", dest="assert_true", action="store_true")
-    p.add_argument("--assert-not", dest="assert_false", action="store_true")
 
-    p = command("twist", help="build a derived multiplication")
-    tsub = p.add_subparsers(dest="twist_kind", required=True)
-    tq = tsub.add_parser("quasi", help="lambda ab + (1-lambda) ba on an associative input")
-    with_input(tq)
-    tq.add_argument("--lambda", dest="lam", required=True, help="rational parameter")
-    tp = tsub.add_parser("poisson", help="ab + {a,b} from a table/bracket_table pair")
-    with_input(tp)
-    ts = tsub.add_parser("structurable", help="xy + y(x - conj(x)) on a unital algebra with involution")
-    with_input(ts)
-    ts.add_argument("--involution", required=True, help="JSON file with the involution matrix")
+    twist = command("twist", "build a derived multiplication", algebra=False)
+    kinds = twist.add_subparsers(dest="twist_kind", required=True)
+    p = command("quasi", "lambda ab + (1-lambda) ba on an associative input", group=kinds)
+    p.add_argument("--lambda", dest="lam", required=True, help="rational parameter")
+    command("poisson", "ab + {a,b} from a table/bracket_table pair", group=kinds)
+    p = command("structurable", "xy + y(x - conj(x)) on a unital algebra with involution", group=kinds)
+    p.add_argument("--involution", required=True, help="JSON file with the involution matrix")
 
     return top
 
 
-def _load_input(args, need_bracket=False):
-    """(algebra, bracket, source-label) from --fixture or the positional file."""
-    fixture_name = getattr(args, "fixture", None)
-    path = getattr(args, "algebra", None)
-    if fixture_name and path:
+def _fixture(name):
+    try:
+        return zoo.fixture(name)
+    except KeyError as exc:
+        raise AlgebraFormatError(str(exc)) from None
+
+
+def _record_input(report, source, alg):
+    report["input"] = source
+    report["input_digest"] = hashlib.sha256(dumps_algebra(alg).encode()).hexdigest()
+    report["errata"] = []
+
+
+def _load_input(args, report, need_bracket=False):
+    """(algebra, bracket, fixture name or None) from --fixture or the
+    positional file; the input is recorded in the report."""
+    if args.fixture and args.algebra:
         raise _UsageError("give either an algebra file or --fixture, not both")
-    if fixture_name:
-        if fixture_name == "poisson_trunc" and need_bracket:
-            comm, bracket = zoo.truncated_poisson_pair()
-            return comm, bracket, f"fixture:{fixture_name}"
-        try:
-            alg = zoo.fixture(fixture_name)
-        except KeyError as exc:
-            raise AlgebraFormatError(str(exc)) from None
-        return alg, None, f"fixture:{fixture_name}"
-    if path:
-        alg, bracket = load_algebra_pair(path)
-        return alg, bracket, path
+    if args.fixture:
+        if args.fixture == "poisson_trunc" and need_bracket:
+            alg, bracket = zoo.truncated_poisson_pair()
+        else:
+            alg, bracket = _fixture(args.fixture), None
+        _record_input(report, f"fixture:{args.fixture}", alg)
+        return alg, bracket, args.fixture
+    if args.algebra:
+        alg, bracket = load_algebra_pair(args.algebra)
+        _record_input(report, args.algebra, alg)
+        return alg, bracket, None
     raise _UsageError("an algebra file or --fixture is required")
 
 
-def _digest(alg: Algebra) -> str:
-    return hashlib.sha256(dumps_algebra(alg).encode()).hexdigest()
-
-
-def _vec_doc(v, names=None):
-    if names:
-        return {n: str(c) for n, c in zip(names, v) if c}
-    return [str(c) for c in v]
-
-
-def _subspace_doc(s, names=None):
+def _subspace_doc(s, names):
     return {
         "ambient_dim": s.ambient_dim,
         "dim": s.dim,
         "pivot_columns": list(s.pivot_columns),
-        "basis": [_vec_doc(b, names) for b in s.basis],
+        "basis": [combination_document(b, names) for b in s.basis],
     }
 
 
-def _op_doc(op, names):
-    alg = op.as_algebra(names)
-    from .storage import _products_document
-
-    return {"arity": 2, "dim": op.dim, "table": _products_document(alg)}
-
-
-def _table_lines(alg: Algebra):
-    from .claims import _fmt
-
-    lines = []
-    for i, ni in enumerate(alg.basis_names):
-        for j, nj in enumerate(alg.basis_names):
-            lines.append(f"{ni} * {nj} = {_fmt(alg.table[i][j], alg.basis_names)}")
-    return lines
+def _show_algebra(report, alg, bracket=None, audit=None):
+    """Report an algebra: its document, its table, and its errata against
+    the recorded table named `audit`, if there is one."""
+    report["result"] = algebra_document(alg, bracket)
+    report["table"] = [
+        f"{ni} * {nj} = {format_combination(alg.table[i][j], alg.basis_names)}"
+        for i, ni in enumerate(alg.basis_names)
+        for j, nj in enumerate(alg.basis_names)
+    ]
+    report["errata"] = [str(e) for e in claims.audit_table(alg, audit)]
+    return EX_OK
 
 
 def _assert_check(report, condition, description):
@@ -208,6 +181,23 @@ def _assert_check(report, condition, description):
     report["status"] = "assertion-failed"
     report["failed_assertion"] = description
     return EX_ASSERT
+
+
+def _check_verdict(args, report, holds, claim, denial):
+    """--assert / --assert-not: exit 1 unless the verdict is as asserted."""
+    code = EX_OK
+    if args.assert_true:
+        code = _assert_check(report, holds, claim)
+    if args.assert_false:
+        code = _assert_check(report, not holds, denial)
+    return code
+
+
+def _check_dim(args, report, dim):
+    """--assert-dim: exit 1 unless the computed dimension is as asserted."""
+    if args.assert_dim is None:
+        return EX_OK
+    return _assert_check(report, dim == args.assert_dim, f"dim == {args.assert_dim}")
 
 
 def _gens_to_vectors(alg: Algebra, spec_text: str):
@@ -229,231 +219,225 @@ def _gens_to_vectors(alg: Algebra, spec_text: str):
     return vectors
 
 
+# -- commands: each fills the report and returns the exit code --------------
+
+
+def _show(args, report):
+    alg, bracket, fixture = _load_input(args, report)
+    return _show_algebra(report, alg, bracket, audit=fixture)
+
+
+def _wn(args, report):
+    if args.n < 1:
+        raise AlgebraFormatError("wn requires n >= 1")
+    name = f"wn{args.n}"
+    alg = build_wn(args.n)
+    _record_input(report, name, alg)
+    return _show_algebra(report, alg, audit=name)
+
+
+def _fixture_command(args, report):
+    alg = _fixture(args.name)
+    _record_input(report, f"fixture:{args.name}", alg)
+    return _show_algebra(report, alg, audit=args.name)
+
+
+def _twist(args, report):
+    kind = args.twist_kind
+    alg, bracket, _ = _load_input(args, report, need_bracket=kind == "poisson")
+    if kind == "poisson":
+        if bracket is None:
+            raise AlgebraFormatError("twist poisson needs a bracket_table")
+        out = zoo.poisson_kantor_product(alg, bracket)
+    elif kind == "quasi":
+        try:
+            lam = Fraction(args.lam)
+        except (ValueError, ZeroDivisionError):
+            raise AlgebraFormatError(f"bad rational {args.lam!r}") from None
+        out = zoo.quasi_mutation(alg, lam)
+    else:
+        sigma = load_linear_map(args.involution, expected_dim=alg.dim)
+        out = zoo.structurable_twist(alg, sigma)
+    return _show_algebra(report, out)
+
+
+def _conservative(args, report):
+    alg, _, _ = _load_input(args, report)
+    verdict = conservativity(alg)
+    payload = {
+        "conservative": verdict.conservative,
+        "kernel_dim": verdict.kernel.dim,
+        "kernel": _subspace_doc(verdict.kernel, alg.basis_names),
+    }
+    if verdict.conservative:
+        table = algebra_document(verdict.f.as_algebra(alg.basis_names))["table"]
+        payload["f"] = {"arity": 2, "dim": verdict.f.dim, "table": table}
+    else:
+        w = verdict.witness
+        payload["witness"] = {
+            "pair": [alg.basis_names[w.a], alg.basis_names[w.b]],
+            "certificate_nonzeros": sum(1 for c in w.certificate if c),
+        }
+    report["result"] = payload
+    return _check_verdict(args, report, verdict.conservative, "conservative", "not conservative")
+
+
+def _terminal(args, report):
+    alg, _, _ = _load_input(args, report)
+    verdict = is_terminal(alg, args.convention)
+    report["result"] = {"terminal": verdict, "convention": args.convention}
+    return _check_verdict(args, report, verdict, "terminal", "not terminal")
+
+
+def _derivations(args, report):
+    alg, _, fixture = _load_input(args, report)
+    der = derivation_algebra(alg)
+    series = derived_series(der)
+    report["result"] = {
+        "dim": der.dim,
+        "derived_series": series,
+        "solvable": series[-1] == 0,
+        "basis": [[[str(b[i, j]) for j in range(b.cols)] for i in range(b.rows)] for b in der.basis],
+        "lie_table": algebra_document(der.lie)["table"],
+    }
+    if fixture:
+        report["errata"] = [str(e) for e in claims.audit_derivations(fixture, der)]
+    return _check_dim(args, report, der.dim)
+
+
+def _jacobi(args, report):
+    alg, _, _ = _load_input(args, report)
+    js = jacobi_space(alg)
+    report["result"] = _subspace_doc(js, alg.basis_names)
+    return _check_dim(args, report, js.dim)
+
+
+def _quasiunit(args, report):
+    alg, _, _ = _load_input(args, report)
+    qs = quasi_units(alg)
+    payload = {"feasible": qs.feasible, "kernel_dim": qs.kernel.dim}
+    if qs.feasible:
+        payload["particular"] = combination_document(qs.particular, alg.basis_names)
+        payload["kernel"] = _subspace_doc(qs.kernel, alg.basis_names)
+    else:
+        payload["certificate_nonzeros"] = sum(1 for c in qs.certificate if c)
+    report["result"] = payload
+    return _check_verdict(args, report, qs.feasible, "quasi-unit exists", "no quasi-unit")
+
+
+def _annihilator(args, report):
+    alg, _, _ = _load_input(args, report)
+    ann = annihilator(alg)
+    report["result"] = _subspace_doc(ann, alg.basis_names)
+    return _check_dim(args, report, ann.dim)
+
+
+def _closure(args, report):
+    alg, _, _ = _load_input(args, report)
+    sub = generated_subalgebra(alg, _gens_to_vectors(alg, args.gens))
+    report["result"] = _subspace_doc(sub, alg.basis_names)
+    return _check_dim(args, report, sub.dim)
+
+
+def _codim1(args, report):
+    alg, _, fixture = _load_input(args, report)
+    rep = codim1_subalgebras(alg, max_reductions=args.budget)
+    cases = []
+    for c in rep.cases:
+        entry = {
+            "pivot": c.pivot,
+            "variables": list(c.variables),
+            "ideal": [str(g) for g in c.ideal],
+        }
+        if c.error is not None:
+            entry["error"] = str(c.error)
+        else:
+            entry["groebner"] = [str(g) for g in c.groebner]
+            entry["points"] = [[str(x) for x in pt] for pt in c.solutions.points]
+            entry["unresolved"] = [
+                {"kind": u.kind, "detail": u.detail} for u in c.solutions.unresolved
+            ]
+        cases.append(entry)
+    report["result"] = {
+        "count": len(rep.subalgebras),
+        "subalgebras": [_subspace_doc(s, alg.basis_names) for s in rep.subalgebras],
+        "cases": cases,
+    }
+    if fixture:
+        report["errata"] = [str(e) for e in claims.audit_codim1(fixture, alg, rep)]
+    if rep.budget_errors:
+        report["status"] = "budget-exceeded"
+        return EX_BUDGET
+    if args.assert_count is None:
+        return EX_OK
+    return _assert_check(report, len(rep.subalgebras) == args.assert_count, f"count == {args.assert_count}")
+
+
+def _identity(args, report):
+    alg, bracket, _ = _load_input(args, report)
+    if bool(args.name) == bool(args.expr):
+        raise _UsageError("identity needs exactly one of --name or --expr")
+    if args.name:
+        catalog = builtin_identities()
+        if args.name not in catalog:
+            raise AlgebraFormatError(f"no builtin identity {args.name!r}")
+        idents = catalog[args.name].identities
+    else:
+        if args.vars:
+            expr_vars = tuple(v.strip() for v in args.vars.split(","))
+        else:
+            expr_vars = tuple(sorted(free_variables(parse_expr(args.expr))))
+        idents = (identity("adhoc", expr_vars, args.expr),)
+    verdicts = [check_identity(alg, ident, bracket) for ident in idents]
+    holds = all(v.holds for v in verdicts)
+    payload = {"holds": holds, "identities": []}
+    for v in verdicts:
+        entry = {"name": v.identity.name, "holds": v.holds, "source": v.identity.source}
+        if not v.holds:
+            w = v.witness
+            entry["witness"] = {
+                "coordinate": alg.basis_names[w.coordinate],
+                "monomial": {s: e for s, e in zip(w.symbols, w.monomial) if e},
+                "coefficient": str(w.coefficient),
+                "assignment": {
+                    var: combination_document(vec, alg.basis_names)
+                    for var, vec in sorted(w.assignment.items())
+                },
+                "defect": combination_document(w.defect, alg.basis_names),
+            }
+        payload["identities"].append(entry)
+    report["result"] = payload
+    return _check_verdict(args, report, holds, "identity holds", "identity fails")
+
+
+COMMANDS = {
+    "show": _show,
+    "wn": _wn,
+    "fixture": _fixture_command,
+    "twist": _twist,
+    "conservative": _conservative,
+    "terminal": _terminal,
+    "derivations": _derivations,
+    "jacobi": _jacobi,
+    "quasiunit": _quasiunit,
+    "annihilator": _annihilator,
+    "closure": _closure,
+    "codim1": _codim1,
+    "identity": _identity,
+}
+
+
+def _execute(args, argv):
+    # the echoed command gives --json once and first, wherever it stood, so
+    # the report does not depend on the flag's position
+    command = ["--json"] + [a for a in argv if a != "--json"] if args.json else list(argv)
+    report = {"command": command, "status": "ok"}
+    return report, COMMANDS[args.command](args, report)
+
+
 def run(argv):
     """Execute a command; returns (report dict, exit code)."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    report = {"command": list(argv), "status": "ok"}
-    code = EX_OK
-    cmd = args.command
-
-    if cmd == "wn":
-        if args.n < 1:
-            raise AlgebraFormatError("wn requires n >= 1")
-        alg = build_wn(args.n)
-        name = f"wn{args.n}"
-        report["input"] = name
-        report["input_digest"] = _digest(alg)
-        report["result"] = algebra_document(alg)
-        report["table"] = _table_lines(alg)
-        report["errata"] = [str(e) for e in claims.audit_table(alg, name)]
-        return report, code
-
-    if cmd == "fixture":
-        try:
-            alg = zoo.fixture(args.name)
-        except KeyError as exc:
-            raise AlgebraFormatError(str(exc)) from None
-        report["input"] = f"fixture:{args.name}"
-        report["input_digest"] = _digest(alg)
-        report["result"] = algebra_document(alg)
-        report["table"] = _table_lines(alg)
-        report["errata"] = [str(e) for e in claims.audit_table(alg, args.name)]
-        return report, code
-
-    if cmd == "twist":
-        kind = args.twist_kind
-        if kind == "poisson":
-            alg, bracket, source = _load_input(args, need_bracket=True)
-            if bracket is None:
-                raise AlgebraFormatError("twist poisson needs a bracket_table")
-            out = zoo.poisson_kantor_product(alg, bracket)
-        elif kind == "quasi":
-            alg, _, source = _load_input(args)
-            try:
-                lam = Fraction(args.lam)
-            except (ValueError, ZeroDivisionError):
-                raise AlgebraFormatError(f"bad rational {args.lam!r}") from None
-            out = zoo.quasi_mutation(alg, lam)
-        else:
-            alg, _, source = _load_input(args)
-            sigma = load_linear_map(args.involution, expected_dim=alg.dim)
-            out = zoo.structurable_twist(alg, sigma)
-        report["input"] = source
-        report["input_digest"] = _digest(alg)
-        report["result"] = algebra_document(out)
-        report["table"] = _table_lines(out)
-        report["errata"] = []
-        return report, code
-
-    alg, bracket, source = _load_input(args)
-    fixture_name = source.removeprefix("fixture:") if source.startswith("fixture:") else None
-    report["input"] = source
-    report["input_digest"] = _digest(alg)
-    errata = []
-
-    if cmd == "show":
-        report["result"] = algebra_document(alg, bracket)
-        report["table"] = _table_lines(alg)
-        if fixture_name:
-            errata += claims.audit_table(alg, fixture_name)
-
-    elif cmd == "conservative":
-        verdict = conservativity(alg)
-        payload = {
-            "conservative": verdict.conservative,
-            "kernel_dim": verdict.kernel.dim,
-            "kernel": _subspace_doc(verdict.kernel, alg.basis_names),
-        }
-        if verdict.conservative:
-            payload["f"] = _op_doc(verdict.f, alg.basis_names)
-        else:
-            w = verdict.witness
-            payload["witness"] = {
-                "pair": [alg.basis_names[w.a], alg.basis_names[w.b]],
-                "certificate_nonzeros": sum(1 for c in w.certificate if c),
-            }
-        report["result"] = payload
-        if args.assert_true:
-            code = _assert_check(report, verdict.conservative, "conservative")
-        if args.assert_false:
-            code = _assert_check(report, not verdict.conservative, "not conservative")
-
-    elif cmd == "terminal":
-        verdict = is_terminal(alg, args.convention)
-        report["result"] = {"terminal": verdict, "convention": args.convention}
-        if args.assert_true:
-            code = _assert_check(report, verdict, "terminal")
-        if args.assert_false:
-            code = _assert_check(report, not verdict, "not terminal")
-
-    elif cmd == "derivations":
-        der = derivation_algebra(alg)
-        series = derived_series(der)
-        payload = {
-            "dim": der.dim,
-            "derived_series": series,
-            "solvable": series[-1] == 0,
-            "basis": [[ [str(b[i, j]) for j in range(b.cols)] for i in range(b.rows)] for b in der.basis],
-            "lie_table": algebra_document(der.lie)["table"],
-        }
-        report["result"] = payload
-        if fixture_name:
-            errata += claims.audit_derivations(fixture_name, der)
-        if args.assert_dim is not None:
-            code = _assert_check(report, der.dim == args.assert_dim, f"dim == {args.assert_dim}")
-
-    elif cmd == "jacobi":
-        js = jacobi_space(alg)
-        report["result"] = _subspace_doc(js, alg.basis_names)
-        if args.assert_dim is not None:
-            code = _assert_check(report, js.dim == args.assert_dim, f"dim == {args.assert_dim}")
-
-    elif cmd == "quasiunit":
-        qs = quasi_units(alg)
-        payload = {"feasible": qs.feasible, "kernel_dim": qs.kernel.dim}
-        if qs.feasible:
-            payload["particular"] = _vec_doc(qs.particular, alg.basis_names)
-            payload["kernel"] = _subspace_doc(qs.kernel, alg.basis_names)
-        else:
-            payload["certificate_nonzeros"] = sum(1 for c in qs.certificate if c)
-        report["result"] = payload
-        if args.assert_true:
-            code = _assert_check(report, qs.feasible, "quasi-unit exists")
-        if args.assert_false:
-            code = _assert_check(report, not qs.feasible, "no quasi-unit")
-
-    elif cmd == "annihilator":
-        ann = annihilator(alg)
-        report["result"] = _subspace_doc(ann, alg.basis_names)
-        if args.assert_dim is not None:
-            code = _assert_check(report, ann.dim == args.assert_dim, f"dim == {args.assert_dim}")
-
-    elif cmd == "closure":
-        vectors = _gens_to_vectors(alg, args.gens)
-        sub = generated_subalgebra(alg, vectors)
-        report["result"] = _subspace_doc(sub, alg.basis_names)
-        if args.assert_dim is not None:
-            code = _assert_check(report, sub.dim == args.assert_dim, f"dim == {args.assert_dim}")
-
-    elif cmd == "codim1":
-        rep = codim1_subalgebras(alg, max_reductions=args.budget)
-        cases = []
-        for c in rep.cases:
-            entry = {
-                "pivot": c.pivot,
-                "variables": list(c.variables),
-                "ideal": [str(g) for g in c.ideal],
-            }
-            if c.error is not None:
-                entry["error"] = str(c.error)
-            else:
-                entry["groebner"] = [str(g) for g in c.groebner]
-                entry["points"] = [[str(x) for x in pt] for pt in c.solutions.points]
-                entry["unresolved"] = [
-                    {"kind": u.kind, "detail": u.detail} for u in c.solutions.unresolved
-                ]
-            cases.append(entry)
-        report["result"] = {
-            "count": len(rep.subalgebras),
-            "subalgebras": [_subspace_doc(s, alg.basis_names) for s in rep.subalgebras],
-            "cases": cases,
-        }
-        if fixture_name:
-            errata += claims.audit_codim1(fixture_name, alg, rep)
-        if rep.budget_errors:
-            report["status"] = "budget-exceeded"
-            code = EX_BUDGET
-        if code == EX_OK and args.assert_count is not None:
-            code = _assert_check(report, len(rep.subalgebras) == args.assert_count,
-                                 f"count == {args.assert_count}")
-
-    elif cmd == "identity":
-        if bool(args.name) == bool(args.expr):
-            raise _UsageError("identity needs exactly one of --name or --expr")
-        if args.name:
-            catalog = builtin_identities()
-            if args.name not in catalog:
-                raise AlgebraFormatError(f"no builtin identity {args.name!r}")
-            suite = catalog[args.name]
-            idents = suite.identities
-        else:
-            from .identities import parse_expr
-
-            expr = parse_expr(args.expr)
-            if args.vars:
-                expr_vars = tuple(v.strip() for v in args.vars.split(","))
-            else:
-                expr_vars = tuple(sorted(free_variables(expr)))
-            idents = (identity("adhoc", expr_vars, args.expr),)
-        verdicts = [check_identity(alg, ident, bracket) for ident in idents]
-        holds = all(v.holds for v in verdicts)
-        payload = {"holds": holds, "identities": []}
-        for v in verdicts:
-            entry = {"name": v.identity.name, "holds": v.holds, "source": v.identity.source}
-            if not v.holds:
-                w = v.witness
-                entry["witness"] = {
-                    "coordinate": alg.basis_names[w.coordinate],
-                    "monomial": {s: e for s, e in zip(w.symbols, w.monomial) if e},
-                    "coefficient": str(w.coefficient),
-                    "assignment": {
-                        var: _vec_doc(vec, alg.basis_names) for var, vec in sorted(w.assignment.items())
-                    },
-                    "defect": _vec_doc(w.defect, alg.basis_names),
-                }
-            payload["identities"].append(entry)
-        report["result"] = payload
-        if args.assert_true:
-            code = _assert_check(report, holds, "identity holds")
-        if args.assert_false:
-            code = _assert_check(report, not holds, "identity fails")
-
-    else:  # pragma: no cover - argparse enforces the choices
-        raise _UsageError(f"unknown command {cmd!r}")
-
-    report["errata"] = [str(e) for e in errata]
-    return report, code
+    return _execute(_build_parser().parse_args(argv), argv)
 
 
 def _print_report(report, as_json):
@@ -475,9 +459,9 @@ def _print_report(report, as_json):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    as_json = "--json" in argv
     try:
-        report, code = run(argv)
+        args = _build_parser().parse_args(argv)
+        report, code = _execute(args, argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
@@ -487,7 +471,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EX_BUDGET
-    _print_report(report, as_json)
+    _print_report(report, args.json)
     return code
 
 

@@ -12,10 +12,13 @@ anything else is reported unresolved, never guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
+from math import gcd, lcm
 
 from .algebra import Algebra, verify_subalgebra
 from .errors import BudgetExceededError
-from .linalg import F0, F1, Subspace
+from .linalg import F0, F1, Matrix, Subspace, nullspace
 from .poly import (
     MAX_REDUCTIONS,
     MAX_TOTAL_DEGREE,
@@ -47,51 +50,46 @@ def hyperplane_basis(n: int, p: int, alphas):
 def pivot_system(alg: Algebra, p: int):
     """Closure generators for the pivot-p hyperplane family.
 
-    Unknowns a_j (j < p); membership of a product v in the hyperplane reads
-    v_p - sum_{m != p} v_m a_m with a_m := 0 for m > p, so each basis pair
-    contributes one generator of degree <= 3.
+    Unknowns a_j (j < p); with a_m := 0 for m > p the hyperplane is spanned
+    by h_j = e_j + a_j e_p (j != p), and v lies in it iff the linear form
+    phi(v) = v_p - sum_{m < p} v_m a_m vanishes.  Each basis pair contributes
+
+        phi(h_i h_j) = phi(e_i e_j) + a_j phi(e_i e_p) + a_i phi(e_p e_j)
+                       + a_i a_j phi(e_p e_p),
+
+    a generator of degree <= 3, read off the structure constants with phi
+    taken once per basis product.
     """
     n = alg.dim
     if not 1 <= p <= n:
         raise ValueError(f"pivot must be in 1..{n}")
     variables = _pivot_variables(p)
+    q = p - 1  # 0-based pivot column; variable a_{m+1} has index m < q
     alphas = [Poly.var(v, variables) for v in variables]
-    zero = Poly.zero(variables)
-    one = Poly.const(1, variables)
+    constant = (0,) * q
+    units = [tuple(int(m == k) for k in range(q)) for m in range(q)]
 
-    # symbolic hyperplane basis: rows indexed by j != p
-    basis = []
-    for j in range(1, n + 1):
-        if j == p:
-            continue
-        row = [zero] * n
-        row[j - 1] = one
-        if j < p:
-            row[p - 1] = alphas[j - 1]
-        basis.append(row)
+    def phi(w):
+        terms = {units[m]: -w[m] for m in range(q) if w[m]}
+        terms[constant] = w[q]
+        return Poly(variables, terms)
 
-    def mul(x, y):
-        out = [zero] * n
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(y):
-                if yj.is_zero():
-                    continue
-                c = xi * yj
-                for k, ck in enumerate(alg.table[i][j]):
-                    if ck:
-                        out[k] = out[k] + c * ck
-        return out
-
+    phis = [[phi(w) for w in row] for row in alg.table]
     generators = []
-    for h in basis:
-        for hp in basis:
-            v = mul(h, hp)
-            g = v[p - 1]
-            for m in range(1, p):
-                g = g - v[m - 1] * alphas[m - 1]
-            if not g.is_zero():
+    for i in range(n):
+        if i == q:
+            continue
+        for j in range(n):
+            if j == q:
+                continue
+            g = phis[i][j]
+            if j < q and phis[i][q]:
+                g = g + alphas[j] * phis[i][q]
+            if i < q and phis[q][j]:
+                g = g + alphas[i] * phis[q][j]
+            if i < q and j < q and phis[q][q]:
+                g = g + alphas[i] * alphas[j] * phis[q][q]
+            if g:
                 generators.append(g)
     return variables, tuple(generators)
 
@@ -151,6 +149,16 @@ def codim1_subalgebras(
     return Codim1Report(n, tuple(cases), tuple(flat))
 
 
+def _primitive_normal(v):
+    """The primitive integer multiple of a nonzero rational vector whose
+    first nonzero entry is positive."""
+    den = lcm(*(Fraction(c).denominator for c in v))
+    ints = [int(c * den) for c in v]
+    g = gcd(*ints)
+    sign = 1 if next(c for c in ints if c) > 0 else -1
+    return tuple(sign * c // g for c in ints)
+
+
 def grid_hyperplane_oracle(alg: Algebra, bound: int = 3):
     """All closed hyperplanes whose normal has coordinates in [-bound, bound].
 
@@ -159,29 +167,15 @@ def grid_hyperplane_oracle(alg: Algebra, bound: int = 3):
     keeps the ones closed under the product.  Exhaustive over the grid, so
     any reported subalgebra with a small normal must appear here too.
     """
-    from itertools import product as iproduct
-    from math import gcd
-
-    n = alg.dim
     seen = set()
     found = []
-    for coords in iproduct(range(-bound, bound + 1), repeat=n):
+    for coords in product(range(-bound, bound + 1), repeat=alg.dim):
         if not any(coords):
             continue
-        g = 0
-        for c in coords:
-            g = gcd(g, c)
-        prim = tuple(c // g for c in coords)
-        for c in prim:
-            if c:
-                if c < 0:
-                    prim = tuple(-x for x in prim)
-                break
+        prim = _primitive_normal(coords)
         if prim in seen:
             continue
         seen.add(prim)
-        from .linalg import Matrix, nullspace
-
         sub = nullspace(Matrix.from_rows([prim]))
         if verify_subalgebra(alg, sub):
             found.append(sub)
@@ -192,21 +186,5 @@ def normal_vector(sub: Subspace):
     """Primitive integer normal of a hyperplane subspace."""
     if sub.dim != sub.ambient_dim - 1:
         raise ValueError("not a hyperplane")
-    comp = sub.orthogonal_complement()
-    (v,) = comp.basis
-    from math import gcd, lcm
-
-    den = 1
-    for c in v:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in v]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    ints = [c // g for c in ints]
-    for c in ints:
-        if c:
-            if c < 0:
-                ints = [-x for x in ints]
-            break
-    return tuple(ints)
+    (v,) = sub.orthogonal_complement().basis
+    return _primitive_normal(v)

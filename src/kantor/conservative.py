@@ -24,6 +24,7 @@ from .linalg import (
     Subspace,
     infeasibility_certificate,
     nullspace,
+    solve_linear,
     solve_many,
     unit_vec,
 )
@@ -115,12 +116,7 @@ def quasi_units(alg: Algebra) -> AffineSolutionSet:
     (when any exist) form a coset of it.
     """
     M, P = _bracket_matrix(alg)
-    target = tuple(-x for x in P.dense_vec())
-    sol = solve_many(M, [target])[0]
-    kernel = nullspace(M)
-    if sol is None:
-        return AffineSolutionSet(None, kernel, infeasibility_certificate(M, target))
-    return AffineSolutionSet(sol, kernel)
+    return solve_linear(M, tuple(-x for x in P.dense_vec()))
 
 
 def _expansion_residual(alg: Algebra, fval, a, b, x, y):

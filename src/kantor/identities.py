@@ -22,12 +22,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Algebra
-from .errors import ExprSyntaxError, MissingBracketError
+from .errors import AlgebraFormatError, ExprSyntaxError, MissingBracketError
 from .linalg import F0
 from .poly import Poly
+from .storage import read_json
 
 MAX_FREE_VARIABLES = 4
 MAX_DEGREE = 5
+# Deepest expression tree, and most brackets open at once, that the parser
+# accepts; parsing and evaluation recurse once per level.
+MAX_NESTING = 100
 
 
 # -- AST ---------------------------------------------------------------------
@@ -134,10 +138,14 @@ def _tokenize(src):
 
 
 class _Parser:
+    """Recursive descent; the grammar methods (expr, term, factor, primary)
+    return (node, depth of its tree)."""
+
     def __init__(self, src):
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.open_brackets = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -153,20 +161,27 @@ class _Parser:
             raise ExprSyntaxError(f"expected {kind!r}, found {t[1]!r}", t[2])
         return t
 
+    def nest(self, depth):
+        """One level below `depth`, refused beyond MAX_NESTING."""
+        if depth >= MAX_NESTING:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", self.peek()[2])
+        return depth + 1
+
     def parse(self):
-        e = self.expr()
+        e, _ = self.expr()
         t = self.peek()
         if t[0] != "end":
             raise ExprSyntaxError(f"trailing input {t[1]!r}", t[2])
         return e
 
     def expr(self):
-        node = self.term()
+        node, depth = self.term()
         while self.peek()[0] in "+-":
             op = self.next()[0]
-            rhs = self.term()
+            rhs, d = self.term()
             node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            depth = self.nest(max(depth, d))
+        return node, depth
 
     def term(self):
         if self.peek()[0] == "int":
@@ -178,37 +193,41 @@ class _Parser:
             else:
                 coeff = Fraction(num)
             self.expect("*")
-            return Scale(coeff, self.factor())
+            node, depth = self.factor()
+            return Scale(coeff, node), self.nest(depth)
         return self.factor()
 
     def factor(self):
-        node = self.primary()
+        node, depth = self.primary()
         if self.peek()[0] == "*":
             self.next()
-            rhs = self.primary()
-            node = Prod(node, rhs)
+            rhs, d = self.primary()
+            node, depth = Prod(node, rhs), self.nest(max(depth, d))
             t = self.peek()
             if t[0] == "*":
                 raise ExprSyntaxError(
                     "products are binary; parenthesize nested products", t[2]
                 )
-        return node
+        return node, depth
 
     def primary(self):
         t = self.next()
         if t[0] == "var":
-            return Var(t[1])
+            return Var(t[1]), 1
+        if t[0] not in ("(", "{"):
+            raise ExprSyntaxError(f"unexpected token {t[1]!r}", t[2])
+        self.open_brackets = self.nest(self.open_brackets)
         if t[0] == "(":
             inner = self.expr()
             self.expect(")")
-            return inner
-        if t[0] == "{":
-            left = self.expr()
+        else:
+            left, dl = self.expr()
             self.expect(",")
-            right = self.expr()
+            right, dr = self.expr()
             self.expect("}")
-            return Bracket(left, right)
-        raise ExprSyntaxError(f"unexpected token {t[1]!r}", t[2])
+            inner = Bracket(left, right), self.nest(max(dl, dr))
+        self.open_brackets -= 1
+        return inner
 
 
 def parse_expr(src: str):
@@ -237,9 +256,9 @@ def identity(name, variables, source) -> Identity:
             f"undeclared variables {sorted(used - declared)} in {name}", 0
         )
     if len(declared) > MAX_FREE_VARIABLES:
-        raise ValueError(f"{name}: more than {MAX_FREE_VARIABLES} free variables")
+        raise ExprSyntaxError(f"{name}: more than {MAX_FREE_VARIABLES} free variables", 0)
     if product_degree(expr) > MAX_DEGREE:
-        raise ValueError(f"{name}: degree exceeds {MAX_DEGREE}")
+        raise ExprSyntaxError(f"{name}: degree exceeds {MAX_DEGREE}", 0)
     return Identity(name, tuple(variables), source, expr)
 
 
@@ -275,40 +294,14 @@ def _eval(node, env, mul, bracket_mul):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _generic_mul(alg: Algebra, zero):
-    """Bilinear product on coordinate vectors over any coefficient ring."""
-
-    def mul(x, y):
-        n = alg.dim
-        out = [zero] * n
-        for i, xi in enumerate(x):
-            if isinstance(xi, Poly) and xi.is_zero():
-                continue
-            if not isinstance(xi, Poly) and not xi:
-                continue
-            for j, yj in enumerate(y):
-                if isinstance(yj, Poly) and yj.is_zero():
-                    continue
-                if not isinstance(yj, Poly) and not yj:
-                    continue
-                c = xi * yj
-                for k, ck in enumerate(alg.table[i][j]):
-                    if ck:
-                        out[k] = out[k] + c * ck
-        return tuple(out)
-
-    return mul
-
-
 def evaluate_identity(alg: Algebra, ident: Identity, assignment, bracket: Algebra = None):
     """Defect vector of the identity at concrete elements.
 
     `assignment` maps each free variable to a coordinate vector.
     """
     env = {v: tuple(assignment[v]) for v in ident.variables}
-    mul = _generic_mul(alg, F0)
-    bmul = _generic_mul(bracket, F0) if bracket is not None else None
-    return _eval(ident.expr, env, mul, bmul)
+    bmul = bracket.mul_vec if bracket is not None else None
+    return _eval(ident.expr, env, alg.mul_vec, bmul)
 
 
 @dataclass(frozen=True)
@@ -374,12 +367,10 @@ def check_identity(alg: Algebra, ident: Identity, bracket: Algebra = None) -> Id
         v: tuple(Poly.var(f"{v}{i + 1}", symbols) for i in range(n))
         for v in ident.variables
     }
-    zero = Poly.zero(symbols)
-    mul = _generic_mul(alg, zero)
-    bmul = _generic_mul(bracket, zero) if bracket is not None else None
-    defect = _eval(ident.expr, env, mul, bmul)
+    bmul = bracket.mul_vec if bracket is not None else None
+    defect = _eval(ident.expr, env, alg.mul_vec, bmul)
     for k, coord in enumerate(defect):
-        if isinstance(coord, Poly) and not coord.is_zero():
+        if coord:
             exps, coeff = coord.leading()
             point = _find_nonvanishing(coord)
             vectors = {
@@ -464,15 +455,9 @@ def builtin_identities():
 
 def load_identity(path) -> Identity:
     """Read an identity file: {"name": ..., "vars": [...], "zero": "<expr>"}."""
-    import json
-
-    from .errors import AlgebraFormatError
-
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise AlgebraFormatError(f"invalid JSON: {exc}", str(path)) from None
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise AlgebraFormatError("top level must be an object", str(path))
     for field_name in ("name", "vars", "zero"):
         if field_name not in doc:
             raise AlgebraFormatError(f"missing field {field_name!r}", str(path))

@@ -32,11 +32,6 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
-def format_frac(x: Fraction) -> str:
-    """Serialize as ``"p/q"`` or ``"p"`` with the sign on the numerator."""
-    return str(x)
-
-
 def vec(values) -> Vec:
     return tuple(frac(v) for v in values)
 
@@ -332,10 +327,6 @@ class Subspace:
             raise DimensionMismatchError.of(self.ambient_dim, other.ambient_dim)
 
 
-def subspace_equal(s1: Subspace, s2: Subspace) -> bool:
-    return s1 == s2
-
-
 def nullspace(m: Matrix) -> Subspace:
     """Kernel of m, as a canonical Subspace of the column-coordinate space."""
     rows = m.row_list()
@@ -369,12 +360,6 @@ class AffineSolutionSet:
     @property
     def feasible(self) -> bool:
         return self.particular is not None
-
-    def members(self):
-        """Particular solution followed by its translates by kernel basis."""
-        if not self.feasible:
-            return []
-        return [self.particular] + [add_vec(self.particular, k) for k in self.kernel.basis]
 
     def same_set(self, other: "AffineSolutionSet") -> bool:
         if self.feasible != other.feasible:

@@ -127,7 +127,17 @@ class Poly:
         return a.terms == b.terms
 
     def __hash__(self):
-        return hash((self.variables, tuple(sorted(self.terms.items()))))
+        # equal polynomials may differ in their declared variables, so hash
+        # the sparse {variable: exponent} form; a constant hashes as its value
+        if self.is_constant():
+            return hash(self.constant_value())
+        return hash(frozenset(
+            (frozenset((v, x) for v, x in zip(self.variables, e) if x), c)
+            for e, c in self.terms.items()
+        ))
+
+    def __bool__(self):
+        return bool(self.terms)
 
     # -- queries -----------------------------------------------------------
 

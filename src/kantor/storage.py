@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .algebra import Algebra
+from .algebra import Algebra, combination_document
 from .errors import AlgebraFormatError
 from .linalg import F0, Matrix
 
@@ -31,6 +31,10 @@ def _parse_rational(text, where):
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise AlgebraFormatError(f"not a rational: {text!r} ({exc})", where) from None
+
+
+def _is_count(x):
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def _parse_combo(obj, names, where):
@@ -74,11 +78,13 @@ def parse_algebra_document(doc, where="<algebra>"):
         basis = doc["basis"]
     except KeyError as exc:
         raise AlgebraFormatError(f"missing field {exc}", where) from None
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_count(dim):
         raise AlgebraFormatError("dim must be a nonnegative integer", f"{where}.dim")
-    if not isinstance(basis, list) or len(basis) != dim or len(set(basis)) != dim:
-        raise AlgebraFormatError(f"basis must list {dim} distinct names", f"{where}.basis")
+    if not isinstance(basis, list) or not all(isinstance(b, (str, int, float)) for b in basis):
+        raise AlgebraFormatError("basis must be a list of names", f"{where}.basis")
     names = tuple(str(b) for b in basis)
+    if len(names) != dim or len(set(names)) != dim:
+        raise AlgebraFormatError(f"basis must list {dim} distinct names", f"{where}.basis")
     if "table" not in doc:
         raise AlgebraFormatError("missing field 'table'", where)
     table = _parse_products(doc["table"], names, f"{where}.table")
@@ -90,14 +96,21 @@ def parse_algebra_document(doc, where="<algebra>"):
     return alg, bracket
 
 
-def load_algebra_pair(path):
-    """Load (product, bracket-or-None) from a file."""
+def read_json(path):
+    """The JSON document in a file; malformed or too deeply nested JSON is
+    an AlgebraFormatError."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise AlgebraFormatError(f"invalid JSON: {exc}", f"{path}:{exc.lineno}:{exc.colno}") from None
-    return parse_algebra_document(doc, where=str(path))
+        except RecursionError:
+            raise AlgebraFormatError("JSON nested too deeply", str(path)) from None
+
+
+def load_algebra_pair(path):
+    """Load (product, bracket-or-None) from a file."""
+    return parse_algebra_document(read_json(path), where=str(path))
 
 
 def load_algebra(path) -> Algebra:
@@ -108,11 +121,7 @@ def _products_document(alg: Algebra):
     out = {}
     for i, iname in enumerate(alg.basis_names):
         for j, jname in enumerate(alg.basis_names):
-            combo = {
-                kname: str(c)
-                for kname, c in zip(alg.basis_names, alg.table[i][j])
-                if c
-            }
+            combo = combination_document(alg.table[i][j], alg.basis_names)
             if combo:
                 out[f"{iname}*{jname}"] = combo
     return out
@@ -145,18 +154,18 @@ def load_linear_map(path, expected_dim=None) -> Matrix:
     matrix[i][j] is the coefficient of e_i in the image of e_j (column
     action, matching LinearMap conventions elsewhere).
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise AlgebraFormatError(f"invalid JSON: {exc}", f"{path}:{exc.lineno}:{exc.colno}") from None
+    doc = read_json(path)
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise AlgebraFormatError("expected an object with a 'matrix' field", str(path))
     rows = doc["matrix"]
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise AlgebraFormatError("matrix must be a list of rows", f"{path}.matrix")
     n = doc.get("dim", len(rows))
+    if not _is_count(n):
+        raise AlgebraFormatError("dim must be a nonnegative integer", f"{path}.dim")
     if expected_dim is not None and n != expected_dim:
         raise AlgebraFormatError(f"map has dim {n}, algebra has dim {expected_dim}", str(path))
-    if not isinstance(rows, list) or len(rows) != n or any(len(r) != n for r in rows):
+    if len(rows) != n or any(len(r) != n for r in rows):
         raise AlgebraFormatError(f"matrix must be {n}x{n}", f"{path}.matrix")
     parsed = [
         [_parse_rational(rows[i][j], f"{path}.matrix[{i}][{j}]") for j in range(n)]

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Algebra
+from .algebra import Algebra, is_nilpotent4, two_sided_system
 from .errors import GateError
 from .linalg import F0, F1, Matrix, frac, solve_many, unit_vec
 from .identities import builtin_identities, check_suite
+from .wn import build_h1, build_s2, build_w2sym, build_wn
 
 
 def _gate(alg: Algebra, suite_name: str, bracket: Algebra = None):
@@ -90,8 +91,6 @@ def jordan_sym2() -> Algebra:
 def nilpotent4_example() -> Algebra:
     """dim 3, e1 e1 = e2, e1 e2 = e2 e1 = e3, everything else zero."""
     alg = Algebra.from_products(3, {(0, 0): {1: 1}, (0, 1): {2: 1}, (1, 0): {2: 1}})
-    from .algebra import is_nilpotent4
-
     if not is_nilpotent4(alg):  # pragma: no cover - structural fact
         raise GateError("nilpotent4")
     return alg
@@ -223,16 +222,9 @@ def truncated_poisson_pair():
 def find_unit(alg: Algebra):
     """Coordinates of the two-sided unit, or None."""
     n = alg.dim
-    rows = []
-    target = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([alg.c(i, j, k) for i in range(n)])
-            target.append(F1 if j == k else F0)
-            rows.append([alg.c(j, i, k) for i in range(n)])
-            target.append(F1 if j == k else F0)
-    sol = solve_many(Matrix.from_rows(rows), [target])[0]
-    return sol
+    # u e_j = e_j u = e_j: both rows of coordinate k of e_j ask for delta_jk
+    target = [F1 if j == k else F0 for j in range(n) for k in range(n) for _ in range(2)]
+    return solve_many(two_sided_system(alg), [target])[0]
 
 
 def validate_involution(alg: Algebra, sigma: Matrix):
@@ -288,36 +280,6 @@ def transpose_involution_2x2() -> Matrix:
     return Matrix.from_rows(rows)
 
 
-def _wn2():
-    from .wn import build_wn
-
-    return build_wn(2)
-
-
-def _wn3():
-    from .wn import build_wn
-
-    return build_wn(3)
-
-
-def _w2sym():
-    from .wn import build_w2sym
-
-    return build_w2sym()
-
-
-def _s2():
-    from .wn import build_s2
-
-    return build_s2()
-
-
-def _h1():
-    from .wn import build_h1
-
-    return build_h1()
-
-
 def _poisson_star():
     comm, bracket = truncated_poisson_pair()
     return poisson_kantor_product(comm, bracket)
@@ -335,11 +297,11 @@ FIXTURES = {
     "slc2": lambda: simple_left_commutative(2),
     "slc3": lambda: simple_left_commutative(3),
     "poisson_trunc": _poisson_star,
-    "wn2": _wn2,
-    "wn3": _wn3,
-    "w2sym": _w2sym,
-    "s2": _s2,
-    "h1": _h1,
+    "wn2": lambda: build_wn(2),
+    "wn3": lambda: build_wn(3),
+    "w2sym": build_w2sym,
+    "s2": build_s2,
+    "h1": build_h1,
 }
 
 

@@ -1,7 +1,16 @@
 import json
+import re
+import shlex
+from pathlib import Path
+
+import pytest
 
 from kantor import cli, zoo
+from kantor.errors import AlgebraFormatError
+from kantor.identities import MAX_NESTING, load_identity
 from kantor.storage import parse_algebra_document, save_algebra
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(argv, capsys):
@@ -200,3 +209,124 @@ def test_fixture_command_audits(capsys):
     assert code == 0
     assert "z4 * z2 = -2*z1" in out
     assert "erratum" not in out
+
+
+def _readme_commands():
+    """(argv, documented exit code) for each line of the README command block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    commands = []
+    for line in block.replace("\\\n", " ").strip().splitlines():
+        documented = re.search(r"#.*\bexits (\d+)", line)
+        commands.append((shlex.split(line, comments=True)[1:], int(documented.group(1)) if documented else 0))
+    return commands
+
+
+@pytest.mark.parametrize("argv,documented", _readme_commands(), ids=lambda x: " ".join(x) if isinstance(x, list) else str(x))
+def test_readme_command_exits_as_documented(argv, documented, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == documented
+    if "--json" in argv[1:]:
+        json_first = ["--json"] + [a for a in argv if a != "--json"]
+        assert run_cli(json_first, capsys)[:2] == (code, out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["twist", "quasi", "--fixture", "matrix2", "--lambda", "1/3", "--json"],
+        ["twist", "--json", "quasi", "--fixture", "matrix2", "--lambda", "1/3"],
+        ["fixture", "sl2", "--json"],
+        ["--json", "wn", "1", "--json"],
+    ],
+)
+def test_json_flag_anywhere_gives_the_same_report(argv, capsys):
+    json_first = ["--json"] + [a for a in argv if a != "--json"]
+    assert run_cli(argv, capsys)[:2] == run_cli(json_first, capsys)[:2]
+
+
+def test_involution_matrix_not_a_list_exits_65(tmp_path, capsys):
+    inv = tmp_path / "inv.json"
+    inv.write_text('{"dim": 4, "matrix": 5}')
+    argv = ["twist", "structurable", "--fixture", "matrix2", "--involution", str(inv)]
+    assert run_cli(argv, capsys)[0] == 65
+
+
+def test_involution_row_not_a_list_exits_65(tmp_path, capsys):
+    inv = tmp_path / "inv.json"
+    inv.write_text('{"dim": 4, "matrix": [5, 5, 5, 5]}')
+    argv = ["twist", "structurable", "--fixture", "matrix2", "--involution", str(inv)]
+    assert run_cli(argv, capsys)[0] == 65
+
+
+def test_algebra_dim_true_exits_65(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dim": true, "basis": ["e1"], "table": {}}')
+    assert run_cli(["show", str(bad)], capsys)[0] == 65
+
+
+def test_involution_dim_true_exits_65(tmp_path, capsys):
+    alg = tmp_path / "unit.json"
+    alg.write_text('{"dim": 1, "basis": ["e"], "table": {"e*e": {"e": "1"}}}')
+    inv = tmp_path / "inv.json"
+    inv.write_text('{"dim": 1, "matrix": [["1"]]}')
+    argv = ["twist", "structurable", str(alg), "--involution", str(inv)]
+    assert run_cli(argv, capsys)[0] == 0
+    inv.write_text('{"dim": true, "matrix": [["1"]]}')
+    assert run_cli(argv, capsys)[0] == 65
+
+
+def test_unhashable_basis_name_exits_65(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dim": 1, "basis": [["e1"]], "table": {}}')
+    assert run_cli(["show", str(bad)], capsys)[0] == 65
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def test_deeply_nested_algebra_file_exits_65(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    assert run_cli(["show", str(deep)], capsys)[0] == 65
+
+
+def test_deeply_nested_involution_file_exits_65(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    argv = ["twist", "structurable", "--fixture", "matrix2", "--involution", str(deep)]
+    assert run_cli(argv, capsys)[0] == 65
+
+
+def test_deeply_nested_identity_file_is_a_format_error(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    with pytest.raises(AlgebraFormatError):
+        load_identity(deep)
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "(" * 3000 + "a*b" + ")" * 3000,
+        "{" * 3000 + "a" + ", b}" * 3000,
+        " + ".join(["a*b"] * 3000),
+        "(" * (MAX_NESTING + 1) + "a*b" + ")" * (MAX_NESTING + 1),
+    ],
+    ids=["parentheses", "brackets", "long-sum", "one-past-the-cap"],
+)
+def test_deep_expression_exits_65(expr, capsys):
+    code, _, err = run_cli(["identity", "--fixture", "sl2", "--expr", expr], capsys)
+    assert code == 65
+    assert "nested deeper" in err
+
+
+def test_expression_at_the_nesting_cap_is_checked(capsys):
+    expr = "(" * MAX_NESTING + "a*b + b*a" + ")" * MAX_NESTING
+    assert run_cli(["identity", "--fixture", "sl2", "--expr", expr, "--assert"], capsys)[0] == 0
+
+
+def test_identity_beyond_the_language_limits_exits_65(capsys):
+    for expr in ("a*b + c*d + e*f", "((((a*a)*a)*a)*a)*a"):
+        assert run_cli(["identity", "--fixture", "sl2", "--expr", expr], capsys)[0] == 65

@@ -124,6 +124,20 @@ def test_buchberger_matches_sympy(data):
     assert got == expected
 
 
+@settings(deadline=None, max_examples=50)
+@given(st.data())
+def test_hash_agrees_with_equality_across_extension_and_constants(data):
+    names = ("x", "y")
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    terms = data.draw(st.dictionaries(exps, st.integers(-3, 3), max_size=3))
+    p = Poly(names, {e: Fraction(c) for e, c in terms.items()})
+    wider = p.extend(data.draw(st.permutations(("x", "y", "z"))))
+    assert p == wider and hash(p) == hash(wider)
+    c = Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
+    for const in (Poly.const(c, names), Poly.const(c, ("z",))):
+        assert const == c and hash(const) == hash(c)
+
+
 def test_solve_rational_principal():
     x = P("x", ("x",))
     sols = solve_rational(buchberger([x**2 - 1]))
