@@ -40,7 +40,14 @@ from .errors import (
     GateError,
     MissingBracketError,
 )
-from .identities import builtin_identities, check_identity, free_variables, identity, parse_expr
+from .identities import (
+    builtin_identities,
+    check_identity,
+    free_variables,
+    identity,
+    load_identity,
+    parse_expr,
+)
 from .storage import (
     algebra_document,
     dumps_algebra,
@@ -81,8 +88,9 @@ def _build_parser():
             p.add_argument("algebra", nargs="?", help="algebra file (JSON)")
             p.add_argument("--fixture", help=f"named fixture: {', '.join(sorted(zoo.FIXTURES))}")
         if verdict:
-            p.add_argument("--assert", dest="assert_true", action="store_true")
-            p.add_argument("--assert-not", dest="assert_false", action="store_true")
+            asserts = p.add_mutually_exclusive_group()
+            asserts.add_argument("--assert", dest="assert_true", action="store_true")
+            asserts.add_argument("--assert-not", dest="assert_false", action="store_true")
         if dim:
             p.add_argument("--assert-dim", type=int, default=None)
         return p
@@ -109,6 +117,7 @@ def _build_parser():
     p.add_argument("--name", help=f"builtin: {', '.join(sorted(builtin_identities()))}")
     p.add_argument("--expr", help="expression asserted identically zero")
     p.add_argument("--vars", help="free variables for --expr (comma-separated)")
+    p.add_argument("--file", help="identity file (JSON)")
 
     twist = command("twist", "build a derived multiplication", algebra=False)
     kinds = twist.add_subparsers(dest="twist_kind", required=True)
@@ -184,13 +193,13 @@ def _assert_check(report, condition, description):
 
 
 def _check_verdict(args, report, holds, claim, denial):
-    """--assert / --assert-not: exit 1 unless the verdict is as asserted."""
-    code = EX_OK
+    """--assert / --assert-not (at most one): exit 1 unless the verdict is
+    as asserted."""
     if args.assert_true:
-        code = _assert_check(report, holds, claim)
+        return _assert_check(report, holds, claim)
     if args.assert_false:
-        code = _assert_check(report, not holds, denial)
-    return code
+        return _assert_check(report, not holds, denial)
+    return EX_OK
 
 
 def _check_dim(args, report, dim):
@@ -375,9 +384,13 @@ def _codim1(args, report):
 
 def _identity(args, report):
     alg, bracket, _ = _load_input(args, report)
-    if bool(args.name) == bool(args.expr):
+    if args.file and (args.name or args.expr):
+        raise _UsageError("--file takes the place of --name and --expr")
+    if not args.file and bool(args.name) == bool(args.expr):
         raise _UsageError("identity needs exactly one of --name or --expr")
-    if args.name:
+    if args.file:
+        idents = (load_identity(args.file),)
+    elif args.name:
         catalog = builtin_identities()
         if args.name not in catalog:
             raise AlgebraFormatError(f"no builtin identity {args.name!r}")

@@ -15,34 +15,73 @@ non-uniqueness of F; it coincides with the space of Jacobi elements
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .algebra import Algebra
 from .linalg import (
+    F0,
     AffineSolutionSet,
     Matrix,
     Subspace,
+    eliminate,
     infeasibility_certificate,
-    nullspace,
-    solve_linear,
-    solve_many,
     unit_vec,
 )
 from .multiops import MultilinearOp, kantor_bracket
 
 
-def _left_mul_ops(alg: Algebra):
-    return [
-        MultilinearOp.from_matrix(alg.left_mul_operator(unit_vec(alg.dim, i)))
-        for i in range(alg.dim)
-    ]
+def _left_mul_op(alg: Algebra, x) -> MultilinearOp:
+    """L_x as a sparse linear operation, straight from the structure constants."""
+    coeffs = defaultdict(lambda: F0)
+    for i, xi in enumerate(x):
+        if xi:
+            for j, product in enumerate(alg.table[i]):
+                for k, c in enumerate(product):
+                    if c:
+                        coeffs[((j,), k)] += xi * c
+    return MultilinearOp(1, alg.dim, coeffs)
+
+
+def _bracket_columns(alg: Algebra):
+    """P, the operations L_{e_z}, and the columns [L_{e_z}, P] of z -> [L_z, P]."""
+    P = MultilinearOp.from_algebra(alg)
+    L = [_left_mul_op(alg, unit_vec(alg.dim, z)) for z in range(alg.dim)]
+    return P, L, [kantor_bracket(Lz, P) for Lz in L]
 
 
 def _bracket_matrix(alg: Algebra):
-    """Matrix of the linear map z -> [L_z, P], from V to bilinear ops."""
-    P = MultilinearOp.from_algebra(alg)
-    cols = [kantor_bracket(L, P).dense_vec() for L in _left_mul_ops(alg)]
-    return Matrix.from_cols(cols), P
+    """Dense matrix of the linear map z -> [L_z, P], from V to bilinear ops."""
+    P, _, columns = _bracket_columns(alg)
+    return Matrix.from_cols([op.dense_vec() for op in columns]), P
+
+
+def _certificate(alg: Algebra, target: MultilinearOp):
+    """The dense right-hand side -target and its Fredholm certificate.
+
+    Only an infeasible system reaches this, so only then is the dense
+    matrix of the system built.
+    """
+    M, _ = _bracket_matrix(alg)
+    rhs = tuple(-x for x in target.dense_vec())
+    return rhs, infeasibility_certificate(M, rhs)
+
+
+def _bracket_system(columns, targets):
+    """Elimination of the sparse system [L_z, P] = -t for each target op t.
+
+    `columns[z]` is [L_{e_z}, P]; each equation is one coefficient key of a
+    bilinear operation, so the rows come straight from the `coeffs` dicts.
+    Target t sits in column len(columns) + its index.
+    """
+    rows = defaultdict(dict)
+    for z, op in enumerate(columns):
+        for key, c in op.coeffs.items():
+            rows[key][z] = c
+    for t, op in enumerate(targets, len(columns)):
+        for key, c in op.coeffs.items():
+            rows[key][t] = -c
+    return eliminate(rows.values(), len(columns))
 
 
 @dataclass(frozen=True)
@@ -79,22 +118,16 @@ def conservativity(alg: Algebra) -> ConservativityVerdict:
     value of F gives the other valid choices.
     """
     n = alg.dim
-    M, P = _bracket_matrix(alg)
-    L = _left_mul_ops(alg)
-    inner = [kantor_bracket(La, P) for La in L]
-    targets = []
-    for a in range(n):
-        for b in range(n):
-            t = kantor_bracket(L[b], inner[a])
-            targets.append(tuple(-x for x in t.dense_vec()))
-    sols = solve_many(M, targets)
-    kernel = nullspace(M)
+    _, L, inner = _bracket_columns(alg)
+    targets = [kantor_bracket(L[b], inner[a]) for a in range(n) for b in range(n)]
+    system = _bracket_system(inner, targets)
+    kernel = system.kernel()
     coeffs = {}
-    for idx, sol in enumerate(sols):
+    for idx in range(n * n):
         a, b = divmod(idx, n)
+        sol = system.solution(n + idx)
         if sol is None:
-            cert = infeasibility_certificate(M, targets[idx])
-            witness = InfeasibilityWitness(a, b, targets[idx], cert)
+            witness = InfeasibilityWitness(a, b, *_certificate(alg, targets[idx]))
             return ConservativityVerdict(False, None, kernel, witness)
         for k, c in enumerate(sol):
             if c:
@@ -105,8 +138,8 @@ def conservativity(alg: Algebra) -> ConservativityVerdict:
 
 def jacobi_space(alg: Algebra) -> Subspace:
     """{a : [L_a, P] = 0}, i.e. elements whose left multiplication derives."""
-    M, _ = _bracket_matrix(alg)
-    return nullspace(M)
+    _, _, columns = _bracket_columns(alg)
+    return _bracket_system(columns, []).kernel()
 
 
 def quasi_units(alg: Algebra) -> AffineSolutionSet:
@@ -115,8 +148,11 @@ def quasi_units(alg: Algebra) -> AffineSolutionSet:
     The kernel of the homogeneous part is the Jacobi space, so quasi-units
     (when any exist) form a coset of it.
     """
-    M, P = _bracket_matrix(alg)
-    return solve_linear(M, tuple(-x for x in P.dense_vec()))
+    P, _, columns = _bracket_columns(alg)
+    system = _bracket_system(columns, [P])
+    particular = system.solution(alg.dim)
+    certificate = None if particular is not None else _certificate(alg, P)[1]
+    return AffineSolutionSet(particular, system.kernel(), certificate)
 
 
 def _expansion_residual(alg: Algebra, fval, a, b, x, y):
@@ -168,17 +204,12 @@ def verify_associated(alg: Algebra, f, cross_check="auto") -> bool:
         f = MultilinearOp.from_algebra(f)
     if f.dim != n or f.arity != 2:
         raise ValueError("f must be a bilinear operation on the same space")
-    P = MultilinearOp.from_algebra(alg)
-    L = _left_mul_ops(alg)
-    inner = [kantor_bracket(La, P) for La in L]
+    P, L, inner = _bracket_columns(alg)
     ok = True
     for a in range(n):
         for b in range(n):
             lhs = kantor_bracket(L[b], inner[a])
-            fab = f.apply_basis((a, b))
-            rhs = -kantor_bracket(
-                MultilinearOp.from_matrix(alg.left_mul_operator(fab)), P
-            )
+            rhs = -kantor_bracket(_left_mul_op(alg, f.apply_basis((a, b))), P)
             if lhs != rhs:
                 ok = False
                 break

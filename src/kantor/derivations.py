@@ -9,11 +9,12 @@ Der(A).  Matrices act on coordinate columns: D(e_j) is column j.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .algebra import Algebra
 from .errors import DimensionMismatchError
-from .linalg import F0, Matrix, Subspace, nullspace, solve_many, unit_vec
+from .linalg import F0, Matrix, Subspace, eliminate, unit_vec
 
 
 def is_derivation(alg: Algebra, d: Matrix) -> bool:
@@ -32,33 +33,34 @@ def is_derivation(alg: Algebra, d: Matrix) -> bool:
     return True
 
 
-def _derivation_system(alg: Algebra) -> Matrix:
+def _derivation_system(alg: Algebra) -> list:
     """Rows of the Leibniz equations over the unknowns D[r][s] (row-major).
 
     Unknown index r*n + s is the matrix entry D[r][s]; the equation for
     basis pair (i, j) and output coordinate k reads
 
         sum_s D[k][s] c_ijs  -  sum_r D[r][i] c_rjk  -  sum_r D[r][j] c_irk  = 0.
+
+    Each row is a sparse {unknown: coefficient} dict built from the nonzero
+    structure constants only, so an equation no constant touches never
+    appears.
     """
     n = alg.dim
+    nonzero = [[{k: c for k, c in enumerate(p) if c} for p in row] for row in alg.table]
     rows = []
     for i in range(n):
         for j in range(n):
-            t = alg.table[i][j]
-            for k in range(n):
-                row = [F0] * (n * n)
-                for s in range(n):
-                    if t[s]:
-                        row[k * n + s] += t[s]
-                for r in range(n):
-                    c = alg.c(r, j, k)
-                    if c:
-                        row[r * n + i] -= c
-                    c = alg.c(i, r, k)
-                    if c:
-                        row[r * n + j] -= c
-                rows.append(row)
-    return Matrix.from_rows(rows)
+            eqs = defaultdict(lambda: defaultdict(lambda: F0))
+            for s, c in nonzero[i][j].items():
+                for k in range(n):
+                    eqs[k][k * n + s] += c
+            for r in range(n):
+                for k, c in nonzero[r][j].items():
+                    eqs[k][r * n + i] -= c
+                for k, c in nonzero[i][r].items():
+                    eqs[k][r * n + j] -= c
+            rows.extend(eqs.values())
+    return rows
 
 
 @dataclass(frozen=True)
@@ -75,26 +77,16 @@ class DerivationAlgebra:
 
 def derivation_algebra(alg: Algebra) -> DerivationAlgebra:
     n = alg.dim
-    ker = nullspace(_derivation_system(alg))
-    basis = tuple(
-        Matrix(n, n, tuple(v)) for v in ker.basis
-    )
+    ker = eliminate(_derivation_system(alg), n * n).kernel()
+    basis = tuple(Matrix(n, n, v) for v in ker.basis)
     k = len(basis)
-    brackets = [
-        (basis[i] @ basis[j] - basis[j] @ basis[i]).flatten()
-        for i in range(k)
-        for j in range(k)
-    ]
-    if k:
-        coords = solve_many(Matrix.from_cols(list(ker.basis)), brackets)
-    else:
-        coords = []
     table = [[None] * k for _ in range(k)]
-    for idx, sol in enumerate(coords):
-        i, j = divmod(idx, k)
-        if sol is None:
-            raise RuntimeError("derivation space not closed under commutator")
-        table[i][j] = sol
+    for i in range(k):
+        for j in range(k):
+            sol = ker.coordinates(basis[i].commutator(basis[j]).flatten())
+            if sol is None:
+                raise RuntimeError("derivation space not closed under commutator")
+            table[i][j] = sol
     lie = Algebra.from_table(table, names=[f"D{i + 1}" for i in range(k)]) if k else Algebra.zero(0, [])
     return DerivationAlgebra(n, basis, ker, lie)
 

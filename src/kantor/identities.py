@@ -461,7 +461,10 @@ def load_identity(path) -> Identity:
     for field_name in ("name", "vars", "zero"):
         if field_name not in doc:
             raise AlgebraFormatError(f"missing field {field_name!r}", str(path))
-    return identity(str(doc["name"]), tuple(doc["vars"]), str(doc["zero"]))
+    variables = doc["vars"]
+    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+        raise AlgebraFormatError("vars must be a list of variable names", f"{path}.vars")
+    return identity(str(doc["name"]), tuple(variables), str(doc["zero"]))
 
 
 def check_suite(alg: Algebra, suite: IdentitySuite, bracket: Algebra = None):

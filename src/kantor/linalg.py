@@ -10,6 +10,17 @@ The canonical forms used everywhere else in the package are fixed here:
 * subspaces are stored as the RREF basis of their row space;
 * affine solution sets use the particular solution with every free
   variable set to zero.
+
+Every elimination runs through one routine, `eliminate`: Gauss–Jordan
+elimination over sparse rows stored as ``{column: Fraction}`` dicts, which
+returns the unique RREF and so the same canonical forms whatever the
+storage.  The systems built from structure constants are almost all zeros
+(the Leibniz system of W(3) has 15615 nonzeros among 14.3M cells), so the
+derivation and conservativity solvers hand their rows to `eliminate`
+directly; `rref`, `nullspace`, `solve_many`, `solve_linear`,
+`infeasibility_certificate` and `Subspace` take dense input and run on the
+same routine.  A Fredholm certificate is the canonical solution of the
+transposed system, computed only when a system is infeasible.
 """
 
 from __future__ import annotations
@@ -141,12 +152,12 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return Matrix(self.rows, self.cols, tuple(a + b if b else a for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return Matrix(self.rows, self.cols, tuple(a - b if b else a for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Matrix":
         return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
@@ -158,12 +169,16 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        cols = [other.col(j) for j in range(other.cols)]
+        nonzero = [[(j, b) for j, b in enumerate(other.row(k)) if b] for k in range(other.rows)]
         out = []
         for i in range(self.rows):
-            r = self.row(i)
-            out.append([dot(r, c) for c in cols])
-        return Matrix.from_rows(out)
+            acc = [F0] * other.cols
+            for k, a in enumerate(self.row(i)):
+                if a:
+                    for j, b in nonzero[k]:
+                        acc[j] += a * b
+            out.extend(acc)
+        return Matrix(self.rows, other.cols, tuple(out))
 
     def commutator(self, other: "Matrix") -> "Matrix":
         return self @ other - other @ self
@@ -178,53 +193,120 @@ class Matrix:
         return not any(self.entries)
 
 
-def _rref_inplace(rows, pivot_limit=None):
-    """Reduce `rows` (lists of Fractions) in place.
+def _sparse(values) -> dict:
+    """The ``{column: Fraction}`` row of a vector's nonzero coordinates."""
+    row = {}
+    for j, x in enumerate(values):
+        x = frac(x)
+        if x:
+            row[j] = x
+    return row
 
-    Pivots are chosen only among the first `pivot_limit` columns, which lets
-    callers reduce an augmented block ``[A | B]`` while confining pivots to A.
-    Returns the list of pivot columns.
+
+def _dense(row, n: int) -> Vec:
+    out = [F0] * n
+    for j, x in row.items():
+        out[j] = x
+    return tuple(out)
+
+
+def _add_multiple(row, f, other):
+    """``row += f * other`` in place, keeping no zero entries."""
+    for c, x in other.items():
+        y = row.get(c, F0) + f * x
+        if y:
+            row[c] = y
+        else:
+            del row[c]
+
+
+def eliminate(rows, cols: int) -> "Echelon":
+    """Sparse Gauss–Jordan elimination, the one elimination routine.
+
+    `rows` are ``{column: value}`` dicts of Fractions or ints.  Columns
+    below `cols` are the unknowns of a system ``[A | B]`` and the only ones
+    that take pivots; columns from `cols` on are right-hand sides carried
+    along.  Each row is reduced by the pivot rows found so far, normalised
+    on its first remaining unknown and substituted back into the earlier
+    pivot rows, so after every row the pivot rows are exactly the nonzero
+    rows of the unique RREF of the rows seen.  Only nonzero entries are
+    stored or touched.
     """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    limit = ncols if pivot_limit is None else pivot_limit
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(limit):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    pivot_rows = {}
+    inconsistent = set()
+    for row in rows:
+        row = {c: x for c, x in row.items() if x}
+        for c in [c for c in row if c in pivot_rows]:
+            # pivot rows vanish on each other's pivots, so one pass suffices
+            _add_multiple(row, -row[c], pivot_rows[c])
+        unknowns = [c for c in row if c < cols]
+        if not unknowns:
+            inconsistent.update(row)
             continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        p = rows[r][c]
-        if p != F1:
-            inv = F1 / p
-            rr = rows[r]
-            for k in range(c, ncols):
-                if rr[k]:
-                    rr[k] *= inv
-        rr = rows[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            fac = rows[i][c]
-            if fac:
-                ri = rows[i]
-                for k in range(c, ncols):
-                    v = rr[k]
-                    if v:
-                        ri[k] -= fac * v
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+        p = min(unknowns)
+        inv = F1 / row[p]
+        row = {c: x * inv for c, x in row.items()}
+        for other in [r for r in pivot_rows.values() if p in r]:
+            _add_multiple(other, -other[p], row)
+        pivot_rows[p] = row
+    pivots = tuple(sorted(pivot_rows))
+    return Echelon(cols, pivots, tuple(pivot_rows[p] for p in pivots), frozenset(inconsistent))
+
+
+@dataclass(frozen=True)
+class Echelon:
+    """The reduced row echelon form of ``[A | B]``, as left by `eliminate`.
+
+    `rows[r]` is the sparse RREF row of A with its leading 1 in column
+    `pivots[r]`, carrying its entries in the B columns.  `inconsistent`
+    holds the B columns on which some combination of the rows vanishing on
+    A is nonzero: exactly the right-hand sides with no solution.
+    """
+
+    cols: int
+    pivots: tuple
+    rows: tuple
+    inconsistent: frozenset
+
+    def solution(self, col: int):
+        """The canonical solution of ``A x = `` column `col` of B, every
+        free coordinate zero; None when that right-hand side is infeasible.
+        """
+        if col in self.inconsistent:
+            return None
+        x = [F0] * self.cols
+        for p, row in zip(self.pivots, self.rows):
+            x[p] = row.get(col, F0)
+        return tuple(x)
+
+    def kernel(self) -> "Subspace":
+        """Kernel of A as a canonical Subspace: one vector per free column
+        f, with 1 at f and minus column f of the RREF at the pivots."""
+        pivot_set = set(self.pivots)
+        basis = {f: {f: F1} for f in range(self.cols) if f not in pivot_set}
+        for p, row in zip(self.pivots, self.rows):
+            for c, x in row.items():
+                if c in basis:
+                    basis[c][p] = -x
+        return _subspace(self.cols, basis.values())
+
+
+def _subspace(ambient_dim: int, rows) -> "Subspace":
+    e = eliminate(rows, ambient_dim)
+    return Subspace(ambient_dim, tuple(_dense(r, ambient_dim) for r in e.rows), e.pivots)
+
+
+def _augmented(a: Matrix, targets) -> Echelon:
+    """Elimination of ``[a | t_0 t_1 ...]``, pivots confined to a."""
+    rows = [_sparse(a.row(i)) for i in range(a.rows)]
+    for j, t in enumerate(targets, a.cols):
+        t = vec(t)
+        if len(t) != a.rows:
+            raise DimensionMismatchError.of(a.rows, len(t))
+        for i, x in enumerate(t):
+            if x:
+                rows[i][j] = x
+    return eliminate(rows, a.cols)
 
 
 def rref(m: Matrix):
@@ -232,9 +314,10 @@ def rref(m: Matrix):
 
     Returns ``(R, pivot_columns, rank)`` where R is the unique RREF of m.
     """
-    rows = m.row_list()
-    pivots = _rref_inplace(rows)
-    return Matrix.from_rows(rows), tuple(pivots), len(pivots)
+    e = _augmented(m, [])
+    rows = [_dense(r, m.cols) for r in e.rows]
+    rows += [zero_vec(m.cols)] * (m.rows - len(rows))
+    return Matrix(m.rows, m.cols, tuple(x for r in rows for x in r)), e.pivots, len(e.pivots)
 
 
 @dataclass(frozen=True)
@@ -251,13 +334,12 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, ambient_dim: int, vectors) -> "Subspace":
-        rows = [[frac(x) for x in v] for v in vectors]
-        for r in rows:
-            if len(r) != ambient_dim:
-                raise DimensionMismatchError.of(ambient_dim, len(r))
-        pivots = _rref_inplace(rows)
-        keep = tuple(tuple(r) for r in rows[: len(pivots)])
-        return cls(ambient_dim, keep, tuple(pivots))
+        rows = []
+        for v in vectors:
+            if len(v) != ambient_dim:
+                raise DimensionMismatchError.of(ambient_dim, len(v))
+            rows.append(_sparse(v))
+        return _subspace(ambient_dim, rows)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -312,15 +394,11 @@ class Subspace:
         # x lies in a row space iff x is orthogonal to the row space's
         # complement; stacking both complements cuts out the intersection.
         self._check_ambient(other)
-        c1 = self.orthogonal_complement()
-        c2 = other.orthogonal_complement()
-        stacked = Matrix.from_rows(list(c1.basis) + list(c2.basis) or [zero_vec(self.ambient_dim)])
-        return nullspace(stacked)
+        stacked = self.orthogonal_complement().basis + other.orthogonal_complement().basis
+        return eliminate(map(_sparse, stacked), self.ambient_dim).kernel()
 
     def orthogonal_complement(self) -> "Subspace":
-        if not self.basis:
-            return Subspace.full(self.ambient_dim)
-        return nullspace(Matrix.from_rows(self.basis))
+        return eliminate(map(_sparse, self.basis), self.ambient_dim).kernel()
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -329,18 +407,7 @@ class Subspace:
 
 def nullspace(m: Matrix) -> Subspace:
     """Kernel of m, as a canonical Subspace of the column-coordinate space."""
-    rows = m.row_list()
-    pivots = _rref_inplace(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [F0] * m.cols
-        v[f] = F1
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
-        basis.append(v)
-    return Subspace.from_spanning(m.cols, basis)
+    return _augmented(m, []).kernel()
 
 
 @dataclass(frozen=True)
@@ -371,60 +438,42 @@ class AffineSolutionSet:
         )
 
 
-def solve_many(a: Matrix, targets):
+def solve_many(a: Matrix, targets) -> list:
     """Solve ``a x = t`` for many right-hand sides with one elimination.
 
     Returns a list with, per target, the canonical particular solution
     (free variables zero) or None when that target is infeasible.
     """
-    targets = [vec(t) for t in targets]
-    for t in targets:
-        if len(t) != a.rows:
-            raise DimensionMismatchError.of(a.rows, len(t))
-    n = a.cols
-    rows = [list(a.row(i)) + [t[i] for t in targets] for i in range(a.rows)]
-    pivots = _rref_inplace(rows, pivot_limit=n)
-    rank = len(pivots)
-    out = []
-    for j in range(len(targets)):
-        col = n + j
-        if any(rows[i][col] for i in range(rank, a.rows)):
-            out.append(None)
-            continue
-        x = [F0] * n
-        for r, p in enumerate(pivots):
-            x[p] = rows[r][col]
-        out.append(tuple(x))
-    return out
+    targets = list(targets)
+    e = _augmented(a, targets)
+    return [e.solution(a.cols + j) for j in range(len(targets))]
 
 
 def infeasibility_certificate(a: Matrix, b) -> Vec:
     """A vector y with yᵀA = 0 and yᵀb = 1 (requires the system infeasible).
 
     Exists by the Fredholm alternative: b lies outside the column space of A
-    iff some functional kills every column of A but not b.
+    iff some functional kills every column of A but not b.  y is the
+    canonical solution of the transposed system ``[Aᵀ; bᵀ] y = (0, ..., 0, 1)``.
     """
     b = vec(b)
-    rows = [list(a.col(j)) for j in range(a.cols)] + [list(b)]
-    rhs = unit_vec(a.cols + 1, a.cols)
-    sol = solve_many(Matrix.from_rows(rows), [rhs])[0]
+    if len(b) != a.rows:
+        raise DimensionMismatchError.of(a.rows, len(b))
+    rows = [_sparse(a.col(j)) for j in range(a.cols)] + [{**_sparse(b), a.rows: F1}]
+    sol = eliminate(rows, a.rows).solution(a.rows)
     if sol is None:
         raise ValueError("system is feasible; no certificate exists")
     return sol
 
 
 def solve_linear(a: Matrix, b) -> AffineSolutionSet:
-    """Solve ``a x = b`` exactly.
+    """Solve ``a x = b`` exactly, with one elimination when feasible.
 
     Canonical output: the particular solution has zero in every free
     coordinate, and the kernel comes back as a canonical Subspace.  When the
     system is infeasible the result carries a Fredholm certificate instead.
     """
-    b = vec(b)
-    if len(b) != a.rows:
-        raise DimensionMismatchError.of(a.rows, len(b))
-    particular = solve_many(a, [b])[0]
-    kernel = nullspace(a)
-    if particular is None:
-        return AffineSolutionSet(None, kernel, infeasibility_certificate(a, b))
-    return AffineSolutionSet(particular, kernel)
+    e = _augmented(a, [b])
+    particular = e.solution(a.cols)
+    certificate = None if particular is not None else infeasibility_certificate(a, b)
+    return AffineSolutionSet(particular, e.kernel(), certificate)

@@ -8,7 +8,9 @@ The on-disk format is UTF-8 JSON:
      "bracket_table": <products>}     # optional second product
 
 where <products> is either a dense n x n array of {basis_name: "p/q"}
-maps, or a sparse object mapping "ei*ej" to {basis_name: "p/q"}.  Omitted
+maps, or a sparse object mapping "ei*ej" to {basis_name: "p/q"}; a key
+is read at the one "*" that splits it into two basis names, and a key with
+more than one such split is refused on reading and on writing.  Omitted
 entries are zero and every rational is a string with canonical sign on the
 numerator.  `bracket_table` carries a second product over the same basis
 (used for Poisson-style input).
@@ -48,6 +50,16 @@ def _parse_combo(obj, names, where):
     return tuple(out)
 
 
+def _key_splits(key, index):
+    """Every (i, j) with key == name_i + "*" + name_j; `index` maps names to
+    indices.  Basis names may contain "*", so a key can split more ways."""
+    return [
+        (index[key[:p]], index[key[p + 1 :]])
+        for p, ch in enumerate(key)
+        if ch == "*" and key[:p] in index and key[p + 1 :] in index
+    ]
+
+
 def _parse_products(obj, names, where):
     n = len(names)
     table = [[(F0,) * n for _ in range(n)] for _ in range(n)]
@@ -58,11 +70,13 @@ def _parse_products(obj, names, where):
             for j, cell in enumerate(row):
                 table[i][j] = _parse_combo(cell, names, f"{where}[{i}][{j}]")
     elif isinstance(obj, dict):
+        index = {name: i for i, name in enumerate(names)}
         for key, cell in obj.items():
-            parts = key.split("*")
-            if len(parts) != 2 or parts[0] not in names or parts[1] not in names:
-                raise AlgebraFormatError(f"bad product key {key!r}", where)
-            i, j = names.index(parts[0]), names.index(parts[1])
+            splits = _key_splits(key, index)
+            if len(splits) != 1:
+                problem = "ambiguous" if splits else "bad"
+                raise AlgebraFormatError(f"{problem} product key {key!r}", where)
+            (i, j), = splits
             table[i][j] = _parse_combo(cell, names, f"{where}.{key}")
     else:
         raise AlgebraFormatError("table must be a dense array or a sparse object", where)
@@ -118,12 +132,18 @@ def load_algebra(path) -> Algebra:
 
 
 def _products_document(alg: Algebra):
+    """The sparse products; a key that would read back as more than one
+    basis pair is an AlgebraFormatError."""
     out = {}
+    index = {name: i for i, name in enumerate(alg.basis_names)}
     for i, iname in enumerate(alg.basis_names):
         for j, jname in enumerate(alg.basis_names):
             combo = combination_document(alg.table[i][j], alg.basis_names)
             if combo:
-                out[f"{iname}*{jname}"] = combo
+                key = f"{iname}*{jname}"
+                if len(_key_splits(key, index)) > 1:
+                    raise AlgebraFormatError(f"ambiguous product key {key!r}: basis names contain '*'")
+                out[key] = combo
     return out
 
 

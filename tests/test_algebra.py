@@ -295,6 +295,62 @@ def test_storage_sparse_left_commutative_example():
     assert alg.table == zoo.simple_left_commutative(2).table
 
 
+def test_storage_basis_names_with_star_roundtrip(tmp_path):
+    alg = Algebra.from_products(2, {(0, 1): {1: 1}, (1, 0): {0: 2}, (0, 0): {0: -1}}, names=["x*y", "z"])
+    path = tmp_path / "star.json"
+    save_algebra(alg, path)
+    loaded, _ = load_algebra_pair(path)
+    assert loaded == alg
+
+
+def test_storage_ambiguous_product_key_is_a_format_error(tmp_path):
+    # "a*a*a" reads as a * (a*a) and as (a*a) * a
+    doc = {"dim": 2, "basis": ["a", "a*a"], "table": {"a*a*a": {"a": "1"}}}
+    with pytest.raises(AlgebraFormatError, match="ambiguous"):
+        parse_algebra_document(doc)
+    alg = Algebra.from_products(2, {(0, 1): {0: 1}}, names=["a", "a*a"])
+    with pytest.raises(AlgebraFormatError, match="ambiguous"):
+        save_algebra(alg, tmp_path / "ambiguous.json")
+
+
+def _readings(name_i, name_j, names):
+    key = f"{name_i}*{name_j}"
+    return sum(1 for p, ch in enumerate(key) if ch == "*" and key[:p] in names and key[p + 1 :] in names)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    # any characters, with "*" and short names common enough to collide
+    st.lists(
+        st.text(alphabet=st.one_of(st.sampled_from("ab*"), st.characters()), max_size=4),
+        min_size=1,
+        max_size=4,
+        unique=True,
+    ).flatmap(
+        lambda names: st.tuples(
+            st.just(names),
+            st.dictionaries(
+                st.tuples(st.integers(0, len(names) - 1), st.integers(0, len(names) - 1)),
+                st.dictionaries(st.integers(0, len(names) - 1), st.fractions(max_denominator=5), max_size=2),
+                max_size=4,
+            ),
+        )
+    )
+)
+def test_storage_roundtrip_over_arbitrary_basis_names(tmp_path_factory, case):
+    names, products = case
+    alg = Algebra.from_products(len(names), products, names=names)
+    path = tmp_path_factory.mktemp("names") / "alg.json"
+    nonzero = [(i, j) for i in range(alg.dim) for j in range(alg.dim) if any(alg.table[i][j])]
+    if any(_readings(names[i], names[j], set(names)) > 1 for i, j in nonzero):
+        with pytest.raises(AlgebraFormatError):
+            save_algebra(alg, path)
+        return
+    save_algebra(alg, path)
+    loaded, _ = load_algebra_pair(path)
+    assert loaded == alg
+
+
 def test_element_printing(wn2):
     e = wn2.element((-1, 0, 0, 0, 0, 2, 0, 0))
     assert str(e) == "-a11^1 + 2*a12^2"

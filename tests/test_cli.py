@@ -330,3 +330,35 @@ def test_expression_at_the_nesting_cap_is_checked(capsys):
 def test_identity_beyond_the_language_limits_exits_65(capsys):
     for expr in ("a*b + c*d + e*f", "((((a*a)*a)*a)*a)*a"):
         assert run_cli(["identity", "--fixture", "sl2", "--expr", expr], capsys)[0] == 65
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["terminal", "--fixture", "w2sym", "--convention", "sym"],
+        ["conservative", "--fixture", "m7"],
+        ["quasiunit", "--fixture", "wn2"],
+        ["identity", "--fixture", "sl2", "--name", "lie"],
+    ],
+)
+def test_assert_and_assert_not_together_exit_64(argv, capsys):
+    code, out, err = run_cli(["--json"] + argv + ["--assert", "--assert-not"], capsys)
+    assert code == 64
+    assert out == "" and "not allowed with" in err
+
+
+def test_identity_file(tmp_path, capsys):
+    path = tmp_path / "anti.json"
+    path.write_text('{"name": "anticommutative", "vars": ["a", "b"], "zero": "a*b + b*a"}')
+    assert run_cli(["identity", "--fixture", "sl2", "--file", str(path), "--assert"], capsys)[0] == 0
+    assert run_cli(["identity", "--fixture", "matrix2", "--file", str(path), "--assert"], capsys)[0] == 1
+    assert run_cli(["identity", "--fixture", "sl2", "--file", str(path), "--name", "lie"], capsys)[0] == 64
+
+
+@pytest.mark.parametrize("variables", ["5", '"ab"', '[1, 2]', '["a", null]', '{"a": 1}'])
+def test_identity_file_with_bad_vars_exits_65(variables, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"name": "x", "vars": {variables}, "zero": "a*b"}}')
+    code, _, err = run_cli(["identity", "--fixture", "sl2", "--file", str(path)], capsys)
+    assert code == 65
+    assert "vars must be a list" in err

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from kantor.errors import DimensionMismatchError
@@ -15,6 +16,7 @@ from kantor.linalg import (
     solve_linear,
     solve_many,
     unit_vec,
+    zero_vec,
 )
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -251,3 +253,87 @@ def test_nullspace_orthogonal_complement_dimensions():
     ker = nullspace(m)
     assert ker.dim == 1
     assert ker.contains((1, -1, 1))
+
+
+# -- sympy as the oracle for the one elimination routine ----------------------
+
+
+def _sympy_matrix(m):
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for x in m.entries])
+
+
+def _fractions(sm):
+    return tuple(Fraction(int(x.p), int(x.q)) for x in sm)
+
+
+@st.composite
+def oracle_matrices(draw):
+    """Rational matrices up to 5 x 5, including empty, zero-row, all-zero,
+    sparse and dense ones; some rows are combinations of earlier rows, so
+    rank deficiency is common."""
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = draw(st.sampled_from([
+        st.just(Fraction(0)),
+        st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(0)), rationals),
+        rationals,
+    ]))
+    rows = []
+    for _ in range(nrows):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return Matrix(nrows, ncols, tuple(x for r in rows for x in r))
+
+
+@settings(deadline=None, max_examples=100)
+@given(oracle_matrices())
+def test_rref_matches_sympy(m):
+    r, pivots, rank = rref(m)
+    expected, expected_pivots = _sympy_matrix(m).rref()
+    assert r.entries == _fractions(expected)
+    assert (r.rows, r.cols) == (m.rows, m.cols)
+    assert pivots == tuple(expected_pivots) and rank == len(expected_pivots)
+
+
+@settings(deadline=None, max_examples=100)
+@given(oracle_matrices())
+def test_nullspace_matches_sympy(m):
+    ker = nullspace(m)
+    vectors = _sympy_matrix(m).nullspace()
+    assert ker.dim == len(vectors)
+    if vectors:
+        # the canonical basis is the RREF of any spanning set of the kernel
+        canonical, pivots = sympy.Matrix.hstack(*vectors).T.rref()
+        assert ker.basis == tuple(_fractions(canonical.row(i)) for i in range(len(pivots)))
+        assert ker.pivot_columns == tuple(pivots)
+    for v in ker.basis:
+        assert m.apply(v) == zero_vec(m.rows)
+
+
+@settings(deadline=None, max_examples=100)
+@given(oracle_matrices(), st.data())
+def test_solve_many_matches_sympy(m, data):
+    # half the targets are images A x (feasible), the rest arbitrary
+    targets = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(rationals, min_size=m.cols, max_size=m.cols))
+            targets.append(m.apply(tuple(x)))
+        else:
+            targets.append(tuple(data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows))))
+    sm = _sympy_matrix(m)
+    _, pivots = sm.rref()
+    free = [j for j in range(m.cols) if j not in pivots]
+    for t, x in zip(targets, solve_many(m, targets)):
+        column = sympy.Matrix(m.rows, 1, [sympy.Rational(c.numerator, c.denominator) for c in t])
+        feasible = sympy.Matrix.hstack(sm, column).rank() == sm.rank()
+        assert (x is not None) == feasible
+        if feasible:
+            assert m.apply(x) == t
+            assert all(x[j] == 0 for j in free)
+        else:
+            y = infeasibility_certificate(m, t)
+            assert all(dot(y, m.col(j)) == 0 for j in range(m.cols))
+            assert dot(y, t) == 1

@@ -9,7 +9,8 @@ from kantor.claims import (
     audit_table,
     recorded_algebra,
 )
-from kantor.linalg import F0, F1, Subspace, unit_vec
+from kantor.conservative import conservativity, jacobi_space
+from kantor.linalg import F0, F1, Subspace, sub_vec, unit_vec
 from kantor.multiops import MultilinearOp
 from kantor.wn import (
     Z_LABELS,
@@ -178,8 +179,22 @@ def test_wn_envelope_n4_builds():
 
 
 def test_wn3_jacobi_codimension():
-    from kantor.conservative import jacobi_space
-
     w3 = build_wn(3)
     js = jacobi_space(w3)
     assert 27 - js.dim == 3
+
+
+def test_wn4_conservative_and_formula_f_agrees_up_to_the_kernel():
+    # dim 64: the bracket system has 64 unknowns and 262144 equations.  F is
+    # unique up to the kernel, so the canonical F and the closed-form
+    # wn_associated_F(4) must differ by kernel elements on every basis pair.
+    w4 = build_wn(4)
+    verdict = conservativity(w4)
+    assert verdict.conservative
+    assert verdict.kernel.dim == 60
+    assert jacobi_space(w4) == verdict.kernel
+    formula = wn_associated_F(4)
+    for a in range(64):
+        for b in range(64):
+            diff = sub_vec(verdict.f.apply_basis((a, b)), formula.apply_basis((a, b)))
+            assert verdict.kernel.contains(diff), (a, b)
