@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""In-process timings of the symbolic identity expansion and the codim1
+sweep, with the deterministic work behind them.
+
+Run from the repository root:  python scripts/bench.py LABEL
+
+Writes BENCH_<LABEL>.json.  Each row is one request: every non-bracket
+catalogue suite on W(3) and M(4), and `codim1_subalgebras` of W(3) and
+M(4).  A row holds the median of RUNS timed runs, every run, and
+counters that must repeat exactly from run to run and between versions of
+the program that give the same verdicts:
+
+- identity rows: the verdict and, per identity, the number of nonzero
+  terms (coordinate, monomial) of the expanded defect;
+- codim1 rows: the subalgebras found and `GroebnerBasis.reductions_used`,
+  in total and per pivot.
+
+Timings on a small shared machine are noisy; compare two labels written on
+the same machine, and trust the counters over the clock.
+"""
+
+import argparse
+import json
+import os
+import pathlib
+import platform
+import statistics
+import sys
+import time
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from kantor import identities, zoo
+from kantor.codim1 import codim1_subalgebras
+from kantor.wn import build_wn
+
+RUNS = 5  # timed runs per row; the median is reported
+
+
+def defect_terms(alg, ident):
+    """Nonzero terms, over all coordinates, of the expanded defect."""
+    return sum(len(coords) for coords in identities.generic_defect(alg, ident).values())
+
+
+def identity_counters(verdicts):
+    return {"holds": all(v.holds for v in verdicts)}
+
+
+def codim1_counters(rep):
+    per_pivot = [c.groebner.reductions_used if c.groebner else None for c in rep.cases]
+    return {
+        "found": len(rep.subalgebras),
+        "budget_errors": len(rep.budget_errors),
+        "reductions_used": sum(r for r in per_pivot if r),
+        "reductions_per_pivot": per_pivot,
+    }
+
+
+def row(name, fn, counters, **extra):
+    """Time RUNS calls of fn; the counters of every result must agree."""
+    times, seen = [], []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - start)
+        seen.append(counters(result))
+    if any(c != seen[0] for c in seen):
+        raise RuntimeError(f"{name}: counters differ between runs: {seen}")
+    return {
+        "name": name,
+        "median_s": round(statistics.median(times), 4),
+        "runs_s": [round(t, 4) for t in times],
+        "counters": {**seen[0], **extra},
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("label", help="written to BENCH_<label>.json")
+    args = parser.parse_args(argv)
+
+    algebras = {"W3": build_wn(3), "M4": zoo.matrix_algebra(4)}
+    suites = [s for s in identities.CATALOG if not s.needs_bracket]
+    rows = []
+    for name, alg in algebras.items():
+        for suite in suites:
+            rows.append(row(
+                f"identity {name} {suite.name}",
+                lambda: identities.check_suite(alg, suite),
+                identity_counters,
+                defect_terms={i.name: defect_terms(alg, i) for i in suite.identities},
+            ))
+            print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    for name, alg in algebras.items():
+        rows.append(row(f"codim1 {name}", lambda: codim1_subalgebras(alg), codim1_counters))
+        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+
+    totals = {
+        f"identity {name} suites": round(sum(r["median_s"] for r in rows if r["name"].startswith(f"identity {name} ")), 4)
+        for name in algebras
+    }
+    doc = {
+        "label": args.label,
+        "runs": RUNS,
+        "environment": {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+        },
+        "totals_s": totals,
+        "rows": rows,
+    }
+    out = pathlib.Path(f"BENCH_{args.label}.json")
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {out}: {totals}")
+
+
+if __name__ == "__main__":
+    main()

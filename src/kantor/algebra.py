@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DimensionMismatchError, NotClosedError
 from .linalg import (
@@ -18,6 +19,7 @@ from .linalg import (
     nullspace,
     Subspace,
     add_vec,
+    exact,
     frac,
     is_zero_vec,
     scale_vec,
@@ -72,6 +74,15 @@ class Algebra:
 
     def c(self, i, j, k) -> Fraction:
         return self.table[i][j][k]
+
+    @cached_property
+    def sparse_table(self) -> tuple:
+        """sparse_table[i][j] lists (k, c_ijk) over the nonzero constants of
+        e_i e_j, each as `linalg.exact` gives it; built once per algebra."""
+        return tuple(
+            tuple(tuple((k, exact(c)) for k, c in enumerate(p) if c) for p in row)
+            for row in self.table
+        )
 
     def index_of(self, name: str) -> int:
         try:

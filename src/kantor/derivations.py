@@ -46,18 +46,18 @@ def _derivation_system(alg: Algebra) -> list:
     appears.
     """
     n = alg.dim
-    nonzero = [[{k: c for k, c in enumerate(p) if c} for p in row] for row in alg.table]
+    nonzero = alg.sparse_table
     rows = []
     for i in range(n):
         for j in range(n):
             eqs = defaultdict(lambda: defaultdict(lambda: F0))
-            for s, c in nonzero[i][j].items():
+            for s, c in nonzero[i][j]:
                 for k in range(n):
                     eqs[k][k * n + s] += c
             for r in range(n):
-                for k, c in nonzero[r][j].items():
+                for k, c in nonzero[r][j]:
                     eqs[k][r * n + i] -= c
-                for k, c in nonzero[i][r].items():
+                for k, c in nonzero[i][r]:
                     eqs[k][r * n + j] -= c
             rows.extend(eqs.values())
     return rows

@@ -14,6 +14,17 @@ variable and expands the coordinates as polynomials: the identity holds
 iff every coordinate polynomial vanishes.  Over characteristic zero this
 decides non-multilinear identities (Jordan, Malcev, ...) without any
 linearization calculus.
+
+One evaluator expands every expression, over vectors stored as
+{monomial: {coordinate: coefficient}} (the sparse, packed-monomial layout
+of Monagan & Pearce, CASC 2007).  A monomial is the sorted tuple of the
+symbol indices it multiplies, where symbol t*n + i is coordinate i of the
+t-th free variable; a product walks the nonzero structure constants of
+`Algebra.sparse_table`, built once per algebra.  A concrete vector is the
+constant monomial (), so `evaluate_identity` runs the same code.
+Coefficients stay Python ints while they are integral (exact, and far
+cheaper than Fraction).  Only the first nonzero coordinate of a failing
+defect becomes a `Poly` over Fractions, which supplies the witness.
 """
 
 from __future__ import annotations
@@ -22,8 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Algebra
-from .errors import AlgebraFormatError, ExprSyntaxError, MissingBracketError
-from .linalg import F0
+from .errors import AlgebraFormatError, DimensionMismatchError, ExprSyntaxError, MissingBracketError
+from .linalg import F0, exact, frac
 from .poly import Poly
 from .storage import read_json
 
@@ -250,6 +261,8 @@ class Identity:
 def identity(name, variables, source) -> Identity:
     expr = parse_expr(source)
     declared = set(variables)
+    if len(declared) < len(tuple(variables)):
+        raise ExprSyntaxError(f"{name}: repeated variable in {list(variables)}", 0)
     used = free_variables(expr)
     if not used <= declared:
         raise ExprSyntaxError(
@@ -265,33 +278,73 @@ def identity(name, variables, source) -> Identity:
 # -- evaluation ---------------------------------------------------------------
 
 
-def _eval(node, env, mul, bracket_mul):
+def _prune(vector):
+    """Drop zero coefficients, then monomials left without coordinates."""
+    out = {}
+    for m, coords in vector.items():
+        if not all(coords.values()):
+            coords = {k: c for k, c in coords.items() if c}
+        if coords:
+            out[m] = coords
+    return out
+
+
+def _scale(vector, coeff):
+    return _prune({m: {k: coeff * c for k, c in coords.items()} for m, coords in vector.items()})
+
+
+def _add(a, b):
+    out = {m: dict(coords) for m, coords in a.items()}
+    for m, coords in b.items():
+        acc = out.setdefault(m, {})
+        for k, c in coords.items():
+            acc[k] = acc.get(k, 0) + c
+    return _prune(out)
+
+
+def _multiply(a, b, table):
+    out = {}
+    for m1, u in a.items():
+        for m2, v in b.items():
+            acc = out.setdefault(tuple(sorted(m1 + m2)), {})
+            for i, x in u.items():
+                row = table[i]
+                for j, y in v.items():
+                    outputs = row[j]
+                    if outputs:
+                        xy = x * y
+                        for k, c in outputs:
+                            acc[k] = acc.get(k, 0) + xy * c
+    return _prune(out)
+
+
+def _eval(node, env, table, bracket_table):
+    """Value of an expression over vectors {monomial: {coordinate: coeff}}."""
     if isinstance(node, Var):
         return env[node.name]
     if isinstance(node, Scale):
-        v = _eval(node.arg, env, mul, bracket_mul)
-        return tuple(node.coeff * c for c in v)
+        return _scale(_eval(node.arg, env, table, bracket_table), exact(node.coeff))
+    if not isinstance(node, (Add, Sub, Prod, Bracket)):
+        raise TypeError(f"not an expression node: {node!r}")
+    if isinstance(node, Bracket) and bracket_table is None:
+        raise MissingBracketError("identity uses {,} but no bracket table was supplied")
+    a = _eval(node.left, env, table, bracket_table)
+    b = _eval(node.right, env, table, bracket_table)
     if isinstance(node, Add):
-        a = _eval(node.left, env, mul, bracket_mul)
-        b = _eval(node.right, env, mul, bracket_mul)
-        return tuple(x + y for x, y in zip(a, b))
+        return _add(a, b)
     if isinstance(node, Sub):
-        a = _eval(node.left, env, mul, bracket_mul)
-        b = _eval(node.right, env, mul, bracket_mul)
-        return tuple(x - y for x, y in zip(a, b))
-    if isinstance(node, Prod):
-        a = _eval(node.left, env, mul, bracket_mul)
-        b = _eval(node.right, env, mul, bracket_mul)
-        return mul(a, b)
-    if isinstance(node, Bracket):
-        if bracket_mul is None:
-            raise MissingBracketError(
-                "identity uses {,} but no bracket table was supplied"
-            )
-        a = _eval(node.left, env, mul, bracket_mul)
-        b = _eval(node.right, env, mul, bracket_mul)
-        return bracket_mul(a, b)
-    raise TypeError(f"not an expression node: {node!r}")
+        return _add(a, _scale(b, -1))
+    return _multiply(a, b, table if isinstance(node, Prod) else bracket_table)
+
+
+def _expand(alg: Algebra, ident: Identity, env, bracket: Algebra):
+    """The defect of the identity over the vectors in `env`."""
+    bracket_table = None
+    if bracket is not None and ident.needs_bracket:
+        if bracket.dim != alg.dim:
+            raise DimensionMismatchError.of(alg.dim, bracket.dim)
+        bracket_table = bracket.sparse_table
+    return _eval(ident.expr, env, alg.sparse_table, bracket_table)
 
 
 def evaluate_identity(alg: Algebra, ident: Identity, assignment, bracket: Algebra = None):
@@ -299,9 +352,16 @@ def evaluate_identity(alg: Algebra, ident: Identity, assignment, bracket: Algebr
 
     `assignment` maps each free variable to a coordinate vector.
     """
-    env = {v: tuple(assignment[v]) for v in ident.variables}
-    bmul = bracket.mul_vec if bracket is not None else None
-    return _eval(ident.expr, env, alg.mul_vec, bmul)
+    n = alg.dim
+    env = {}
+    for v in ident.variables:
+        coords = tuple(assignment[v])
+        if len(coords) != n:
+            raise DimensionMismatchError.of(n, len(coords))
+        nonzero = {i: exact(c) for i, c in enumerate(coords) if c}
+        env[v] = {(): nonzero} if nonzero else {}
+    defect = _expand(alg, ident, env, bracket).get((), {})
+    return tuple(frac(defect.get(k, F0)) for k in range(n))
 
 
 @dataclass(frozen=True)
@@ -349,6 +409,27 @@ def _find_nonvanishing(poly: Poly, candidates=(0, 1, -1, 2, -2, 3)):
     return assignment
 
 
+def _symbol_names(variables, n):
+    """Names of the symbolic coordinates, (var, coord)-ordered: `v1..vn`
+    for each variable v, or `v_1..v_n` where the short names would clash
+    (`a` and `a1` share `a11` from dim 11 on)."""
+    names = tuple(f"{v}{i + 1}" for v in variables for i in range(n))
+    if len(set(names)) < len(names):
+        names = tuple(f"{v}_{i + 1}" for v in variables for i in range(n))
+    return names
+
+
+def generic_defect(alg: Algebra, ident: Identity, bracket: Algebra = None):
+    """The defect at generic vectors, as {monomial: {coordinate: coeff}}
+    with every coefficient nonzero; empty iff the identity holds."""
+    n = alg.dim
+    env = {
+        v: {(t * n + i,): {i: 1} for i in range(n)}
+        for t, v in enumerate(ident.variables)
+    }
+    return _expand(alg, ident, env, bracket)
+
+
 def check_identity(alg: Algebra, ident: Identity, bracket: Algebra = None) -> IdentityVerdict:
     """Exact verdict by full symbolic-coordinate expansion.
 
@@ -362,32 +443,34 @@ def check_identity(alg: Algebra, ident: Identity, bracket: Algebra = None) -> Id
             f"identity {ident.name!r} uses {{,}} but no bracket table was supplied"
         )
     n = alg.dim
-    symbols = tuple(f"{v}{i + 1}" for v in ident.variables for i in range(n))
-    env = {
-        v: tuple(Poly.var(f"{v}{i + 1}", symbols) for i in range(n))
-        for v in ident.variables
+    defect = generic_defect(alg, ident, bracket)
+    if not defect:
+        return IdentityVerdict(ident, True)
+    k = min(k for coords in defect.values() for k in coords)
+    symbols = _symbol_names(ident.variables, n)
+    terms = {}
+    for m, coords in defect.items():
+        if k in coords:
+            exps = [0] * len(symbols)
+            for s in m:
+                exps[s] += 1
+            terms[tuple(exps)] = frac(coords[k])
+    coord = Poly(symbols, terms)
+    exps, coeff = coord.leading()
+    point = _find_nonvanishing(coord)
+    vectors = {
+        v: tuple(point.get(symbols[t * n + i], F0) for i in range(n))
+        for t, v in enumerate(ident.variables)
     }
-    bmul = bracket.mul_vec if bracket is not None else None
-    defect = _eval(ident.expr, env, alg.mul_vec, bmul)
-    for k, coord in enumerate(defect):
-        if coord:
-            exps, coeff = coord.leading()
-            point = _find_nonvanishing(coord)
-            vectors = {
-                v: tuple(point.get(f"{v}{i + 1}", F0) for i in range(n))
-                for v in ident.variables
-            }
-            concrete = evaluate_identity(alg, ident, vectors, bracket)
-            witness = IdentityWitness(
-                coordinate=k,
-                monomial=exps,
-                coefficient=coeff,
-                symbols=symbols,
-                assignment=vectors,
-                defect=concrete,
-            )
-            return IdentityVerdict(ident, False, witness)
-    return IdentityVerdict(ident, True)
+    witness = IdentityWitness(
+        coordinate=k,
+        monomial=exps,
+        coefficient=coeff,
+        symbols=symbols,
+        assignment=vectors,
+        defect=evaluate_identity(alg, ident, vectors, bracket),
+    )
+    return IdentityVerdict(ident, False, witness)
 
 
 # -- builtin catalogue --------------------------------------------------------

@@ -43,6 +43,13 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
+def exact(x):
+    """A rational as an int when integral, else as a Fraction: exact either
+    way, and an int is many times cheaper to multiply and add."""
+    x = frac(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def vec(values) -> Vec:
     return tuple(frac(v) for v in values)
 

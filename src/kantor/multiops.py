@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .algebra import Algebra
 from .errors import DimensionMismatchError
-from .linalg import F0, F1, Matrix, vec
+from .linalg import F0, F1, Matrix, frac, vec
 
 
 class MultilinearOp:
@@ -74,14 +74,13 @@ class MultilinearOp:
 
     @classmethod
     def from_algebra(cls, alg: Algebra) -> "MultilinearOp":
-        coeffs = {}
-        n = alg.dim
-        for i in range(n):
-            for j in range(n):
-                for k, c in enumerate(alg.table[i][j]):
-                    if c:
-                        coeffs[((i, j), k)] = c
-        return cls(2, n, coeffs)
+        coeffs = {
+            ((i, j), k): frac(c)
+            for i, row in enumerate(alg.sparse_table)
+            for j, outputs in enumerate(row)
+            for k, c in outputs
+        }
+        return cls(2, alg.dim, coeffs)
 
     @classmethod
     def identity(cls, dim) -> "MultilinearOp":

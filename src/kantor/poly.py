@@ -194,16 +194,21 @@ class Poly:
     def substitute(self, name, value: "Poly") -> "Poly":
         """Replace a variable by a polynomial (exact, no remainder)."""
         i = self.variables.index(name)
-        out = Poly.zero(self.variables)
-        powers = {0: Poly.const(1, self.variables)}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k not in powers:
-                powers[k] = value**k if k else Poly.const(1, self.variables)
-            rest = list(e)
-            rest[i] = 0
-            out = out + Poly(self.variables, {tuple(rest): c}) * powers[k]
-        return out
+        top = max((e[i] for e in self.terms), default=0)
+        if not top:
+            return self
+        variables = tuple(dict.fromkeys(self.variables + value.variables))
+        value = value.extend(variables)
+        powers = [Poly.const(1, variables)]
+        for _ in range(top):
+            powers.append(powers[-1] * value)
+        terms = {}
+        for e, c in self.extend(variables).terms.items():
+            rest = e[:i] + (0,) + e[i + 1:]
+            for pe, pc in powers[e[i]].terms.items():
+                t = tuple(x + y for x, y in zip(rest, pe))
+                terms[t] = terms.get(t, F0) + c * pc
+        return Poly(variables, terms)
 
     # -- printing -----------------------------------------------------------
 

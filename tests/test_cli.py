@@ -332,6 +332,15 @@ def test_identity_beyond_the_language_limits_exits_65(capsys):
         assert run_cli(["identity", "--fixture", "sl2", "--expr", expr], capsys)[0] == 65
 
 
+def test_identity_repeated_variable_exits_65(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text('{"name": "twice", "vars": ["a", "a"], "zero": "a*a"}')
+    for argv in (["--expr", "a*a", "--vars", "a,a"], ["--file", str(path)]):
+        code, _, err = run_cli(["identity", "--fixture", "sl2"] + argv, capsys)
+        assert code == 65
+        assert "repeated variable" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

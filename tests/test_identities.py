@@ -3,9 +3,13 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import QQ, lex, ring
 
+from kantor.algebra import Algebra
 from kantor.errors import ExprSyntaxError, MissingBracketError
 from kantor.identities import (
+    Add,
     Bracket,
     Prod,
     Scale,
@@ -20,7 +24,7 @@ from kantor.identities import (
     suite_holds,
 )
 from kantor.linalg import unit_vec
-from kantor import zoo
+from kantor import wn, zoo
 
 
 def test_parse_associator():
@@ -109,6 +113,8 @@ def test_missing_bracket_raises(nilp4):
     cat = builtin_identities()
     with pytest.raises(MissingBracketError):
         check_identity(nilp4, cat["poisson_leibniz"].identities[0])
+    with pytest.raises(MissingBracketError):
+        evaluate_identity(nilp4, cat["poisson_leibniz"].identities[0], {v: unit_vec(3, 0) for v in "abc"})
 
 
 def _multilinear_all_tuples_oracle(alg, ident):
@@ -190,3 +196,99 @@ def test_identity_file_roundtrip(tmp_path):
 
     with pytest.raises(AlgebraFormatError):
         load_identity(bad)
+
+
+def test_repeated_variable_rejected():
+    with pytest.raises(ExprSyntaxError):
+        identity("twice", ("a", "a"), "a*a")
+
+
+def test_clashing_symbol_names_give_a_reproducible_witness():
+    # from dim 11 on, `a` coordinate 11 and `a1` coordinate 1 would both be a11
+    w3 = wn.build_wn(3)
+    ident = identity("adhoc", ("a", "a1"), "a*a1 - a1*a")
+    verdict = check_identity(w3, ident)
+    assert not verdict.holds
+    w = verdict.witness
+    assert len(set(w.symbols)) == len(w.symbols) == 2 * w3.dim
+    assert w.symbols[0] == "a_1" and w.symbols[w3.dim] == "a1_1"
+    assert any(w.defect) and w.defect[w.coordinate]
+    assert evaluate_identity(w3, ident, w.assignment) == w.defect
+
+
+# -- independent oracle: sympy expansion of generic symbol vectors -------------
+
+
+def _sympy_defect(alg, ident, bracket=None):
+    """Coordinate polynomials of the defect, expanded in a sympy
+    polynomial ring (lex, generators in (var, coord) order)."""
+    n = alg.dim
+    R, *gens = ring([f"s{i}" for i in range(len(ident.variables) * n)], QQ, lex)
+    env = {v: [gens[t * n + i] for i in range(n)] for t, v in enumerate(ident.variables)}
+
+    def mul(table, x, y):
+        out = [R.zero] * n
+        for i in range(n):
+            for j in range(n):
+                for k, c in enumerate(table[i][j]):
+                    if c:
+                        out[k] += x[i] * y[j] * QQ(c.numerator, c.denominator)
+        return out
+
+    def ev(node):
+        if isinstance(node, Var):
+            return env[node.name]
+        if isinstance(node, Scale):
+            return [QQ(node.coeff.numerator, node.coeff.denominator) * c for c in ev(node.arg)]
+        left, right = ev(node.left), ev(node.right)
+        if isinstance(node, Prod):
+            return mul(alg.table, left, right)
+        if isinstance(node, Bracket):
+            return mul(bracket.table, left, right)
+        return [a + b if isinstance(node, Add) else a - b for a, b in zip(left, right)]
+
+    return ev(ident.expr)
+
+
+def _fraction(q):
+    r = QQ.to_sympy(q)
+    return Fraction(int(r.p), int(r.q))
+
+
+def _assert_agrees_with_sympy(alg, ident, bracket=None):
+    verdict = check_identity(alg, ident, bracket)
+    coords = _sympy_defect(alg, ident, bracket)
+    nonzero = [k for k, c in enumerate(coords) if c]
+    assert verdict.holds == (not nonzero)
+    if verdict.holds:
+        return
+    w = verdict.witness
+    assert w.coordinate == nonzero[0]
+    assert w.monomial == coords[w.coordinate].LM
+    assert w.coefficient == _fraction(coords[w.coordinate].LC)
+    point = [QQ(x.numerator, x.denominator) for v in ident.variables for x in w.assignment[v]]
+    expected = [_fraction(c(*point)) if c else Fraction(0) for c in coords]
+    assert w.defect == tuple(expected)
+    assert expected[w.coordinate] != 0
+
+
+_CATALOG_IDENTITIES = tuple(dict.fromkeys(i for s in builtin_identities().values() for i in s.identities))
+_SMALL_RATIONALS = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_expansion_agrees_with_sympy_on_random_algebras(data):
+    n = data.draw(st.integers(1, 4))
+    table = [[[data.draw(_SMALL_RATIONALS) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    alg = Algebra.from_table(table)
+    scaled = identity("scaled", ("a", "b"), "2/3*(a*(b*a)) - 3*((a*b)*a) + 0*(a*b)")
+    ident = data.draw(st.sampled_from([i for i in _CATALOG_IDENTITIES if not i.needs_bracket] + [scaled]))
+    _assert_agrees_with_sympy(alg, ident)
+
+
+@pytest.mark.parametrize("ident", _CATALOG_IDENTITIES, ids=lambda i: i.name)
+def test_expansion_agrees_with_sympy_on_the_truncated_poisson_pair(ident):
+    comm, bracket = zoo.truncated_poisson_pair()
+    for alg in (comm, zoo.poisson_kantor_product(comm, bracket), bracket):
+        _assert_agrees_with_sympy(alg, ident, bracket)

@@ -246,3 +246,33 @@ def test_univariate_products_of_linear_forms_all_roots_found():
         sols = solve_rational(buchberger([poly]))
         assert sols.points == tuple(sorted((q,) for q in qs))
         assert not sols.unresolved
+
+
+def _as_sympy(p):
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*(sympy.Symbol(v) ** k for v, k in zip(p.variables, e)))
+        for e, c in p.terms.items()
+    ))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_substitute_matches_sympy(data):
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+    def poly(names, max_exp):
+        exps = st.tuples(*[st.integers(0, max_exp)] * len(names))
+        return Poly(names, data.draw(st.dictionaries(exps, coeff, max_size=5)))
+
+    p = poly(("x", "y", "z"), 3)
+    name = data.draw(st.sampled_from(p.variables))
+    if data.draw(st.booleans()):
+        value = poly(data.draw(st.sampled_from([("x", "y", "z"), ("y", "w"), ("w", "x")])), 2)
+    else:
+        value = Poly.const(data.draw(coeff), data.draw(st.sampled_from([p.variables, ("w",), ()])))
+    q = p.substitute(name, value)
+    expected = sympy.expand(_as_sympy(p).subs(sympy.Symbol(name), _as_sympy(value)))
+    assert sympy.expand(_as_sympy(q) - expected) == 0
+    if name not in p.support_variables():
+        assert q is p
