@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
-"""In-process timings of the symbolic identity expansion and the codim1
-sweep, with the deterministic work behind them.
+"""In-process timings of the symbolic identity expansion, the codim1
+sweep and the bracket-equation check, with the deterministic work behind
+them.
 
 Run from the repository root:  python scripts/bench.py LABEL
 
 Writes BENCH_<LABEL>.json.  Each row is one request: every non-bracket
-catalogue suite on W(3) and M(4), and `codim1_subalgebras` of W(3) and
-M(4).  A row holds the median of RUNS timed runs, every run, and
-counters that must repeat exactly from run to run and between versions of
-the program that give the same verdicts:
+catalogue suite on W(3) and M(4), `codim1_subalgebras` of W(3) and M(4),
+`verify_associated(W(2), F, cross_check=True)` and
+`verify_associated(W(3), F)` at its default, F being `wn_associated_F`.
+A row holds the median of RUNS timed runs, every run, and counters that
+must repeat exactly from run to run and between versions of the program
+that give the same verdicts:
 
 - identity rows: the verdict and, per identity, the number of nonzero
   terms (coordinate, monomial) of the expanded defect;
 - codim1 rows: the subalgebras found and `GroebnerBasis.reductions_used`,
-  in total and per pivot.
+  in total and per pivot;
+- verify_associated rows: the verdict.
 
 Timings on a small shared machine are noisy; compare two labels written on
 the same machine, and trust the counters over the clock.
@@ -32,7 +36,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from kantor import identities, zoo
 from kantor.codim1 import codim1_subalgebras
-from kantor.wn import build_wn
+from kantor.conservative import verify_associated
+from kantor.wn import build_wn, wn_associated_F
 
 RUNS = 5  # timed runs per row; the median is reported
 
@@ -93,6 +98,14 @@ def main(argv=None):
             print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     for name, alg in algebras.items():
         rows.append(row(f"codim1 {name}", lambda: codim1_subalgebras(alg), codim1_counters))
+        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+
+    w2, f2, f3 = build_wn(2), wn_associated_F(2), wn_associated_F(3)
+    for name, fn in (
+        ("verify_associated W2 cross_check=True", lambda: verify_associated(w2, f2, cross_check=True)),
+        ("verify_associated W3 default", lambda: verify_associated(algebras["W3"], f3)),
+    ):
+        rows.append(row(name, fn, lambda holds: {"holds": holds}))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
 
     totals = {

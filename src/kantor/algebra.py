@@ -27,7 +27,6 @@ from .linalg import (
     sub_vec,
     unit_vec,
     vec,
-    zero_vec,
 )
 
 
@@ -101,14 +100,9 @@ class Algebra:
             raise DimensionMismatchError.of(self.dim, len(coords))
         return Element(self, coords)
 
-    def zero_element(self) -> "Element":
-        return Element(self, zero_vec(self.dim))
-
-    def basis_elements(self):
-        return [self.gen(i) for i in range(self.dim)]
-
     def mul_vec(self, x, y):
-        """Product of two coordinate vectors (the hot path; zero-skipping)."""
+        """Product of two coordinate vectors, as Fractions (the hot path;
+        walks the nonzero structure constants of `sparse_table`)."""
         n = self.dim
         if len(x) != n or len(y) != n:
             raise DimensionMismatchError.of(n, (len(x), len(y)))
@@ -116,14 +110,13 @@ class Algebra:
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            ti = self.table[i]
+            row = self.sparse_table[i]
             for j, yj in enumerate(y):
                 if not yj:
                     continue
                 c = xi * yj
-                for k, ck in enumerate(ti[j]):
-                    if ck:
-                        out[k] += c * ck
+                for k, ck in row[j]:
+                    out[k] += c * ck
         return tuple(out)
 
     def multiply(self, x: "Element", y: "Element") -> "Element":

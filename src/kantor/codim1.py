@@ -18,7 +18,7 @@ from math import gcd, lcm
 
 from .algebra import Algebra, verify_subalgebra
 from .errors import BudgetExceededError
-from .linalg import F0, F1, Matrix, Subspace, nullspace
+from .linalg import F0, F1, Matrix, Subspace, frac, nullspace
 from .poly import (
     MAX_REDUCTIONS,
     MAX_TOTAL_DEGREE,
@@ -57,8 +57,8 @@ def pivot_system(alg: Algebra, p: int):
         phi(h_i h_j) = phi(e_i e_j) + a_j phi(e_i e_p) + a_i phi(e_p e_j)
                        + a_i a_j phi(e_p e_p),
 
-    a generator of degree <= 3, read off the structure constants with phi
-    taken once per basis product.
+    a generator of degree <= 3, read off the nonzero structure constants
+    (`Algebra.sparse_table`) with phi taken once per basis product.
     """
     n = alg.dim
     if not 1 <= p <= n:
@@ -69,12 +69,16 @@ def pivot_system(alg: Algebra, p: int):
     constant = (0,) * q
     units = [tuple(int(m == k) for k in range(q)) for m in range(q)]
 
-    def phi(w):
-        terms = {units[m]: -w[m] for m in range(q) if w[m]}
-        terms[constant] = w[q]
+    def phi(outputs):
+        terms = {}
+        for k, c in outputs:
+            if k < q:
+                terms[units[k]] = -frac(c)
+            elif k == q:
+                terms[constant] = frac(c)
         return Poly(variables, terms)
 
-    phis = [[phi(w) for w in row] for row in alg.table]
+    phis = [[phi(outputs) for outputs in row] for row in alg.sparse_table]
     generators = []
     for i in range(n):
         if i == q:

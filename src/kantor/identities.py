@@ -129,9 +129,9 @@ def _tokenize(src):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j].isdecimal():
                 j += 1
             tokens.append(("int", src[i:j], i))
             i = j
@@ -200,7 +200,10 @@ class _Parser:
             if self.peek()[0] == "/":
                 self.next()
                 den_tok = self.expect("int")
-                coeff = Fraction(num, int(den_tok[1]))
+                den = int(den_tok[1])
+                if not den:
+                    raise ExprSyntaxError("zero denominator", den_tok[2])
+                coeff = Fraction(num, den)
             else:
                 coeff = Fraction(num)
             self.expect("*")
@@ -258,8 +261,20 @@ class Identity:
         return uses_bracket(self.expr)
 
 
+def _is_variable_name(v) -> bool:
+    """True iff v is exactly one `var` token of the expression language."""
+    try:
+        tokens = _tokenize(v)
+    except ExprSyntaxError:
+        return False
+    return len(tokens) == 2 and tokens[0][:2] == ("var", v)
+
+
 def identity(name, variables, source) -> Identity:
     expr = parse_expr(source)
+    for v in variables:
+        if not _is_variable_name(v):
+            raise ExprSyntaxError(f"{name}: {v!r} is not a variable name", 0)
     declared = set(variables)
     if len(declared) < len(tuple(variables)):
         raise ExprSyntaxError(f"{name}: repeated variable in {list(variables)}", 0)

@@ -190,9 +190,6 @@ class Matrix:
     def commutator(self, other: "Matrix") -> "Matrix":
         return self @ other - other @ self
 
-    def trace(self) -> Fraction:
-        return sum((self[i, i] for i in range(min(self.rows, self.cols))), F0)
-
     def flatten(self) -> Vec:
         return self.entries
 
@@ -371,9 +368,6 @@ class Subspace:
                     if row[k]:
                         v[k] -= c * row[k]
         return not any(v)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(b) for b in other.basis)
 
     def coordinates(self, v):
         """Coordinates of v in the RREF basis, or None if v is outside.

@@ -6,7 +6,9 @@ coeffs maps (inputs, out) -> coefficient, meaning
     Op(e_{i_1}, ..., e_{i_k}) = sum_out coeffs[(i_1..i_k), out] * e_out.
 
 Arity 0 is an element, arity 1 a linear map, arity 2 a bilinear map (the
-same data as an Algebra's structure tensor).
+same data as an Algebra's structure tensor).  `partial(x)` fixes the first
+input at a coordinate vector x; on the product P of an algebra, P.partial(x)
+is left multiplication L_x, the one construction of it in the package.
 
 The composition used throughout is the sign-free shuffle insertion: with
 p = arity(a) and q = arity(b) >= 1,
@@ -138,6 +140,20 @@ class MultilinearOp:
             if c:
                 out[k] = c
         return tuple(out)
+
+    def partial(self, x) -> "MultilinearOp":
+        """The operation (y_2, ..., y_k) -> self(x, y_2, ..., y_k), one arity
+        lower, for a coordinate vector x."""
+        if self.arity < 1:
+            raise ValueError("an element has no input to fix")
+        if len(x) != self.dim:
+            raise DimensionMismatchError.of(self.dim, len(x))
+        acc = defaultdict(lambda: F0)
+        for (inputs, out), c in self.coeffs.items():
+            xi = x[inputs[0]]
+            if xi:
+                acc[(inputs[1:], out)] += xi * c
+        return MultilinearOp(self.arity - 1, self.dim, acc)
 
     def transpose(self) -> "MultilinearOp":
         """Swap the two inputs of a bilinear operation."""

@@ -460,10 +460,6 @@ class SolutionSet:
     points: tuple      # tuples of Fractions, aligned with `variables`
     unresolved: tuple  # UnresolvedComponent entries
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.points and not self.unresolved
-
 
 def _integer_divisors(n):
     n = abs(n)

@@ -56,20 +56,9 @@ def _wn_basis_ops(n):
     ]
 
 
-def _partial_map(op: MultilinearOp) -> MultilinearOp:
-    """The linear map x -> op(e_1, x)."""
-    n = op.dim
-    coeffs = {}
-    for (inputs, out), c in op.coeffs.items():
-        if inputs[0] == 0:
-            key = ((inputs[1],), out)
-            coeffs[key] = coeffs.get(key, F0) + c
-    return MultilinearOp(1, n, coeffs)
-
-
 def wn_product(a: MultilinearOp, b: MultilinearOp) -> MultilinearOp:
     """(a.b)(x,y) = a(e_1,b(x,y)) - b(a(e_1,x),y) - b(x,a(e_1,y))."""
-    return kantor_bracket(_partial_map(a), b)
+    return kantor_bracket(a.partial(unit_vec(a.dim, 0)), b)
 
 
 def _op_coords(op: MultilinearOp):

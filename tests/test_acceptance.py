@@ -56,8 +56,9 @@ def test_c01_wn2_table_regeneration(wn2):
 def test_c02_wn2_conservative_with_formula_f(wn2):
     errors = []
     F = wn_associated_F(2)
-    # bracket-equation route on all 64 pairs, expanded-identity route on all
-    # 4096 quadruples; verify_associated requires the two routes to agree
+    # bracket-equation route on all 64 pairs, expanded-identity route once
+    # over generic vectors (every basis quadruple at once); verify_associated
+    # requires the two routes to agree
     check(errors, verify_associated(wn2, F, cross_check=True), "formula F fails")
     _finish("2 (W(2) conservative via (1/3)(A*.B + B~.A))", errors)
 

@@ -14,6 +14,7 @@ from kantor.algebra import (
 )
 from kantor.errors import AlgebraFormatError, NotClosedError
 from kantor.linalg import Matrix, Subspace, unit_vec
+from kantor.multiops import MultilinearOp
 from kantor.storage import load_algebra_pair, parse_algebra_document, save_algebra
 from kantor.wn import XI_LABELS, Z_LABELS, w2sym_subspace
 from kantor import zoo
@@ -88,6 +89,51 @@ def test_multiply_bilinear_and_operator_consistency(data):
     assert Lsum == alg.left_mul_operator(x) + alg.left_mul_operator(xp)
     for j in range(n):
         assert Lsum.col(j) == alg.mul_vec(tuple(u + v for u, v in zip(x, xp)), unit_vec(n, j))
+
+
+def _random_algebra(data, max_dim):
+    """An algebra of dim <= max_dim whose constants are often zero."""
+    n = data.draw(st.integers(1, max_dim))
+    entries = st.one_of(st.just(0), rationals)
+    cube = st.lists(
+        st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+    return Algebra.from_table(data.draw(cube))
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.data())
+def test_sparse_table_lists_the_nonzero_constants(data):
+    alg = _random_algebra(data, 4)
+    for row, sparse_row in zip(alg.table, alg.sparse_table):
+        for product, outputs in zip(row, sparse_row):
+            assert list(outputs) == [(k, c) for k, c in enumerate(product) if c]
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.data())
+def test_mul_vec_is_the_triple_sum(data):
+    alg = _random_algebra(data, 4)
+    n = alg.dim
+    x, y = (tuple(data.draw(st.lists(rationals, min_size=n, max_size=n))) for _ in range(2))
+    expected = tuple(
+        sum((x[i] * y[j] * alg.table[i][j][k] for i in range(n) for j in range(n)), Fraction(0))
+        for k in range(n)
+    )
+    product = alg.mul_vec(x, y)
+    assert product == expected
+    assert all(isinstance(c, Fraction) for c in product)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.data())
+def test_partial_of_the_product_is_left_multiplication(data):
+    alg = _random_algebra(data, 4)
+    x = tuple(data.draw(st.lists(rationals, min_size=alg.dim, max_size=alg.dim)))
+    P = MultilinearOp.from_algebra(alg)
+    assert P.partial(x) == MultilinearOp.from_matrix(alg.left_mul_operator(x))
 
 
 def test_annihilator_zero_algebra():

@@ -1,9 +1,12 @@
+import io
 import json
 import re
 import shlex
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kantor import cli, zoo
 from kantor.errors import AlgebraFormatError
@@ -332,6 +335,17 @@ def test_identity_beyond_the_language_limits_exits_65(capsys):
         assert run_cli(["identity", "--fixture", "sl2", "--expr", expr], capsys)[0] == 65
 
 
+@pytest.mark.parametrize(
+    "expr, message",
+    [("1/0*a", "zero denominator"), ("\u00b2*a", "unexpected character")],
+    ids=["zero-denominator", "superscript-digit"],
+)
+def test_identity_bad_number_exits_65(expr, message, capsys):
+    code, _, err = run_cli(["identity", "--fixture", "sl2", "--expr", expr], capsys)
+    assert code == 65
+    assert message in err
+
+
 def test_identity_repeated_variable_exits_65(tmp_path, capsys):
     path = tmp_path / "twice.json"
     path.write_text('{"name": "twice", "vars": ["a", "a"], "zero": "a*a"}')
@@ -339,6 +353,15 @@ def test_identity_repeated_variable_exits_65(tmp_path, capsys):
         code, _, err = run_cli(["identity", "--fixture", "sl2"] + argv, capsys)
         assert code == 65
         assert "repeated variable" in err
+
+
+def test_identity_variable_that_is_not_a_name_exits_65(tmp_path, capsys):
+    path = tmp_path / "spaced.json"
+    path.write_text('{"name": "spaced", "vars": ["a", "1 x"], "zero": "a*a"}')
+    for argv in (["--expr", "a*b", "--vars", "a,b,,1 x"], ["--file", str(path)]):
+        code, out, err = run_cli(["identity", "--fixture", "sl2"] + argv, capsys)
+        assert code == 65
+        assert out == "" and "is not a variable name" in err
 
 
 @pytest.mark.parametrize(
@@ -371,3 +394,78 @@ def test_identity_file_with_bad_vars_exits_65(variables, tmp_path, capsys):
     code, _, err = run_cli(["identity", "--fixture", "sl2", "--file", str(path)], capsys)
     assert code == 65
     assert "vars must be a list" in err
+
+
+# -- robustness: any input ends in a documented exit code -------------------
+
+DOCUMENTED_EXITS = {0, 1, 64, 65, 69}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def algebra_documents(draw):
+    """A well-formed algebra document of dim <= 3, then one part of it (or
+    the whole) replaced by an arbitrary JSON value, or nothing replaced."""
+    n = draw(st.integers(1, 3))
+    names = ["e1", "e2", "e3"][:n]
+    keys = st.sampled_from([f"{a}*{b}" for a in names for b in names])
+    combos = st.dictionaries(st.sampled_from(names), st.sampled_from(["1", "-1", "1/2", "2"]), max_size=n)
+    doc = {"dim": n, "basis": names, "table": draw(st.dictionaries(keys, combos, max_size=n * n))}
+    broken = draw(st.sampled_from([None, "document", "dim", "basis", "table", "entry", "value"]))
+    if broken == "document":
+        return draw(json_values)
+    if broken in doc:
+        doc[broken] = draw(json_values)
+    elif broken == "entry":
+        doc["table"][draw(keys | st.text(max_size=5))] = draw(json_values)
+    elif broken == "value":
+        doc["table"][draw(keys)] = {draw(st.sampled_from(names) | st.text(max_size=3)): draw(json_values)}
+    return doc
+
+
+FILE_COMMANDS = (
+    ["show"],
+    ["conservative"],
+    ["terminal"],
+    ["derivations"],
+    ["jacobi"],
+    ["quasiunit"],
+    ["annihilator"],
+    ["closure", "--gens", "e1"],
+    ["codim1"],
+    ["identity", "--name", "lie"],
+    ["twist", "poisson"],
+    ["twist", "quasi", "--lambda", "1/2"],
+)
+
+
+def exit_code(argv):
+    """cli.main's exit code, its output discarded; any exception propagates."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+@settings(deadline=None, max_examples=40)
+@given(doc=algebra_documents(), command=st.sampled_from(FILE_COMMANDS))
+def test_any_json_algebra_file_ends_in_a_documented_exit(tmp_path_factory, doc, command):
+    path = tmp_path_factory.mktemp("fuzz") / "alg.json"
+    path.write_text(json.dumps(doc))
+    assert exit_code(command + [str(path)]) in DOCUMENTED_EXITS
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    expr=st.text(alphabet="abxy +-*(){},/0123_", max_size=24) | st.text(max_size=8),
+    variables=st.none() | st.text(alphabet="abxy ,1_", max_size=8),
+    fixture=st.sampled_from(["sl2", "nilpotent4", "jordan_sym2"]),
+)
+def test_any_expression_ends_in_a_documented_exit(expr, variables, fixture):
+    argv = ["identity", "--fixture", fixture, f"--expr={expr}"]
+    if variables is not None:
+        argv.append(f"--vars={variables}")
+    assert exit_code(argv) in DOCUMENTED_EXITS

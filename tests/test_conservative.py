@@ -159,6 +159,24 @@ def test_kernel_is_jacobi_space(data):
     assert qs.kernel == jacobi_space(alg)
 
 
+@settings(deadline=None, max_examples=25)
+@given(st.data())
+def test_verify_associated_routes_agree(data):
+    n = data.draw(st.integers(1, 3))
+    cube = st.lists(
+        st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+    alg = Algebra.from_table(data.draw(cube))
+    f = MultilinearOp.from_algebra(Algebra.from_table(data.draw(cube)))
+    # both routes run; a disagreement raises
+    verify_associated(alg, f)
+    verdict = conservativity(alg)
+    if verdict.conservative:
+        assert verify_associated(alg, verdict.f)
+
+
 def test_terminal_calibration_w2sym(w2sym):
     winners = [c for c in TERMINAL_CONVENTIONS if is_terminal(w2sym, c)]
     assert winners == [DEFAULT_TERMINAL_CONVENTION]
