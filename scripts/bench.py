@@ -6,17 +6,20 @@ them.
 Run from the repository root:  python scripts/bench.py LABEL
 
 Writes BENCH_<LABEL>.json.  Each row is one request: every non-bracket
-catalogue suite on W(3) and M(4), `codim1_subalgebras` of W(3) and M(4),
+catalogue suite on W(3) and M(4), `codim1_subalgebras` of W(3), M(4),
+W(4) and W(5) (W(5) a single run, its row says so),
 `verify_associated(W(2), F, cross_check=True)` and
 `verify_associated(W(3), F)` at its default, F being `wn_associated_F`.
-A row holds the median of RUNS timed runs, every run, and counters that
-must repeat exactly from run to run and between versions of the program
-that give the same verdicts:
+A row holds the median of its timed runs (RUNS unless the row's `runs`
+says otherwise), every run, and counters that must repeat exactly from run
+to run and, apart from `reductions_used` (counted in the budget's unit of
+the version that wrote the row), between versions of the program that give
+the same verdicts:
 
 - identity rows: the verdict and, per identity, the number of nonzero
   terms (coordinate, monomial) of the expanded defect;
-- codim1 rows: the subalgebras found and `GroebnerBasis.reductions_used`,
-  in total and per pivot;
+- codim1 rows: the subalgebras found, the pivots that ran out of budget
+  and `GroebnerBasis.reductions_used`, in total and per pivot;
 - verify_associated rows: the verdict.
 
 Timings on a small shared machine are noisy; compare two labels written on
@@ -61,10 +64,10 @@ def codim1_counters(rep):
     }
 
 
-def row(name, fn, counters, **extra):
-    """Time RUNS calls of fn; the counters of every result must agree."""
+def row(name, fn, counters, runs=RUNS, **extra):
+    """Time `runs` calls of fn; the counters of every result must agree."""
     times, seen = [], []
-    for _ in range(RUNS):
+    for _ in range(runs):
         start = time.perf_counter()
         result = fn()
         times.append(time.perf_counter() - start)
@@ -73,6 +76,7 @@ def row(name, fn, counters, **extra):
         raise RuntimeError(f"{name}: counters differ between runs: {seen}")
     return {
         "name": name,
+        "runs": runs,
         "median_s": round(statistics.median(times), 4),
         "runs_s": [round(t, 4) for t in times],
         "counters": {**seen[0], **extra},
@@ -96,8 +100,12 @@ def main(argv=None):
                 defect_terms={i.name: defect_terms(alg, i) for i in suite.identities},
             ))
             print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
-    for name, alg in algebras.items():
-        rows.append(row(f"codim1 {name}", lambda: codim1_subalgebras(alg), codim1_counters))
+    for name, alg, runs in (
+        *((name, alg, RUNS) for name, alg in algebras.items()),
+        ("W4", build_wn(4), RUNS),
+        ("W5", build_wn(5), 1),
+    ):
+        rows.append(row(f"codim1 {name}", lambda: codim1_subalgebras(alg), codim1_counters, runs=runs))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
 
     w2, f2, f3 = build_wn(2), wn_associated_F(2), wn_associated_F(3)

@@ -111,7 +111,7 @@ def _build_parser():
     p = command("closure", "subalgebra generated by elements", dim=True)
     p.add_argument("--gens", required=True, help="comma-separated basis names or indices")
     p = command("codim1", "enumerate codimension-1 subalgebras")
-    p.add_argument("--budget", type=int, default=MAX_REDUCTIONS, help="max S-polynomial reductions per pivot")
+    p.add_argument("--budget", type=int, default=MAX_REDUCTIONS, help="max reduction steps per pivot (eliminated variables plus S-polynomial reductions)")
     p.add_argument("--assert-count", type=int, default=None)
     p = command("identity", "check a polynomial identity", verdict=True)
     p.add_argument("--name", help=f"builtin: {', '.join(sorted(builtin_identities()))}")

@@ -57,44 +57,59 @@ def pivot_system(alg: Algebra, p: int):
         phi(h_i h_j) = phi(e_i e_j) + a_j phi(e_i e_p) + a_i phi(e_p e_j)
                        + a_i a_j phi(e_p e_p),
 
-    a generator of degree <= 3, read off the nonzero structure constants
-    (`Algebra.sparse_table`) with phi taken once per basis product.
+    a generator of degree <= 3.  Its terms are summed straight from the
+    nonzero structure constants (`Algebra.sparse_table`): phi of each
+    product, shifted by the unit monomial a_j, a_i or a_i a_j.
     """
     n = alg.dim
     if not 1 <= p <= n:
         raise ValueError(f"pivot must be in 1..{n}")
     variables = _pivot_variables(p)
     q = p - 1  # 0-based pivot column; variable a_{m+1} has index m < q
-    alphas = [Poly.var(v, variables) for v in variables]
-    constant = (0,) * q
-    units = [tuple(int(m == k) for k in range(q)) for m in range(q)]
+    monomials = {}  # a-indices (each < q) -> exponent tuple of their product
+    pending = {}  # (i, j) -> {exponent: coefficient} of generator phi(h_i h_j)
 
-    def phi(outputs):
-        terms = {}
+    def add(i, j, factors, outputs):
+        """Add a_(factors) * phi(e_r e_s) to generator (i, j), where outputs
+        lists the nonzero coordinates of e_r e_s."""
+        terms = pending.setdefault((i, j), {})
         for k, c in outputs:
             if k < q:
-                terms[units[k]] = -frac(c)
+                key, c = factors + (k,), -c
             elif k == q:
-                terms[constant] = frac(c)
-        return Poly(variables, terms)
-
-    phis = [[phi(outputs) for outputs in row] for row in alg.sparse_table]
-    generators = []
-    for i in range(n):
-        if i == q:
-            continue
-        for j in range(n):
-            if j == q:
+                key = factors
+            else:
                 continue
-            g = phis[i][j]
-            if j < q and phis[i][q]:
-                g = g + alphas[j] * phis[i][q]
-            if i < q and phis[q][j]:
-                g = g + alphas[i] * phis[q][j]
-            if i < q and j < q and phis[q][q]:
-                g = g + alphas[i] * alphas[j] * phis[q][q]
-            if g:
-                generators.append(g)
+            if key not in monomials:
+                e = [0] * q
+                for m in key:
+                    e[m] += 1
+                monomials[key] = tuple(e)
+            e = monomials[key]
+            terms[e] = terms[e] + c if e in terms else c
+
+    table = alg.sparse_table
+    rest = [i for i in range(n) if i != q]
+    for i in rest:
+        for j, outputs in enumerate(table[i]):
+            if outputs and j != q:
+                add(i, j, (), outputs)
+        if table[i][q]:
+            for j in range(q):
+                add(i, j, (j,), table[i][q])
+        if table[q][i]:
+            for m in range(q):
+                add(m, i, (m,), table[q][i])
+    if table[q][q]:
+        for i in range(q):
+            for j in range(q):
+                add(i, j, (i, j), table[q][q])
+    generators = []
+    for key in sorted(pending):
+        # the constants are ints where integral; normal_form divides
+        g = Poly(variables, {e: frac(c) for e, c in pending[key].items()})
+        if g:
+            generators.append(g)
     return variables, tuple(generators)
 
 

@@ -403,14 +403,15 @@ def _find_nonvanishing(poly: Poly, candidates=(0, 1, -1, 2, -2, 3)):
     """A point where a nonzero polynomial does not vanish.
 
     Fixes variables one at a time; degree <= 5 per variable guarantees one
-    of the six candidate values keeps the rest nonzero.
+    of the six candidate values keeps the rest nonzero.  The support is read
+    once: fixing a variable only shrinks it, and a variable that has left it
+    keeps the polynomial unchanged at the first candidate, 0.
     """
     assignment = {}
     current = poly
+    support = poly.support_variables()
     for v in poly.variables:
-        if current.is_zero():
-            break
-        if v not in current.support_variables():
+        if v not in support:
             assignment[v] = Fraction(0)
             continue
         for c in candidates:

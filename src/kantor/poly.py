@@ -5,8 +5,9 @@ Monomial order is lexicographic with the declared variable order (first
 variable largest); that is what makes zero-dimensional bases triangular so
 rational points can be read off by univariate root search plus
 back-substitution.  The engine is guarded by hard budgets on the number of
-S-polynomial reductions and on total degree: exceeding either raises
-BudgetExceededError, never silently degrades.
+reduction steps (eliminated variables plus S-polynomial reductions) and on
+total degree: exceeding either raises BudgetExceededError, never silently
+degrades.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .errors import BudgetExceededError
-from .linalg import F0, F1, frac
+from .linalg import F0, F1, eliminate, frac
 
-MAX_REDUCTIONS = 10_000
+MAX_REDUCTIONS = 10_000  # reduction steps per pivot: eliminated variables plus S-polynomial reductions
 MAX_TOTAL_DEGREE = 12
 
 
@@ -297,6 +298,9 @@ class GroebnerBasis:
 
 @dataclass
 class _Budget:
+    """Reduction steps spent in one `buchberger` call: one per variable the
+    pre-pass eliminates and one per S-polynomial reduced."""
+
     max_reductions: int = MAX_REDUCTIONS
     max_degree: int = MAX_TOTAL_DEGREE
     reductions: int = 0
@@ -318,53 +322,114 @@ class _Budget:
             )
 
 
-def _linear_prepass(gens, budget):
-    """Repeatedly eliminate variables occurring linearly with a constant
-    coefficient in some generator.
+def _distinct(gens):
+    """The nonzero generators, dropping each scalar multiple of one kept."""
+    kept = {}  # support -> the kept generators with that support
+    out = []
+    for g in gens:
+        if not g:
+            continue
+        same = kept.setdefault(frozenset(g.terms), [])
+        e0 = next(iter(g.terms))
+        if not any(
+            all(c * h.terms[e0] == h.terms[e] * g.terms[e0] for e, c in g.terms.items())
+            for h in same
+        ):
+            same.append(g)
+            out.append(g)
+    return out
 
-    Each eliminated variable contributes its monic binding polynomial back to
-    the generating set, so the ideal is unchanged; the proof-style
-    substitution chains collapse most desk-scale systems before Buchberger
-    proper starts.
+
+def _solve_linear(linear, variables, budget):
+    """Solve the generators of degree <= 1 together with one `eliminate`.
+
+    Returns {pivot variable: its value in the free variables}, read off the
+    RREF rows, or None when the system is inconsistent, i.e. the ideal is
+    (1).  Each pivot costs one budget unit.
     """
-    gens = [g for g in gens if not g.is_zero()]
-    bindings = []
-    changed = True
-    while changed:
-        changed = False
-        for g in gens:
-            if g.is_zero():
-                continue
-            for vi, v in enumerate(g.variables):
-                lin = [e for e in g.terms if e[vi]]
-                if not lin:
-                    continue
-                if any(e[vi] > 1 for e in lin) or len(lin) != 1:
-                    continue
+    n = len(variables)
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    rows = []
+    for g in linear:
+        row = {}
+        for e, c in g.terms.items():
+            if any(e):
+                row[e.index(1)] = c
+            else:
+                row[n] = -c
+        rows.append(row)
+    ech = eliminate(rows, n)
+    for _ in ech.pivots:
+        budget.spend()
+    if ech.inconsistent:
+        return None
+    return {
+        variables[p]: Poly(variables, {
+            **{units[c]: -x for c, x in row.items() if c < n and c != p},
+            (0,) * n: row.get(n, F0),
+        })
+        for p, row in zip(ech.pivots, ech.rows)
+    }
+
+
+def _single_binding(gens):
+    """(generator, variable, value) for the first variable occurring in a
+    generator only as c*v with constant c, so that v = value there."""
+    for g in gens:
+        for vi, v in enumerate(g.variables):
+            lin = [e for e in g.terms if e[vi]]
+            if len(lin) == 1 and sum(lin[0]) == 1:  # v occurs only as c*v
                 e = lin[0]
-                if any(x for i, x in enumerate(e) if i != vi):
-                    continue
-                coeff = g.terms[e]
-                # g = coeff*v + rest, rest free of v
                 rest = Poly(g.variables, {k: c for k, c in g.terms.items() if k != e})
-                value = rest * (F1 / -coeff)
-                binding = Poly.var(v, g.variables) - value
-                new = []
-                for other in gens:
-                    if other is g:
-                        continue
-                    s = other.substitute(v, value)
-                    budget.spend()
-                    budget.check_degree(s)
-                    if not s.is_zero():
-                        new.append(s)
-                bindings = [b.substitute(v, value) for b in bindings]
-                bindings.append(binding)
-                gens = new
-                changed = True
+                return g, v, rest * (F1 / -g.terms[e])
+    return None
+
+
+def _substitute_all(p, values):
+    for v in p.support_variables() & values.keys():
+        p = p.substitute(v, values[v])
+    return p
+
+
+def _linear_prepass(gens, budget):
+    """Eliminate the variables that the linear generators fix, round by
+    round.
+
+    A round solves every generator of total degree <= 1 at once: an
+    inconsistent round means the ideal is (1); otherwise each pivot variable
+    is bound to its RREF row.  The bound values involve free variables only,
+    so each remaining generator is substituted into once per round, in any
+    order.  Only a round with no linear generator falls back to one
+    variable occurring in some generator only as c*v with constant c.  The
+    bindings join the generating set, so the ideal is unchanged; the budget
+    is charged one unit per eliminated variable.
+    """
+    gens = _distinct(gens)
+    bindings = []
+    while gens:
+        variables = gens[0].variables
+        linear = [g for g in gens if g.total_degree() <= 1]
+        if linear:
+            values = _solve_linear(linear, variables, budget)
+            if values is None:
+                return [Poly.const(1, variables)]
+            gens = [g for g in gens if g.total_degree() > 1]
+        else:
+            single = _single_binding(gens)
+            if single is None:
                 break
-            if changed:
-                break
+            g, v, value = single
+            budget.spend()
+            values = {v: value}
+            gens = [other for other in gens if other is not g]
+        substituted = []
+        for g in gens:
+            s = _substitute_all(g, values)
+            budget.check_degree(s)
+            substituted.append(s)
+        gens = _distinct(substituted)
+        bindings = [_substitute_all(b, values) for b in bindings]
+        bindings += [Poly.var(v, variables) - value for v, value in values.items()]
     return bindings + gens
 
 
@@ -391,7 +456,7 @@ def _interreduce(gens):
 def buchberger(generators, variables=(), max_reductions=MAX_REDUCTIONS, max_degree=MAX_TOTAL_DEGREE) -> GroebnerBasis:
     """Reduced lexicographic Groebner basis of the given ideal.
 
-    Runs the linear-substitution pre-pass, then Buchberger's algorithm with
+    Runs the linear pre-pass, then Buchberger's algorithm with
     the coprime-leading-terms criterion, then inter-reduction.  Raises
     BudgetExceededError when a guardrail trips.  `variables` fixes the
     (lex) variable order explicitly; otherwise the union of the generators'

@@ -14,6 +14,7 @@ from kantor.codim1 import (
 from kantor.errors import BudgetExceededError
 from kantor.linalg import Subspace, unit_vec
 from kantor import zoo
+from kantor.wn import build_wn
 
 
 def drop(dim, i0):
@@ -85,6 +86,14 @@ def test_codim1_verified_and_disjoint(wn2, w2sym, s2):
             assert len(free) == 1
             assert free[0] not in seen  # one pivot case per hyperplane
             seen.add(free[0])
+
+
+def test_codim1_wn4_decided_at_default_budget():
+    # W(4), dim 64: every pivot ideal is (1), within the default budget
+    report = codim1_subalgebras(build_wn(4))
+    assert len(report.subalgebras) == 0
+    assert not report.budget_errors
+    assert all([str(g) for g in c.groebner] == ["1"] for c in report.cases)
 
 
 def test_codim1_budget_isolated_per_pivot(wn2):

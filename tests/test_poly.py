@@ -105,23 +105,81 @@ def _sympy_groebner(gens, names):
     return monic, to_sympy
 
 
-@settings(deadline=None, max_examples=20)
+@settings(deadline=None, max_examples=30)
 @given(st.data())
 def test_buchberger_matches_sympy(data):
-    names = ("x", "y")
+    # degree-1 generators go through the pre-pass's elimination rounds, and
+    # ones like x + y^2 (x only as c*x) through its one-variable rule
+    names = ("x", "y", "z")
     coeff = st.integers(-3, 3)
-    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
-    def poly(d):
-        terms = d.draw(st.dictionaries(exps, coeff, min_size=1, max_size=3))
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+    linear_exps = st.sampled_from([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+    def poly(monomials, max_size):
+        terms = data.draw(st.dictionaries(monomials, coeff, min_size=1, max_size=max_size))
         return Poly(names, {e: Fraction(c) for e, c in terms.items()})
-    gens = [poly(data) for _ in range(data.draw(st.integers(1, 3)))]
+
+    def binding():
+        i = data.draw(st.integers(0, 2))
+        rest = poly(exps.map(lambda e: e[:i] + (0,) + e[i + 1:]), 2)
+        unit = tuple(int(k == i) for k in range(3))
+        return rest + Poly(names, {unit: Fraction(data.draw(st.sampled_from([-2, -1, 1, 3])))})
+
+    gens = [poly(exps, 3) for _ in range(data.draw(st.integers(1, 3)))]
+    gens += [binding() for _ in range(data.draw(st.integers(0, 2)))]
+    gens += [poly(linear_exps, 3) for _ in range(data.draw(st.integers(0, 2)))]
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return
-    gb = buchberger(gens, variables=names)
+    # the degree cap is a guardrail with its own test; some of these bases
+    # pass through degree 13
+    gb = buchberger(gens, variables=names, max_degree=40)
     expected, to_sympy = _sympy_groebner(gens, names)
     got = {sympy.expand(to_sympy(g)) for g in gb}
     assert got == expected
+
+
+@pytest.mark.parametrize("gens", [
+    # a linear round, then the one-variable rule on y = -z^2, then a round
+    lambda x, y, z: [x - y + 1, y + z**2, z**2 + y + z, x * z - y],
+    # the one-variable rule first, then the linear generators it leaves
+    lambda x, y, z: [x + y**2 - z, y**2 - 1 + x, z * y - y, z**2 - 1],
+    # an inconsistent linear round
+    lambda x, y, z: [x + y - 1, x + y - 2, x * y * z - 3],
+    # a scalar multiple dropped before the round
+    lambda x, y, z: [2 * x - 4 * y, x - 2 * y, y * z - 1, z**3 - z],
+])
+def test_linear_prepass_paths_match_sympy(gens):
+    names = ("x", "y", "z")
+    gens = gens(*(P(v, names) for v in names))
+    gb = buchberger(gens, variables=names)
+    expected, to_sympy = _sympy_groebner(gens, names)
+    assert {sympy.expand(to_sympy(g)) for g in gb} == expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_budget_charges_one_unit_per_eliminated_variable(k):
+    names = tuple(f"x{i}" for i in range(k))
+    gens = [P(v, names) - i for i, v in enumerate(names)]
+    assert buchberger(gens, variables=names, max_reductions=k).reductions_used == k
+    with pytest.raises(BudgetExceededError):
+        buchberger(gens, variables=names, max_reductions=k - 1)
+
+
+def test_budget_charges_the_one_variable_rule():
+    names = ("x", "y")
+    x, y = P("x", names), P("y", names)
+    gens = [x + y**2, y**3 - 1]  # no linear generator; x = -y^2 by the rule
+    assert buchberger(gens, variables=names).reductions_used == 1
+    with pytest.raises(BudgetExceededError):
+        buchberger(gens, variables=names, max_reductions=0)
+
+
+def test_inconsistency_with_nothing_eliminated_costs_nothing():
+    names = ("x",)
+    gb = buchberger([Poly.const(1, names), P("x", names) ** 2], variables=names, max_reductions=0)
+    assert [str(g) for g in gb] == ["1"]
+    assert gb.reductions_used == 0
 
 
 @settings(deadline=None, max_examples=50)
