@@ -7,7 +7,8 @@ Run from the repository root:  python scripts/bench.py LABEL
 
 Writes BENCH_<LABEL>.json.  Each row is one request: every non-bracket
 catalogue suite on W(3) and M(4), `codim1_subalgebras` of W(3), M(4),
-W(4) and W(5) (W(5) a single run, its row says so),
+W(4) and W(5) and of RANDOM_COUNT seeded sparse random algebras of dim
+3-6 (these two a single run, their rows say so),
 `verify_associated(W(2), F, cross_check=True)` and
 `verify_associated(W(3), F)` at its default, F being `wn_associated_F`.
 A row holds the median of its timed runs (RUNS unless the row's `runs`
@@ -19,7 +20,9 @@ the same verdicts:
 - identity rows: the verdict and, per identity, the number of nonzero
   terms (coordinate, monomial) of the expanded defect;
 - codim1 rows: the subalgebras found, the pivots that ran out of budget
-  and `GroebnerBasis.reductions_used`, in total and per pivot;
+  and each pivot's whole spend, `SolutionSet.reductions_used` (the
+  basis's reduction steps plus root extraction's), in total and, on the
+  named algebras, per pivot;
 - verify_associated rows: the verdict.
 
 Timings on a small shared machine are noisy; compare two labels written on
@@ -31,6 +34,7 @@ import json
 import os
 import pathlib
 import platform
+import random
 import statistics
 import sys
 import time
@@ -38,11 +42,13 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from kantor import identities, zoo
+from kantor.algebra import Algebra
 from kantor.codim1 import codim1_subalgebras
 from kantor.conservative import verify_associated
 from kantor.wn import build_wn, wn_associated_F
 
 RUNS = 5  # timed runs per row; the median is reported
+RANDOM_COUNT, RANDOM_SEED = 100, 11  # the random codim1 row's algebras
 
 
 def defect_terms(alg, ident):
@@ -55,13 +61,34 @@ def identity_counters(verdicts):
 
 
 def codim1_counters(rep):
-    per_pivot = [c.groebner.reductions_used if c.groebner else None for c in rep.cases]
+    per_pivot = [c.solutions.reductions_used if c.solutions else None for c in rep.cases]
     return {
         "found": len(rep.subalgebras),
         "budget_errors": len(rep.budget_errors),
         "reductions_used": sum(r for r in per_pivot if r),
         "reductions_per_pivot": per_pivot,
     }
+
+
+def random_algebras():
+    """RANDOM_COUNT algebras of dim 3-6 with constants in -2..2, each
+    product nonzero in a coordinate with a probability drawn from 0.05-0.4."""
+    rng = random.Random(RANDOM_SEED)
+    out = []
+    for _ in range(RANDOM_COUNT):
+        n, density = rng.randint(3, 6), rng.uniform(0.05, 0.4)
+        products = {}
+        for i in range(n):
+            for j in range(n):
+                coeffs = {k: rng.randint(-2, 2) for k in range(n) if rng.random() < density}
+                products[i, j] = {k: c for k, c in coeffs.items() if c}
+        out.append(Algebra.from_products(n, products))
+    return out
+
+
+def random_codim1_counters(reports):
+    totals = [codim1_counters(rep) for rep in reports]
+    return {key: sum(t[key] for t in totals) for key in ("found", "budget_errors", "reductions_used")}
 
 
 def row(name, fn, counters, runs=RUNS, **extra):
@@ -107,6 +134,16 @@ def main(argv=None):
     ):
         rows.append(row(f"codim1 {name}", lambda: codim1_subalgebras(alg), codim1_counters, runs=runs))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    randoms = random_algebras()
+    rows.append(row(
+        "codim1 random dim 3-6",
+        lambda: [codim1_subalgebras(alg) for alg in randoms],
+        random_codim1_counters,
+        runs=1,
+        algebras=RANDOM_COUNT,
+        seed=RANDOM_SEED,
+    ))
+    print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
 
     w2, f2, f3 = build_wn(2), wn_associated_F(2), wn_associated_F(3)
     for name, fn in (

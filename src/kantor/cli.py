@@ -448,11 +448,6 @@ def _execute(args, argv):
     return report, COMMANDS[args.command](args, report)
 
 
-def run(argv):
-    """Execute a command; returns (report dict, exit code)."""
-    return _execute(_build_parser().parse_args(argv), argv)
-
-
 def _print_report(report, as_json):
     if as_json:
         print(json.dumps(report, indent=2, sort_keys=True))

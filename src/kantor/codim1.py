@@ -19,13 +19,7 @@ from math import gcd, lcm
 from .algebra import Algebra, verify_subalgebra
 from .errors import BudgetExceededError
 from .linalg import F0, F1, Matrix, Subspace, frac, nullspace
-from .poly import (
-    MAX_REDUCTIONS,
-    MAX_TOTAL_DEGREE,
-    Poly,
-    buchberger,
-    solve_rational,
-)
+from .poly import MAX_REDUCTIONS, Poly, buchberger, solve_rational
 
 
 def _pivot_variables(p: int):
@@ -135,15 +129,13 @@ class Codim1Report:
         return tuple(c.error for c in self.cases if c.error is not None)
 
 
-def codim1_subalgebras(
-    alg: Algebra,
-    max_reductions=MAX_REDUCTIONS,
-    max_degree=MAX_TOTAL_DEGREE,
-) -> Codim1Report:
+def codim1_subalgebras(alg: Algebra, max_reductions=MAX_REDUCTIONS) -> Codim1Report:
     """Search every pivot case; verify every rational solution.
 
-    A budget failure in one pivot is recorded on that case and the sweep
-    continues; every returned subspace passes verify_subalgebra.
+    `max_reductions` caps each pivot's whole solve, its basis and the root
+    extraction from it.  A budget failure in one pivot is recorded on that
+    case and the sweep continues; every returned subspace passes
+    verify_subalgebra.
     """
     n = alg.dim
     cases = []
@@ -151,8 +143,8 @@ def codim1_subalgebras(
     for p in range(1, n + 1):
         variables, gens = pivot_system(alg, p)
         try:
-            gb = buchberger(gens, variables=variables, max_reductions=max_reductions, max_degree=max_degree)
-            sols = solve_rational(gb, max_reductions=max_reductions, max_degree=max_degree)
+            gb = buchberger(gens, variables=variables, max_reductions=max_reductions)
+            sols = solve_rational(gb, max_reductions=max_reductions)
         except BudgetExceededError as exc:
             cases.append(PivotCase(p, variables, gens, None, None, (), exc))
             continue

@@ -358,32 +358,24 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v) -> bool:
-        v = list(vec(v))
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatchError.of(self.ambient_dim, len(v))
-        for row, p in zip(self.basis, self.pivot_columns):
-            c = v[p]
-            if c:
-                for k in range(p, self.ambient_dim):
-                    if row[k]:
-                        v[k] -= c * row[k]
-        return not any(v)
+        return self.coordinates(v) is not None
 
     def coordinates(self, v):
         """Coordinates of v in the RREF basis, or None if v is outside.
 
         Valid because each basis row is the unique one with a nonzero entry
-        in its pivot column.
+        in its pivot column, and is zero before it.
         """
-        v = vec(v)
+        v = list(vec(v))
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatchError.of(self.ambient_dim, len(v))
         coords = tuple(v[p] for p in self.pivot_columns)
-        residual = list(v)
-        for c, row in zip(coords, self.basis):
+        for c, row, p in zip(coords, self.basis, self.pivot_columns):
             if c:
-                for k, x in enumerate(row):
-                    if x:
-                        residual[k] -= c * x
-        if any(residual):
+                for k in range(p, self.ambient_dim):
+                    if row[k]:
+                        v[k] -= c * row[k]
+        if any(v):
             return None
         return coords
 

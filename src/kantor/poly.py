@@ -4,10 +4,12 @@ engine.
 Monomial order is lexicographic with the declared variable order (first
 variable largest); that is what makes zero-dimensional bases triangular so
 rational points can be read off by univariate root search plus
-back-substitution.  The engine is guarded by hard budgets on the number of
-reduction steps (eliminated variables plus S-polynomial reductions) and on
-total degree: exceeding either raises BudgetExceededError, never silently
-degrades.
+back-substitution.  A basis is computed on one path: rounds of linear
+elimination, then Buchberger's S-pair loop, then inter-reduction.  The
+engine is guarded by hard budgets on the number of reduction steps
+(eliminated variables plus S-polynomial reductions) and on total degree:
+exceeding either raises BudgetExceededError, never silently degrades.  One
+reduction budget covers a basis and the root extraction from it.
 """
 
 from __future__ import annotations
@@ -253,27 +255,33 @@ def _divides(ea, eb):
 
 
 def normal_form(p: Poly, basis) -> Poly:
-    """Multivariate division remainder of p by the basis (lex order)."""
+    """Multivariate division remainder of p by the basis (lex order): the
+    leading term of what is left is cancelled by the first basis element
+    whose leading monomial divides it, or else moved to the remainder."""
     if not basis:
         return p
     aligned, merged = _common_variables([p] + list(basis))
-    p = aligned[0]
-    basis = [b for b in aligned[1:] if not b.is_zero()]
-    lead = [(b, *b.leading()) for b in basis]
-    remainder = Poly.zero(merged)
-    work = p
-    while not work.is_zero():
-        e, c = work.leading()
-        for b, eb, cb in lead:
+    lead = [(*b.leading(), b.terms) for b in aligned[1:] if b]
+    work = dict(aligned[0].terms)
+    remainder = {}
+    while work:
+        e = max(work)
+        c = work.pop(e)
+        for eb, cb, terms in lead:
             if _divides(eb, e):
-                shift = tuple(x - y for x, y in zip(e, eb))
-                factor = Poly(merged, {shift: c / cb})
-                work = work - factor * b
+                q = c / cb
+                for t, x in terms.items():
+                    if t != eb:
+                        k = tuple(a + b - d for a, b, d in zip(t, e, eb))
+                        v = work.get(k, F0) - q * x
+                        if v:
+                            work[k] = v
+                        else:
+                            del work[k]
                 break
         else:
-            remainder = remainder + Poly(merged, {e: c})
-            work = work - Poly(merged, {e: c})
-    return remainder
+            remainder[e] = c
+    return Poly(merged, remainder)
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:
@@ -298,8 +306,9 @@ class GroebnerBasis:
 
 @dataclass
 class _Budget:
-    """Reduction steps spent in one `buchberger` call: one per variable the
-    pre-pass eliminates and one per S-polynomial reduced."""
+    """Reduction steps spent on one pivot's solve: one per variable a linear
+    round eliminates and one per S-polynomial reduced, in the basis and in
+    every basis that root extraction computes after substituting a root."""
 
     max_reductions: int = MAX_REDUCTIONS
     max_degree: int = MAX_TOTAL_DEGREE
@@ -372,19 +381,6 @@ def _solve_linear(linear, variables, budget):
     }
 
 
-def _single_binding(gens):
-    """(generator, variable, value) for the first variable occurring in a
-    generator only as c*v with constant c, so that v = value there."""
-    for g in gens:
-        for vi, v in enumerate(g.variables):
-            lin = [e for e in g.terms if e[vi]]
-            if len(lin) == 1 and sum(lin[0]) == 1:  # v occurs only as c*v
-                e = lin[0]
-                rest = Poly(g.variables, {k: c for k, c in g.terms.items() if k != e})
-                return g, v, rest * (F1 / -g.terms[e])
-    return None
-
-
 def _substitute_all(p, values):
     for v in p.support_variables() & values.keys():
         p = p.substitute(v, values[v])
@@ -393,40 +389,32 @@ def _substitute_all(p, values):
 
 def _linear_prepass(gens, budget):
     """Eliminate the variables that the linear generators fix, round by
-    round.
+    round, until no generator of total degree <= 1 is left.
 
-    A round solves every generator of total degree <= 1 at once: an
-    inconsistent round means the ideal is (1); otherwise each pivot variable
-    is bound to its RREF row.  The bound values involve free variables only,
-    so each remaining generator is substituted into once per round, in any
-    order.  Only a round with no linear generator falls back to one
-    variable occurring in some generator only as c*v with constant c.  The
-    bindings join the generating set, so the ideal is unchanged; the budget
-    is charged one unit per eliminated variable.
+    A round solves every linear generator at once: an inconsistent round
+    means the ideal is (1); otherwise each pivot variable is bound to its
+    RREF row.  The bound values involve free variables only, so each
+    remaining generator is substituted into once per round, in any order.
+    The bindings join the generating set, so the ideal is unchanged; the
+    budget is charged one unit per eliminated variable.  Whatever is left
+    goes to the S-pair loop.
     """
     gens = _distinct(gens)
     bindings = []
     while gens:
         variables = gens[0].variables
         linear = [g for g in gens if g.total_degree() <= 1]
-        if linear:
-            values = _solve_linear(linear, variables, budget)
-            if values is None:
-                return [Poly.const(1, variables)]
-            gens = [g for g in gens if g.total_degree() > 1]
-        else:
-            single = _single_binding(gens)
-            if single is None:
-                break
-            g, v, value = single
-            budget.spend()
-            values = {v: value}
-            gens = [other for other in gens if other is not g]
+        if not linear:
+            break
+        values = _solve_linear(linear, variables, budget)
+        if values is None:
+            return [Poly.const(1, variables)]
         substituted = []
         for g in gens:
-            s = _substitute_all(g, values)
-            budget.check_degree(s)
-            substituted.append(s)
+            if g.total_degree() > 1:
+                s = _substitute_all(g, values)
+                budget.check_degree(s)
+                substituted.append(s)
         gens = _distinct(substituted)
         bindings = [_substitute_all(b, values) for b in bindings]
         bindings += [Poly.var(v, variables) - value for v, value in values.items()]
@@ -453,32 +441,18 @@ def _interreduce(gens):
     return sorted(gens, key=lambda g: g.leading()[0], reverse=True)
 
 
-def buchberger(generators, variables=(), max_reductions=MAX_REDUCTIONS, max_degree=MAX_TOTAL_DEGREE) -> GroebnerBasis:
-    """Reduced lexicographic Groebner basis of the given ideal.
-
-    Runs the linear pre-pass, then Buchberger's algorithm with
-    the coprime-leading-terms criterion, then inter-reduction.  Raises
-    BudgetExceededError when a guardrail trips.  `variables` fixes the
-    (lex) variable order explicitly; otherwise the union of the generators'
-    variables is used in first-seen order.
-    """
-    declared = tuple(variables)
-    polys = [p for p in generators if not p.is_zero()]
-    if not polys:
-        return GroebnerBasis(declared, ())
-    if declared:
-        polys = [p.extend(declared) for p in polys]
-        merged = declared
-    else:
-        polys, merged = _common_variables(polys)
-    budget = _Budget(max_reductions, max_degree)
+def _groebner(polys, variables, budget):
+    """Generators of the reduced lex basis of the nonzero `polys`, all over
+    `variables`, charging `budget`: the linear pre-pass, then Buchberger's
+    algorithm with the coprime-leading-terms criterion, then
+    inter-reduction."""
     for p in polys:
         budget.check_degree(p)
     basis = _linear_prepass(polys, budget)
     basis = [g.monic() for g in basis if not g.is_zero()]
     # Constant in the ideal: the whole ring; basis is just {1}.
     if any(g.is_constant() for g in basis):
-        return GroebnerBasis(merged, (Poly.const(1, merged),), budget.reductions)
+        return (Poly.const(1, variables),)
     pairs = list(combinations(range(len(basis)), 2))
     while pairs:
         i, j = pairs.pop(0)
@@ -493,12 +467,28 @@ def buchberger(generators, variables=(), max_reductions=MAX_REDUCTIONS, max_degr
             continue
         budget.check_degree(r)
         if r.is_constant():
-            return GroebnerBasis(merged, (Poly.const(1, merged),), budget.reductions)
+            return (Poly.const(1, variables),)
         basis.append(r.monic())
         k = len(basis) - 1
         pairs.extend((t, k) for t in range(k))
-    reduced = _interreduce(basis)
-    return GroebnerBasis(merged, tuple(g.extend(merged) for g in reduced), budget.reductions)
+    return tuple(g.extend(variables) for g in _interreduce(basis))
+
+
+def buchberger(generators, variables=(), max_reductions=MAX_REDUCTIONS, max_degree=MAX_TOTAL_DEGREE) -> GroebnerBasis:
+    """Reduced lexicographic Groebner basis of the given ideal.
+
+    Raises BudgetExceededError when a guardrail trips.  `variables` fixes
+    the (lex) variable order explicitly; otherwise the union of the
+    generators' variables is used in first-seen order.
+    """
+    polys = [p for p in generators if not p.is_zero()]
+    if variables:
+        variables = tuple(variables)
+        polys = [p.extend(variables) for p in polys]
+    else:
+        polys, variables = _common_variables(polys)
+    budget = _Budget(max_reductions, max_degree)
+    return GroebnerBasis(variables, _groebner(polys, variables, budget), budget.reductions)
 
 
 # -- rational solutions ------------------------------------------------------
@@ -524,6 +514,7 @@ class SolutionSet:
     variables: tuple
     points: tuple      # tuples of Fractions, aligned with `variables`
     unresolved: tuple  # UnresolvedComponent entries
+    reductions_used: int  # the basis's count plus root extraction's
 
 
 def _integer_divisors(n):
@@ -595,12 +586,13 @@ def univariate_rational_roots(coeffs):
     return sorted(roots), leftover
 
 
-def _solve_recursive(gens, variables, fixed, budget_kw):
-    gens = [g for g in gens if not g.is_zero()]
-    if any(g.is_constant() for g in gens):
+def _solve_recursive(basis, variables, fixed, budget):
+    """Points and unresolved components of a reduced lex basis in which the
+    coordinates `fixed` are already substituted."""
+    if any(g.is_constant() for g in basis):
         return [], []
     remaining = [v for v in variables if v not in dict(fixed)]
-    if not gens:
+    if not basis:
         if remaining:
             return [], [
                 UnresolvedComponent(
@@ -610,71 +602,58 @@ def _solve_recursive(gens, variables, fixed, budget_kw):
                 )
             ]
         return [dict(fixed)], []
-    if not remaining:
-        return [dict(fixed)], []
-    gb = buchberger(gens, **budget_kw)
-    gens = [g for g in gb if not g.is_zero()]
-    if any(g.is_constant() for g in gens):
-        return [], []
-    # eliminate from the lex-smallest variable upward
-    target = None
+    # eliminate from the lex-smallest variable upward; a reduced basis holds
+    # at most one generator in a single variable
     for v in reversed(remaining):
-        univ = [g for g in gens if g.support_variables() <= {v}]
+        univ = [g for g in basis if g.support_variables() <= {v}]
         if univ:
-            target = (v, univ)
             break
-    if target is None:
+    else:
         return [], [
             UnresolvedComponent(
                 "positive-dimensional",
                 tuple(fixed),
                 "no univariate eliminant; generators: "
-                + "; ".join(str(g) for g in gens),
+                + "; ".join(str(g) for g in basis),
             )
         ]
-    v, univ = target
-    vi = gb.variables.index(v) if v in gb.variables else None
-    # reduced GB has a single univariate generator per variable, but stay
-    # defensive and intersect root sets if several appear
-    root_sets = []
-    leftover_descriptor = None
-    for g in univ:
-        i = g.variables.index(v)
-        deg = g.degree_in(v)
-        coeffs = [F0] * (deg + 1)
-        for e, c in g.terms.items():
-            coeffs[e[i]] += c
-        roots, leftover = univariate_rational_roots(coeffs)
-        root_sets.append(set(roots))
-        if leftover:
-            leftover_descriptor = UnresolvedComponent(
-                "irrational-factor",
-                tuple(fixed),
-                f"{g} has a degree-{leftover} factor with no rational root",
-            )
-    roots = sorted(set.intersection(*root_sets))
+    (g,) = univ
+    i = g.variables.index(v)
+    coeffs = [F0] * (g.degree_in(v) + 1)
+    for e, c in g.terms.items():
+        coeffs[e[i]] += c
+    roots, leftover = univariate_rational_roots(coeffs)
     points, unresolved = [], []
-    if leftover_descriptor is not None:
-        unresolved.append(leftover_descriptor)
+    if leftover:
+        unresolved.append(UnresolvedComponent(
+            "irrational-factor",
+            tuple(fixed),
+            f"{g} has a degree-{leftover} factor with no rational root",
+        ))
     for r in roots:
-        sub = [g.substitute(v, Poly.const(r, g.variables)) for g in gens]
-        p, u = _solve_recursive(sub, variables, fixed + ((v, r),), budget_kw)
+        sub = [h.substitute(v, Poly.const(r, h.variables)) for h in basis]
+        sub_basis = _groebner([h for h in sub if h], variables, budget)
+        p, u = _solve_recursive(sub_basis, variables, fixed + ((v, r),), budget)
         points.extend(p)
         unresolved.extend(u)
     return points, unresolved
 
 
-def solve_rational(gb: GroebnerBasis, max_reductions=MAX_REDUCTIONS, max_degree=MAX_TOTAL_DEGREE) -> SolutionSet:
-    """All rational points of a (lex) Groebner basis.
+def solve_rational(gb: GroebnerBasis, max_reductions=MAX_REDUCTIONS) -> SolutionSet:
+    """All rational points of a reduced lex Groebner basis.
 
+    Solves from `gb` as given: takes the rational roots of its generator in
+    a single variable, the lex-smallest that has one, and for each root
+    computes the basis of the substituted generators and solves from that.  Those bases charge one budget that continues
+    from `gb.reductions_used`, so `max_reductions` caps the whole solve.
     Zero-dimensional triangular systems resolve completely; positive-
     dimensional or irrational components come back as unresolved
     descriptors, never guessed.
     """
-    budget_kw = {"max_reductions": max_reductions, "max_degree": max_degree}
-    points, unresolved = _solve_recursive(list(gb.generators), gb.variables, (), budget_kw)
+    budget = _Budget(max_reductions, reductions=gb.reductions_used)
+    points, unresolved = _solve_recursive(gb.generators, gb.variables, (), budget)
     pts = tuple(
         tuple(p.get(v, F0) for v in gb.variables)
         for p in points
     )
-    return SolutionSet(gb.variables, tuple(sorted(set(pts))), tuple(unresolved))
+    return SolutionSet(gb.variables, tuple(sorted(set(pts))), tuple(unresolved), budget.reductions)

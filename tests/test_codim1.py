@@ -96,6 +96,27 @@ def test_codim1_wn4_decided_at_default_budget():
     assert all([str(g) for g in c.groebner] == ["1"] for c in report.cases)
 
 
+def test_cubic_pivot_ideal_decided_within_the_degree_cap():
+    # a dim-5 algebra from a seeded random sweep; its pivot-5 ideal has 16
+    # cubic generators in a1..a4 and no linear one, so all of it goes to the
+    # S-pair loop, which finds 1 without passing degree 12
+    products = {
+        (0, 1): {3: -2}, (0, 2): {1: 1}, (1, 0): {2: -2}, (1, 1): {3: 1, 4: 1},
+        (1, 2): {3: 2, 4: 1}, (1, 3): {2: 2}, (1, 4): {3: 2}, (2, 0): {0: -1},
+        (2, 1): {1: 1, 2: -1}, (2, 3): {0: 2, 4: 2}, (2, 4): {1: 1}, (3, 0): {2: -2},
+        (3, 1): {2: -1}, (3, 4): {1: 2, 4: 1}, (4, 0): {1: -2, 2: 2},
+        (4, 2): {0: -2, 2: 1, 3: -2}, (4, 3): {0: 2}, (4, 4): {0: -1},
+    }
+    alg = Algebra.from_products(5, products)
+    variables, gens = pivot_system(alg, 5)
+    assert variables == ("a1", "a2", "a3", "a4")
+    assert len(gens) == 16 and all(g.total_degree() == 3 for g in gens)
+    case = codim1_subalgebras(alg).cases[4]
+    assert case.error is None
+    assert [str(g) for g in case.groebner] == ["1"]
+    assert case.solutions.points == () and case.solutions.unresolved == ()
+
+
 def test_codim1_budget_isolated_per_pivot(wn2):
     report = codim1_subalgebras(wn2, max_reductions=0)
     assert report.budget_errors

@@ -224,6 +224,15 @@ def test_subspace_coordinates_roundtrip():
     assert s.coordinates((0, 0, 1)) is None
 
 
+@pytest.mark.parametrize("v", [(1,), (1, 0, 0)])
+def test_subspace_coordinates_and_contains_check_the_length(v):
+    s = Subspace.full(2)
+    with pytest.raises(DimensionMismatchError):
+        s.coordinates(v)
+    with pytest.raises(DimensionMismatchError):
+        s.contains(v)
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=1, max_size=4),

@@ -108,8 +108,8 @@ def _sympy_groebner(gens, names):
 @settings(deadline=None, max_examples=30)
 @given(st.data())
 def test_buchberger_matches_sympy(data):
-    # degree-1 generators go through the pre-pass's elimination rounds, and
-    # ones like x + y^2 (x only as c*x) through its one-variable rule
+    # degree-1 generators go through the pre-pass's elimination rounds; ones
+    # like x + y^2 (x only as c*x) are not linear and go to the S-pair loop
     names = ("x", "y", "z")
     coeff = st.integers(-3, 3)
     exps = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
@@ -139,10 +139,32 @@ def test_buchberger_matches_sympy(data):
     assert got == expected
 
 
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_normal_form_by_a_basis_matches_sympy(data):
+    # by a Groebner basis the remainder is unique, whatever divisor each
+    # step picks, so sympy's division is an oracle for ours
+    names = ("x", "y")
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+    def poly():
+        terms = data.draw(st.dictionaries(exps, st.integers(-3, 3), min_size=1, max_size=4))
+        return Poly(names, {e: Fraction(c) for e, c in terms.items()})
+
+    gens = [poly() for _ in range(data.draw(st.integers(1, 2)))]
+    gb = buchberger(gens, variables=names, max_degree=40)  # the cap has its own test
+    if not gb.generators:
+        return
+    p = poly()
+    basis = [_as_sympy(g) for g in gb]
+    _, expected = sympy.reduced(_as_sympy(p), basis, *sympy.symbols(names), order="lex")
+    assert sympy.expand(_as_sympy(normal_form(p, list(gb))) - expected) == 0
+
+
 @pytest.mark.parametrize("gens", [
-    # a linear round, then the one-variable rule on y = -z^2, then a round
+    # a linear round; what it leaves, y + z^2 among them, goes to the S-pairs
     lambda x, y, z: [x - y + 1, y + z**2, z**2 + y + z, x * z - y],
-    # the one-variable rule first, then the linear generators it leaves
+    # no linear generator, though x occurs only as c*x in two of them
     lambda x, y, z: [x + y**2 - z, y**2 - 1 + x, z * y - y, z**2 - 1],
     # an inconsistent linear round
     lambda x, y, z: [x + y - 1, x + y - 2, x * y * z - 3],
@@ -164,15 +186,6 @@ def test_budget_charges_one_unit_per_eliminated_variable(k):
     assert buchberger(gens, variables=names, max_reductions=k).reductions_used == k
     with pytest.raises(BudgetExceededError):
         buchberger(gens, variables=names, max_reductions=k - 1)
-
-
-def test_budget_charges_the_one_variable_rule():
-    names = ("x", "y")
-    x, y = P("x", names), P("y", names)
-    gens = [x + y**2, y**3 - 1]  # no linear generator; x = -y^2 by the rule
-    assert buchberger(gens, variables=names).reductions_used == 1
-    with pytest.raises(BudgetExceededError):
-        buchberger(gens, variables=names, max_reductions=0)
 
 
 def test_inconsistency_with_nothing_eliminated_costs_nothing():
@@ -223,6 +236,23 @@ def test_solve_rational_line_component():
     sols = solve_rational(buchberger([x - y], variables=V))
     assert sols.points == ()
     assert sols.unresolved[0].kind == "positive-dimensional"
+
+
+def test_solve_rational_shares_the_budget():
+    # the basis costs 2 units and the bases after substituting the roots of
+    # x cost 2 more: one budget caps the whole solve
+    V = ("x", "y")
+    x, y = P("x", V), P("y", V)
+    gens = [(x - 1) * (x - 2) * (x - 3), y**2 - x * y - 1 + x]
+    for cap in (2, 3):
+        with pytest.raises(BudgetExceededError):
+            solve_rational(buchberger(gens, variables=V, max_reductions=cap), max_reductions=cap)
+    gb = buchberger(gens, variables=V, max_reductions=4)
+    sols = solve_rational(gb, max_reductions=4)
+    assert (gb.reductions_used, sols.reductions_used) == (2, 4)
+    assert sols.points == tuple(
+        (Fraction(a), Fraction(b)) for a, b in ((1, 0), (1, 1), (2, 1), (3, 1), (3, 2))
+    )
 
 
 def test_solutions_satisfy_generators():
