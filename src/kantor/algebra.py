@@ -4,12 +4,17 @@ An `Algebra` is a based rational vector space with a bilinear product given
 by the tensor c[i][j][k]: e_i e_j = sum_k c[i][j][k] e_k.  Nothing here
 assumes associativity, commutativity, or anything else about the product,
 so the same object doubles as an arbitrary bilinear map V x V -> V.
+
+`Algebra.mul_expanded` is the package's one product kernel: it multiplies
+vectors stored as {monomial: {coordinate: coefficient}} by walking the
+nonzero structure constants of `sparse_table`.  The identity evaluator
+multiplies generic (symbolic) vectors with it, and `mul_vec` is the same
+kernel on concrete coordinate vectors, at the constant monomial ().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import DimensionMismatchError, NotClosedError
@@ -32,6 +37,17 @@ from .linalg import (
 
 def default_names(n: int):
     return tuple(f"e{i + 1}" for i in range(n))
+
+
+def _prune(vector):
+    """Drop zero coefficients, then monomials left without coordinates."""
+    out = {}
+    for m, coords in vector.items():
+        if not all(coords.values()):
+            coords = {k: c for k, c in coords.items() if c}
+        if coords:
+            out[m] = coords
+    return out
 
 
 @dataclass(frozen=True)
@@ -71,9 +87,6 @@ class Algebra:
     def dim(self) -> int:
         return len(self.basis_names)
 
-    def c(self, i, j, k) -> Fraction:
-        return self.table[i][j][k]
-
     @cached_property
     def sparse_table(self) -> tuple:
         """sparse_table[i][j] lists (k, c_ijk) over the nonzero constants of
@@ -100,23 +113,38 @@ class Algebra:
             raise DimensionMismatchError.of(self.dim, len(coords))
         return Element(self, coords)
 
+    def mul_expanded(self, a, b):
+        """Product of two vectors stored as {monomial: {coordinate: coeff}}.
+
+        A monomial is a sorted tuple of symbol indices, so the product of
+        monomials m1 and m2 is sorted(m1 + m2); coefficients may be ints or
+        Fractions, and the result keeps only nonzero coefficients."""
+        table = self.sparse_table
+        out = {}
+        for m1, u in a.items():
+            for m2, v in b.items():
+                acc = out.setdefault(tuple(sorted(m1 + m2)), {})
+                for i, x in u.items():
+                    row = table[i]
+                    for j, y in v.items():
+                        outputs = row[j]
+                        if outputs:
+                            xy = x * y
+                            for k, c in outputs:
+                                acc[k] = acc.get(k, 0) + xy * c
+        return _prune(out)
+
     def mul_vec(self, x, y):
-        """Product of two coordinate vectors, as Fractions (the hot path;
-        walks the nonzero structure constants of `sparse_table`)."""
+        """Product of two coordinate vectors, as Fractions: `mul_expanded`
+        on the constant monomial ()."""
         n = self.dim
         if len(x) != n or len(y) != n:
             raise DimensionMismatchError.of(n, (len(x), len(y)))
+        u = {i: c for i, c in enumerate(x) if c}
+        v = {j: c for j, c in enumerate(y) if c}
         out = [F0] * n
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.sparse_table[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, ck in row[j]:
-                    out[k] += c * ck
+        for k, c in self.mul_expanded({(): u}, {(): v}).get((), {}).items():
+            out[k] = frac(c)
         return tuple(out)
 
     def multiply(self, x: "Element", y: "Element") -> "Element":
@@ -211,8 +239,8 @@ def two_sided_system(alg: Algebra) -> Matrix:
     rows = []
     for j in range(n):
         for k in range(n):
-            rows.append([alg.c(i, j, k) for i in range(n)])
-            rows.append([alg.c(j, i, k) for i in range(n)])
+            rows.append([alg.table[i][j][k] for i in range(n)])
+            rows.append([alg.table[j][i][k] for i in range(n)])
     return Matrix.from_rows(rows)
 
 

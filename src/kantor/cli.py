@@ -98,7 +98,7 @@ def _build_parser():
     command("show", "print an algebra's multiplication table")
     p = command("wn", "build the algebra of bilinear operations W(n)", algebra=False)
     p.add_argument("n", type=int)
-    p.add_argument("--table", action="store_true", help="print the table")
+    p.add_argument("--table", action="store_true", help="no effect: the table is always printed")
     p = command("fixture", "print a named fixture", algebra=False)
     p.add_argument("name")
     command("conservative", "decide conservativity and construct F", verdict=True)

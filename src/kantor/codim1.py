@@ -18,7 +18,7 @@ from math import gcd, lcm
 
 from .algebra import Algebra, verify_subalgebra
 from .errors import BudgetExceededError
-from .linalg import F0, F1, Matrix, Subspace, frac, nullspace
+from .linalg import F0, F1, Matrix, Subspace, nullspace
 from .poly import MAX_REDUCTIONS, Poly, buchberger, solve_rational
 
 
@@ -100,8 +100,7 @@ def pivot_system(alg: Algebra, p: int):
                 add(i, j, (i, j), table[q][q])
     generators = []
     for key in sorted(pending):
-        # the constants are ints where integral; normal_form divides
-        g = Poly(variables, {e: frac(c) for e, c in pending[key].items()})
+        g = Poly(variables, pending[key])
         if g:
             generators.append(g)
     return variables, tuple(generators)

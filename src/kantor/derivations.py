@@ -14,23 +14,17 @@ from dataclasses import dataclass
 
 from .algebra import Algebra
 from .errors import DimensionMismatchError
-from .linalg import F0, Matrix, Subspace, eliminate, unit_vec
+from .linalg import F0, Matrix, Subspace, eliminate
+from .multiops import MultilinearOp, kantor_bracket
 
 
 def is_derivation(alg: Algebra, d: Matrix) -> bool:
-    """Leibniz condition checked on every basis pair."""
+    """True iff [D, P] = D(xy) - (Dx)y - x(Dy) is the zero operation, P the
+    product of alg."""
     n = alg.dim
     if d.rows != n or d.cols != n:
         raise DimensionMismatchError.of(n, (d.rows, d.cols))
-    for i in range(n):
-        di = d.col(i)
-        for j in range(n):
-            lhs = d.apply(alg.table[i][j])
-            rhs = alg.mul_vec(di, unit_vec(n, j))
-            rhs2 = alg.mul_vec(unit_vec(n, i), d.col(j))
-            if lhs != tuple(a + b for a, b in zip(rhs, rhs2)):
-                return False
-    return True
+    return kantor_bracket(MultilinearOp.from_matrix(d), MultilinearOp.from_algebra(alg)).is_zero()
 
 
 def _derivation_system(alg: Algebra) -> list:

@@ -19,9 +19,10 @@ One evaluator expands every expression, over vectors stored as
 {monomial: {coordinate: coefficient}} (the sparse, packed-monomial layout
 of Monagan & Pearce, CASC 2007).  A monomial is the sorted tuple of the
 symbol indices it multiplies, where symbol t*n + i is coordinate i of the
-t-th free variable; a product walks the nonzero structure constants of
-`Algebra.sparse_table`, built once per algebra.  A concrete vector is the
-constant monomial (), so `evaluate_identity` runs the same code.
+t-th free variable.  Products go to `Algebra.mul_expanded`, the package's
+one product kernel, which walks the nonzero structure constants of
+`Algebra.sparse_table`.  A concrete vector is the constant monomial (), so
+`evaluate_identity` runs the same code.
 Coefficients stay Python ints while they are integral (exact, and far
 cheaper than Fraction).  Only the first nonzero coordinate of a failing
 defect becomes a `Poly` over Fractions, which supplies the witness.
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra
+from .algebra import Algebra, _prune
 from .errors import AlgebraFormatError, DimensionMismatchError, ExprSyntaxError, MissingBracketError
 from .linalg import F0, exact, frac
 from .poly import Poly
@@ -293,17 +294,6 @@ def identity(name, variables, source) -> Identity:
 # -- evaluation ---------------------------------------------------------------
 
 
-def _prune(vector):
-    """Drop zero coefficients, then monomials left without coordinates."""
-    out = {}
-    for m, coords in vector.items():
-        if not all(coords.values()):
-            coords = {k: c for k, c in coords.items() if c}
-        if coords:
-            out[m] = coords
-    return out
-
-
 def _scale(vector, coeff):
     return _prune({m: {k: coeff * c for k, c in coords.items()} for m, coords in vector.items()})
 
@@ -317,49 +307,30 @@ def _add(a, b):
     return _prune(out)
 
 
-def _multiply(a, b, table):
-    out = {}
-    for m1, u in a.items():
-        for m2, v in b.items():
-            acc = out.setdefault(tuple(sorted(m1 + m2)), {})
-            for i, x in u.items():
-                row = table[i]
-                for j, y in v.items():
-                    outputs = row[j]
-                    if outputs:
-                        xy = x * y
-                        for k, c in outputs:
-                            acc[k] = acc.get(k, 0) + xy * c
-    return _prune(out)
-
-
-def _eval(node, env, table, bracket_table):
+def _eval(node, env, alg, bracket):
     """Value of an expression over vectors {monomial: {coordinate: coeff}}."""
     if isinstance(node, Var):
         return env[node.name]
     if isinstance(node, Scale):
-        return _scale(_eval(node.arg, env, table, bracket_table), exact(node.coeff))
+        return _scale(_eval(node.arg, env, alg, bracket), exact(node.coeff))
     if not isinstance(node, (Add, Sub, Prod, Bracket)):
         raise TypeError(f"not an expression node: {node!r}")
-    if isinstance(node, Bracket) and bracket_table is None:
+    if isinstance(node, Bracket) and bracket is None:
         raise MissingBracketError("identity uses {,} but no bracket table was supplied")
-    a = _eval(node.left, env, table, bracket_table)
-    b = _eval(node.right, env, table, bracket_table)
+    a = _eval(node.left, env, alg, bracket)
+    b = _eval(node.right, env, alg, bracket)
     if isinstance(node, Add):
         return _add(a, b)
     if isinstance(node, Sub):
         return _add(a, _scale(b, -1))
-    return _multiply(a, b, table if isinstance(node, Prod) else bracket_table)
+    return (alg if isinstance(node, Prod) else bracket).mul_expanded(a, b)
 
 
 def _expand(alg: Algebra, ident: Identity, env, bracket: Algebra):
     """The defect of the identity over the vectors in `env`."""
-    bracket_table = None
-    if bracket is not None and ident.needs_bracket:
-        if bracket.dim != alg.dim:
-            raise DimensionMismatchError.of(alg.dim, bracket.dim)
-        bracket_table = bracket.sparse_table
-    return _eval(ident.expr, env, alg.sparse_table, bracket_table)
+    if bracket is not None and ident.needs_bracket and bracket.dim != alg.dim:
+        raise DimensionMismatchError.of(alg.dim, bracket.dim)
+    return _eval(ident.expr, env, alg, bracket)
 
 
 def evaluate_identity(alg: Algebra, ident: Identity, assignment, bracket: Algebra = None):

@@ -33,7 +33,7 @@ class Poly:
 
     def __init__(self, variables, terms=None):
         self.variables = tuple(variables)
-        self.terms = {e: c for e, c in (terms or {}).items() if c}
+        self.terms = {e: frac(c) for e, c in (terms or {}).items() if c}
 
     # -- constructors ----------------------------------------------------
 

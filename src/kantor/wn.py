@@ -131,20 +131,8 @@ def build_w2sym() -> Algebra:
 
 def w2sym_associated_F() -> MultilinearOp:
     """F(A,B) = (1/3)(2 A.B + B.A) on W2."""
-    alg = build_w2sym()
-    n = alg.dim
-    coeffs = {}
-    for a in range(n):
-        ea = unit_vec(n, a)
-        for b in range(n):
-            eb = unit_vec(n, b)
-            ab = alg.mul_vec(ea, eb)
-            ba = alg.mul_vec(eb, ea)
-            val = tuple(THIRD * (2 * x + y) for x, y in zip(ab, ba))
-            for k, c in enumerate(val):
-                if c:
-                    coeffs[((a, b), k)] = c
-    return MultilinearOp(2, n, coeffs)
+    p = MultilinearOp.from_algebra(build_w2sym())
+    return (p.scale(2) + p.transpose()).scale(THIRD)
 
 
 Z_LABELS = ("z1", "z2", "z3", "z4")

@@ -11,8 +11,9 @@ from fractions import Fraction
 
 from .algebra import Algebra, is_nilpotent4, two_sided_system
 from .errors import GateError
-from .linalg import F0, F1, Matrix, frac, solve_many, unit_vec
+from .linalg import F0, F1, Matrix, frac, solve_many
 from .identities import builtin_identities, check_suite
+from .multiops import MultilinearOp
 from .wn import build_h1, build_s2, build_w2sym, build_wn
 
 
@@ -153,16 +154,8 @@ def quasi_mutation(alg: Algebra, lam) -> Algebra:
     """a o b = lambda ab + (1 - lambda) ba on an associative algebra."""
     _gate(alg, "associative")
     lam = frac(lam)
-    mu = F1 - lam
-    n = alg.dim
-    table = tuple(
-        tuple(
-            tuple(lam * alg.c(i, j, k) + mu * alg.c(j, i, k) for k in range(n))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return Algebra(alg.basis_names, table)
+    p = MultilinearOp.from_algebra(alg)
+    return (p.scale(lam) + p.transpose().scale(F1 - lam)).as_algebra(alg.basis_names)
 
 
 def poisson_kantor_product(comm: Algebra, bracket: Algebra) -> Algebra:
@@ -173,15 +166,8 @@ def poisson_kantor_product(comm: Algebra, bracket: Algebra) -> Algebra:
     _gate(comm, "commutative")
     _gate(bracket, "lie")
     _gate(comm, "poisson_leibniz", bracket=bracket)
-    n = comm.dim
-    table = tuple(
-        tuple(
-            tuple(comm.c(i, j, k) + bracket.c(i, j, k) for k in range(n))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return Algebra(comm.basis_names, table)
+    total = MultilinearOp.from_algebra(comm) + MultilinearOp.from_algebra(bracket)
+    return total.as_algebra(comm.basis_names)
 
 
 def truncated_poisson_pair():
@@ -254,19 +240,15 @@ def validate_involution(alg: Algebra, sigma: Matrix):
 def structurable_twist(alg: Algebra, sigma: Matrix) -> Algebra:
     """x * y = xy + y(x - sigma(x)) on a unital algebra with involution."""
     validate_involution(alg, sigma)
-    n = alg.dim
-    table = []
-    for i in range(n):
-        ei = unit_vec(n, i)
-        delta = tuple(a - b for a, b in zip(ei, sigma.col(i)))
-        row = []
-        for j in range(n):
-            ej = unit_vec(n, j)
-            prod = alg.table[i][j]
-            extra = alg.mul_vec(ej, delta)
-            row.append(tuple(a + b for a, b in zip(prod, extra)))
-        table.append(tuple(row))
-    return Algebra(alg.basis_names, tuple(table))
+    p = MultilinearOp.from_algebra(alg)
+    pt = p.transpose()
+    # y sigma(x) = P^T(sigma x, y); its e_i slice is P^T with sigma(e_i) fixed.
+    y_sigma_x = {
+        ((i,) + inputs, k): c
+        for i in range(alg.dim)
+        for (inputs, k), c in pt.partial(sigma.col(i)).coeffs.items()
+    }
+    return (p + pt - MultilinearOp(2, alg.dim, y_sigma_x)).as_algebra(alg.basis_names)
 
 
 def transpose_involution_2x2() -> Matrix:

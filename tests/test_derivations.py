@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from kantor.algebra import Algebra
 from kantor.claims import (
     audit_derivations,
@@ -94,6 +96,29 @@ def test_derivation_basis_passes_leibniz(wn2, w2sym, s2, m7):
         der = derivation_algebra(alg)
         for d in der.basis:
             assert is_derivation(alg, d)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_is_derivation_is_membership_in_der(data):
+    # sparse constants leave Der(A) nonzero often; a random combination of
+    # its basis is a derivation, and one perturbed entry usually is not
+    n = data.draw(st.integers(1, 3))
+    constant = st.sampled_from([1, 0, 0, -1, 0, 2])
+    products = {
+        (i, j): {k: data.draw(constant) for k in range(n)} for i in range(n) for j in range(n)
+    }
+    alg = Algebra.from_products(n, products)
+    der = derivation_algebra(alg)
+    entries = [Fraction(0)] * (n * n)
+    for basis in der.basis:
+        c = data.draw(st.integers(-2, 2))
+        entries = [a + c * b for a, b in zip(entries, basis.flatten())]
+    if data.draw(st.booleans()):
+        pos = data.draw(st.integers(0, n * n - 1))
+        entries[pos] += data.draw(st.fractions(-2, 2, max_denominator=3).filter(bool))
+    d = Matrix(n, n, tuple(entries))
+    assert is_derivation(alg, d) == der.subspace.contains(d.flatten())
 
 
 def test_lie_closure(wn2):

@@ -31,6 +31,15 @@ def test_normal_form_basic():
     assert normal_form(x**2, [x]).is_zero()
 
 
+def test_integer_coefficients_are_coerced_to_fractions():
+    # normal_form divides by leading coefficients: int inputs must not
+    # leave it float quotients
+    remainder = normal_form(Poly(("x",), {(1,): 1}), [Poly(("x",), {(1,): 3, (0,): 1})])
+    assert remainder == Poly.const(Fraction(-1, 3), ("x",))
+    assert all(type(c) is Fraction for c in remainder.terms.values())
+    assert all(type(c) is Fraction for c in Poly(("x",), {(0,): 2, (1,): 0}).terms.values())
+
+
 def test_normal_form_evaluates_consistently_on_variety():
     V = ("x", "y")
     x, y = P("x", V), P("y", V)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kantor.algebra import Algebra
 from kantor.conservative import conservativity
@@ -50,6 +51,20 @@ def test_quasi_mutation_opposite_property(matrix2):
     # and mutating the opposite algebra at 1 - lambda undoes both swaps
     assert zoo.quasi_mutation(matrix2, lam).opposite().table == zoo.quasi_mutation(matrix2, 1 - lam).table
     assert zoo.quasi_mutation(matrix2.opposite(), 1 - lam).table == zoo.quasi_mutation(matrix2, lam).table
+
+
+@settings(deadline=None, max_examples=20)
+@given(k=st.sampled_from([2, 3]), lam=st.fractions(-3, 3, max_denominator=5))
+def test_quasi_mutation_mixes_the_product_and_its_opposite(k, lam):
+    alg = zoo.matrix_algebra(k)
+    mutated = zoo.quasi_mutation(alg, lam)
+    n = alg.dim
+    for i in range(n):
+        for j in range(n):
+            for m in range(n):
+                want = lam * alg.table[i][j][m] + (1 - lam) * alg.table[j][i][m]
+                assert mutated.table[i][j][m] == want
+    assert mutated.basis_names == alg.basis_names
 
 
 def test_quasi_mutation_requires_associative(sl2):
