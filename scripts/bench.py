@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """In-process timings of the symbolic identity expansion, the codim1
-sweep and the bracket-equation check, with the deterministic work behind
-them.
+sweep, the bracket-equation check and the linear solves over [., P], with
+the deterministic work behind them.
 
 Run from the repository root:  python scripts/bench.py LABEL
 
@@ -10,7 +10,10 @@ catalogue suite on W(3) and M(4), `codim1_subalgebras` of W(3), M(4),
 W(4) and W(5) and of RANDOM_COUNT seeded sparse random algebras of dim
 3-6 (these two a single run, their rows say so),
 `verify_associated(W(2), F, cross_check=True)` and
-`verify_associated(W(3), F)` at its default, F being `wn_associated_F`.
+`verify_associated(W(3), F)` at its default, F being `wn_associated_F`,
+`derivation_algebra` with `derived_series` on M(4), W(3), W(4) and W(5)
+(W(5) a single run), and `conservativity` and `jacobi_space` on M(4),
+W(3) and W(4).
 A row holds the median of its timed runs (RUNS unless the row's `runs`
 says otherwise), every run, and counters that must repeat exactly from run
 to run and, apart from `reductions_used` (counted in the budget's unit of
@@ -23,7 +26,10 @@ the same verdicts:
   and each pivot's whole spend, `SolutionSet.reductions_used` (the
   basis's reduction steps plus root extraction's), in total and, on the
   named algebras, per pivot;
-- verify_associated rows: the verdict.
+- verify_associated rows: the verdict;
+- derivations rows: dim Der(A) and its derived series;
+- conservativity rows: the verdict and the dimension of the kernel (the
+  Jacobi space); jacobi_space rows: its dimension.
 
 Timings on a small shared machine are noisy; compare two labels written on
 the same machine, and trust the counters over the clock.
@@ -44,7 +50,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from kantor import identities, zoo
 from kantor.algebra import Algebra
 from kantor.codim1 import codim1_subalgebras
-from kantor.conservative import verify_associated
+from kantor.conservative import conservativity, jacobi_space, verify_associated
+from kantor.derivations import derivation_algebra, derived_series
 from kantor.wn import build_wn, wn_associated_F
 
 RUNS = 5  # timed runs per row; the median is reported
@@ -68,6 +75,20 @@ def codim1_counters(rep):
         "reductions_used": sum(r for r in per_pivot if r),
         "reductions_per_pivot": per_pivot,
     }
+
+
+def derivations(alg):
+    da = derivation_algebra(alg)
+    return da, derived_series(da)
+
+
+def derivation_counters(result):
+    da, series = result
+    return {"dim": da.dim, "series": series}
+
+
+def conservativity_counters(verdict):
+    return {"conservative": verdict.conservative, "kernel_dim": verdict.kernel.dim}
 
 
 def random_algebras():
@@ -116,6 +137,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     algebras = {"W3": build_wn(3), "M4": zoo.matrix_algebra(4)}
+    w4, w5 = build_wn(4), build_wn(5)
     suites = [s for s in identities.CATALOG if not s.needs_bracket]
     rows = []
     for name, alg in algebras.items():
@@ -129,8 +151,8 @@ def main(argv=None):
             print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     for name, alg, runs in (
         *((name, alg, RUNS) for name, alg in algebras.items()),
-        ("W4", build_wn(4), RUNS),
-        ("W5", build_wn(5), 1),
+        ("W4", w4, RUNS),
+        ("W5", w5, 1),
     ):
         rows.append(row(f"codim1 {name}", lambda: codim1_subalgebras(alg), codim1_counters, runs=runs))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
@@ -152,6 +174,18 @@ def main(argv=None):
     ):
         rows.append(row(name, fn, lambda holds: {"holds": holds}))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+
+    structure = {"M4": algebras["M4"], "W3": algebras["W3"], "W4": w4}
+    for name, alg, runs in (*((name, alg, RUNS) for name, alg in structure.items()), ("W5", w5, 1)):
+        rows.append(row(f"derivations {name}", lambda: derivations(alg), derivation_counters, runs=runs))
+        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    for name, alg in structure.items():
+        for label, fn, counters in (
+            ("conservativity", conservativity, conservativity_counters),
+            ("jacobi_space", jacobi_space, lambda space: {"dim": space.dim}),
+        ):
+            rows.append(row(f"{label} {name}", lambda: fn(alg), counters))
+            print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
 
     totals = {
         f"identity {name} suites": round(sum(r["median_s"] for r in rows if r["name"].startswith(f"identity {name} ")), 4)

@@ -21,13 +21,13 @@ from .errors import DimensionMismatchError, NotClosedError
 from .linalg import (
     F0,
     Matrix,
-    nullspace,
     Subspace,
     add_vec,
     exact,
     frac,
     is_zero_vec,
     scale_vec,
+    solve_columns,
     solve_many,
     sub_vec,
     unit_vec,
@@ -230,23 +230,24 @@ def combination_document(coords, names) -> dict:
     return {name: str(c) for name, c in zip(names, coords) if c}
 
 
-def two_sided_system(alg: Algebra) -> Matrix:
-    """Matrix of x -> (x e_j, e_j x) for j = 1..n, one row per coordinate.
+def two_sided_columns(alg: Algebra) -> list:
+    """The columns of x -> (x e_j, e_j x)_j, for `linalg.solve_columns`.
 
-    Rows alternate: coordinate k of x e_j, then coordinate k of e_j x.
+    Column i holds the image of e_i: coordinate k of e_i e_j under the
+    label (j, 0, k) and coordinate k of e_j e_i under (j, 1, k).
     """
-    n = alg.dim
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([alg.table[i][j][k] for i in range(n)])
-            rows.append([alg.table[j][i][k] for i in range(n)])
-    return Matrix.from_rows(rows)
+    columns = [{} for _ in range(alg.dim)]
+    for i, row in enumerate(alg.sparse_table):
+        for j, outputs in enumerate(row):
+            for k, c in outputs:
+                columns[i][(j, 0, k)] = c
+                columns[j][(i, 1, k)] = c
+    return columns
 
 
 def annihilator(alg: Algebra) -> Subspace:
     """{x : x v = v x = 0 for every v}, via one linear solve over the basis."""
-    return nullspace(two_sided_system(alg))
+    return solve_columns(two_sided_columns(alg)).kernel()
 
 
 def closure_witness(alg: Algebra, s: Subspace):

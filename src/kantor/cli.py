@@ -349,6 +349,8 @@ def _closure(args, report):
 
 
 def _codim1(args, report):
+    if args.budget < 0:
+        raise _UsageError("--budget must be nonnegative")
     alg, _, fixture = _load_input(args, report)
     rep = codim1_subalgebras(alg, max_reductions=args.budget)
     cases = []
@@ -388,6 +390,8 @@ def _identity(args, report):
         raise _UsageError("--file takes the place of --name and --expr")
     if not args.file and bool(args.name) == bool(args.expr):
         raise _UsageError("identity needs exactly one of --name or --expr")
+    if args.vars is not None and not args.expr:
+        raise _UsageError("--vars applies only to --expr")
     if args.file:
         idents = (load_identity(args.file),)
     elif args.name:

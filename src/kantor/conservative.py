@@ -24,8 +24,8 @@ from .linalg import (
     AffineSolutionSet,
     Matrix,
     Subspace,
-    eliminate,
     infeasibility_certificate,
+    solve_columns,
     unit_vec,
 )
 from .multiops import MultilinearOp, kantor_bracket
@@ -44,32 +44,16 @@ def _bracket_matrix(alg: Algebra):
     return Matrix.from_cols([op.dense_vec() for op in columns]), P
 
 
-def _certificate(alg: Algebra, target: MultilinearOp):
-    """The dense right-hand side -target and its Fredholm certificate.
+def _certificate(alg: Algebra, rhs: MultilinearOp):
+    """The dense form of the right-hand side of [L_z, P] = rhs, and its
+    Fredholm certificate.
 
     Only an infeasible system reaches this, so only then is the dense
     matrix of the system built.
     """
     M, _ = _bracket_matrix(alg)
-    rhs = tuple(-x for x in target.dense_vec())
+    rhs = rhs.dense_vec()
     return rhs, infeasibility_certificate(M, rhs)
-
-
-def _bracket_system(columns, targets):
-    """Elimination of the sparse system [L_z, P] = -t for each target op t.
-
-    `columns[z]` is [L_{e_z}, P]; each equation is one coefficient key of a
-    bilinear operation, so the rows come straight from the `coeffs` dicts.
-    Target t sits in column len(columns) + its index.
-    """
-    rows = defaultdict(dict)
-    for z, op in enumerate(columns):
-        for key, c in op.coeffs.items():
-            rows[key][z] = c
-    for t, op in enumerate(targets, len(columns)):
-        for key, c in op.coeffs.items():
-            rows[key][t] = -c
-    return eliminate(rows.values(), len(columns))
 
 
 @dataclass(frozen=True)
@@ -107,15 +91,16 @@ def conservativity(alg: Algebra) -> ConservativityVerdict:
     """
     n = alg.dim
     _, L, inner = _bracket_columns(alg)
-    targets = [kantor_bracket(L[b], inner[a]) for a in range(n) for b in range(n)]
-    system = _bracket_system(inner, targets)
+    # [L_{F(a,b)}, P] = -[L_b, [L_a, P]] = [[L_a, P], L_b]
+    rhs = [kantor_bracket(inner[a], L[b]) for a in range(n) for b in range(n)]
+    system = solve_columns([op.coeffs for op in inner], [op.coeffs for op in rhs])
     kernel = system.kernel()
     coeffs = {}
     for idx in range(n * n):
         a, b = divmod(idx, n)
         sol = system.solution(n + idx)
         if sol is None:
-            witness = InfeasibilityWitness(a, b, *_certificate(alg, targets[idx]))
+            witness = InfeasibilityWitness(a, b, *_certificate(alg, rhs[idx]))
             return ConservativityVerdict(False, None, kernel, witness)
         for k, c in enumerate(sol):
             if c:
@@ -127,7 +112,7 @@ def conservativity(alg: Algebra) -> ConservativityVerdict:
 def jacobi_space(alg: Algebra) -> Subspace:
     """{a : [L_a, P] = 0}, i.e. elements whose left multiplication derives."""
     _, _, columns = _bracket_columns(alg)
-    return _bracket_system(columns, []).kernel()
+    return solve_columns([op.coeffs for op in columns]).kernel()
 
 
 def quasi_units(alg: Algebra) -> AffineSolutionSet:
@@ -137,9 +122,10 @@ def quasi_units(alg: Algebra) -> AffineSolutionSet:
     (when any exist) form a coset of it.
     """
     P, _, columns = _bracket_columns(alg)
-    system = _bracket_system(columns, [P])
+    rhs = -P
+    system = solve_columns([op.coeffs for op in columns], [rhs.coeffs])
     particular = system.solution(alg.dim)
-    certificate = None if particular is not None else _certificate(alg, P)[1]
+    certificate = None if particular is not None else _certificate(alg, rhs)[1]
     return AffineSolutionSet(particular, system.kernel(), certificate)
 
 

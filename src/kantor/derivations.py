@@ -1,10 +1,11 @@
 """Derivation algebras: solving the Leibniz equations and the induced Lie
 structure.
 
-A derivation is a linear map D with D(xy) = D(x)y + x D(y).  Writing the
-unknown matrix entries as a vector, the Leibniz condition on all basis
-pairs is one linear system (n^3 equations in n^2 unknowns); its kernel is
-Der(A).  Matrices act on coordinate columns: D(e_j) is column j.
+A derivation is a linear map D with [D, P] = D(xy) - D(x)y - x D(y) = 0,
+P the product.  D -> [D, P] is linear, with columns the [E_rs, P] over the
+matrix units; Der(A) is the kernel of that system (n^3 equations in n^2
+unknowns), and its Lie table is one more solve, of every commutator in the
+basis.  Matrices act on coordinate columns: D(e_j) is column j.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra
 from .errors import DimensionMismatchError
-from .linalg import F0, Matrix, Subspace, eliminate
+from .linalg import Matrix, Subspace, solve_columns
 from .multiops import MultilinearOp, kantor_bracket
 
 
@@ -27,34 +28,24 @@ def is_derivation(alg: Algebra, d: Matrix) -> bool:
     return kantor_bracket(MultilinearOp.from_matrix(d), MultilinearOp.from_algebra(alg)).is_zero()
 
 
-def _derivation_system(alg: Algebra) -> list:
-    """Rows of the Leibniz equations over the unknowns D[r][s] (row-major).
-
-    Unknown index r*n + s is the matrix entry D[r][s]; the equation for
-    basis pair (i, j) and output coordinate k reads
-
-        sum_s D[k][s] c_ijs  -  sum_r D[r][i] c_rjk  -  sum_r D[r][j] c_irk  = 0.
-
-    Each row is a sparse {unknown: coefficient} dict built from the nonzero
-    structure constants only, so an equation no constant touches never
-    appears.
+def _derivation_columns(alg: Algebra) -> list:
+    """The columns [E_rs, P] of D -> [D, P], column r*n + s for the entry
+    D[r][s], in closed form: each nonzero c_ijk and each t give +c at
+    ((i, j), t) in column t*n + k, -c at ((t, j), k) in column i*n + t and
+    -c at ((i, t), k) in column j*n + t, keyed as `kantor_bracket` keys its
+    coefficients.  Entries that cancel stay as zeros, which `eliminate`
+    drops.
     """
     n = alg.dim
-    nonzero = alg.sparse_table
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            eqs = defaultdict(lambda: defaultdict(lambda: F0))
-            for s, c in nonzero[i][j]:
-                for k in range(n):
-                    eqs[k][k * n + s] += c
-            for r in range(n):
-                for k, c in nonzero[r][j]:
-                    eqs[k][r * n + i] -= c
-                for k, c in nonzero[i][r]:
-                    eqs[k][r * n + j] -= c
-            rows.extend(eqs.values())
-    return rows
+    columns = [defaultdict(int) for _ in range(n * n)]
+    for i, row in enumerate(alg.sparse_table):
+        for j, outputs in enumerate(row):
+            for k, c in outputs:
+                for t in range(n):
+                    columns[t * n + k][((i, j), t)] += c
+                    columns[i * n + t][((t, j), k)] -= c
+                    columns[j * n + t][((i, t), k)] -= c
+    return columns
 
 
 @dataclass(frozen=True)
@@ -70,17 +61,20 @@ class DerivationAlgebra:
 
 
 def derivation_algebra(alg: Algebra) -> DerivationAlgebra:
+    """Der(A) as the kernel over the columns [E_rs, P], and its Lie table:
+    every [D_i, D_j] as a sparse `kantor_bracket`, all written in the basis
+    by one `solve_columns`."""
     n = alg.dim
-    ker = eliminate(_derivation_system(alg), n * n).kernel()
+    ker = solve_columns(_derivation_columns(alg)).kernel()
     basis = tuple(Matrix(n, n, v) for v in ker.basis)
     k = len(basis)
-    table = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            sol = ker.coordinates(basis[i].commutator(basis[j]).flatten())
-            if sol is None:
-                raise RuntimeError("derivation space not closed under commutator")
-            table[i][j] = sol
+    ops = [MultilinearOp.from_matrix(d) for d in basis]
+    brackets = [kantor_bracket(ops[i], ops[j]).coeffs for i in range(k) for j in range(k)]
+    system = solve_columns([op.coeffs for op in ops], brackets)
+    coords = [system.solution(k + idx) for idx in range(k * k)]
+    if None in coords:
+        raise RuntimeError("derivation space not closed under commutator")
+    table = [coords[i * k : (i + 1) * k] for i in range(k)]
     lie = Algebra.from_table(table, names=[f"D{i + 1}" for i in range(k)]) if k else Algebra.zero(0, [])
     return DerivationAlgebra(n, basis, ker, lie)
 

@@ -14,13 +14,15 @@ The canonical forms used everywhere else in the package are fixed here:
 Every elimination runs through one routine, `eliminate`: Gauss–Jordan
 elimination over sparse rows stored as ``{column: Fraction}`` dicts, which
 returns the unique RREF and so the same canonical forms whatever the
-storage.  The systems built from structure constants are almost all zeros
-(the Leibniz system of W(3) has 15615 nonzeros among 14.3M cells), so the
-derivation and conservativity solvers hand their rows to `eliminate`
-directly; `rref`, `nullspace`, `solve_many`, `solve_linear`,
-`infeasibility_certificate` and `Subspace` take dense input and run on the
-same routine.  A Fredholm certificate is the canonical solution of the
-transposed system, computed only when a system is infeasible.
+storage or row order.  Every system given by its columns, sparse
+``{equation label: coefficient}`` dicts, becomes rows in one builder,
+`solve_columns`.  Systems built from structure constants are almost all
+zeros (the Leibniz system of W(3) has 15615 nonzeros among 14.3M cells),
+so Der(A), its Lie table, conservativity, the Jacobi space, quasi-units
+and the two-sided annihilator and unit hand it sparse columns; `rref`,
+`nullspace`, `solve_many` and `solve_linear` hand it a dense matrix's.
+A Fredholm certificate is the canonical solution of the transposed
+system, computed only when a system is infeasible.
 """
 
 from __future__ import annotations
@@ -187,9 +189,6 @@ class Matrix:
             out.extend(acc)
         return Matrix(self.rows, other.cols, tuple(out))
 
-    def commutator(self, other: "Matrix") -> "Matrix":
-        return self @ other - other @ self
-
     def flatten(self) -> Vec:
         return self.entries
 
@@ -300,17 +299,30 @@ def _subspace(ambient_dim: int, rows) -> "Subspace":
     return Subspace(ambient_dim, tuple(_dense(r, ambient_dim) for r in e.rows), e.pivots)
 
 
+def solve_columns(columns, targets=()) -> Echelon:
+    """Elimination of ``sum_z x_z columns[z] = t`` for each target t.
+
+    Columns and targets are sparse ``{label: coefficient}`` dicts, a label
+    (any hashable) naming one equation.  Target t's canonical solution is
+    ``solution(len(columns) + t)``.
+    """
+    rows = {}
+    for z, column in enumerate(columns):
+        for label, c in column.items():
+            rows.setdefault(label, {})[z] = c
+    for t, target in enumerate(targets, len(columns)):
+        for label, c in target.items():
+            rows.setdefault(label, {})[t] = c
+    return eliminate(rows.values(), len(columns))
+
+
 def _augmented(a: Matrix, targets) -> Echelon:
     """Elimination of ``[a | t_0 t_1 ...]``, pivots confined to a."""
-    rows = [_sparse(a.row(i)) for i in range(a.rows)]
-    for j, t in enumerate(targets, a.cols):
-        t = vec(t)
+    targets = [vec(t) for t in targets]
+    for t in targets:
         if len(t) != a.rows:
             raise DimensionMismatchError.of(a.rows, len(t))
-        for i, x in enumerate(t):
-            if x:
-                rows[i][j] = x
-    return eliminate(rows, a.cols)
+    return solve_columns([_sparse(a.col(j)) for j in range(a.cols)], map(_sparse, targets))
 
 
 def rref(m: Matrix):

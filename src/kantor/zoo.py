@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Algebra, is_nilpotent4, two_sided_system
+from .algebra import Algebra, is_nilpotent4, two_sided_columns
 from .errors import GateError
-from .linalg import F0, F1, Matrix, frac, solve_many
+from .linalg import F0, F1, Matrix, frac, solve_columns
 from .identities import builtin_identities, check_suite
 from .multiops import MultilinearOp
 from .wn import build_h1, build_s2, build_w2sym, build_wn
@@ -207,10 +207,9 @@ def truncated_poisson_pair():
 
 def find_unit(alg: Algebra):
     """Coordinates of the two-sided unit, or None."""
-    n = alg.dim
-    # u e_j = e_j u = e_j: both rows of coordinate k of e_j ask for delta_jk
-    target = [F1 if j == k else F0 for j in range(n) for k in range(n) for _ in range(2)]
-    return solve_many(two_sided_system(alg), [target])[0]
+    # u e_j = e_j u = e_j: coordinate k of both products is delta_jk
+    target = {(j, side, j): F1 for j in range(alg.dim) for side in (0, 1)}
+    return solve_columns(two_sided_columns(alg), [target]).solution(alg.dim)
 
 
 def validate_involution(alg: Algebra, sigma: Matrix):

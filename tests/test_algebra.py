@@ -13,7 +13,7 @@ from kantor.algebra import (
     verify_subalgebra,
 )
 from kantor.errors import AlgebraFormatError, NotClosedError
-from kantor.linalg import Matrix, Subspace, unit_vec
+from kantor.linalg import Matrix, Subspace, nullspace, solve_many, unit_vec
 from kantor.multiops import MultilinearOp
 from kantor.storage import load_algebra_pair, parse_algebra_document, save_algebra
 from kantor.wn import XI_LABELS, Z_LABELS, w2sym_subspace
@@ -134,6 +134,47 @@ def test_partial_of_the_product_is_left_multiplication(data):
     x = tuple(data.draw(st.lists(rationals, min_size=alg.dim, max_size=alg.dim)))
     P = MultilinearOp.from_algebra(alg)
     assert P.partial(x) == MultilinearOp.from_matrix(alg.left_mul_operator(x))
+
+
+def _two_sided_matrix(alg):
+    """x -> (x e_j, e_j x)_j as a dense matrix read cell by cell from
+    alg.table: rows alternate coordinate k of x e_j and of e_j x."""
+    n = alg.dim
+    rows = []
+    for j in range(n):
+        for k in range(n):
+            rows.append([alg.table[i][j][k] for i in range(n)])
+            rows.append([alg.table[j][i][k] for i in range(n)])
+    return Matrix.from_rows(rows)
+
+
+def _dense_unit(alg):
+    n = alg.dim
+    target = [1 if j == k else 0 for j in range(n) for k in range(n) for _ in range(2)]
+    return solve_many(_two_sided_matrix(alg), [target])[0]
+
+
+@pytest.mark.parametrize("name", sorted(zoo.FIXTURES))
+def test_annihilator_matches_the_dense_two_sided_kernel_on_fixtures(name):
+    alg = zoo.fixture(name)
+    assert annihilator(alg) == nullspace(_two_sided_matrix(alg))
+    assert zoo.find_unit(alg) == _dense_unit(alg)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_two_sided_solves_match_the_dense_oracle(data):
+    # half the algebras get e1 as a two-sided unit, so find_unit is
+    # feasible as often as not
+    alg = _random_algebra(data, 4)
+    n = alg.dim
+    if data.draw(st.booleans()):
+        table = [list(row) for row in alg.table]
+        for j in range(n):
+            table[0][j] = table[j][0] = unit_vec(n, j)
+        alg = Algebra.from_table(table)
+    assert annihilator(alg) == nullspace(_two_sided_matrix(alg))
+    assert zoo.find_unit(alg) == _dense_unit(alg)
 
 
 def test_annihilator_zero_algebra():

@@ -196,6 +196,22 @@ def test_exit_budget(capsys):
     assert code == 69
 
 
+def test_negative_budget_exits_64(capsys):
+    code, out, err = run_cli(["--json", "codim1", "--fixture", "wn2", "--budget", "-1"], capsys)
+    assert code == 64
+    assert out == "" and "--budget must be nonnegative" in err
+
+
+@pytest.mark.parametrize("source", [["--name", "lie"], ["--file", "anti.json"]])
+def test_vars_without_expr_exits_64(source, tmp_path, capsys, monkeypatch):
+    (tmp_path / "anti.json").write_text('{"name": "anti", "vars": ["a", "b"], "zero": "a*b + b*a"}')
+    monkeypatch.chdir(tmp_path)
+    argv = ["--json", "identity", "--fixture", "sl2", *source, "--vars", "a,b"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 64
+    assert out == "" and "--vars applies only to --expr" in err
+
+
 def test_show_file_roundtrip(tmp_path, capsys):
     alg = zoo.fixture("s2")
     path = tmp_path / "s2.json"

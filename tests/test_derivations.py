@@ -10,6 +10,7 @@ from kantor.claims import (
 )
 from kantor.derivations import (
     DerivationAlgebra,
+    _derivation_columns,
     derivation_algebra,
     derived_series,
     inner_derivations,
@@ -17,6 +18,7 @@ from kantor.derivations import (
     is_solvable,
 )
 from kantor.linalg import Matrix, Subspace, unit_vec
+from kantor.multiops import MultilinearOp, kantor_bracket
 from kantor import zoo
 
 
@@ -119,6 +121,54 @@ def test_is_derivation_is_membership_in_der(data):
         entries[pos] += data.draw(st.fractions(-2, 2, max_denominator=3).filter(bool))
     d = Matrix(n, n, tuple(entries))
     assert is_derivation(alg, d) == der.subspace.contains(d.flatten())
+
+
+def _sparse_algebra(data, max_dim):
+    """At most 3n nonzero constants, so Der(A) is often non-abelian."""
+    n = data.draw(st.integers(1, max_dim))
+    index = st.integers(0, n - 1)
+    constant = st.sampled_from([1, -1, 2, Fraction(1, 2)])
+    products = {}
+    for _ in range(data.draw(st.integers(0, 3 * n))):
+        i, j, k = data.draw(index), data.draw(index), data.draw(index)
+        products.setdefault((i, j), {})[k] = data.draw(constant)
+    return Algebra.from_products(n, products)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_derivation_columns_are_the_brackets_with_the_matrix_units(data):
+    alg = _sparse_algebra(data, 4)
+    n = alg.dim
+    P = MultilinearOp.from_algebra(alg)
+    columns = _derivation_columns(alg)
+    for r in range(n):
+        for s in range(n):
+            e_rs = MultilinearOp(1, n, {((s,), r): 1})
+            column = {key: c for key, c in columns[r * n + s].items() if c}
+            assert column == kantor_bracket(e_rs, P).coeffs
+
+
+def _assert_lie_table_is_the_matrix_commutator(alg):
+    der = derivation_algebra(alg)
+    n = alg.dim
+    for i, di in enumerate(der.basis):
+        for j, dj in enumerate(der.basis):
+            combination = Matrix.zero(n, n)
+            for c, d in zip(der.lie.table[i][j], der.basis):
+                combination = combination + d.scale(c)
+            assert combination == di @ dj - dj @ di
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_lie_table_is_the_matrix_commutator_on_random_algebras(data):
+    _assert_lie_table_is_the_matrix_commutator(_sparse_algebra(data, 4))
+
+
+def test_lie_table_is_the_matrix_commutator(wn2, m7):
+    for alg in (zoo.matrix_algebra(3), m7, wn2):
+        _assert_lie_table_is_the_matrix_commutator(alg)
 
 
 def test_lie_closure(wn2):

@@ -142,7 +142,11 @@ def test_structurable_rejects_non_involution(matrix2):
 def test_find_unit(matrix2, sl2):
     unit = zoo.find_unit(matrix2)
     assert unit == zoo.matrix_unit(matrix2, 2)
+    m3 = zoo.matrix_algebra(3)
+    assert zoo.find_unit(m3) == zoo.matrix_unit(m3, 3)
     assert zoo.find_unit(sl2) is None
+    for name in ("slc2", "zero2"):
+        assert zoo.find_unit(zoo.fixture(name)) is None
 
 
 def test_matrix_algebra_associative(matrix2):
