@@ -12,8 +12,8 @@ W(4) and W(5) and of RANDOM_COUNT seeded sparse random algebras of dim
 `verify_associated(W(2), F, cross_check=True)` and
 `verify_associated(W(3), F)` at its default, F being `wn_associated_F`,
 `derivation_algebra` with `derived_series` on M(4), W(3), W(4) and W(5)
-(W(5) a single run), and `conservativity` and `jacobi_space` on M(4),
-W(3) and W(4).
+(W(5) a single run), and `conservativity`, `jacobi_space` and
+`quasi_units` on M(4), W(3) and W(4).
 A row holds the median of its timed runs (RUNS unless the row's `runs`
 says otherwise), every run, and counters that must repeat exactly from run
 to run and, apart from `reductions_used` (counted in the budget's unit of
@@ -29,7 +29,8 @@ the same verdicts:
 - verify_associated rows: the verdict;
 - derivations rows: dim Der(A) and its derived series;
 - conservativity rows: the verdict and the dimension of the kernel (the
-  Jacobi space); jacobi_space rows: its dimension.
+  Jacobi space); jacobi_space rows: its dimension; quasi_units rows:
+  whether a quasi-unit exists and the dimension of the kernel.
 
 Timings on a small shared machine are noisy; compare two labels written on
 the same machine, and trust the counters over the clock.
@@ -50,7 +51,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from kantor import identities, zoo
 from kantor.algebra import Algebra
 from kantor.codim1 import codim1_subalgebras
-from kantor.conservative import conservativity, jacobi_space, verify_associated
+from kantor.conservative import conservativity, jacobi_space, quasi_units, verify_associated
 from kantor.derivations import derivation_algebra, derived_series
 from kantor.wn import build_wn, wn_associated_F
 
@@ -89,6 +90,10 @@ def derivation_counters(result):
 
 def conservativity_counters(verdict):
     return {"conservative": verdict.conservative, "kernel_dim": verdict.kernel.dim}
+
+
+def quasi_unit_counters(solutions):
+    return {"feasible": solutions.feasible, "kernel_dim": solutions.kernel.dim}
 
 
 def random_algebras():
@@ -183,6 +188,7 @@ def main(argv=None):
         for label, fn, counters in (
             ("conservativity", conservativity, conservativity_counters),
             ("jacobi_space", jacobi_space, lambda space: {"dim": space.dim}),
+            ("quasi_units", quasi_units, quasi_unit_counters),
         ):
             rows.append(row(f"{label} {name}", lambda: fn(alg), counters))
             print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)

@@ -40,14 +40,7 @@ from .identities import (
     parse_expr,
     suite_holds,
 )
-from .linalg import (
-    AffineSolutionSet,
-    Matrix,
-    Subspace,
-    nullspace,
-    rref,
-    solve_linear,
-)
+from .linalg import AffineSolutionSet, Matrix, Subspace
 from .multiops import MultilinearOp, insertion_product, kantor_bracket
 from .poly import GroebnerBasis, Poly, buchberger, normal_form, solve_rational
 from .storage import load_algebra, load_algebra_pair, save_algebra

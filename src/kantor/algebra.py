@@ -28,7 +28,6 @@ from .linalg import (
     is_zero_vec,
     scale_vec,
     solve_columns,
-    solve_many,
     sub_vec,
     unit_vec,
     vec,
@@ -37,6 +36,11 @@ from .linalg import (
 
 def default_names(n: int):
     return tuple(f"e{i + 1}" for i in range(n))
+
+
+def _nonzero(coords) -> dict:
+    """The sparse {coordinate: coefficient} form of a coordinate vector."""
+    return {i: c for i, c in enumerate(coords) if c}
 
 
 def _prune(vector):
@@ -140,10 +144,8 @@ class Algebra:
         n = self.dim
         if len(x) != n or len(y) != n:
             raise DimensionMismatchError.of(n, (len(x), len(y)))
-        u = {i: c for i, c in enumerate(x) if c}
-        v = {j: c for j, c in enumerate(y) if c}
         out = [F0] * n
-        for k, c in self.mul_expanded({(): u}, {(): v}).get((), {}).items():
+        for k, c in self.mul_expanded({(): _nonzero(x)}, {(): _nonzero(y)}).get((), {}).items():
             out[k] = frac(c)
         return tuple(out)
 
@@ -299,17 +301,14 @@ def induced_algebra(alg: Algebra, s: Subspace, basis=None, names=None) -> Algebr
         if Subspace.from_spanning(alg.dim, rows) != s or len(rows) != s.dim:
             raise ValueError("supplied basis does not span the subspace")
     k = len(rows)
-    products = []
-    for i in range(k):
-        for j in range(k):
-            products.append(alg.mul_vec(rows[i], rows[j]))
-    coords = solve_many(Matrix.from_cols(rows), products)
+    products = [alg.mul_vec(a, b) for a in rows for b in rows]
+    system = solve_columns([_nonzero(r) for r in rows], [_nonzero(p) for p in products])
     table = [[None] * k for _ in range(k)]
-    for idx, sol in enumerate(coords):
+    for idx, product in enumerate(products):
         i, j = divmod(idx, k)
-        if sol is None:
-            raise NotClosedError(i, j, products[idx])
-        table[i][j] = sol
+        table[i][j] = system.solution(k + idx)
+        if table[i][j] is None:
+            raise NotClosedError(i, j, product)
     return Algebra.from_table(table, names)
 
 

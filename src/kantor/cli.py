@@ -400,7 +400,7 @@ def _identity(args, report):
             raise AlgebraFormatError(f"no builtin identity {args.name!r}")
         idents = catalog[args.name].identities
     else:
-        if args.vars:
+        if args.vars is not None:
             expr_vars = tuple(v.strip() for v in args.vars.split(","))
         else:
             expr_vars = tuple(sorted(free_variables(parse_expr(args.expr))))

@@ -18,7 +18,7 @@ from math import gcd, lcm
 
 from .algebra import Algebra, verify_subalgebra
 from .errors import BudgetExceededError
-from .linalg import F0, F1, Matrix, Subspace, nullspace
+from .linalg import F0, F1, Subspace
 from .poly import MAX_REDUCTIONS, Poly, buchberger, solve_rational
 
 
@@ -186,7 +186,7 @@ def grid_hyperplane_oracle(alg: Algebra, bound: int = 3):
         if prim in seen:
             continue
         seen.add(prim)
-        sub = nullspace(Matrix.from_rows([prim]))
+        sub = Subspace.from_spanning(alg.dim, [prim]).orthogonal_complement()
         if verify_subalgebra(alg, sub):
             found.append(sub)
     return found

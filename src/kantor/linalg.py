@@ -18,9 +18,10 @@ storage or row order.  Every system given by its columns, sparse
 ``{equation label: coefficient}`` dicts, becomes rows in one builder,
 `solve_columns`.  Systems built from structure constants are almost all
 zeros (the Leibniz system of W(3) has 15615 nonzeros among 14.3M cells),
-so Der(A), its Lie table, conservativity, the Jacobi space, quasi-units
-and the two-sided annihilator and unit hand it sparse columns; `rref`,
-`nullspace`, `solve_many` and `solve_linear` hand it a dense matrix's.
+so Der(A), its Lie table, conservativity, the Jacobi space, quasi-units,
+induced tables and the two-sided annihilator and unit hand it sparse
+columns.  A kernel of dense rows is the orthogonal complement of their
+span, `Subspace.from_spanning(n, rows).orthogonal_complement()`.
 A Fredholm certificate is the canonical solution of the transposed
 system, computed only when a system is infeasible.
 """
@@ -316,26 +317,6 @@ def solve_columns(columns, targets=()) -> Echelon:
     return eliminate(rows.values(), len(columns))
 
 
-def _augmented(a: Matrix, targets) -> Echelon:
-    """Elimination of ``[a | t_0 t_1 ...]``, pivots confined to a."""
-    targets = [vec(t) for t in targets]
-    for t in targets:
-        if len(t) != a.rows:
-            raise DimensionMismatchError.of(a.rows, len(t))
-    return solve_columns([_sparse(a.col(j)) for j in range(a.cols)], map(_sparse, targets))
-
-
-def rref(m: Matrix):
-    """Reduced row echelon form.
-
-    Returns ``(R, pivot_columns, rank)`` where R is the unique RREF of m.
-    """
-    e = _augmented(m, [])
-    rows = [_dense(r, m.cols) for r in e.rows]
-    rows += [zero_vec(m.cols)] * (m.rows - len(rows))
-    return Matrix(m.rows, m.cols, tuple(x for r in rows for x in r)), e.pivots, len(e.pivots)
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A linear subspace in canonical form.
@@ -410,11 +391,6 @@ class Subspace:
             raise DimensionMismatchError.of(self.ambient_dim, other.ambient_dim)
 
 
-def nullspace(m: Matrix) -> Subspace:
-    """Kernel of m, as a canonical Subspace of the column-coordinate space."""
-    return _augmented(m, []).kernel()
-
-
 @dataclass(frozen=True)
 class AffineSolutionSet:
     """Solutions of a linear system ``A x = b``.
@@ -443,17 +419,6 @@ class AffineSolutionSet:
         )
 
 
-def solve_many(a: Matrix, targets) -> list:
-    """Solve ``a x = t`` for many right-hand sides with one elimination.
-
-    Returns a list with, per target, the canonical particular solution
-    (free variables zero) or None when that target is infeasible.
-    """
-    targets = list(targets)
-    e = _augmented(a, targets)
-    return [e.solution(a.cols + j) for j in range(len(targets))]
-
-
 def infeasibility_certificate(a: Matrix, b) -> Vec:
     """A vector y with yᵀA = 0 and yᵀb = 1 (requires the system infeasible).
 
@@ -469,16 +434,3 @@ def infeasibility_certificate(a: Matrix, b) -> Vec:
     if sol is None:
         raise ValueError("system is feasible; no certificate exists")
     return sol
-
-
-def solve_linear(a: Matrix, b) -> AffineSolutionSet:
-    """Solve ``a x = b`` exactly, with one elimination when feasible.
-
-    Canonical output: the particular solution has zero in every free
-    coordinate, and the kernel comes back as a canonical Subspace.  When the
-    system is infeasible the result carries a Fredholm certificate instead.
-    """
-    e = _augmented(a, [b])
-    particular = e.solution(a.cols)
-    certificate = None if particular is not None else infeasibility_certificate(a, b)
-    return AffineSolutionSet(particular, e.kernel(), certificate)

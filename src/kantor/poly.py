@@ -349,7 +349,7 @@ def _distinct(gens):
     return out
 
 
-def _solve_linear(linear, variables, budget):
+def _linear_bindings(linear, variables, budget):
     """Solve the generators of degree <= 1 together with one `eliminate`.
 
     Returns {pivot variable: its value in the free variables}, read off the
@@ -406,7 +406,7 @@ def _linear_prepass(gens, budget):
         linear = [g for g in gens if g.total_degree() <= 1]
         if not linear:
             break
-        values = _solve_linear(linear, variables, budget)
+        values = _linear_bindings(linear, variables, budget)
         if values is None:
             return [Poly.const(1, variables)]
         substituted = []

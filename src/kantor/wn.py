@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .algebra import Algebra, induced_algebra, verify_subalgebra
 from .errors import NotClosedError
-from .linalg import F0, F1, Matrix, Subspace, nullspace, unit_vec
+from .linalg import F0, F1, Subspace, unit_vec
 from .multiops import MultilinearOp, kantor_bracket
 
 THIRD = Fraction(1, 3)
@@ -148,14 +148,10 @@ _Z_VECTORS = (
 
 def _xi_ops():
     """The xi basis as bilinear operations on the underlying 2-space."""
-    a = _alpha_op
-    return (
-        a(2, 0, 0, 0),
-        a(2, 0, 1, 0) + a(2, 1, 0, 0),
-        a(2, 1, 1, 0),
-        a(2, 0, 0, 1),
-        a(2, 0, 1, 1) + a(2, 1, 0, 1),
-        a(2, 1, 1, 1),
+    alphas = _wn_basis_ops(2)
+    return tuple(
+        sum((alphas[t].scale(c) for t, c in enumerate(v) if c), MultilinearOp.zero(2, 2))
+        for v in _XI_VECTORS
     )
 
 
@@ -165,7 +161,7 @@ def trace_zero_subspace() -> Subspace:
     rows = []
     for a in range(2):
         rows.append([sum((op.coeff((a, s), s) for s in range(2)), F0) for op in xi])
-    return nullspace(Matrix.from_rows(rows))
+    return Subspace.from_spanning(len(xi), rows).orthogonal_complement()
 
 
 def skew_invariance_subspace() -> Subspace:
@@ -188,7 +184,7 @@ def skew_invariance_subspace() -> Subspace:
                             s += form[y][out] * c
                     row.append(s)
                 rows.append(row)
-    return nullspace(Matrix.from_rows(rows))
+    return Subspace.from_spanning(len(xi), rows).orthogonal_complement()
 
 
 def build_s2() -> Algebra:

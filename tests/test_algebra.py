@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from kantor.algebra import (
@@ -10,10 +11,12 @@ from kantor.algebra import (
     generated_subalgebra,
     induced_algebra,
     is_nilpotent4,
+    two_sided_columns,
     verify_subalgebra,
 )
+from kantor.conservative import quasi_units
 from kantor.errors import AlgebraFormatError, NotClosedError
-from kantor.linalg import Matrix, Subspace, nullspace, solve_many, unit_vec
+from kantor.linalg import Matrix, Subspace, solve_columns, unit_vec
 from kantor.multiops import MultilinearOp
 from kantor.storage import load_algebra_pair, parse_algebra_document, save_algebra
 from kantor.wn import XI_LABELS, Z_LABELS, w2sym_subspace
@@ -137,7 +140,7 @@ def test_partial_of_the_product_is_left_multiplication(data):
 
 
 def _two_sided_matrix(alg):
-    """x -> (x e_j, e_j x)_j as a dense matrix read cell by cell from
+    """x -> (x e_j, e_j x)_j as a dense sympy matrix read cell by cell from
     alg.table: rows alternate coordinate k of x e_j and of e_j x."""
     n = alg.dim
     rows = []
@@ -145,19 +148,42 @@ def _two_sided_matrix(alg):
         for k in range(n):
             rows.append([alg.table[i][j][k] for i in range(n)])
             rows.append([alg.table[j][i][k] for i in range(n)])
-    return Matrix.from_rows(rows)
+    return sympy.Matrix(len(rows), n, [sympy.Rational(x.numerator, x.denominator) for r in rows for x in r])
+
+
+def _fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def _dense_kernel(alg):
+    """The kernel of the dense two-sided matrix, by sympy, in canonical
+    form: the RREF of any spanning set."""
+    vectors = _two_sided_matrix(alg).nullspace()
+    if not vectors:
+        return Subspace.zero(alg.dim)
+    canonical, pivots = sympy.Matrix.hstack(*vectors).T.rref()
+    return Subspace(alg.dim, tuple(tuple(map(_fraction, canonical.row(i))) for i in range(len(pivots))), tuple(pivots))
 
 
 def _dense_unit(alg):
+    """The canonical solution of the dense two-sided system for the unit
+    (free coordinates zero) by sympy's RREF of [A | b], or None."""
     n = alg.dim
     target = [1 if j == k else 0 for j in range(n) for k in range(n) for _ in range(2)]
-    return solve_many(_two_sided_matrix(alg), [target])[0]
+    a = _two_sided_matrix(alg)
+    reduced, pivots = a.row_join(sympy.Matrix(len(target), 1, target)).rref()
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for r, p in enumerate(pivots):
+        x[p] = _fraction(reduced[r, n])
+    return tuple(x)
 
 
 @pytest.mark.parametrize("name", sorted(zoo.FIXTURES))
 def test_annihilator_matches_the_dense_two_sided_kernel_on_fixtures(name):
     alg = zoo.fixture(name)
-    assert annihilator(alg) == nullspace(_two_sided_matrix(alg))
+    assert annihilator(alg) == _dense_kernel(alg)
     assert zoo.find_unit(alg) == _dense_unit(alg)
 
 
@@ -173,8 +199,30 @@ def test_two_sided_solves_match_the_dense_oracle(data):
         for j in range(n):
             table[0][j] = table[j][0] = unit_vec(n, j)
         alg = Algebra.from_table(table)
-    assert annihilator(alg) == nullspace(_two_sided_matrix(alg))
+    assert annihilator(alg) == _dense_kernel(alg)
     assert zoo.find_unit(alg) == _dense_unit(alg)
+
+
+@pytest.mark.parametrize("name", ["wn2", "matrix2", "sl2", "nilpotent4"])
+def test_public_results_hold_fractions_on_int_tables(name):
+    # sparse_table keeps integral constants as ints; every vector handed
+    # back across the public boundary holds Fractions all the same
+    alg = zoo.fixture(name)
+    n = alg.dim
+    assert any(type(c) is int for row in alg.sparse_table for p in row for _, c in p)
+    columns = two_sided_columns(alg)
+    system = solve_columns(columns, [columns[0]])
+    kernel = system.kernel()
+    spanned = Subspace.from_spanning(n, [[dict(p).get(k, 0) for k in range(n)] for row in alg.sparse_table for p in row])
+    induced = induced_algebra(alg, Subspace.full(n))
+    qu = quasi_units(alg)
+    vectors = [system.solution(n), *kernel.basis, *spanned.basis, *qu.kernel.basis]
+    vectors += [p for row in induced.table for p in row]
+    if name == "wn2":
+        assert qu.feasible
+    if qu.feasible:
+        vectors.append(qu.particular)
+    assert vectors and all(type(x) is Fraction for v in vectors for x in v)
 
 
 def test_annihilator_zero_algebra():

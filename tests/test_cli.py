@@ -380,6 +380,15 @@ def test_identity_variable_that_is_not_a_name_exits_65(tmp_path, capsys):
         assert out == "" and "is not a variable name" in err
 
 
+
+@pytest.mark.parametrize("variables", ["", " , "])
+def test_identity_empty_vars_exits_65(variables, capsys):
+    # an empty list is a list with an empty name, not an absent --vars
+    argv = ["--json", "identity", "--fixture", "sl2", "--expr", "a*b + b*a", "--vars", variables]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 65
+    assert out == "" and "'' is not a variable name" in err
+
 @pytest.mark.parametrize(
     "argv",
     [

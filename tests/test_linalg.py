@@ -10,11 +10,9 @@ from kantor.linalg import (
     Matrix,
     Subspace,
     dot,
+    eliminate,
     infeasibility_certificate,
-    nullspace,
-    rref,
-    solve_linear,
-    solve_many,
+    solve_columns,
     unit_vec,
     zero_vec,
 )
@@ -30,6 +28,30 @@ def small_matrices(max_dim=4):
             ).map(Matrix.from_rows)
         )
     )
+
+
+def _sparse(vectors):
+    return [{j: x for j, x in enumerate(v) if x} for v in vectors]
+
+
+def _columns(m):
+    return _sparse(map(m.col, range(m.cols)))
+
+
+def _echelon_form(m):
+    """``(R, pivot_columns, rank)`` from `eliminate`, R padded with zero rows
+    to the shape of m."""
+    e = eliminate(_sparse(m.row_list()), m.cols)
+    rows = [[r.get(j, Fraction(0)) for j in range(m.cols)] for r in e.rows]
+    rows += [zero_vec(m.cols)] * (m.rows - len(rows))
+    return Matrix(m.rows, m.cols, tuple(x for r in rows for x in r)), e.pivots, len(e.pivots)
+
+
+def _solve(m, targets):
+    """`solve_columns` over the columns of m: the Echelon, and per target its
+    canonical solution or None."""
+    e = solve_columns(_columns(m), _sparse(targets))
+    return e, [e.solution(m.cols + t) for t in range(len(targets))]
 
 
 def oracle_row_echelon_rank(rows):
@@ -59,7 +81,7 @@ def oracle_row_echelon_rank(rows):
 
 def test_rref_identity():
     m = Matrix.identity(2)
-    r, pivots, rank = rref(m)
+    r, pivots, rank = _echelon_form(m)
     assert r == m
     assert pivots == (0, 1)
     assert rank == 2
@@ -67,7 +89,7 @@ def test_rref_identity():
 
 def test_rref_proportional_rows():
     m = Matrix.from_rows([[1, 2], [2, 4]])
-    r, pivots, rank = rref(m)
+    r, pivots, rank = _echelon_form(m)
     assert r == Matrix.from_rows([[1, 2], [0, 0]])
     assert rank == 1
 
@@ -100,15 +122,15 @@ def test_rank_cross_checked_by_independent_elimination():
             for _ in range(2)
         ]
         rows = _derivation_system_rows(table)
-        _, _, rank = rref(Matrix.from_rows(rows))
+        rank = len(eliminate(_sparse(rows), 4).pivots)
         assert rank == oracle_row_echelon_rank(rows)
 
 
 @settings(deadline=None, max_examples=60)
 @given(small_matrices())
 def test_rref_idempotent_and_rank_matches_oracle(m):
-    r, pivots, rank = rref(m)
-    r2, pivots2, rank2 = rref(r)
+    r, pivots, rank = _echelon_form(m)
+    r2, pivots2, rank2 = _echelon_form(r)
     assert r == r2 and pivots == pivots2 and rank == rank2
     assert rank == oracle_row_echelon_rank(m.row_list())
 
@@ -116,35 +138,36 @@ def test_rref_idempotent_and_rank_matches_oracle(m):
 def test_solve_identity():
     a = Matrix.identity(3)
     b = (1, 2, 3)
-    sol = solve_linear(a, b)
-    assert sol.particular == tuple(Fraction(x) for x in b)
-    assert sol.kernel.dim == 0
+    e, (particular,) = _solve(a, [b])
+    assert particular == tuple(Fraction(x) for x in b)
+    assert e.kernel().dim == 0
 
 
 def test_solve_zero_system():
     a = Matrix.zero(2, 2)
-    sol = solve_linear(a, (0, 0))
-    assert sol.particular == (0, 0)
-    assert sol.kernel == Subspace.full(2)
+    e, (particular,) = _solve(a, [(0, 0)])
+    assert particular == (0, 0)
+    assert e.kernel() == Subspace.full(2)
 
 
 def test_solve_underdetermined():
     a = Matrix.from_rows([[1, 1]])
-    sol = solve_linear(a, (2,))
-    assert sol.particular == (2, 0)
-    assert sol.kernel.dim == 1
-    assert sol.kernel.contains((-1, 1))
+    e, (particular,) = _solve(a, [(2,)])
+    kernel = e.kernel()
+    assert particular == (2, 0)
+    assert kernel.dim == 1
+    assert kernel.contains((-1, 1))
     # substitution check
-    assert a.apply(sol.particular) == (2,)
-    for k in sol.kernel.basis:
+    assert a.apply(particular) == (2,)
+    for k in kernel.basis:
         assert a.apply(k) == (0,)
 
 
 def test_solve_infeasible_gives_certificate():
     a = Matrix.from_rows([[1, 0], [1, 0]])
-    sol = solve_linear(a, (1, 2))
-    assert not sol.feasible
-    y = sol.certificate
+    _, (particular,) = _solve(a, [(1, 2)])
+    assert particular is None
+    y = infeasibility_certificate(a, (1, 2))
     # y kills every column of a but pairs to 1 with the target
     for j in range(a.cols):
         assert dot(y, a.col(j)) == 0
@@ -160,30 +183,32 @@ def test_certificate_requires_infeasible():
 @given(small_matrices(), st.data())
 def test_solve_exactness(m, data):
     b = data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows))
-    sol = solve_linear(m, b)
-    if sol.feasible:
-        assert m.apply(sol.particular) == tuple(Fraction(x) for x in b)
-        for k in sol.kernel.basis:
+    e, (particular,) = _solve(m, [b])
+    if particular is not None:
+        assert m.apply(particular) == tuple(Fraction(x) for x in b)
+        for k in e.kernel().basis:
             assert m.apply(k) == (Fraction(0),) * m.rows
     else:
-        y = sol.certificate
+        y = infeasibility_certificate(m, b)
         for j in range(m.cols):
             assert dot(y, m.col(j)) == 0
         assert dot(y, b) == 1
 
 
-def test_solve_many_matches_solve_linear():
+def test_solve_columns_many_targets_match_one_at_a_time():
     a = Matrix.from_rows([[1, 2], [2, 4], [0, 1]])
     targets = [(1, 2, 0), (1, 2, 3), (0, 0, 1)]
-    many = solve_many(a, targets)
+    _, many = _solve(a, targets)
     for t, got in zip(targets, many):
-        single = solve_linear(a, t)
-        assert got == single.particular
+        _, (single,) = _solve(a, [t])
+        assert got == single
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        solve_linear(Matrix.identity(2), (1, 2, 3))
+        infeasibility_certificate(Matrix.identity(2), (1, 2, 3))
+    with pytest.raises(DimensionMismatchError):
+        Subspace.from_spanning(2, [(1, 2, 3)])
 
 
 def test_subspace_spanning_full():
@@ -259,7 +284,7 @@ def test_affine_same_set():
 
 def test_nullspace_orthogonal_complement_dimensions():
     m = Matrix.from_rows([[1, 1, 0], [0, 1, 1]])
-    ker = nullspace(m)
+    ker = Subspace.from_spanning(3, m.row_list()).orthogonal_complement()
     assert ker.dim == 1
     assert ker.contains((1, -1, 1))
 
@@ -299,7 +324,7 @@ def oracle_matrices(draw):
 @settings(deadline=None, max_examples=100)
 @given(oracle_matrices())
 def test_rref_matches_sympy(m):
-    r, pivots, rank = rref(m)
+    r, pivots, rank = _echelon_form(m)
     expected, expected_pivots = _sympy_matrix(m).rref()
     assert r.entries == _fractions(expected)
     assert (r.rows, r.cols) == (m.rows, m.cols)
@@ -309,7 +334,9 @@ def test_rref_matches_sympy(m):
 @settings(deadline=None, max_examples=100)
 @given(oracle_matrices())
 def test_nullspace_matches_sympy(m):
-    ker = nullspace(m)
+    # the kernel of the rows, both ways the package forms it
+    ker = Subspace.from_spanning(m.cols, m.row_list()).orthogonal_complement()
+    assert solve_columns(_columns(m)).kernel() == ker
     vectors = _sympy_matrix(m).nullspace()
     assert ker.dim == len(vectors)
     if vectors:
@@ -323,7 +350,7 @@ def test_nullspace_matches_sympy(m):
 
 @settings(deadline=None, max_examples=100)
 @given(oracle_matrices(), st.data())
-def test_solve_many_matches_sympy(m, data):
+def test_solve_columns_matches_sympy(m, data):
     # half the targets are images A x (feasible), the rest arbitrary
     targets = []
     for _ in range(data.draw(st.integers(0, 4))):
@@ -335,7 +362,7 @@ def test_solve_many_matches_sympy(m, data):
     sm = _sympy_matrix(m)
     _, pivots = sm.rref()
     free = [j for j in range(m.cols) if j not in pivots]
-    for t, x in zip(targets, solve_many(m, targets)):
+    for t, x in zip(targets, _solve(m, targets)[1]):
         column = sympy.Matrix(m.rows, 1, [sympy.Rational(c.numerator, c.denominator) for c in t])
         feasible = sympy.Matrix.hstack(sm, column).rank() == sm.rank()
         assert (x is not None) == feasible
