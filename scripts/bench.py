@@ -12,8 +12,11 @@ W(4) and W(5) and of RANDOM_COUNT seeded sparse random algebras of dim
 `verify_associated(W(2), F, cross_check=True)` and
 `verify_associated(W(3), F)` at its default, F being `wn_associated_F`,
 `derivation_algebra` with `derived_series` on M(4), W(3), W(4) and W(5)
-(W(5) a single run), and `conservativity`, `jacobi_space` and
-`quasi_units` on M(4), W(3) and W(4).
+(W(5) a single run), `conservativity`, `jacobi_space` and
+`quasi_units` on M(4), W(3) and W(4), `wn_associated_F` on W(3) and W(4),
+and, end to end, `cli.main(["--json", command, "--fixture", f])` for the
+commands `conservative`, `derivations`, `codim1` and `identity --name
+malcev` on the fixtures wn2, wn3, m7 and s2.
 A row holds the median of its timed runs (RUNS unless the row's `runs`
 says otherwise), every run, and counters that must repeat exactly from run
 to run and, apart from `reductions_used` (counted in the budget's unit of
@@ -30,13 +33,18 @@ the same verdicts:
 - derivations rows: dim Der(A) and its derived series;
 - conservativity rows: the verdict and the dimension of the kernel (the
   Jacobi space); jacobi_space rows: its dimension; quasi_units rows:
-  whether a quasi-unit exists and the dimension of the kernel.
+  whether a quasi-unit exists and the dimension of the kernel;
+- wn_associated_F rows: the number of nonzero coefficients of F;
+- CLI rows: the exit code and the SHA-256 of what the command printed.
 
 Timings on a small shared machine are noisy; compare two labels written on
 the same machine, and trust the counters over the clock.
 """
 
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import os
 import pathlib
@@ -48,7 +56,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from kantor import identities, zoo
+from kantor import cli, identities, zoo
 from kantor.algebra import Algebra
 from kantor.codim1 import codim1_subalgebras
 from kantor.conservative import conservativity, jacobi_space, quasi_units, verify_associated
@@ -94,6 +102,19 @@ def conservativity_counters(verdict):
 
 def quasi_unit_counters(solutions):
     return {"feasible": solutions.feasible, "kernel_dim": solutions.kernel.dim}
+
+
+def run_cli(argv):
+    """Exit code and captured stdout of one CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def cli_counters(result):
+    code, stdout = result
+    return {"exit": code, "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest()}
 
 
 def random_algebras():
@@ -191,6 +212,14 @@ def main(argv=None):
             ("quasi_units", quasi_units, quasi_unit_counters),
         ):
             rows.append(row(f"{label} {name}", lambda: fn(alg), counters))
+            print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    for n in (3, 4):
+        rows.append(row(f"wn_associated_F W{n}", lambda: wn_associated_F(n), lambda f: {"nnz": len(f.coeffs)}))
+        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    for command in (["conservative"], ["derivations"], ["codim1"], ["identity", "--name", "malcev"]):
+        for fixture_name in ("wn2", "wn3", "m7", "s2"):
+            argv = ["--json", command[0], "--fixture", fixture_name, *command[1:]]
+            rows.append(row(f"cli {' '.join(argv)}", lambda: run_cli(argv), cli_counters))
             print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
 
     totals = {

@@ -10,7 +10,6 @@ from .algebra import (
     closure_witness,
     generated_subalgebra,
     induced_algebra,
-    is_nilpotent4,
     verify_subalgebra,
 )
 from .codim1 import Codim1Report, codim1_subalgebras, pivot_system
@@ -37,6 +36,7 @@ from .identities import (
     builtin_identities,
     check_identity,
     check_suite,
+    is_nilpotent4,
     parse_expr,
     suite_holds,
 )

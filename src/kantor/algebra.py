@@ -252,6 +252,12 @@ def annihilator(alg: Algebra) -> Subspace:
     return solve_columns(two_sided_columns(alg)).kernel()
 
 
+def basis_products(alg: Algebra, rows) -> list:
+    """Every product of two of the rows; rows[i] rows[j] sits at index
+    i * len(rows) + j."""
+    return [alg.mul_vec(a, b) for a in rows for b in rows]
+
+
 def closure_witness(alg: Algebra, s: Subspace):
     """First basis product of s that leaves s, or None when s is closed."""
     if s.ambient_dim != alg.dim:
@@ -277,12 +283,7 @@ def generated_subalgebra(alg: Algebra, generators) -> Subspace:
     gens = [g.coords if isinstance(g, Element) else vec(g) for g in generators]
     current = Subspace.from_spanning(alg.dim, gens)
     while True:
-        extra = []
-        for bi in current.basis:
-            for bj in current.basis:
-                p = alg.mul_vec(bi, bj)
-                if not current.contains(p):
-                    extra.append(p)
+        extra = [p for p in basis_products(alg, current.basis) if not current.contains(p)]
         if not extra:
             return current
         current = Subspace.from_spanning(alg.dim, list(current.basis) + extra)
@@ -301,7 +302,7 @@ def induced_algebra(alg: Algebra, s: Subspace, basis=None, names=None) -> Algebr
         if Subspace.from_spanning(alg.dim, rows) != s or len(rows) != s.dim:
             raise ValueError("supplied basis does not span the subspace")
     k = len(rows)
-    products = [alg.mul_vec(a, b) for a in rows for b in rows]
+    products = basis_products(alg, rows)
     system = solve_columns([_nonzero(r) for r in rows], [_nonzero(p) for p in products])
     table = [[None] * k for _ in range(k)]
     for idx, product in enumerate(products):
@@ -310,28 +311,3 @@ def induced_algebra(alg: Algebra, s: Subspace, basis=None, names=None) -> Algebr
         if table[i][j] is None:
             raise NotClosedError(i, j, product)
     return Algebra.from_table(table, names)
-
-
-def is_nilpotent4(alg: Algebra) -> bool:
-    """True iff every 4-fold basis product vanishes, in all 5 bracketings."""
-    n = alg.dim
-    basis = [unit_vec(n, i) for i in range(n)]
-    m = alg.mul_vec
-    # Skip the two inner bracketings when the pair product is already zero.
-    pair = [[m(basis[i], basis[j]) for j in range(n)] for i in range(n)]
-    for a in range(n):
-        for b in range(n):
-            ab = pair[a][b]
-            for c in range(n):
-                for d in range(n):
-                    if any(m(m(ab, basis[c]), basis[d])):
-                        return False
-                    if any(m(ab, pair[c][d])):
-                        return False
-                    if any(m(m(basis[a], pair[b][c]), basis[d])):
-                        return False
-                    if any(m(basis[a], m(pair[b][c], basis[d]))):
-                        return False
-                    if any(m(basis[a], m(basis[b], pair[c][d]))):
-                        return False
-    return True

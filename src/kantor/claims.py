@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Algebra, closure_witness, format_combination
-from .linalg import F0, Matrix, Subspace, unit_vec
+from .linalg import Matrix, Subspace, unit_vec
 
 
 @dataclass(frozen=True)
@@ -27,13 +27,6 @@ class Erratum:
 
     def __str__(self):
         return f"[{self.subject}] recorded: {self.claim}; computed: {self.computed}"
-
-
-def _table_from_recorded(dim, recorded):
-    table = [[{} for _ in range(dim)] for _ in range(dim)]
-    for (i, j), combo in recorded.items():
-        table[i - 1][j - 1] = {k - 1: Fraction(c) for k, c in combo.items()}
-    return table
 
 
 # W(2) products, rows e1, e2, e5, e6 as printed; rows e3, e4, e7, e8 are
@@ -76,10 +69,11 @@ RECORDED_TABLES = {
 
 
 def recorded_algebra(name: str) -> Algebra:
+    """The recorded table of a fixture, as an algebra (labels 1-based)."""
     dim, recorded = RECORDED_TABLES[name]
-    table = _table_from_recorded(dim, recorded)
     products = {
-        (i, j): table[i][j] for i in range(dim) for j in range(dim) if table[i][j]
+        (i - 1, j - 1): {k - 1: Fraction(c) for k, c in combo.items()}
+        for (i, j), combo in recorded.items()
     }
     return Algebra.from_products(dim, products)
 
@@ -88,14 +82,14 @@ def audit_table(alg: Algebra, fixture_name: str):
     """Compare a computed multiplication table against the recorded one."""
     if fixture_name not in RECORDED_TABLES:
         return []
-    dim, recorded = RECORDED_TABLES[fixture_name]
+    recorded = recorded_algebra(fixture_name)
+    dim = recorded.dim
     errata = []
     if alg.dim != dim:
         return [Erratum(f"{fixture_name} table", f"dim {dim}", f"dim {alg.dim}")]
-    table = _table_from_recorded(dim, recorded)
     for i in range(dim):
         for j in range(dim):
-            expected = tuple(table[i][j].get(k, F0) for k in range(dim))
+            expected = recorded.table[i][j]
             got = alg.table[i][j]
             if got != expected:
                 errata.append(

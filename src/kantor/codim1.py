@@ -143,7 +143,7 @@ def codim1_subalgebras(alg: Algebra, max_reductions=MAX_REDUCTIONS) -> Codim1Rep
         variables, gens = pivot_system(alg, p)
         try:
             gb = buchberger(gens, variables=variables, max_reductions=max_reductions)
-            sols = solve_rational(gb, max_reductions=max_reductions)
+            sols = solve_rational(gb)
         except BudgetExceededError as exc:
             cases.append(PivotCase(p, variables, gens, None, None, (), exc))
             continue

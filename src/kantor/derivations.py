@@ -13,7 +13,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .algebra import Algebra
+from .algebra import Algebra, basis_products
+from .conservative import jacobi_space
 from .errors import DimensionMismatchError
 from .linalg import Matrix, Subspace, solve_columns
 from .multiops import MultilinearOp, kantor_bracket
@@ -75,7 +76,7 @@ def derivation_algebra(alg: Algebra) -> DerivationAlgebra:
     if None in coords:
         raise RuntimeError("derivation space not closed under commutator")
     table = [coords[i * k : (i + 1) * k] for i in range(k)]
-    lie = Algebra.from_table(table, names=[f"D{i + 1}" for i in range(k)]) if k else Algebra.zero(0, [])
+    lie = Algebra.from_table(table, names=[f"D{i + 1}" for i in range(k)])
     return DerivationAlgebra(n, basis, ker, lie)
 
 
@@ -83,13 +84,9 @@ def derived_series(da: DerivationAlgebra):
     """Dimensions of g, [g,g], [[g,g],[g,g]], ... until they stabilize."""
     lie = da.lie
     dims = [lie.dim]
-    current = Subspace.full(lie.dim) if lie.dim else Subspace.zero(0)
+    current = Subspace.full(lie.dim)
     while True:
-        products = []
-        for bi in current.basis:
-            for bj in current.basis:
-                products.append(lie.mul_vec(bi, bj))
-        nxt = Subspace.from_spanning(lie.dim, products)
+        nxt = Subspace.from_spanning(lie.dim, basis_products(lie, current.basis))
         if nxt.dim == current.dim:
             break
         dims.append(nxt.dim)
@@ -102,9 +99,8 @@ def is_solvable(da: DerivationAlgebra) -> bool:
 
 
 def inner_derivations(alg: Algebra) -> Subspace:
-    """{L_a : a in the Jacobi space}, as a subspace of n^2-vectors."""
-    from .conservative import jacobi_space
-
-    js = jacobi_space(alg)
-    vecs = [alg.left_mul_operator(v).flatten() for v in js.basis]
+    """{L_a : a in the Jacobi space}, as a subspace of n^2-vectors; L_a is
+    the product P with its first input fixed at a."""
+    p = MultilinearOp.from_algebra(alg)
+    vecs = [p.partial(v).as_matrix().flatten() for v in jacobi_space(alg).basis]
     return Subspace.from_spanning(alg.dim * alg.dim, vecs)

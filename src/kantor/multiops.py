@@ -8,7 +8,9 @@ coeffs maps (inputs, out) -> coefficient, meaning
 Arity 0 is an element, arity 1 a linear map, arity 2 a bilinear map (the
 same data as an Algebra's structure tensor).  `partial(x)` fixes the first
 input at a coordinate vector x; on the product P of an algebra, P.partial(x)
-is left multiplication L_x, the one construction of it in the package.
+is left multiplication L_x, the one construction of it in the package
+(`Algebra.left_mul_operator` stays as the dense reference that tests
+compare it against).
 
 The composition used throughout is the sign-free shuffle insertion: with
 p = arity(a) and q = arity(b) >= 1,
@@ -36,7 +38,7 @@ from collections import defaultdict
 from itertools import combinations
 from fractions import Fraction
 
-from .algebra import Algebra
+from .algebra import Algebra, default_names
 from .errors import DimensionMismatchError
 from .linalg import F0, F1, Matrix, frac, vec
 
@@ -116,8 +118,6 @@ class MultilinearOp:
             tuple(tuple(self.coeff((i, j), k) for k in range(n)) for j in range(n))
             for i in range(n)
         )
-        from .algebra import default_names
-
         return Algebra(tuple(names) if names else default_names(n), table)
 
     def dense_vec(self):

@@ -299,6 +299,7 @@ class GroebnerBasis:
     variables: tuple
     generators: tuple  # reduced, monic, sorted by leading monomial descending
     reductions_used: int = 0
+    max_reductions: int = MAX_REDUCTIONS  # the cap it was built under
 
     def __iter__(self):
         return iter(self.generators)
@@ -488,7 +489,7 @@ def buchberger(generators, variables=(), max_reductions=MAX_REDUCTIONS, max_degr
     else:
         polys, variables = _common_variables(polys)
     budget = _Budget(max_reductions, max_degree)
-    return GroebnerBasis(variables, _groebner(polys, variables, budget), budget.reductions)
+    return GroebnerBasis(variables, _groebner(polys, variables, budget), budget.reductions, max_reductions)
 
 
 # -- rational solutions ------------------------------------------------------
@@ -639,18 +640,20 @@ def _solve_recursive(basis, variables, fixed, budget):
     return points, unresolved
 
 
-def solve_rational(gb: GroebnerBasis, max_reductions=MAX_REDUCTIONS) -> SolutionSet:
+def solve_rational(gb: GroebnerBasis) -> SolutionSet:
     """All rational points of a reduced lex Groebner basis.
 
     Solves from `gb` as given: takes the rational roots of its generator in
     a single variable, the lex-smallest that has one, and for each root
-    computes the basis of the substituted generators and solves from that.  Those bases charge one budget that continues
-    from `gb.reductions_used`, so `max_reductions` caps the whole solve.
+    computes the basis of the substituted generators and solves from that.
+    Those bases charge one budget that continues from `gb.reductions_used`,
+    under the cap `gb.max_reductions` the basis was built under, so that one
+    cap bounds the whole solve.
     Zero-dimensional triangular systems resolve completely; positive-
     dimensional or irrational components come back as unresolved
     descriptors, never guessed.
     """
-    budget = _Budget(max_reductions, reductions=gb.reductions_used)
+    budget = _Budget(gb.max_reductions, reductions=gb.reductions_used)
     points, unresolved = _solve_recursive(gb.generators, gb.variables, (), budget)
     pts = tuple(
         tuple(p.get(v, F0) for v in gb.variables)

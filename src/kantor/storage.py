@@ -171,8 +171,8 @@ def save_algebra(alg: Algebra, path, bracket: Algebra = None):
 def load_linear_map(path, expected_dim=None) -> Matrix:
     """Load an n x n map from {"dim": n, "matrix": [["p/q", ...], ...]}.
 
-    matrix[i][j] is the coefficient of e_i in the image of e_j (column
-    action, matching LinearMap conventions elsewhere).
+    matrix[i][j] is the coefficient of e_i in the image of e_j, the
+    column action of `linalg.Matrix`: column j holds the image of e_j.
     """
     doc = read_json(path)
     if not isinstance(doc, dict) or "matrix" not in doc:

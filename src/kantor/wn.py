@@ -83,21 +83,16 @@ def build_wn(n: int) -> Algebra:
 
 
 def wn_associated_F(n: int) -> MultilinearOp:
-    """F(A,B) = (1/3)(A* . B + B~ . A) with A* = A + A^T, B~ = 2B^T - B."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    ops = _wn_basis_ops(n)
-    dim = len(ops)
-    coeffs = {}
-    for ai, A in enumerate(ops):
-        a_star = A + A.transpose()
-        for bi, B in enumerate(ops):
-            b_tilde = B.transpose().scale(2) - B
-            val = (wn_product(a_star, B) + wn_product(b_tilde, A)).scale(THIRD)
-            for k, c in enumerate(_op_coords(val)):
-                if c:
-                    coeffs[((ai, bi), k)] = c
-    return MultilinearOp(2, dim, coeffs)
+    """F(A,B) = (1/3)(A* . B + B~ . A) with A* = A + A^T, B~ = 2B^T - B.
+
+    With P(A, B) = A . B, the product of W(n), and Q(A, B) = A^T . B, this
+    is (P + Q + (2Q - P)^T) / 3, where ^T swaps F's two inputs.  Q is P
+    with its first input relabelled by A -> A^T, the swap a_ij^k <-> a_ji^k.
+    """
+    p = MultilinearOp.from_algebra(build_wn(n))
+    swap = [(k * n + j) * n + i for k in range(n) for i in range(n) for j in range(n)]
+    q = MultilinearOp(2, p.dim, {((swap[a], b), k): c for ((a, b), k), c in p.coeffs.items()})
+    return (p + q + (q.scale(2) - p).transpose()).scale(THIRD)
 
 
 # The symmetrized basis of the commutative-operations subspace of W(2):

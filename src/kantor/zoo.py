@@ -9,17 +9,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Algebra, is_nilpotent4, two_sided_columns
+from .algebra import Algebra, two_sided_columns
 from .errors import GateError
 from .linalg import F0, F1, Matrix, frac, solve_columns
-from .identities import builtin_identities, check_suite
+from .identities import NILPOTENT4, builtin_identities, check_suite
 from .multiops import MultilinearOp
 from .wn import build_h1, build_s2, build_w2sym, build_wn
 
 
+_GATES = {**builtin_identities(), NILPOTENT4.name: NILPOTENT4}
+
+
 def _gate(alg: Algebra, suite_name: str, bracket: Algebra = None):
-    suite = builtin_identities()[suite_name]
-    for verdict in check_suite(alg, suite, bracket):
+    for verdict in check_suite(alg, _GATES[suite_name], bracket):
         if not verdict.holds:
             raise GateError(verdict.identity.name, f"witness {verdict.witness.assignment}")
 
@@ -92,8 +94,7 @@ def jordan_sym2() -> Algebra:
 def nilpotent4_example() -> Algebra:
     """dim 3, e1 e1 = e2, e1 e2 = e2 e1 = e3, everything else zero."""
     alg = Algebra.from_products(3, {(0, 0): {1: 1}, (0, 1): {2: 1}, (1, 0): {2: 1}})
-    if not is_nilpotent4(alg):  # pragma: no cover - structural fact
-        raise GateError("nilpotent4")
+    _gate(alg, "nilpotent4")
     return alg
 
 

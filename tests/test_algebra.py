@@ -10,12 +10,12 @@ from kantor.algebra import (
     closure_witness,
     generated_subalgebra,
     induced_algebra,
-    is_nilpotent4,
     two_sided_columns,
     verify_subalgebra,
 )
 from kantor.conservative import quasi_units
 from kantor.errors import AlgebraFormatError, NotClosedError
+from kantor.identities import is_nilpotent4
 from kantor.linalg import Matrix, Subspace, solve_columns, unit_vec
 from kantor.multiops import MultilinearOp
 from kantor.storage import load_algebra_pair, parse_algebra_document, save_algebra

@@ -20,6 +20,7 @@ from kantor.identities import (
     evaluate_identity,
     free_variables,
     identity,
+    is_nilpotent4,
     parse_expr,
     suite_holds,
 )
@@ -292,3 +293,56 @@ def test_expansion_agrees_with_sympy_on_the_truncated_poisson_pair(ident):
     comm, bracket = zoo.truncated_poisson_pair()
     for alg in (comm, zoo.poisson_kantor_product(comm, bracket), bracket):
         _assert_agrees_with_sympy(alg, ident, bracket)
+
+
+def _nilpotent4_by_enumeration(alg):
+    """Brute-force reference for `is_nilpotent4`: every 4-fold product of
+    basis vectors, in all 5 bracketings, multiplied out through `mul_vec`."""
+    n = alg.dim
+    basis = [unit_vec(n, i) for i in range(n)]
+    m = alg.mul_vec
+    pair = [[m(basis[i], basis[j]) for j in range(n)] for i in range(n)]
+    for a in range(n):
+        for b in range(n):
+            ab = pair[a][b]
+            for c in range(n):
+                for d in range(n):
+                    if any(m(m(ab, basis[c]), basis[d])):
+                        return False
+                    if any(m(ab, pair[c][d])):
+                        return False
+                    if any(m(m(basis[a], pair[b][c]), basis[d])):
+                        return False
+                    if any(m(basis[a], m(pair[b][c], basis[d]))):
+                        return False
+                    if any(m(basis[a], m(basis[b], pair[c][d]))):
+                        return False
+    return True
+
+
+_SPARSE_CONSTANTS = st.sampled_from([0] * 8 + [1, -1, 2])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_is_nilpotent4_matches_the_enumeration(data):
+    # sparse random tables are mostly not nilpotent; strictly triangular ones
+    # (e_i e_j in the span of the e_k with k > max(i, j)) always are up to
+    # dim 3 and need not be from dim 4 on
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(1, 4))
+        table = [[[data.draw(_SPARSE_CONSTANTS) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    else:
+        n = data.draw(st.integers(2, 6))
+        table = [
+            [[data.draw(_SPARSE_CONSTANTS) if k > max(i, j) else 0 for k in range(n)] for j in range(n)]
+            for i in range(n)
+        ]
+    alg = Algebra.from_table(table)
+    assert is_nilpotent4(alg) == _nilpotent4_by_enumeration(alg)
+
+
+def test_is_nilpotent4_matches_the_enumeration_on_fixtures():
+    for name in sorted(zoo.FIXTURES):
+        alg = zoo.fixture(name)
+        assert is_nilpotent4(alg) == _nilpotent4_by_enumeration(alg), name

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from kantor.errors import BudgetExceededError
 from kantor.poly import (
+    MAX_REDUCTIONS,
     Poly,
     buchberger,
     normal_form,
@@ -255,13 +256,26 @@ def test_solve_rational_shares_the_budget():
     gens = [(x - 1) * (x - 2) * (x - 3), y**2 - x * y - 1 + x]
     for cap in (2, 3):
         with pytest.raises(BudgetExceededError):
-            solve_rational(buchberger(gens, variables=V, max_reductions=cap), max_reductions=cap)
+            solve_rational(buchberger(gens, variables=V, max_reductions=cap))
     gb = buchberger(gens, variables=V, max_reductions=4)
-    sols = solve_rational(gb, max_reductions=4)
+    sols = solve_rational(gb)
     assert (gb.reductions_used, sols.reductions_used) == (2, 4)
     assert sols.points == tuple(
         (Fraction(a), Fraction(b)) for a, b in ((1, 0), (1, 1), (2, 1), (3, 1), (3, 2))
     )
+
+
+def test_solve_rational_takes_its_cap_from_the_basis():
+    # the basis fits a cap of 2; root extraction trips on its third step
+    V = ("x", "y")
+    x, y = P("x", V), P("y", V)
+    gens = [(x - 1) * (x - 2) * (x - 3), y**2 - x * y - 1 + x]
+    assert buchberger(gens, variables=V).max_reductions == MAX_REDUCTIONS
+    gb = buchberger(gens, variables=V, max_reductions=2)
+    assert (gb.max_reductions, gb.reductions_used) == (2, 2)
+    with pytest.raises(BudgetExceededError) as trip:
+        solve_rational(gb)
+    assert trip.value.reductions == 3
 
 
 def test_solutions_satisfy_generators():

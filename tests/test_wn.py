@@ -20,6 +20,7 @@ from kantor.wn import (
     w2sym_subspace,
     wn_associated_F,
     wn_basis_labels,
+    wn_product,
 )
 
 
@@ -198,3 +199,29 @@ def test_wn4_conservative_and_formula_f_agrees_up_to_the_kernel():
         for b in range(64):
             diff = sub_vec(verdict.f.apply_basis((a, b)), formula.apply_basis((a, b)))
             assert verdict.kernel.contains(diff), (a, b)
+
+
+def _associated_F_by_pairs(n):
+    """Per-pair reference for `wn_associated_F`: F(A, B) = (1/3)(A* . B +
+    B~ . A), with A* = A + A^T and B~ = 2B^T - B, bracketed one pair of
+    basis operations a_ij^k at a time through `wn_product`."""
+    ops = [
+        MultilinearOp(2, n, {((i, j), k): F1})
+        for k in range(n)
+        for i in range(n)
+        for j in range(n)
+    ]
+    coeffs = {}
+    for ai, A in enumerate(ops):
+        a_star = A + A.transpose()
+        for bi, B in enumerate(ops):
+            b_tilde = B.transpose().scale(2) - B
+            value = (wn_product(a_star, B) + wn_product(b_tilde, A)).scale(Fraction(1, 3))
+            for ((i, j), k), c in value.coeffs.items():
+                coeffs[((ai, bi), (k * n + i) * n + j)] = c
+    return MultilinearOp(2, len(ops), coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_wn_associated_F_matches_the_per_pair_formula(n):
+    assert wn_associated_F(n) == _associated_F_by_pairs(n)

@@ -102,6 +102,15 @@ def test_poisson_rejects_bad_bracket():
     assert err.value.check == "poisson_leibniz"
 
 
+def test_nilpotent4_gate_names_the_failing_bracketing():
+    # e1 e1 = e2, e2 e2 = e3: of the 4-fold products only (e1 e1)(e1 e1) is nonzero
+    alg = Algebra.from_products(3, {(0, 0): {1: 1}, (1, 1): {2: 1}})
+    with pytest.raises(GateError) as err:
+        zoo._gate(alg, "nilpotent4")
+    assert err.value.check == "(a*b)*(c*d)"
+    assert "witness" in str(err.value)
+
+
 def test_structurable_identity_involution():
     # the identity map is an involution only of a commutative algebra;
     # there the twist changes nothing (x - conj(x) = 0)
