@@ -14,9 +14,11 @@ W(4) and W(5) and of RANDOM_COUNT seeded sparse random algebras of dim
 `derivation_algebra` with `derived_series` on M(4), W(3), W(4) and W(5)
 (W(5) a single run), `conservativity`, `jacobi_space` and
 `quasi_units` on M(4), W(3) and W(4), `wn_associated_F` on W(3) and W(4),
-and, end to end, `cli.main(["--json", command, "--fixture", f])` for the
-commands `conservative`, `derivations`, `codim1` and `identity --name
-malcev` on the fixtures wn2, wn3, m7 and s2.
+`is_nilpotent4` on W(3) and on the nilpotent4 fixture, and, end to end,
+`cli.main(["--json", command, "--fixture", f])` for the commands
+`conservative`, `derivations`, `codim1` and `identity --name malcev` on
+the fixtures wn2, wn3, m7 and s2, and `cli.main(["--json", "fixture",
+"zero2"])`, whose time is the fixed cost of one call.
 A row holds the median of its timed runs (RUNS unless the row's `runs`
 says otherwise), every run, and counters that must repeat exactly from run
 to run and, apart from `reductions_used` (counted in the budget's unit of
@@ -35,6 +37,7 @@ the same verdicts:
   Jacobi space); jacobi_space rows: its dimension; quasi_units rows:
   whether a quasi-unit exists and the dimension of the kernel;
 - wn_associated_F rows: the number of nonzero coefficients of F;
+- is_nilpotent4 rows: the verdict;
 - CLI rows: the exit code and the SHA-256 of what the command printed.
 
 Timings on a small shared machine are noisy; compare two labels written on
@@ -216,11 +219,18 @@ def main(argv=None):
     for n in (3, 4):
         rows.append(row(f"wn_associated_F W{n}", lambda: wn_associated_F(n), lambda f: {"nnz": len(f.coeffs)}))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
-    for command in (["conservative"], ["derivations"], ["codim1"], ["identity", "--name", "malcev"]):
-        for fixture_name in ("wn2", "wn3", "m7", "s2"):
-            argv = ["--json", command[0], "--fixture", fixture_name, *command[1:]]
-            rows.append(row(f"cli {' '.join(argv)}", lambda: run_cli(argv), cli_counters))
-            print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    for name, alg in (("W3", algebras["W3"]), ("nilpotent4", zoo.fixture("nilpotent4"))):
+        rows.append(row(f"is_nilpotent4 {name}", lambda: identities.is_nilpotent4(alg), lambda holds: {"holds": holds}))
+        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    cli_argvs = [
+        ["--json", command[0], "--fixture", fixture_name, *command[1:]]
+        for command in (["conservative"], ["derivations"], ["codim1"], ["identity", "--name", "malcev"])
+        for fixture_name in ("wn2", "wn3", "m7", "s2")
+    ]
+    cli_argvs.append(["--json", "fixture", "zero2"])
+    for argv in cli_argvs:
+        rows.append(row(f"cli {' '.join(argv)}", lambda: run_cli(argv), cli_counters))
+        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
 
     totals = {
         f"identity {name} suites": round(sum(r["median_s"] for r in rows if r["name"].startswith(f"identity {name} ")), 4)

@@ -14,6 +14,7 @@ kernel on concrete coordinate vectors, at the constant monomial ().
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -213,18 +214,26 @@ class Element:
             raise DimensionMismatchError("elements of different algebras")
 
 
-def format_combination(coords, names) -> str:
-    """A linear combination as text, e.g. ``-e1 + 2/3*e3``; ``0`` when zero."""
+def _signed_sum(terms) -> str:
+    """(coefficient, body) terms as text, e.g. ``-x + 2/3*y``; ``0`` when
+    every coefficient is zero.  A body of None marks a constant term, which
+    shows its coefficient alone; any string, even "", is a body."""
     parts = []
-    for name, c in zip(names, coords):
+    for c, body in terms:
         if not c:
             continue
-        mag = "" if abs(c) == 1 else f"{abs(c)}*"
-        parts.append(("+ " if c > 0 else "- ") + mag + name)
+        mag = abs(c)
+        piece = str(mag) if body is None else (body if mag == 1 else f"{mag}*{body}")
+        parts.append(("+ " if c > 0 else "- ") + piece)
     if not parts:
         return "0"
     s = " ".join(parts)
     return s[2:] if s.startswith("+ ") else "-" + s[2:]
+
+
+def format_combination(coords, names) -> str:
+    """A linear combination as text, e.g. ``-e1 + 2/3*e3``; ``0`` when zero."""
+    return _signed_sum(zip(coords, names))
 
 
 def combination_document(coords, names) -> dict:
@@ -252,21 +261,19 @@ def annihilator(alg: Algebra) -> Subspace:
     return solve_columns(two_sided_columns(alg)).kernel()
 
 
-def basis_products(alg: Algebra, rows) -> list:
-    """Every product of two of the rows; rows[i] rows[j] sits at index
-    i * len(rows) + j."""
-    return [alg.mul_vec(a, b) for a in rows for b in rows]
+def basis_products(alg: Algebra, rows) -> Iterator[tuple]:
+    """Every product of two of the rows, computed lazily; rows[i] rows[j]
+    comes at index i * len(rows) + j."""
+    return (alg.mul_vec(a, b) for a in rows for b in rows)
 
 
 def closure_witness(alg: Algebra, s: Subspace):
-    """First basis product of s that leaves s, or None when s is closed."""
+    """(i, j, product) for the first basis product of s that leaves s, or None."""
     if s.ambient_dim != alg.dim:
         raise DimensionMismatchError.of(alg.dim, s.ambient_dim)
-    for i, bi in enumerate(s.basis):
-        for j, bj in enumerate(s.basis):
-            p = alg.mul_vec(bi, bj)
-            if not s.contains(p):
-                return (i, j, p)
+    for idx, p in enumerate(basis_products(alg, s.basis)):
+        if not s.contains(p):
+            return (*divmod(idx, s.dim), p)
     return None
 
 
@@ -302,7 +309,7 @@ def induced_algebra(alg: Algebra, s: Subspace, basis=None, names=None) -> Algebr
         if Subspace.from_spanning(alg.dim, rows) != s or len(rows) != s.dim:
             raise ValueError("supplied basis does not span the subspace")
     k = len(rows)
-    products = basis_products(alg, rows)
+    products = list(basis_products(alg, rows))
     system = solve_columns([_nonzero(r) for r in rows], [_nonzero(p) for p in products])
     table = [[None] * k for _ in range(k)]
     for idx, product in enumerate(products):

@@ -82,8 +82,10 @@ def _build_parser():
     top.add_argument("--json", action="store_true", help="emit a JSON report")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def command(name, help, group=sub, algebra=True, verdict=False, dim=False):
+    def command(name, help, handler, group=sub, algebra=True, verdict=False, dim=False):
         p = group.add_parser(name, help=help, parents=[json_flag])
+        if handler is not None:
+            p.set_defaults(handler=handler)
         if algebra:
             p.add_argument("algebra", nargs="?", help="algebra file (JSON)")
             p.add_argument("--fixture", help=f"named fixture: {', '.join(sorted(zoo.FIXTURES))}")
@@ -95,36 +97,38 @@ def _build_parser():
             p.add_argument("--assert-dim", type=int, default=None)
         return p
 
-    command("show", "print an algebra's multiplication table")
-    p = command("wn", "build the algebra of bilinear operations W(n)", algebra=False)
+    command("show", "print an algebra's multiplication table", _show)
+    p = command("wn", "build the algebra of bilinear operations W(n)", _wn, algebra=False)
     p.add_argument("n", type=int)
     p.add_argument("--table", action="store_true", help="no effect: the table is always printed")
-    p = command("fixture", "print a named fixture", algebra=False)
+    p = command("fixture", "print a named fixture", _fixture_command, algebra=False)
     p.add_argument("name")
-    command("conservative", "decide conservativity and construct F", verdict=True)
-    p = command("terminal", "triple-bracket terminality test", verdict=True)
+    command("conservative", "decide conservativity and construct F", _conservative, verdict=True)
+    p = command("terminal", "triple-bracket terminality test", _terminal, verdict=True)
     p.add_argument("--convention", choices=TERMINAL_CONVENTIONS, default=DEFAULT_TERMINAL_CONVENTION)
-    command("derivations", "compute Der(A) and its Lie structure", dim=True)
-    command("jacobi", "space of elements whose left multiplication derives", dim=True)
-    command("quasiunit", "solve the left quasi-unit equations", verdict=True)
-    command("annihilator", "two-sided annihilator", dim=True)
-    p = command("closure", "subalgebra generated by elements", dim=True)
+    command("derivations", "compute Der(A) and its Lie structure", _derivations, dim=True)
+    command("jacobi", "space of elements whose left multiplication derives", _jacobi, dim=True)
+    command("quasiunit", "solve the left quasi-unit equations", _quasiunit, verdict=True)
+    command("annihilator", "two-sided annihilator", _annihilator, dim=True)
+    p = command("closure", "subalgebra generated by elements", _closure, dim=True)
     p.add_argument("--gens", required=True, help="comma-separated basis names or indices")
-    p = command("codim1", "enumerate codimension-1 subalgebras")
+    p = command("codim1", "enumerate codimension-1 subalgebras", _codim1)
     p.add_argument("--budget", type=int, default=MAX_REDUCTIONS, help="max reduction steps per pivot (eliminated variables plus S-polynomial reductions)")
     p.add_argument("--assert-count", type=int, default=None)
-    p = command("identity", "check a polynomial identity", verdict=True)
+    p = command("identity", "check a polynomial identity", _identity, verdict=True)
     p.add_argument("--name", help=f"builtin: {', '.join(sorted(builtin_identities()))}")
     p.add_argument("--expr", help="expression asserted identically zero")
     p.add_argument("--vars", help="free variables for --expr (comma-separated)")
     p.add_argument("--file", help="identity file (JSON)")
 
-    twist = command("twist", "build a derived multiplication", algebra=False)
+    # The twist group sets no handler: whether a parent's default or its
+    # subparser's wins has changed between Python 3.10 patch releases.
+    twist = command("twist", "build a derived multiplication", None, algebra=False)
     kinds = twist.add_subparsers(dest="twist_kind", required=True)
-    p = command("quasi", "lambda ab + (1-lambda) ba on an associative input", group=kinds)
+    p = command("quasi", "lambda ab + (1-lambda) ba on an associative input", _twist_quasi, group=kinds)
     p.add_argument("--lambda", dest="lam", required=True, help="rational parameter")
-    command("poisson", "ab + {a,b} from a table/bracket_table pair", group=kinds)
-    p = command("structurable", "xy + y(x - conj(x)) on a unital algebra with involution", group=kinds)
+    command("poisson", "ab + {a,b} from a table/bracket_table pair", _twist_poisson, group=kinds)
+    p = command("structurable", "xy + y(x - conj(x)) on a unital algebra with involution", _twist_structurable, group=kinds)
     p.add_argument("--involution", required=True, help="JSON file with the involution matrix")
 
     return top
@@ -202,11 +206,11 @@ def _check_verdict(args, report, holds, claim, denial):
     return EX_OK
 
 
-def _check_dim(args, report, dim):
-    """--assert-dim: exit 1 unless the computed dimension is as asserted."""
-    if args.assert_dim is None:
+def _check_equal(report, label, expected, got):
+    """--assert-dim / --assert-count, if given: exit 1 unless got == expected."""
+    if expected is None:
         return EX_OK
-    return _assert_check(report, dim == args.assert_dim, f"dim == {args.assert_dim}")
+    return _assert_check(report, got == expected, f"{label} == {expected}")
 
 
 def _gens_to_vectors(alg: Algebra, spec_text: str):
@@ -251,23 +255,26 @@ def _fixture_command(args, report):
     return _show_algebra(report, alg, audit=args.name)
 
 
-def _twist(args, report):
-    kind = args.twist_kind
-    alg, bracket, _ = _load_input(args, report, need_bracket=kind == "poisson")
-    if kind == "poisson":
-        if bracket is None:
-            raise AlgebraFormatError("twist poisson needs a bracket_table")
-        out = zoo.poisson_kantor_product(alg, bracket)
-    elif kind == "quasi":
-        try:
-            lam = Fraction(args.lam)
-        except (ValueError, ZeroDivisionError):
-            raise AlgebraFormatError(f"bad rational {args.lam!r}") from None
-        out = zoo.quasi_mutation(alg, lam)
-    else:
-        sigma = load_linear_map(args.involution, expected_dim=alg.dim)
-        out = zoo.structurable_twist(alg, sigma)
-    return _show_algebra(report, out)
+def _twist_quasi(args, report):
+    alg, _, _ = _load_input(args, report)
+    try:
+        lam = Fraction(args.lam)
+    except (ValueError, ZeroDivisionError):
+        raise AlgebraFormatError(f"bad rational {args.lam!r}") from None
+    return _show_algebra(report, zoo.quasi_mutation(alg, lam))
+
+
+def _twist_poisson(args, report):
+    alg, bracket, _ = _load_input(args, report, need_bracket=True)
+    if bracket is None:
+        raise AlgebraFormatError("twist poisson needs a bracket_table")
+    return _show_algebra(report, zoo.poisson_kantor_product(alg, bracket))
+
+
+def _twist_structurable(args, report):
+    alg, _, _ = _load_input(args, report)
+    sigma = load_linear_map(args.involution, expected_dim=alg.dim)
+    return _show_algebra(report, zoo.structurable_twist(alg, sigma))
 
 
 def _conservative(args, report):
@@ -311,14 +318,14 @@ def _derivations(args, report):
     }
     if fixture:
         report["errata"] = [str(e) for e in claims.audit_derivations(fixture, der)]
-    return _check_dim(args, report, der.dim)
+    return _check_equal(report, "dim", args.assert_dim, der.dim)
 
 
 def _jacobi(args, report):
     alg, _, _ = _load_input(args, report)
     js = jacobi_space(alg)
     report["result"] = _subspace_doc(js, alg.basis_names)
-    return _check_dim(args, report, js.dim)
+    return _check_equal(report, "dim", args.assert_dim, js.dim)
 
 
 def _quasiunit(args, report):
@@ -338,14 +345,14 @@ def _annihilator(args, report):
     alg, _, _ = _load_input(args, report)
     ann = annihilator(alg)
     report["result"] = _subspace_doc(ann, alg.basis_names)
-    return _check_dim(args, report, ann.dim)
+    return _check_equal(report, "dim", args.assert_dim, ann.dim)
 
 
 def _closure(args, report):
     alg, _, _ = _load_input(args, report)
     sub = generated_subalgebra(alg, _gens_to_vectors(alg, args.gens))
     report["result"] = _subspace_doc(sub, alg.basis_names)
-    return _check_dim(args, report, sub.dim)
+    return _check_equal(report, "dim", args.assert_dim, sub.dim)
 
 
 def _codim1(args, report):
@@ -379,9 +386,7 @@ def _codim1(args, report):
     if rep.budget_errors:
         report["status"] = "budget-exceeded"
         return EX_BUDGET
-    if args.assert_count is None:
-        return EX_OK
-    return _assert_check(report, len(rep.subalgebras) == args.assert_count, f"count == {args.assert_count}")
+    return _check_equal(report, "count", args.assert_count, len(rep.subalgebras))
 
 
 def _identity(args, report):
@@ -427,29 +432,12 @@ def _identity(args, report):
     return _check_verdict(args, report, holds, "identity holds", "identity fails")
 
 
-COMMANDS = {
-    "show": _show,
-    "wn": _wn,
-    "fixture": _fixture_command,
-    "twist": _twist,
-    "conservative": _conservative,
-    "terminal": _terminal,
-    "derivations": _derivations,
-    "jacobi": _jacobi,
-    "quasiunit": _quasiunit,
-    "annihilator": _annihilator,
-    "closure": _closure,
-    "codim1": _codim1,
-    "identity": _identity,
-}
-
-
 def _execute(args, argv):
     # the echoed command gives --json once and first, wherever it stood, so
     # the report does not depend on the flag's position
     command = ["--json"] + [a for a in argv if a != "--json"] if args.json else list(argv)
     report = {"command": command, "status": "ok"}
-    return report, COMMANDS[args.command](args, report)
+    return report, args.handler(args, report)
 
 
 def _print_report(report, as_json):

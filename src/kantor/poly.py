@@ -19,6 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
+from .algebra import _signed_sum
 from .errors import BudgetExceededError
 from .linalg import F0, F1, eliminate, frac
 
@@ -219,23 +220,11 @@ class Poly:
         return sorted(self.terms.items(), reverse=True)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
+        terms = []
         for e, c in self.sorted_terms():
-            factors = []
-            for v, x in zip(self.variables, e):
-                if x == 1:
-                    factors.append(v)
-                elif x:
-                    factors.append(f"{v}^{x}")
-            body = "*".join(factors)
-            mag = abs(c)
-            coeff = "" if (mag == 1 and body) else str(mag)
-            piece = "*".join(p for p in (coeff, body) if p) or "1"
-            parts.append(("- " if c < 0 else "+ ") + piece)
-        s = " ".join(parts)
-        return s[2:] if s.startswith("+ ") else "-" + s[2:]
+            factors = [v if x == 1 else f"{v}^{x}" for v, x in zip(self.variables, e) if x]
+            terms.append((c, "*".join(factors) or None))  # no factors: the constant term
+        return _signed_sum(terms)
 
     def __repr__(self):
         return f"Poly({self})"

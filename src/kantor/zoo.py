@@ -12,7 +12,7 @@ from fractions import Fraction
 from .algebra import Algebra, two_sided_columns
 from .errors import GateError
 from .linalg import F0, F1, Matrix, frac, solve_columns
-from .identities import NILPOTENT4, builtin_identities, check_suite
+from .identities import NILPOTENT4, builtin_identities, check_identity
 from .multiops import MultilinearOp
 from .wn import build_h1, build_s2, build_w2sym, build_wn
 
@@ -21,7 +21,9 @@ _GATES = {**builtin_identities(), NILPOTENT4.name: NILPOTENT4}
 
 
 def _gate(alg: Algebra, suite_name: str, bracket: Algebra = None):
-    for verdict in check_suite(alg, _GATES[suite_name], bracket):
+    """Raise GateError at the first identity of the suite that fails."""
+    for ident in _GATES[suite_name].identities:
+        verdict = check_identity(alg, ident, bracket)
         if not verdict.holds:
             raise GateError(verdict.identity.name, f"witness {verdict.witness.assignment}")
 

@@ -8,6 +8,7 @@ from kantor.algebra import (
     Algebra,
     annihilator,
     closure_witness,
+    format_combination,
     generated_subalgebra,
     induced_algebra,
     two_sided_columns,
@@ -489,3 +490,63 @@ def test_storage_roundtrip_over_arbitrary_basis_names(tmp_path_factory, case):
 def test_element_printing(wn2):
     e = wn2.element((-1, 0, 0, 0, 0, 2, 0, 0))
     assert str(e) == "-a11^1 + 2*a12^2"
+
+
+# -- references: the writer and the loop that the shared helpers replaced ---
+
+coefficients = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+# "" and names containing "*" are legal basis names, and bodies all the same
+basis_names = st.one_of(st.just(""), st.text(alphabet="e1*", max_size=3))
+
+
+def _format_combination_reference(coords, names):
+    parts = []
+    for name, c in zip(names, coords):
+        if not c:
+            continue
+        mag = "" if abs(c) == 1 else f"{abs(c)}*"
+        parts.append(("+ " if c > 0 else "- ") + mag + name)
+    if not parts:
+        return "0"
+    s = " ".join(parts)
+    return s[2:] if s.startswith("+ ") else "-" + s[2:]
+
+
+def _closure_witness_reference(alg, s):
+    for i, bi in enumerate(s.basis):
+        for j, bj in enumerate(s.basis):
+            p = alg.mul_vec(bi, bj)
+            if not s.contains(p):
+                return (i, j, p)
+    return None
+
+
+def test_format_combination_writes_an_empty_name_as_a_body():
+    assert format_combination((2, -1, 1), ("", "*", "e")) == "2* - * + e"
+    assert format_combination((0, 0), ("", "e")) == "0"
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(coefficients, basis_names), max_size=5))
+def test_format_combination_matches_the_reference(terms):
+    coords = [c for c, _ in terms]
+    names = [name for _, name in terms]
+    assert format_combination(coords, names) == _format_combination_reference(coords, names)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_closure_witness_matches_the_double_loop(data):
+    alg = _random_algebra(data, 4)
+    n = alg.dim
+    gens = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=n))
+    # a closed subspace, a random span, and every span of basis vectors:
+    # these often hold the squares of their vectors but not a cross product
+    spaces = [generated_subalgebra(alg, gens), Subspace.from_spanning(n, gens)]
+    spaces += [
+        Subspace.from_spanning(n, [unit_vec(n, k) for k in range(n) if mask >> k & 1])
+        for mask in range(1 << n)
+    ]
+    assert closure_witness(alg, spaces[0]) is None
+    for s in spaces:
+        assert closure_witness(alg, s) == _closure_witness_reference(alg, s)

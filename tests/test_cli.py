@@ -183,6 +183,12 @@ def test_exit_usage(capsys):
     assert run_cli(["identity", "--fixture", "sl2"], capsys)[0] == 64
 
 
+def test_twist_without_kind_exits_64(capsys):
+    code, _, err = run_cli(["twist"], capsys)
+    assert code == 64
+    assert "twist_kind" in err
+
+
 def test_exit_data_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 1, "basis": ["e1"], "table": {"e1*e1": {"e1": "1/0"}}}')

@@ -9,6 +9,7 @@ from sympy import QQ, lex, ring
 from kantor.algebra import Algebra
 from kantor.errors import ExprSyntaxError, MissingBracketError
 from kantor.identities import (
+    NILPOTENT4,
     Add,
     Bracket,
     Prod,
@@ -25,7 +26,7 @@ from kantor.identities import (
     suite_holds,
 )
 from kantor.linalg import unit_vec
-from kantor import wn, zoo
+from kantor import identities, wn, zoo
 
 
 def test_parse_associator():
@@ -108,6 +109,16 @@ def test_eq4_template_on_nilpotent_fixture(nilp4):
     cat = builtin_identities()
     assert suite_holds(nilp4, cat["left_commutative"])
     assert suite_holds(nilp4, cat["conservative_left_commutative"], bracket=zoo.zero_algebra(3))
+
+
+def test_suite_holds_builds_no_witness(monkeypatch):
+    def no_witness(poly, candidates=()):
+        raise AssertionError("a witness was built")
+
+    monkeypatch.setattr(identities, "_find_nonvanishing", no_witness)
+    assert not suite_holds(wn.build_wn(2), NILPOTENT4)
+    with pytest.raises(MissingBracketError):
+        suite_holds(zoo.zero_algebra(3), builtin_identities()["poisson_leibniz"])
 
 
 def test_missing_bracket_raises(nilp4):

@@ -58,6 +58,46 @@ def test_str_form():
     assert p.machine_form()[0]["exponents"] == [2, 0, 1]
 
 
+def _str_reference(poly):
+    if not poly.terms:
+        return "0"
+    parts = []
+    for e, c in poly.sorted_terms():
+        factors = []
+        for v, x in zip(poly.variables, e):
+            if x == 1:
+                factors.append(v)
+            elif x:
+                factors.append(f"{v}^{x}")
+        body = "*".join(factors)
+        mag = abs(c)
+        coeff = "" if (mag == 1 and body) else str(mag)
+        piece = "*".join(p for p in (coeff, body) if p) or "1"
+        parts.append(("- " if c < 0 else "+ ") + piece)
+    s = " ".join(parts)
+    return s[2:] if s.startswith("+ ") else "-" + s[2:]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    # "" and names containing "*" included: the writer takes names as given
+    st.lists(st.one_of(st.just(""), st.text(alphabet="ab*", max_size=2)), max_size=3, unique=True).flatmap(
+        lambda names: st.tuples(
+            st.just(names),
+            st.dictionaries(
+                st.tuples(*(st.integers(0, 2) for _ in names)),
+                st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+                max_size=4,
+            ),
+        )
+    )
+)
+def test_str_matches_the_reference(case):
+    names, terms = case
+    p = Poly(names, terms)
+    assert str(p) == _str_reference(p)
+
+
 def test_variable_union_semantics():
     a = P("x", ("x",))
     b = P("y", ("y",))

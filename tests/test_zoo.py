@@ -8,7 +8,7 @@ from kantor.conservative import conservativity
 from kantor.errors import GateError
 from kantor.identities import builtin_identities, suite_holds
 from kantor.linalg import Matrix
-from kantor import zoo
+from kantor import identities, zoo
 
 
 def test_m7_products(m7):
@@ -100,6 +100,23 @@ def test_poisson_rejects_bad_bracket():
     with pytest.raises(GateError) as err:
         zoo.poisson_kantor_product(comm, bad)
     assert err.value.check == "poisson_leibniz"
+
+
+def test_gate_stops_at_the_first_failing_identity(monkeypatch):
+    # M(2) as a bracket fails both identities of "lie"; only the first,
+    # anticommutativity, is reported, and only its witness is built
+    matrix2 = zoo.matrix_algebra(2)
+    find, witnesses = identities._find_nonvanishing, []
+
+    def counted(poly, *args):
+        witnesses.append(poly)
+        return find(poly, *args)
+
+    monkeypatch.setattr(identities, "_find_nonvanishing", counted)
+    with pytest.raises(GateError) as err:
+        zoo.poisson_kantor_product(zoo.zero_algebra(4), matrix2)
+    assert err.value.check == "anticommutative"
+    assert len(witnesses) == 1
 
 
 def test_nilpotent4_gate_names_the_failing_bracketing():
