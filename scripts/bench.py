@@ -13,7 +13,9 @@ W(4) and W(5) and of RANDOM_COUNT seeded sparse random algebras of dim
 `verify_associated(W(3), F)` at its default, F being `wn_associated_F`,
 `derivation_algebra` with `derived_series` on M(4), W(3), W(4) and W(5)
 (W(5) a single run), `conservativity`, `jacobi_space` and
-`quasi_units` on M(4), W(3) and W(4), `wn_associated_F` on W(3) and W(4),
+`quasi_units` on M(4), W(3) and W(4), `conservativity` and `quasi_units`
+on W(5) (a single run each), `is_terminal` on W(3), `wn_associated_F` on
+W(3) and W(4),
 `is_nilpotent4` on W(3) and on the nilpotent4 fixture, and, end to end,
 `cli.main(["--json", command, "--fixture", f])` for the commands
 `conservative`, `derivations`, `codim1` and `identity --name malcev` on
@@ -36,6 +38,7 @@ the same verdicts:
 - conservativity rows: the verdict and the dimension of the kernel (the
   Jacobi space); jacobi_space rows: its dimension; quasi_units rows:
   whether a quasi-unit exists and the dimension of the kernel;
+- is_terminal rows: the verdict;
 - wn_associated_F rows: the number of nonzero coefficients of F;
 - is_nilpotent4 rows: the verdict;
 - CLI rows: the exit code and the SHA-256 of what the command printed.
@@ -62,7 +65,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from kantor import cli, identities, zoo
 from kantor.algebra import Algebra
 from kantor.codim1 import codim1_subalgebras
-from kantor.conservative import conservativity, jacobi_space, quasi_units, verify_associated
+from kantor.conservative import conservativity, is_terminal, jacobi_space, quasi_units, verify_associated
 from kantor.derivations import derivation_algebra, derived_series
 from kantor.wn import build_wn, wn_associated_F
 
@@ -216,6 +219,14 @@ def main(argv=None):
         ):
             rows.append(row(f"{label} {name}", lambda: fn(alg), counters))
             print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    for label, fn, counters in (
+        ("conservativity", conservativity, conservativity_counters),
+        ("quasi_units", quasi_units, quasi_unit_counters),
+    ):
+        rows.append(row(f"{label} W5", lambda: fn(w5), counters, runs=1))
+        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    rows.append(row("is_terminal W3", lambda: is_terminal(algebras["W3"]), lambda holds: {"holds": holds}))
+    print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     for n in (3, 4):
         rows.append(row(f"wn_associated_F W{n}", lambda: wn_associated_F(n), lambda f: {"nnz": len(f.coeffs)}))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)

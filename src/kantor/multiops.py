@@ -5,6 +5,12 @@ coeffs maps (inputs, out) -> coefficient, meaning
 
     Op(e_{i_1}, ..., e_{i_k}) = sum_out coeffs[(i_1..i_k), out] * e_out.
 
+Each coefficient is exact, as `linalg.exact` gives it: an int where
+integral, else a Fraction, as in `Algebra.sparse_table`.  Ints keep the
+arithmetic of the structure constants cheap; the views (`coeff`,
+`as_element`, `as_matrix`, `as_algebra`, `apply_basis`, `dense_vec`) hand
+back Fractions.
+
 Arity 0 is an element, arity 1 a linear map, arity 2 a bilinear map (the
 same data as an Algebra's structure tensor).  `partial(x)` fixes the first
 input at a coordinate vector x; on the product P of an algebra, P.partial(x)
@@ -40,7 +46,7 @@ from fractions import Fraction
 
 from .algebra import Algebra, default_names
 from .errors import DimensionMismatchError
-from .linalg import F0, F1, Matrix, frac, vec
+from .linalg import F0, Matrix, _exact, frac, vec
 
 
 class MultilinearOp:
@@ -51,7 +57,7 @@ class MultilinearOp:
             raise ValueError("arity must be nonnegative")
         self.arity = arity
         self.dim = dim
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
+        self.coeffs = {k: _exact(v) for k, v in (coeffs or {}).items() if v}
 
     # -- constructors -------------------------------------------------
 
@@ -79,7 +85,7 @@ class MultilinearOp:
     @classmethod
     def from_algebra(cls, alg: Algebra) -> "MultilinearOp":
         coeffs = {
-            ((i, j), k): frac(c)
+            ((i, j), k): c
             for i, row in enumerate(alg.sparse_table)
             for j, outputs in enumerate(row)
             for k, c in outputs
@@ -88,12 +94,12 @@ class MultilinearOp:
 
     @classmethod
     def identity(cls, dim) -> "MultilinearOp":
-        return cls(1, dim, {((i,), i): F1 for i in range(dim)})
+        return cls(1, dim, {((i,), i): 1 for i in range(dim)})
 
     # -- views ---------------------------------------------------------
 
     def coeff(self, inputs, out) -> Fraction:
-        return self.coeffs.get((tuple(inputs), out), F0)
+        return frac(self.coeffs.get((tuple(inputs), out), 0))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -128,7 +134,7 @@ class MultilinearOp:
             pos = 0
             for t in inputs:
                 pos = pos * n + t
-            out[pos * n + k] = c
+            out[pos * n + k] = frac(c)
         return tuple(out)
 
     def apply_basis(self, inputs):
@@ -138,7 +144,7 @@ class MultilinearOp:
         for k in range(self.dim):
             c = self.coeffs.get((inputs, k))
             if c:
-                out[k] = c
+                out[k] = frac(c)
         return tuple(out)
 
     def partial(self, x) -> "MultilinearOp":
@@ -148,7 +154,7 @@ class MultilinearOp:
             raise ValueError("an element has no input to fix")
         if len(x) != self.dim:
             raise DimensionMismatchError.of(self.dim, len(x))
-        acc = defaultdict(lambda: F0)
+        acc = defaultdict(int)
         for (inputs, out), c in self.coeffs.items():
             xi = x[inputs[0]]
             if xi:
@@ -175,7 +181,7 @@ class MultilinearOp:
         self._check_shape(other)
         coeffs = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            coeffs[key] = coeffs.get(key, F0) + c
+            coeffs[key] = coeffs.get(key, 0) + c
         return MultilinearOp(self.arity, self.dim, coeffs)
 
     def __sub__(self, other: "MultilinearOp") -> "MultilinearOp":
@@ -231,7 +237,7 @@ def insertion_product(a: MultilinearOp, b: MultilinearOp) -> MultilinearOp:
     if p == 0:
         return MultilinearOp.zero(max(p + q - 1, 0), a.dim)
     m = p + q - 1
-    acc = defaultdict(lambda: F0)
+    acc = defaultdict(int)
     if q == 0:
         for (u, out), ca in a.coeffs.items():
             for i in range(p):

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .algebra import Algebra, induced_algebra, verify_subalgebra
 from .errors import NotClosedError
-from .linalg import F0, F1, Subspace, unit_vec
+from .linalg import F0, F1, Subspace, frac, unit_vec
 from .multiops import MultilinearOp, kantor_bracket
 
 THIRD = Fraction(1, 3)
@@ -67,7 +67,7 @@ def _op_coords(op: MultilinearOp):
     out = [F0] * (n * n * n)
     for (inputs, k), c in op.coeffs.items():
         i, j = inputs
-        out[(k * n + i) * n + j] = c
+        out[(k * n + i) * n + j] = frac(c)
     return tuple(out)
 
 

@@ -14,13 +14,14 @@ from kantor.algebra import (
     two_sided_columns,
     verify_subalgebra,
 )
-from kantor.conservative import quasi_units
+from kantor.conservative import conservativity, quasi_units
+from kantor.derivations import derivation_algebra
 from kantor.errors import AlgebraFormatError, NotClosedError
 from kantor.identities import is_nilpotent4
 from kantor.linalg import Matrix, Subspace, solve_columns, unit_vec
 from kantor.multiops import MultilinearOp
 from kantor.storage import load_algebra_pair, parse_algebra_document, save_algebra
-from kantor.wn import XI_LABELS, Z_LABELS, w2sym_subspace
+from kantor.wn import XI_LABELS, Z_LABELS, build_wn, w2sym_subspace, wn_associated_F
 from kantor import zoo
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -223,7 +224,37 @@ def test_public_results_hold_fractions_on_int_tables(name):
         assert qu.feasible
     if qu.feasible:
         vectors.append(qu.particular)
+    der = derivation_algebra(alg)
+    vectors += [d.entries for d in der.basis]
+    vectors += [p for row in der.lie.table for p in row]
+    f = conservativity(alg).f
+    if name == "wn2":
+        assert f is not None
+    if f is not None:
+        e1 = unit_vec(n, 0)
+        vectors += [f.dense_vec(), f.apply_basis((0, 0)), (f.coeff((0, 0), 0),)]
+        vectors += [f.partial(e1).as_matrix().entries, f.partial(e1).partial(e1).as_element()]
+        vectors += [p for row in f.as_algebra().table for p in row]
     assert vectors and all(type(x) is Fraction for v in vectors for x in v)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: zoo.quasi_mutation(zoo.fixture("matrix2"), Fraction(1, 3)),
+        lambda: zoo.poisson_kantor_product(*zoo.truncated_poisson_pair()),
+        lambda: zoo.structurable_twist(zoo.fixture("matrix2"), zoo.transpose_involution_2x2()),
+        lambda: build_wn(3),
+        lambda: wn_associated_F(2).as_algebra(),
+        lambda: wn_associated_F(3).as_algebra(),
+    ],
+    ids=["quasi", "poisson", "structurable", "wn3", "wn2_F", "wn3_F"],
+)
+def test_tables_built_from_operations_hold_fractions(build):
+    # W(n), its F and the twists are sums of operations whose integral
+    # coefficients are ints; their tables hold Fractions all the same
+    table = build().table
+    assert all(type(x) is Fraction for row in table for p in row for x in p)
 
 
 def test_annihilator_zero_algebra():

@@ -17,8 +17,9 @@ from kantor.derivations import (
     is_derivation,
     is_solvable,
 )
-from kantor.linalg import Matrix, Subspace, unit_vec
+from kantor.linalg import Matrix, Subspace, solve_columns, unit_vec
 from kantor.multiops import MultilinearOp, kantor_bracket
+from kantor.wn import build_wn
 from kantor import zoo
 
 
@@ -147,6 +148,14 @@ def test_derivation_columns_are_the_brackets_with_the_matrix_units(data):
             e_rs = MultilinearOp(1, n, {((s,), r): 1})
             column = {key: c for key, c in columns[r * n + s].items() if c}
             assert column == kantor_bracket(e_rs, P).coeffs
+
+
+def test_derivation_system_of_w3_stays_in_int_arithmetic():
+    # W(3)'s structure constants are integers and every pivot of its
+    # Leibniz system normalises to an integral row
+    system = solve_columns(_derivation_columns(build_wn(3)))
+    assert len(system.rows) == 27 * 27 - 6
+    assert all(type(x) is int for row in system.rows for x in row.values())
 
 
 def _assert_lie_table_is_the_matrix_commutator(alg):

@@ -204,6 +204,63 @@ def test_solve_columns_many_targets_match_one_at_a_time():
         assert got == single
 
 
+def test_back_substitution_follows_fill_in():
+    # pivot 1 writes -1 into column 2 of row 0, so pivot 2 must find row 0
+    e = eliminate([{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1}], 3)
+    assert e.pivots == (0, 1, 2)
+    assert e.rows == ({0: 1}, {1: 1}, {2: 1})
+
+
+def test_back_substitution_forgets_a_cancelled_entry():
+    # pivot 1 cancels column 2 of row 0, so pivot 2 must leave row 0 alone
+    e = eliminate([{0: 1, 1: 1, 2: 1}, {1: 1, 2: 1}, {2: 1, 3: 5}], 3)
+    assert e.pivots == (0, 1, 2)
+    assert e.rows == ({0: 1}, {1: 1, 3: -5}, {2: 1, 3: 5})
+    assert e.solution(3) == (0, -5, 5)
+
+
+def test_integral_rows_stay_int_inside_and_leave_as_fractions():
+    # pivots of -1, 2 (dividing its row) and 1, and an integral Fraction
+    e = eliminate([{0: -1, 1: 2, 3: 4}, {1: 2, 2: -6}, {0: Fraction(1), 2: -5}], 3)
+    assert e.rows == ({0: 1, 3: 20}, {1: 1, 3: 12}, {2: 1, 3: 4})
+    assert all(type(x) is int for row in e.rows for x in row.values())
+    assert e.solution(3) == (20, 12, 4)
+    assert all(type(x) is Fraction for x in e.solution(3))
+    assert all(type(x) is Fraction for v in e.kernel().basis for x in v)
+
+
+@st.composite
+def _int_systems(draw):
+    """Sparse integral rows of ``[A | b]``, A with 1-5 columns, and how
+    to reorder them and which entries to hand over as Fractions."""
+    cols = draw(st.integers(1, 5))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    rows = draw(st.lists(st.lists(entry, min_size=cols + 1, max_size=cols + 1), min_size=1, max_size=6))
+    order = draw(st.permutations(range(len(rows))))
+    as_fraction = draw(st.lists(st.booleans(), min_size=len(rows) * (cols + 1), max_size=len(rows) * (cols + 1)))
+    return cols, _sparse(rows), order, as_fraction
+
+
+@settings(deadline=None, max_examples=100)
+@given(_int_systems())
+def test_eliminate_ignores_row_order_and_value_type(system):
+    cols, rows, order, as_fraction = system
+    flags = iter(as_fraction)
+    copy = [
+        {c: Fraction(x) if next(flags) else x for c, x in rows[i].items()}
+        for i in order
+    ]
+    first, second = eliminate(rows, cols), eliminate(copy, cols)
+    assert second.pivots == first.pivots
+    assert second.inconsistent == first.inconsistent
+    assert second.solution(cols) == first.solution(cols)
+    assert second.kernel() == first.kernel()
+    if not first.inconsistent:
+        # the RREF of a consistent [A | b] is unique; an infeasible b
+        # column depends on which rows came first
+        assert second.rows == first.rows
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         infeasibility_certificate(Matrix.identity(2), (1, 2, 3))
