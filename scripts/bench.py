@@ -20,7 +20,9 @@ W(3) and W(4),
 `cli.main(["--json", command, "--fixture", f])` for the commands
 `conservative`, `derivations`, `codim1` and `identity --name malcev` on
 the fixtures wn2, wn3, m7 and s2, and `cli.main(["--json", "fixture",
-"zero2"])`, whose time is the fixed cost of one call.
+"zero2"])`, whose time is the fixed cost of one call, and one run of the
+Tier-1 suite, `python -m pytest -q` in a subprocess with `src` on
+PYTHONPATH.
 A row holds the median of its timed runs (RUNS unless the row's `runs`
 says otherwise), every run, and counters that must repeat exactly from run
 to run and, apart from `reductions_used` (counted in the budget's unit of
@@ -41,7 +43,8 @@ the same verdicts:
 - is_terminal rows: the verdict;
 - wn_associated_F rows: the number of nonzero coefficients of F;
 - is_nilpotent4 rows: the verdict;
-- CLI rows: the exit code and the SHA-256 of what the command printed.
+- CLI rows: the exit code and the SHA-256 of what the command printed;
+- the Tier-1 row: the numbers of tests passed and failed.
 
 Timings on a small shared machine are noisy; compare two labels written on
 the same machine, and trust the counters over the clock.
@@ -56,11 +59,14 @@ import os
 import pathlib
 import platform
 import random
+import re
 import statistics
+import subprocess
 import sys
 import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from kantor import cli, identities, zoo
 from kantor.algebra import Algebra
@@ -121,6 +127,24 @@ def run_cli(argv):
 def cli_counters(result):
     code, stdout = result
     return {"exit": code, "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest()}
+
+
+def run_tier1():
+    """The Tier-1 suite's summary line, from one `pytest -q` subprocess."""
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q"],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+    )
+    return done.stdout.strip().splitlines()[-1]
+
+
+def tier1_counters(summary):
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed)", summary)}
+    return {"passed": counts.get("passed", 0), "failed": counts.get("failed", 0)}
 
 
 def random_algebras():
@@ -242,6 +266,8 @@ def main(argv=None):
     for argv in cli_argvs:
         rows.append(row(f"cli {' '.join(argv)}", lambda: run_cli(argv), cli_counters))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    rows.append(row("tier1 pytest -q", run_tier1, tier1_counters, runs=1))
+    print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s {rows[-1]['counters']}", flush=True)
 
     totals = {
         f"identity {name} suites": round(sum(r["median_s"] for r in rows if r["name"].startswith(f"identity {name} ")), 4)

@@ -23,6 +23,7 @@ from .linalg import (
     F0,
     Matrix,
     Subspace,
+    _sparse,
     add_vec,
     exact,
     frac,
@@ -37,11 +38,6 @@ from .linalg import (
 
 def default_names(n: int):
     return tuple(f"e{i + 1}" for i in range(n))
-
-
-def _nonzero(coords) -> dict:
-    """The sparse {coordinate: coefficient} form of a coordinate vector."""
-    return {i: c for i, c in enumerate(coords) if c}
 
 
 def _prune(vector):
@@ -146,7 +142,7 @@ class Algebra:
         if len(x) != n or len(y) != n:
             raise DimensionMismatchError.of(n, (len(x), len(y)))
         out = [F0] * n
-        for k, c in self.mul_expanded({(): _nonzero(x)}, {(): _nonzero(y)}).get((), {}).items():
+        for k, c in self.mul_expanded({(): _sparse(x)}, {(): _sparse(y)}).get((), {}).items():
             out[k] = frac(c)
         return tuple(out)
 
@@ -310,7 +306,7 @@ def induced_algebra(alg: Algebra, s: Subspace, basis=None, names=None) -> Algebr
             raise ValueError("supplied basis does not span the subspace")
     k = len(rows)
     products = list(basis_products(alg, rows))
-    system = solve_columns([_nonzero(r) for r in rows], [_nonzero(p) for p in products])
+    system = solve_columns([_sparse(r) for r in rows], [_sparse(p) for p in products])
     table = [[None] * k for _ in range(k)]
     for idx, product in enumerate(products):
         i, j = divmod(idx, k)

@@ -386,7 +386,7 @@ def _find_nonvanishing(poly: Poly, candidates=(0, 1, -1, 2, -2, 3)):
             assignment[v] = Fraction(0)
             continue
         for c in candidates:
-            nxt = current.substitute(v, Poly.const(c, current.variables))
+            nxt = current.substitute(v, c)
             if not nxt.is_zero():
                 assignment[v] = Fraction(c)
                 current = nxt

@@ -1,10 +1,11 @@
 """Sparse multivariate polynomials over the rationals and a small Groebner
 engine.
 
-Monomial order is lexicographic with the declared variable order (first
-variable largest); that is what makes zero-dimensional bases triangular so
-rational points can be read off by univariate root search plus
-back-substitution.  A basis is computed on one path: rounds of linear
+A computation lives in one ring, named by its caller's variable tuple;
+mixing rings raises ValueError.  Monomial order is lexicographic in that
+order (first variable largest), which makes zero-dimensional bases
+triangular so rational points can be read off by univariate root search
+plus back-substitution.  A basis is computed on one path: rounds of linear
 elimination, then Buchberger's S-pair loop, then inter-reduction.  The
 engine is guarded by hard budgets on the number of reduction steps
 (eliminated variables plus S-polynomial reductions) and on total degree:
@@ -28,7 +29,8 @@ MAX_TOTAL_DEGREE = 12
 
 
 class Poly:
-    """Polynomial as {exponent tuple: nonzero coefficient} over named vars."""
+    """Polynomial as {exponent tuple: nonzero coefficient} in the ring over
+    `variables`; it adds and multiplies with rationals and that ring only."""
 
     __slots__ = ("variables", "terms")
 
@@ -59,32 +61,15 @@ class Poly:
 
     def _coerce(self, other):
         if isinstance(other, Poly):
-            if other.variables == self.variables:
-                return self, other
-            merged = tuple(dict.fromkeys(self.variables + other.variables))
-            return self.extend(merged), other.extend(merged)
-        return self, Poly.const(other, self.variables)
-
-    def extend(self, variables) -> "Poly":
-        """Reindex onto a superset of the variables (union semantics)."""
-        variables = tuple(variables)
-        if variables == self.variables:
-            return self
-        pos = [variables.index(v) for v in self.variables]
-        terms = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(variables)
-            for p, x in zip(pos, e):
-                ne[p] = x
-            terms[tuple(ne)] = c
-        return Poly(variables, terms)
+            _same_ring(self.variables, other)
+            return other
+        return Poly.const(other, self.variables)
 
     def __add__(self, other):
-        a, b = self._coerce(other)
-        terms = dict(a.terms)
-        for e, c in b.terms.items():
+        terms = dict(self.terms)
+        for e, c in self._coerce(other).terms.items():
             terms[e] = terms.get(e, F0) + c
-        return Poly(a.variables, terms)
+        return Poly(self.variables, terms)
 
     __radd__ = __add__
 
@@ -92,8 +77,7 @@ class Poly:
         return Poly(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        a, b = self._coerce(other)
-        return a + (-b)
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -102,13 +86,13 @@ class Poly:
         if not isinstance(other, Poly):
             c = frac(other)
             return Poly(self.variables, {e: c * v for e, v in self.terms.items()})
-        a, b = self._coerce(other)
+        _same_ring(self.variables, other)
         terms = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
                 terms[e] = terms.get(e, F0) + c1 * c2
-        return Poly(a.variables, terms)
+        return Poly(self.variables, terms)
 
     __rmul__ = __mul__
 
@@ -127,18 +111,7 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return self.is_constant() and self.constant_value() == frac(other)
-        a, b = self._coerce(other)
-        return a.terms == b.terms
-
-    def __hash__(self):
-        # equal polynomials may differ in their declared variables, so hash
-        # the sparse {variable: exponent} form; a constant hashes as its value
-        if self.is_constant():
-            return hash(self.constant_value())
-        return hash(frozenset(
-            (frozenset((v, x) for v, x in zip(self.variables, e) if x), c)
-            for e, c in self.terms.items()
-        ))
+        return self.variables == other.variables and self.terms == other.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -195,24 +168,24 @@ class Poly:
             out += t
         return out
 
-    def substitute(self, name, value: "Poly") -> "Poly":
-        """Replace a variable by a polynomial (exact, no remainder)."""
+    def substitute(self, name, value) -> "Poly":
+        """Replace a variable by a rational or by a polynomial of the same
+        ring (exact, no remainder)."""
+        value = self._coerce(value)
         i = self.variables.index(name)
         top = max((e[i] for e in self.terms), default=0)
         if not top:
             return self
-        variables = tuple(dict.fromkeys(self.variables + value.variables))
-        value = value.extend(variables)
-        powers = [Poly.const(1, variables)]
+        powers = [Poly.const(1, self.variables)]
         for _ in range(top):
             powers.append(powers[-1] * value)
         terms = {}
-        for e, c in self.extend(variables).terms.items():
+        for e, c in self.terms.items():
             rest = e[:i] + (0,) + e[i + 1:]
             for pe, pc in powers[e[i]].terms.items():
                 t = tuple(x + y for x, y in zip(rest, pe))
                 terms[t] = terms.get(t, F0) + c * pc
-        return Poly(variables, terms)
+        return Poly(self.variables, terms)
 
     # -- printing -----------------------------------------------------------
 
@@ -234,9 +207,9 @@ class Poly:
         return [{"exponents": list(e), "coeff": str(c)} for e, c in self.sorted_terms()]
 
 
-def _common_variables(polys):
-    merged = tuple(dict.fromkeys(v for p in polys for v in p.variables))
-    return [p.extend(merged) for p in polys], merged
+def _same_ring(variables, p):
+    if p.variables != variables:
+        raise ValueError(f"polynomial over {p.variables} in a computation over {variables}")
 
 
 def _divides(ea, eb):
@@ -244,14 +217,16 @@ def _divides(ea, eb):
 
 
 def normal_form(p: Poly, basis) -> Poly:
-    """Multivariate division remainder of p by the basis (lex order): the
+    """Remainder of p on division by a basis of p's ring (lex order): the
     leading term of what is left is cancelled by the first basis element
     whose leading monomial divides it, or else moved to the remainder."""
-    if not basis:
+    basis = list(basis)
+    for b in basis:
+        _same_ring(p.variables, b)
+    lead = [(*b.leading(), b.terms) for b in basis if b]
+    if not lead:
         return p
-    aligned, merged = _common_variables([p] + list(basis))
-    lead = [(*b.leading(), b.terms) for b in aligned[1:] if b]
-    work = dict(aligned[0].terms)
+    work = dict(p.terms)
     remainder = {}
     while work:
         e = max(work)
@@ -270,16 +245,16 @@ def normal_form(p: Poly, basis) -> Poly:
                 break
         else:
             remainder[e] = c
-    return Poly(merged, remainder)
+    return Poly(p.variables, remainder)
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:
-    (f, g), _ = _common_variables([f, g])
+    _same_ring(f.variables, g)
     ef, cf = f.leading()
     eg, cg = g.leading()
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
     mf = Poly(f.variables, {tuple(a - b for a, b in zip(lcm, ef)): F1 / cf})
-    mg = Poly(g.variables, {tuple(a - b for a, b in zip(lcm, eg)): F1 / cg})
+    mg = Poly(f.variables, {tuple(a - b for a, b in zip(lcm, eg)): F1 / cg})
     return mf * f - mg * g
 
 
@@ -461,22 +436,21 @@ def _groebner(polys, variables, budget):
         basis.append(r.monic())
         k = len(basis) - 1
         pairs.extend((t, k) for t in range(k))
-    return tuple(g.extend(variables) for g in _interreduce(basis))
+    return tuple(_interreduce(basis))
 
 
 def buchberger(generators, variables=(), max_reductions=MAX_REDUCTIONS, max_degree=MAX_TOTAL_DEGREE) -> GroebnerBasis:
     """Reduced lexicographic Groebner basis of the given ideal.
 
-    Raises BudgetExceededError when a guardrail trips.  `variables` fixes
-    the (lex) variable order explicitly; otherwise the union of the
-    generators' variables is used in first-seen order.
+    `variables` names the ring and its lex order: needed only without
+    generators, it must otherwise match theirs.  Raises ValueError on a
+    ring mismatch and BudgetExceededError when a guardrail trips.
     """
+    generators = list(generators)
+    variables = tuple(variables) or (generators[0].variables if generators else ())
+    for p in generators:
+        _same_ring(variables, p)
     polys = [p for p in generators if not p.is_zero()]
-    if variables:
-        variables = tuple(variables)
-        polys = [p.extend(variables) for p in polys]
-    else:
-        polys, variables = _common_variables(polys)
     budget = _Budget(max_reductions, max_degree)
     return GroebnerBasis(variables, _groebner(polys, variables, budget), budget.reductions, max_reductions)
 
@@ -621,7 +595,7 @@ def _solve_recursive(basis, variables, fixed, budget):
             f"{g} has a degree-{leftover} factor with no rational root",
         ))
     for r in roots:
-        sub = [h.substitute(v, Poly.const(r, h.variables)) for h in basis]
+        sub = [h.substitute(v, r) for h in basis]
         sub_basis = _groebner([h for h in sub if h], variables, budget)
         p, u = _solve_recursive(sub_basis, variables, fixed + ((v, r),), budget)
         points.extend(p)
