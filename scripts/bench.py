@@ -20,9 +20,15 @@ W(3) and W(4),
 `cli.main(["--json", command, "--fixture", f])` for the commands
 `conservative`, `derivations`, `codim1` and `identity --name malcev` on
 the fixtures wn2, wn3, m7 and s2, and `cli.main(["--json", "fixture",
-"zero2"])`, whose time is the fixed cost of one call, and one run of the
-Tier-1 suite, `python -m pytest -q` in a subprocess with `src` on
-PYTHONPATH.
+"zero2"])`, whose time is the fixed cost of one call; the same command
+one-shot, `python -m kantor.cli --json fixture zero2` in a subprocess,
+whose time is what a shell user pays for it; and one run of the Tier-1
+suite, `python -m pytest -q` in a subprocess.  Both subprocesses run with
+`src` on PYTHONPATH.
+The in-process CLI rows time a warm process from their second run on: the
+argparse parser and each fixture are built once per process and reused.
+The one-shot row starts a fresh interpreter every run, so it shows what
+those caches cost a single command.
 A row holds the median of its timed runs (RUNS unless the row's `runs`
 says otherwise), every run, and counters that must repeat exactly from run
 to run and, apart from `reductions_used` (counted in the budget's unit of
@@ -43,7 +49,8 @@ the same verdicts:
 - is_terminal rows: the verdict;
 - wn_associated_F rows: the number of nonzero coefficients of F;
 - is_nilpotent4 rows: the verdict;
-- CLI rows: the exit code and the SHA-256 of what the command printed;
+- CLI rows, the one-shot row too: the exit code and the SHA-256 of what
+  the command printed;
 - the Tier-1 row: the numbers of tests passed and failed.
 
 Timings on a small shared machine are noisy; compare two labels written on
@@ -124,6 +131,24 @@ def run_cli(argv):
     return code, out.getvalue()
 
 
+def src_env():
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
+def run_cli_process(argv):
+    """Exit code and stdout of one CLI call in a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-m", "kantor.cli", *argv],
+        cwd=ROOT,
+        env=src_env(),
+        capture_output=True,
+        text=True,
+    )
+    return done.returncode, done.stdout
+
+
 def cli_counters(result):
     code, stdout = result
     return {"exit": code, "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest()}
@@ -131,11 +156,10 @@ def cli_counters(result):
 
 def run_tier1():
     """The Tier-1 suite's summary line, from one `pytest -q` subprocess."""
-    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q"],
         cwd=ROOT,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=src_env(),
         capture_output=True,
         text=True,
     )
@@ -266,6 +290,9 @@ def main(argv=None):
     for argv in cli_argvs:
         rows.append(row(f"cli {' '.join(argv)}", lambda: run_cli(argv), cli_counters))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    one_shot = ["--json", "fixture", "zero2"]
+    rows.append(row(f"cli one-shot {' '.join(one_shot)}", lambda: run_cli_process(one_shot), cli_counters))
+    print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     rows.append(row("tier1 pytest -q", run_tier1, tier1_counters, runs=1))
     print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s {rows[-1]['counters']}", flush=True)
 

@@ -21,7 +21,6 @@ from functools import cached_property
 from .errors import DimensionMismatchError, NotClosedError
 from .linalg import (
     F0,
-    Matrix,
     Subspace,
     _sparse,
     add_vec,
@@ -152,27 +151,6 @@ class Algebra:
         if y.algebra is not self and y.algebra != self:
             raise DimensionMismatchError("element does not belong to this algebra")
         return Element(self, self.mul_vec(x.coords, y.coords))
-
-    def left_mul_operator(self, a) -> Matrix:
-        """Matrix of x -> a x; column j holds the coordinates of a e_j."""
-        av = a.coords if isinstance(a, Element) else vec(a)
-        cols = [self.mul_vec(av, unit_vec(self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_cols(cols)
-
-    def right_mul_operator(self, a) -> Matrix:
-        av = a.coords if isinstance(a, Element) else vec(a)
-        cols = [self.mul_vec(unit_vec(self.dim, j), av) for j in range(self.dim)]
-        return Matrix.from_cols(cols)
-
-    def opposite(self) -> "Algebra":
-        n = self.dim
-        return Algebra(
-            self.basis_names,
-            tuple(tuple(self.table[j][i] for j in range(n)) for i in range(n)),
-        )
-
-    def rename(self, names) -> "Algebra":
-        return Algebra(tuple(names), self.table)
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,20 @@
 Analyses are results, not errors: a non-conservative algebra exits 0
 unless an --assert* flag turns the unexpected verdict into a nonzero
 exit.  Exit codes: 64 usage, 65 unreadable/invalid input, 69 polynomial
-budget exceeded, 1 failed assertion.  Identical inputs produce
-byte-identical reports.
+budget exceeded, 74 stdout closed before the report was written, 1 failed
+assertion.  Identical inputs produce byte-identical reports.
+
+The argument parser is built on the first call of `main` and reused by
+every later call in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -62,6 +67,7 @@ EX_ASSERT = 1
 EX_USAGE = 64
 EX_DATA = 65
 EX_BUDGET = 69
+EX_IOERR = 74
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,6 +79,7 @@ class _UsageError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser():
     # --json may come before or after the subcommand.  The subcommands' copy
     # has no default, so it cannot reset a --json given before them.
@@ -471,7 +478,16 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EX_BUDGET
-    _print_report(report, args.json)
+    try:
+        _print_report(report, args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point fd 1 at the null device, so that the
+        # flush at interpreter exit does not raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EX_IOERR
     return code
 
 

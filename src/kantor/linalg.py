@@ -137,9 +137,6 @@ class Matrix:
     def col(self, j: int) -> Vec:
         return self.entries[j :: self.cols]
 
-    def row_list(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i * self.cols + j]
@@ -439,15 +436,6 @@ class AffineSolutionSet:
     @property
     def feasible(self) -> bool:
         return self.particular is not None
-
-    def same_set(self, other: "AffineSolutionSet") -> bool:
-        if self.feasible != other.feasible:
-            return False
-        if not self.feasible:
-            return self.kernel == other.kernel
-        return self.kernel == other.kernel and self.kernel.contains(
-            sub_vec(self.particular, other.particular)
-        )
 
 
 def infeasibility_certificate(a: Matrix, b) -> Vec:

@@ -15,8 +15,7 @@ Arity 0 is an element, arity 1 a linear map, arity 2 a bilinear map (the
 same data as an Algebra's structure tensor).  `partial(x)` fixes the first
 input at a coordinate vector x; on the product P of an algebra, P.partial(x)
 is left multiplication L_x, the one construction of it in the package
-(`Algebra.left_mul_operator` stays as the dense reference that tests
-compare it against).
+(the tests compare it against a dense reference built from `mul_vec`).
 
 The composition used throughout is the sign-free shuffle insertion: with
 p = arity(a) and q = arity(b) >= 1,

@@ -156,18 +156,6 @@ class Poly:
                     used.add(self.variables[i])
         return used
 
-    def evaluate(self, assignment) -> Fraction:
-        """Value at {var: rational}; every supported variable must be bound."""
-        vals = [frac(assignment.get(v, 0)) for v in self.variables]
-        out = F0
-        for e, c in self.terms.items():
-            t = c
-            for x, v in zip(e, vals):
-                if x:
-                    t *= v**x
-            out += t
-        return out
-
     def substitute(self, name, value) -> "Poly":
         """Replace a variable by a rational or by a polynomial of the same
         ring (exact, no remainder)."""
@@ -201,10 +189,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
-
-    def machine_form(self):
-        """Exponent-vector/coefficient pairs, lex-descending."""
-        return [{"exponents": list(e), "coeff": str(c)} for e, c in self.sorted_terms()]
 
 
 def _same_ring(variables, p):

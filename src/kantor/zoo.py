@@ -3,15 +3,21 @@
 Every constructor validates its own defining identities through the
 identity engine before returning (a transcription slip in a table fails
 fast, at the source).
+
+`fixture(name)` builds and gates each named fixture once per process and
+hands every later caller the same immutable `Algebra`.  A build that
+fails is not remembered: an unknown name or a failed gate raises on every
+call.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .algebra import Algebra, two_sided_columns
 from .errors import GateError
-from .linalg import F0, F1, Matrix, frac, solve_columns
+from .linalg import F1, Matrix, frac, solve_columns
 from .identities import NILPOTENT4, builtin_identities, check_identity
 from .multiops import MultilinearOp
 from .wn import build_h1, build_s2, build_w2sym, build_wn
@@ -46,13 +52,6 @@ def matrix_algebra(k: int) -> Algebra:
     alg = Algebra.from_products(n, products, names)
     _gate(alg, "associative")
     return alg
-
-
-def matrix_unit(alg: Algebra, k: int):
-    """Coordinates of the identity matrix in the matrix-units basis."""
-    return tuple(
-        F1 if i % k == i // k else F0 for i in range(k * k)
-    )
 
 
 def sl2() -> Algebra:
@@ -289,6 +288,7 @@ FIXTURES = {
 }
 
 
+@functools.cache
 def fixture(name: str) -> Algebra:
     try:
         ctor = FIXTURES[name]

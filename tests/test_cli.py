@@ -1,7 +1,10 @@
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -500,3 +503,37 @@ def test_any_expression_ends_in_a_documented_exit(expr, variables, fixture):
     if variables is not None:
         argv.append(f"--vars={variables}")
     assert exit_code(argv) in DOCUMENTED_EXITS
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_call_order_does_not_change_a_report(capsys):
+    first = ["--json", "codim1", "--fixture", "s2"]
+    code, before, _ = run_cli(first, capsys)
+    assert code == 0
+    for argv, expected in (
+        (["--json", "codim1", "--fixture", "s2", "--no-such-flag"], 64),
+        (["--json", "conservative", "--fixture", "s2", "--assert", "--assert-not"], 64),
+        (["--json", "codim1", "--fixture", "nope"], 65),
+        (["identity", "--fixture", "m7", "--name", "malcev", "--json"], 0),
+    ):
+        assert run_cli(argv, capsys)[0] == expected, argv
+    code, after, _ = run_cli(first, capsys)
+    assert code == 0
+    assert after == before
+
+
+def test_a_closed_stdout_exits_74_without_a_traceback():
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kantor.cli", "--json", "wn", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 74
+    assert b"Traceback" not in err

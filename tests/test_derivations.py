@@ -22,6 +22,8 @@ from kantor.multiops import MultilinearOp, kantor_bracket
 from kantor.wn import build_wn
 from kantor import zoo
 
+from helpers import left_mul_operator
+
 
 def test_zero_map_is_derivation(wn2):
     assert is_derivation(wn2, Matrix.zero(8, 8))
@@ -81,7 +83,7 @@ def test_der_s2_computed_truth(s2):
     errata = audit_derivations("s2", der)
     assert any("dim Der" in e.subject for e in errata)
     # the inner derivation by z2 is one of them
-    Lz2 = s2.left_mul_operator(unit_vec(4, 1))
+    Lz2 = left_mul_operator(s2, unit_vec(4, 1))
     assert is_derivation(s2, Lz2)
     assert der.subspace.contains(Lz2.flatten())
 
@@ -193,8 +195,8 @@ def test_inner_derivations_wn2(wn2):
     inner = inner_derivations(wn2)
     der = derivation_algebra(wn2)
     assert all(der.subspace.contains(v) for v in inner.basis)
-    L2 = wn2.left_mul_operator(unit_vec(8, 1))
-    L6 = wn2.left_mul_operator(unit_vec(8, 5))
+    L2 = left_mul_operator(wn2, unit_vec(8, 1))
+    L6 = left_mul_operator(wn2, unit_vec(8, 5))
     assert inner.contains(L2.flatten())
     assert inner.contains(L6.flatten())
     # the recorded relation, with operators composing as right actions
@@ -202,8 +204,8 @@ def test_inner_derivations_wn2(wn2):
 
 
 def test_inner_derivations_w2sym(w2sym):
-    M2 = w2sym.left_mul_operator(unit_vec(6, 1))
-    M5 = w2sym.left_mul_operator(unit_vec(6, 4))
+    M2 = left_mul_operator(w2sym, unit_vec(6, 1))
+    M5 = left_mul_operator(w2sym, unit_vec(6, 4))
     assert M2 @ M5 - M5 @ M2 == M2
     inner = inner_derivations(w2sym)
     assert inner.dim == 2

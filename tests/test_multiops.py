@@ -8,6 +8,8 @@ from kantor.errors import DimensionMismatchError
 from kantor.linalg import Matrix, unit_vec
 from kantor.multiops import MultilinearOp, insertion_product, kantor_bracket
 
+from helpers import left_mul_operator
+
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
 
@@ -84,7 +86,7 @@ def test_left_leibniz_left_mults_bracket_to_zero():
     alg = left_leibniz2()
     P = MultilinearOp.from_algebra(alg)
     for i in range(2):
-        L = MultilinearOp.from_matrix(alg.left_mul_operator(unit_vec(2, i)))
+        L = MultilinearOp.from_matrix(left_mul_operator(alg, unit_vec(2, i)))
         assert kantor_bracket(L, P).is_zero()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from kantor.errors import GateError
 from kantor.identities import builtin_identities, suite_holds
 from kantor.linalg import Matrix
 from kantor import identities, zoo
+
+from helpers import matrix_unit, opposite, rename
 
 
 def test_m7_products(m7):
@@ -42,15 +45,15 @@ def test_quasi_mutation_extremes(matrix2):
     sym = zoo.quasi_mutation(matrix2, Fraction(1, 2))
     assert suite_holds(sym, builtin_identities()["commutative"])
     opp = zoo.quasi_mutation(matrix2, 0)
-    assert opp.table == matrix2.opposite().table
+    assert opp.table == opposite(matrix2).table
 
 
 def test_quasi_mutation_opposite_property(matrix2):
     lam = Fraction(2, 5)
     # swapping the parameter lambda <-> 1 - lambda is exactly opposition,
     # and mutating the opposite algebra at 1 - lambda undoes both swaps
-    assert zoo.quasi_mutation(matrix2, lam).opposite().table == zoo.quasi_mutation(matrix2, 1 - lam).table
-    assert zoo.quasi_mutation(matrix2.opposite(), 1 - lam).table == zoo.quasi_mutation(matrix2, lam).table
+    assert opposite(zoo.quasi_mutation(matrix2, lam)).table == zoo.quasi_mutation(matrix2, 1 - lam).table
+    assert zoo.quasi_mutation(opposite(matrix2), 1 - lam).table == zoo.quasi_mutation(matrix2, lam).table
 
 
 @settings(deadline=None, max_examples=20)
@@ -89,7 +92,7 @@ def test_poisson_fixture_preconditions_and_product():
 
 def test_poisson_zero_bracket_is_commutative_product():
     comm, _ = zoo.truncated_poisson_pair()
-    star = zoo.poisson_kantor_product(comm, zoo.zero_algebra(4).rename(comm.basis_names))
+    star = zoo.poisson_kantor_product(comm, rename(zoo.zero_algebra(4), comm.basis_names))
     assert star.table == comm.table
 
 
@@ -167,9 +170,9 @@ def test_structurable_rejects_non_involution(matrix2):
 
 def test_find_unit(matrix2, sl2):
     unit = zoo.find_unit(matrix2)
-    assert unit == zoo.matrix_unit(matrix2, 2)
+    assert unit == matrix_unit(2)
     m3 = zoo.matrix_algebra(3)
-    assert zoo.find_unit(m3) == zoo.matrix_unit(m3, 3)
+    assert zoo.find_unit(m3) == matrix_unit(3)
     assert zoo.find_unit(sl2) is None
     for name in ("slc2", "zero2"):
         assert zoo.find_unit(zoo.fixture(name)) is None
@@ -188,6 +191,40 @@ def test_fixture_registry():
             continue
         alg = zoo.fixture(name)
         assert alg.dim >= 1
+
+
+def test_a_fixture_is_built_once_per_process():
+    for name in sorted(zoo.FIXTURES):
+        assert zoo.fixture(name) is zoo.fixture(name), name
+
+
+def test_a_cached_fixture_is_frozen():
+    alg = zoo.fixture("s2")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        alg.table = ()
+    assert zoo.fixture("s2") is alg
+
+
+def test_an_unknown_fixture_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(KeyError, match="unknown fixture 'nope'"):
+            zoo.fixture("nope")
+
+
+def test_a_failed_gate_is_not_cached(monkeypatch):
+    builds = []
+
+    def not_lie():
+        builds.append(1)
+        alg = Algebra.from_products(2, {(0, 0): {1: 1}})
+        zoo._gate(alg, "lie")
+        return alg
+
+    monkeypatch.setitem(zoo.FIXTURES, "bad", not_lie)
+    for _ in range(2):
+        with pytest.raises(GateError):
+            zoo.fixture("bad")
+    assert len(builds) == 2
 
 
 def test_bundled_data_files_match_constructors():
