@@ -14,8 +14,9 @@ W(4) and W(5) and of RANDOM_COUNT seeded sparse random algebras of dim
 `derivation_algebra` with `derived_series` on M(4), W(3), W(4) and W(5)
 (W(5) a single run), `conservativity`, `jacobi_space` and
 `quasi_units` on M(4), W(3) and W(4), `conservativity` and `quasi_units`
-on W(5) (a single run each), `is_terminal` on W(3), `wn_associated_F` on
-W(3) and W(4),
+on W(5) (a single run each) and, where both answer "no" with a Fredholm
+certificate, on the M7 fixture and `simple_left_commutative(20)`,
+`is_terminal` on W(3), `wn_associated_F` on W(3) and W(4),
 `is_nilpotent4` on W(3) and on the nilpotent4 fixture, and, end to end,
 `cli.main(["--json", command, "--fixture", f])` for the commands
 `conservative`, `derivations`, `codim1` and `identity --name malcev` on
@@ -44,8 +45,10 @@ the same verdicts:
 - verify_associated rows: the verdict;
 - derivations rows: dim Der(A) and its derived series;
 - conservativity rows: the verdict and the dimension of the kernel (the
-  Jacobi space); jacobi_space rows: its dimension; quasi_units rows:
-  whether a quasi-unit exists and the dimension of the kernel;
+  Jacobi space), and on a "no" the witness pair and the number of nonzeros
+  of its certificate; jacobi_space rows: its dimension; quasi_units rows:
+  whether a quasi-unit exists, the dimension of the kernel and, when none
+  exists, the number of nonzeros of the certificate;
 - is_terminal rows: the verdict;
 - wn_associated_F rows: the number of nonzero coefficients of F;
 - is_nilpotent4 rows: the verdict;
@@ -115,12 +118,26 @@ def derivation_counters(result):
     return {"dim": da.dim, "series": series}
 
 
+def certificate_nonzeros(certificate):
+    """Nonzero values of a Fredholm certificate, held either as a
+    ``{label: value}`` map or as a dense vector."""
+    values = certificate.values() if isinstance(certificate, dict) else certificate
+    return sum(1 for y in values if y)
+
+
 def conservativity_counters(verdict):
-    return {"conservative": verdict.conservative, "kernel_dim": verdict.kernel.dim}
+    counters = {"conservative": verdict.conservative, "kernel_dim": verdict.kernel.dim}
+    w = verdict.witness
+    if w is not None:
+        counters.update(pair=[w.a, w.b], certificate_nonzeros=certificate_nonzeros(w.certificate))
+    return counters
 
 
 def quasi_unit_counters(solutions):
-    return {"feasible": solutions.feasible, "kernel_dim": solutions.kernel.dim}
+    counters = {"feasible": solutions.feasible, "kernel_dim": solutions.kernel.dim}
+    if not solutions.feasible:
+        counters["certificate_nonzeros"] = certificate_nonzeros(solutions.certificate)
+    return counters
 
 
 def run_cli(argv):
@@ -273,6 +290,14 @@ def main(argv=None):
     ):
         rows.append(row(f"{label} W5", lambda: fn(w5), counters, runs=1))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    infeasible = {"m7": zoo.fixture("m7"), "slc20": zoo.simple_left_commutative(20)}
+    for name, alg in infeasible.items():
+        for label, fn, counters in (
+            ("conservativity", conservativity, conservativity_counters),
+            ("quasi_units", quasi_units, quasi_unit_counters),
+        ):
+            rows.append(row(f"{label} {name}", lambda: fn(alg), counters))
+            print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     rows.append(row("is_terminal W3", lambda: is_terminal(algebras["W3"]), lambda holds: {"holds": holds}))
     print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     for n in (3, 4):

@@ -299,7 +299,7 @@ def _conservative(args, report):
         w = verdict.witness
         payload["witness"] = {
             "pair": [alg.basis_names[w.a], alg.basis_names[w.b]],
-            "certificate_nonzeros": sum(1 for c in w.certificate if c),
+            "certificate_nonzeros": len(w.certificate),
         }
     report["result"] = payload
     return _check_verdict(args, report, verdict.conservative, "conservative", "not conservative")
@@ -343,7 +343,7 @@ def _quasiunit(args, report):
         payload["particular"] = combination_document(qs.particular, alg.basis_names)
         payload["kernel"] = _subspace_doc(qs.kernel, alg.basis_names)
     else:
-        payload["certificate_nonzeros"] = sum(1 for c in qs.certificate if c)
+        payload["certificate_nonzeros"] = len(qs.certificate)
     report["result"] = payload
     return _check_verdict(args, report, qs.feasible, "quasi-unit exists", "no quasi-unit")
 

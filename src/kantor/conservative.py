@@ -11,6 +11,11 @@ decides the general statement, and each pair reduces to a linear system in
 the unknown value F(a, b).  The kernel of z -> [L_z, P] measures the
 non-uniqueness of F; it coincides with the space of Jacobi elements
 (elements whose left multiplication is a derivation).
+
+Every system here is solved over the sparse columns [L_z, P], one per
+unknown z, each a ``{((x, y), out): coefficient}`` map.  When a system has
+no solution, its Fredholm certificate is solved from those same columns
+and comes back keyed the same way.
 """
 
 from __future__ import annotations
@@ -20,14 +25,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra
 from .identities import generic_defect, identity
-from .linalg import (
-    AffineSolutionSet,
-    Matrix,
-    Subspace,
-    infeasibility_certificate,
-    solve_columns,
-    unit_vec,
-)
+from .linalg import AffineSolutionSet, Subspace, fredholm_certificate, solve_columns, unit_vec
 from .multiops import MultilinearOp, kantor_bracket
 
 
@@ -36,24 +34,6 @@ def _bracket_columns(alg: Algebra):
     P = MultilinearOp.from_algebra(alg)
     L = [P.partial(unit_vec(alg.dim, z)) for z in range(alg.dim)]
     return P, L, [kantor_bracket(Lz, P) for Lz in L]
-
-
-def _bracket_matrix(alg: Algebra):
-    """Dense matrix of the linear map z -> [L_z, P], from V to bilinear ops."""
-    P, _, columns = _bracket_columns(alg)
-    return Matrix.from_cols([op.dense_vec() for op in columns]), P
-
-
-def _certificate(alg: Algebra, rhs: MultilinearOp):
-    """The dense form of the right-hand side of [L_z, P] = rhs, and its
-    Fredholm certificate.
-
-    Only an infeasible system reaches this, so only then is the dense
-    matrix of the system built.
-    """
-    M, _ = _bracket_matrix(alg)
-    rhs = rhs.dense_vec()
-    return rhs, infeasibility_certificate(M, rhs)
 
 
 @dataclass(frozen=True)
@@ -71,15 +51,18 @@ class ConservativityVerdict:
 class InfeasibilityWitness:
     """Basis pair (a, b) whose bracket equation has no solution.
 
-    `certificate` is a functional y with y.(column of the system) = 0 for
-    every column and y.target = 1, so the unsolvability can be rechecked
-    without rerunning the elimination.
+    `target` is the right-hand side [[L_a, P], L_b] of the failing
+    equation and `certificate` a functional y with y.[L_z, P] = 0 for every
+    z and y.target = 1, so the unsolvability can be rechecked without
+    rerunning the elimination.  Both are sparse maps keyed like
+    `MultilinearOp.coeffs`, by ``((x, y), out)``: the target's exact
+    coefficients, and the certificate's nonzero Fractions.
     """
 
     a: int
     b: int
-    target: tuple
-    certificate: tuple
+    target: dict
+    certificate: dict
 
 
 def conservativity(alg: Algebra) -> ConservativityVerdict:
@@ -93,14 +76,16 @@ def conservativity(alg: Algebra) -> ConservativityVerdict:
     _, L, inner = _bracket_columns(alg)
     # [L_{F(a,b)}, P] = -[L_b, [L_a, P]] = [[L_a, P], L_b]
     rhs = [kantor_bracket(inner[a], L[b]) for a in range(n) for b in range(n)]
-    system = solve_columns([op.coeffs for op in inner], [op.coeffs for op in rhs])
+    columns = [op.coeffs for op in inner]
+    system = solve_columns(columns, [op.coeffs for op in rhs])
     kernel = system.kernel()
     coeffs = {}
     for idx in range(n * n):
         a, b = divmod(idx, n)
         sol = system.solution(n + idx)
         if sol is None:
-            witness = InfeasibilityWitness(a, b, *_certificate(alg, rhs[idx]))
+            target = rhs[idx].coeffs
+            witness = InfeasibilityWitness(a, b, target, fredholm_certificate(columns, target))
             return ConservativityVerdict(False, None, kernel, witness)
         for k, c in enumerate(sol):
             if c:
@@ -121,11 +106,11 @@ def quasi_units(alg: Algebra) -> AffineSolutionSet:
     The kernel of the homogeneous part is the Jacobi space, so quasi-units
     (when any exist) form a coset of it.
     """
-    P, _, columns = _bracket_columns(alg)
-    rhs = -P
-    system = solve_columns([op.coeffs for op in columns], [rhs.coeffs])
+    P, _, inner = _bracket_columns(alg)
+    columns, target = [op.coeffs for op in inner], (-P).coeffs
+    system = solve_columns(columns, [target])
     particular = system.solution(alg.dim)
-    certificate = None if particular is not None else _certificate(alg, rhs)[1]
+    certificate = None if particular is not None else fredholm_certificate(columns, target)
     return AffineSolutionSet(particular, system.kernel(), certificate)
 
 

@@ -24,8 +24,10 @@ so Der(A), its Lie table, conservativity, the Jacobi space, quasi-units,
 induced tables and the two-sided annihilator and unit hand it sparse
 columns.  A kernel of dense rows is the orthogonal complement of their
 span, `Subspace.from_spanning(n, rows).orthogonal_complement()`.
-A Fredholm certificate is the canonical solution of the transposed
-system, computed only when a system is infeasible.
+A Fredholm certificate, `fredholm_certificate`, is the canonical solution
+of the transposed system, solved from the same sparse columns and
+computed only when a system is infeasible; it comes back keyed by the
+equation labels.
 """
 
 from __future__ import annotations
@@ -116,12 +118,6 @@ class Matrix:
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
         return cls(len(rows), ncols, tuple(x for r in rows for x in r))
-
-    @classmethod
-    def from_cols(cls, cols) -> "Matrix":
-        cols = [vec(c) for c in cols]
-        m = cls.from_rows(cols)
-        return m.transpose()
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -425,8 +421,9 @@ class AffineSolutionSet:
 
     `particular` is None when infeasible; otherwise it is the canonical
     solution with every free variable zero.  `certificate`, present exactly
-    when infeasible, is a vector y with yᵀA = 0 and yᵀb = 1, which any
-    reader can verify independently.
+    when infeasible, is a functional y with yᵀA = 0 and yᵀb = 1, which any
+    reader can verify independently: the ``{equation label: Fraction}`` map
+    of its nonzeros, from `fredholm_certificate`.
     """
 
     particular: object
@@ -438,18 +435,27 @@ class AffineSolutionSet:
         return self.particular is not None
 
 
-def infeasibility_certificate(a: Matrix, b) -> Vec:
-    """A vector y with yᵀA = 0 and yᵀb = 1 (requires the system infeasible).
+def fredholm_certificate(columns, target) -> dict:
+    """A functional y with y . column = 0 for every column and y . target = 1,
+    as the ``{label: Fraction}`` map of its nonzeros.
 
-    Exists by the Fredholm alternative: b lies outside the column space of A
-    iff some functional kills every column of A but not b.  y is the
-    canonical solution of the transposed system ``[Aᵀ; bᵀ] y = (0, ..., 0, 1)``.
+    Columns and target are sparse ``{label: coefficient}`` dicts as in
+    `solve_columns`, with sortable labels.  y exists exactly when the
+    system ``sum_z x_z columns[z] = target`` is infeasible (the Fredholm
+    alternative: the target lies outside the span of the columns iff some
+    functional kills every column but not the target); a feasible system
+    raises ValueError.  y is the canonical solution of the transposed
+    system, solved by `solve_columns`: its unknowns are the labels, sorted,
+    and its equations are the columns, each equal to 0, and the target,
+    equal to 1.
     """
-    b = vec(b)
-    if len(b) != a.rows:
-        raise DimensionMismatchError.of(a.rows, len(b))
-    rows = [_sparse(a.col(j)) for j in range(a.cols)] + [{**_sparse(b), a.rows: F1}]
-    sol = eliminate(rows, a.rows).solution(a.rows)
+    equations = [*columns, target]
+    labels = sorted({label for equation in equations for label in equation})
+    transposed = [
+        {e: equation[label] for e, equation in enumerate(equations) if label in equation}
+        for label in labels
+    ]
+    sol = solve_columns(transposed, [{len(columns): F1}]).solution(len(labels))
     if sol is None:
         raise ValueError("system is feasible; no certificate exists")
-    return sol
+    return {label: y for label, y in zip(labels, sol) if y}

@@ -8,8 +8,8 @@ coeffs maps (inputs, out) -> coefficient, meaning
 Each coefficient is exact, as `linalg.exact` gives it: an int where
 integral, else a Fraction, as in `Algebra.sparse_table`.  Ints keep the
 arithmetic of the structure constants cheap; the views (`coeff`,
-`as_element`, `as_matrix`, `as_algebra`, `apply_basis`, `dense_vec`) hand
-back Fractions.
+`as_element`, `as_matrix`, `as_algebra`, `apply_basis`) hand back
+Fractions.
 
 Arity 0 is an element, arity 1 a linear map, arity 2 a bilinear map (the
 same data as an Algebra's structure tensor).  `partial(x)` fixes the first
@@ -124,17 +124,6 @@ class MultilinearOp:
             for i in range(n)
         )
         return Algebra(tuple(names) if names else default_names(n), table)
-
-    def dense_vec(self):
-        """Flatten to a tuple, inputs lexicographic, output index fastest."""
-        n = self.dim
-        out = [F0] * (n**self.arity * n)
-        for (inputs, k), c in self.coeffs.items():
-            pos = 0
-            for t in inputs:
-                pos = pos * n + t
-            out[pos * n + k] = frac(c)
-        return tuple(out)
 
     def apply_basis(self, inputs):
         """Value on a tuple of basis indices, as a coordinate vector."""

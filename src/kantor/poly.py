@@ -109,9 +109,11 @@ class Poly:
         return out
 
     def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return self.is_constant() and self.constant_value() == frac(other)
-        return self.variables == other.variables and self.terms == other.terms
+        if isinstance(other, Poly):
+            return self.variables == other.variables and self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            return self.is_constant() and self.constant_value() == other
+        return NotImplemented
 
     def __bool__(self):
         return bool(self.terms)

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Algebra, induced_algebra, verify_subalgebra
-from .errors import NotClosedError
+from .algebra import Algebra, induced_algebra
 from .linalg import F0, F1, Subspace, frac, unit_vec
 from .multiops import MultilinearOp, kantor_bracket
 
@@ -117,11 +116,7 @@ def w2sym_subspace() -> Subspace:
 def build_w2sym() -> Algebra:
     """W2: commutative bilinear operations on the 2-dimensional space,
     as the induced algebra of W(2) on the symmetrized basis."""
-    w2 = build_wn(2)
-    sub = w2sym_subspace()
-    if not verify_subalgebra(w2, sub):
-        raise NotClosedError(-1, -1, None)  # pragma: no cover - structural fact
-    return induced_algebra(w2, sub, basis=_XI_VECTORS, names=XI_LABELS)
+    return induced_algebra(build_wn(2), w2sym_subspace(), basis=_XI_VECTORS, names=XI_LABELS)
 
 
 def w2sym_associated_F() -> MultilinearOp:
@@ -184,12 +179,7 @@ def skew_invariance_subspace() -> Subspace:
 
 def build_s2() -> Algebra:
     """S2: the trace-zero subalgebra of W2, in the z basis."""
-    w2s = build_w2sym()
-    sub = trace_zero_subspace()
-    target = Subspace.from_spanning(6, _Z_VECTORS)
-    if sub != target:  # pragma: no cover - structural fact
-        raise RuntimeError("trace-zero subspace differs from its z-basis span")
-    return induced_algebra(w2s, sub, basis=_Z_VECTORS, names=Z_LABELS)
+    return induced_algebra(build_w2sym(), trace_zero_subspace(), basis=_Z_VECTORS, names=Z_LABELS)
 
 
 def build_h1() -> Algebra:

@@ -18,13 +18,13 @@ def _coords(a):
 def left_mul_operator(alg: Algebra, a) -> Matrix:
     """Matrix of x -> a x; column j holds the coordinates of a e_j."""
     av = _coords(a)
-    return Matrix.from_cols([alg.mul_vec(av, unit_vec(alg.dim, j)) for j in range(alg.dim)])
+    return Matrix.from_rows([alg.mul_vec(av, unit_vec(alg.dim, j)) for j in range(alg.dim)]).transpose()
 
 
 def right_mul_operator(alg: Algebra, a) -> Matrix:
     """Matrix of x -> x a; column j holds the coordinates of e_j a."""
     av = _coords(a)
-    return Matrix.from_cols([alg.mul_vec(unit_vec(alg.dim, j), av) for j in range(alg.dim)])
+    return Matrix.from_rows([alg.mul_vec(unit_vec(alg.dim, j), av) for j in range(alg.dim)]).transpose()
 
 
 def opposite(alg: Algebra) -> Algebra:
@@ -44,6 +44,11 @@ def matrix_unit(k: int):
 
 def row_list(m: Matrix):
     return [list(m.row(i)) for i in range(m.rows)]
+
+
+def pair(y, column):
+    """A sparse functional ``{label: value}`` applied to a sparse column."""
+    return sum(y[label] * c for label, c in column.items() if label in y)
 
 
 def same_set(a, b) -> bool:

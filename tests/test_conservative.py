@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,18 +7,19 @@ from kantor.algebra import Algebra
 from kantor.conservative import (
     DEFAULT_TERMINAL_CONVENTION,
     TERMINAL_CONVENTIONS,
+    _bracket_columns,
     conservativity,
     is_terminal,
     jacobi_space,
     quasi_units,
     verify_associated,
 )
-from kantor.linalg import AffineSolutionSet, Subspace, dot, unit_vec
+from kantor.linalg import AffineSolutionSet, Subspace, unit_vec
 from kantor.multiops import MultilinearOp
 from kantor.wn import build_wn, w2sym_associated_F, wn_associated_F
 from kantor import zoo
 
-from helpers import same_set
+from helpers import pair, same_set
 
 
 def test_zero_algebra_f_zero():
@@ -44,12 +47,10 @@ def test_m7_not_conservative(m7):
     w = verdict.witness
     # Fredholm certificate: kills the bracket-map columns, pairs to 1 with
     # the target of the failing pair
-    from kantor.conservative import _bracket_matrix
-
-    M, _ = _bracket_matrix(m7)
-    for j in range(M.cols):
-        assert dot(w.certificate, M.col(j)) == 0
-    assert dot(w.certificate, w.target) == 1
+    _, _, columns = _bracket_columns(m7)
+    for column in columns:
+        assert pair(w.certificate, column.coeffs) == 0
+    assert pair(w.certificate, w.target) == 1
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -110,6 +111,19 @@ def test_quasi_unit_zero_algebra():
     qs = quasi_units(zoo.zero_algebra(2))
     assert qs.feasible
     assert qs.kernel == Subspace.full(2)
+
+
+@pytest.mark.parametrize("name", ["sl2", "nilpotent4", "leibniz2", "m7", "slc2", "slc3"])
+def test_quasi_unit_certificate(name):
+    alg = zoo.fixture(name)
+    qs = quasi_units(alg)
+    assert not qs.feasible
+    # y.[L_z, P] = 0 for every z, so y kills every column, and y.(-P) = 1
+    P, _, columns = _bracket_columns(alg)
+    for column in columns:
+        assert pair(qs.certificate, column.coeffs) == 0
+    assert pair(qs.certificate, (-P).coeffs) == 1
+    assert qs.certificate and all(type(y) is Fraction for y in qs.certificate.values())
 
 
 def test_quasi_unit_defining_identity(wn2):

@@ -9,15 +9,14 @@ from kantor.linalg import (
     AffineSolutionSet,
     Matrix,
     Subspace,
-    dot,
     eliminate,
-    infeasibility_certificate,
+    fredholm_certificate,
     solve_columns,
     unit_vec,
     zero_vec,
 )
 
-from helpers import row_list, same_set
+from helpers import pair, row_list, same_set
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -47,6 +46,16 @@ def _echelon_form(m):
     rows = [[r.get(j, Fraction(0)) for j in range(m.cols)] for r in e.rows]
     rows += [zero_vec(m.cols)] * (m.rows - len(rows))
     return Matrix(m.rows, m.cols, tuple(x for r in rows for x in r)), e.pivots, len(e.pivots)
+
+
+def _certificate(m, b):
+    """`fredholm_certificate` over the columns of m and target b, checked
+    against them: yᵀA = 0 and yᵀb = 1."""
+    columns, (target,) = _columns(m), _sparse([b])
+    y = fredholm_certificate(columns, target)
+    assert all(pair(y, column) == 0 for column in columns)
+    assert pair(y, target) == 1
+    return y
 
 
 def _solve(m, targets):
@@ -169,16 +178,14 @@ def test_solve_infeasible_gives_certificate():
     a = Matrix.from_rows([[1, 0], [1, 0]])
     _, (particular,) = _solve(a, [(1, 2)])
     assert particular is None
-    y = infeasibility_certificate(a, (1, 2))
     # y kills every column of a but pairs to 1 with the target
-    for j in range(a.cols):
-        assert dot(y, a.col(j)) == 0
-    assert dot(y, (1, 2)) == 1
+    y = _certificate(a, (1, 2))
+    assert y and all(type(x) is Fraction for x in y.values())
 
 
 def test_certificate_requires_infeasible():
     with pytest.raises(ValueError):
-        infeasibility_certificate(Matrix.identity(2), (1, 1))
+        fredholm_certificate(_columns(Matrix.identity(2)), {0: 1, 1: 1})
 
 
 @settings(deadline=None, max_examples=60)
@@ -191,10 +198,7 @@ def test_solve_exactness(m, data):
         for k in e.kernel().basis:
             assert m.apply(k) == (Fraction(0),) * m.rows
     else:
-        y = infeasibility_certificate(m, b)
-        for j in range(m.cols):
-            assert dot(y, m.col(j)) == 0
-        assert dot(y, b) == 1
+        _certificate(m, b)
 
 
 def test_solve_columns_many_targets_match_one_at_a_time():
@@ -264,8 +268,6 @@ def test_eliminate_ignores_row_order_and_value_type(system):
 
 
 def test_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        infeasibility_certificate(Matrix.identity(2), (1, 2, 3))
     with pytest.raises(DimensionMismatchError):
         Subspace.from_spanning(2, [(1, 2, 3)])
 
@@ -429,6 +431,13 @@ def test_solve_columns_matches_sympy(m, data):
             assert m.apply(x) == t
             assert all(x[j] == 0 for j in free)
         else:
-            y = infeasibility_certificate(m, t)
-            assert all(dot(y, m.col(j)) == 0 for j in range(m.cols))
-            assert dot(y, t) == 1
+            y = _certificate(m, t)
+            # the canonical solution of [Aᵀ; bᵀ] y = (0, ..., 0, 1): every
+            # free coordinate zero, the pivots read off the RREF
+            transposed = sympy.Matrix.vstack(sm.T, column.T)
+            rhs = sympy.Matrix([0] * m.cols + [1])
+            reduced, pivots = sympy.Matrix.hstack(transposed, rhs).rref()
+            expected = [Fraction(0)] * m.rows
+            for r, p in enumerate(pivots):
+                expected[p] = Fraction(int(reduced[r, m.rows].p), int(reduced[r, m.rows].q))
+            assert [y.get(i, 0) for i in range(m.rows)] == expected

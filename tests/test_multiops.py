@@ -145,14 +145,6 @@ def test_bracket_bilinear_in_operands(data):
     assert lhs == rhs
 
 
-def test_dense_vec_layout():
-    op = MultilinearOp(2, 2, {((1, 0), 1): Fraction(5)})
-    v = op.dense_vec()
-    assert len(v) == 8
-    assert v[(1 * 2 + 0) * 2 + 1] == 5
-    assert sum(1 for x in v if x) == 1
-
-
 def test_transpose():
     op = MultilinearOp(2, 2, {((0, 1), 0): Fraction(2)})
     assert op.transpose() == MultilinearOp(2, 2, {((1, 0), 0): Fraction(2)})

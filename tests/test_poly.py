@@ -127,6 +127,14 @@ def test_polynomials_of_different_rings_do_not_mix():
     assert buchberger([Poly.zero(("x",))]).variables == ("x",)
 
 
+def test_poly_equality_with_foreign_operands():
+    one = Poly.const(1, ("x",))
+    assert one == 1 and one == Fraction(1) and 1 == one
+    assert one != None and None != one  # noqa: E711
+    assert one != "abc" and "abc" != one
+    assert one != "1"
+
+
 def test_buchberger_principal():
     x = P("x", ("x",))
     gb = buchberger([x**2 - 1])
