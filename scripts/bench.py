@@ -36,8 +36,10 @@ to run and, apart from `reductions_used` (counted in the budget's unit of
 the version that wrote the row), between versions of the program that give
 the same verdicts:
 
-- identity rows: the verdict and, per identity, the number of nonzero
-  terms (coordinate, monomial) of the expanded defect;
+- identity rows: the verdict, per identity the number of nonzero terms
+  (coordinate, monomial) of the expanded defect and, per failing
+  identity, a digest of its witness (coordinate, monomial, coefficient,
+  assignment and defect);
 - codim1 rows: the subalgebras found, the pivots that ran out of budget
   and each pivot's whole spend, `SolutionSet.reductions_used` (the
   basis's reduction steps plus root extraction's), in total and, on the
@@ -94,8 +96,24 @@ def defect_terms(alg, ident):
     return sum(len(coords) for coords in identities.generic_defect(alg, ident).values())
 
 
+def witness_digest(w):
+    """SHA-256 of a witness's coordinate, monomial, coefficient, assignment
+    and defect, with every rational written as text."""
+    fields = (
+        w.coordinate,
+        w.monomial,
+        str(w.coefficient),
+        sorted((v, [str(x) for x in vec]) for v, vec in w.assignment.items()),
+        [str(x) for x in w.defect],
+    )
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
 def identity_counters(verdicts):
-    return {"holds": all(v.holds for v in verdicts)}
+    return {
+        "holds": all(v.holds for v in verdicts),
+        "witnesses": {v.identity.name: witness_digest(v.witness) for v in verdicts if not v.holds},
+    }
 
 
 def codim1_counters(rep):

@@ -18,7 +18,6 @@ import hashlib
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import claims, zoo
 from .algebra import (
@@ -58,6 +57,7 @@ from .storage import (
     dumps_algebra,
     load_algebra_pair,
     load_linear_map,
+    parse_rational,
 )
 from .wn import build_wn
 from .poly import MAX_REDUCTIONS
@@ -265,7 +265,7 @@ def _fixture_command(args, report):
 def _twist_quasi(args, report):
     alg, _, _ = _load_input(args, report)
     try:
-        lam = Fraction(args.lam)
+        lam = parse_rational(args.lam)
     except (ValueError, ZeroDivisionError):
         raise AlgebraFormatError(f"bad rational {args.lam!r}") from None
     return _show_algebra(report, zoo.quasi_mutation(alg, lam))
@@ -466,8 +466,17 @@ def _print_report(report, as_json):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    limit = sys.get_int_max_str_digits()
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv):
     try:
         args = _build_parser().parse_args(argv)
+        sys.set_int_max_str_digits(0)  # exact results print whole; input stays capped by storage.MAX_DIGITS
         report, code = _execute(args, argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -23,9 +23,11 @@ t-th free variable.  Products go to `Algebra.mul_expanded`, the package's
 one product kernel, which walks the nonzero structure constants of
 `Algebra.sparse_table`.  A concrete vector is the constant monomial (), so
 `evaluate_identity` runs the same code.
-Coefficients stay Python ints while they are integral (exact, and far
-cheaper than Fraction).  Only the first nonzero coordinate of a failing
-defect becomes a `Poly` over Fractions, which supplies the witness.
+A linear combination is one `Sum` node, added into one accumulator and
+pruned once.  Coefficients stay Python ints while they are integral (exact,
+and far cheaper than Fraction).  The witness of a failing identity is read
+off the first nonzero coordinate of its defect in the same layout: the
+lex-largest monomial, and a point found by fixing one symbol at a time.
 """
 
 from __future__ import annotations
@@ -36,13 +38,13 @@ from fractions import Fraction
 from .algebra import Algebra, _prune
 from .errors import AlgebraFormatError, DimensionMismatchError, ExprSyntaxError, MissingBracketError
 from .linalg import F0, exact, frac
-from .poly import Poly
-from .storage import read_json
+from .storage import MAX_DIGITS, read_json
 
 MAX_FREE_VARIABLES = 4
 MAX_DEGREE = 5
-# Deepest expression tree, and most brackets open at once, that the parser
-# accepts; parsing and evaluation recurse once per level.
+# Most brackets, `(` or `{`, open at once that the parser accepts.  Only
+# brackets nest (a sum of any length is one level), and parsing and
+# evaluation recurse a few frames per open bracket.
 MAX_NESTING = 100
 
 
@@ -55,21 +57,8 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Scale:
-    coeff: Fraction
-    arg: object
-
-
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
+class Sum:
+    terms: tuple  # ((Fraction coefficient, node), ...)
 
 
 @dataclass(frozen=True)
@@ -84,33 +73,28 @@ class Bracket:
     right: object
 
 
+def _children(node):
+    if isinstance(node, Sum):
+        return [t for _, t in node.terms]
+    return () if isinstance(node, Var) else (node.left, node.right)
+
+
 def free_variables(node):
     if isinstance(node, Var):
         return {node.name}
-    if isinstance(node, Scale):
-        return free_variables(node.arg)
-    return free_variables(node.left) | free_variables(node.right)
+    return set().union(*map(free_variables, _children(node)))
 
 
 def uses_bracket(node):
-    if isinstance(node, Var):
-        return False
-    if isinstance(node, Scale):
-        return uses_bracket(node.arg)
-    if isinstance(node, Bracket):
-        return True
-    return uses_bracket(node.left) or uses_bracket(node.right)
+    return isinstance(node, Bracket) or any(map(uses_bracket, _children(node)))
 
 
 def product_degree(node):
     """Number of algebra-product leaves in the deepest expansion."""
     if isinstance(node, Var):
         return 1
-    if isinstance(node, Scale):
-        return product_degree(node.arg)
-    if isinstance(node, (Prod, Bracket)):
-        return product_degree(node.left) + product_degree(node.right)
-    return max(product_degree(node.left), product_degree(node.right))
+    degrees = map(product_degree, _children(node))
+    return max(degrees) if isinstance(node, Sum) else sum(degrees)
 
 
 # -- tokenizer / parser -------------------------------------------------------
@@ -150,8 +134,8 @@ def _tokenize(src):
 
 
 class _Parser:
-    """Recursive descent; the grammar methods (expr, term, factor, primary)
-    return (node, depth of its tree)."""
+    """Recursive descent over the grammar methods expr, term, factor and
+    primary; only `primary` opens a bracket, so only it counts nesting."""
 
     def __init__(self, src):
         self.src = src
@@ -173,76 +157,74 @@ class _Parser:
             raise ExprSyntaxError(f"expected {kind!r}, found {t[1]!r}", t[2])
         return t
 
-    def nest(self, depth):
-        """One level below `depth`, refused beyond MAX_NESTING."""
-        if depth >= MAX_NESTING:
-            raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", self.peek()[2])
-        return depth + 1
+    def integer(self):
+        """The next token, an integer of at most MAX_DIGITS digits, and its offset."""
+        _, digits, offset = self.expect("int")
+        if 0 < MAX_DIGITS < len(digits):
+            raise ExprSyntaxError(f"number longer than {MAX_DIGITS} digits", offset)
+        return int(digits), offset
 
     def parse(self):
-        e, _ = self.expr()
+        e = self.expr()
         t = self.peek()
         if t[0] != "end":
             raise ExprSyntaxError(f"trailing input {t[1]!r}", t[2])
         return e
 
     def expr(self):
-        node, depth = self.term()
+        terms = [self.term(1)]
         while self.peek()[0] in "+-":
-            op = self.next()[0]
-            rhs, d = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-            depth = self.nest(max(depth, d))
-        return node, depth
+            terms.append(self.term(1 if self.next()[0] == "+" else -1))
+        if len(terms) == 1 and terms[0][0] == 1:
+            return terms[0][1]
+        return Sum(tuple(terms))
 
-    def term(self):
+    def term(self, sign):
+        """(coefficient, node) of one term, the coefficient signed by `sign`."""
+        coeff = Fraction(sign)
         if self.peek()[0] == "int":
-            num = int(self.next()[1])
+            num, _ = self.integer()
+            den = 1
             if self.peek()[0] == "/":
                 self.next()
-                den_tok = self.expect("int")
-                den = int(den_tok[1])
+                den, offset = self.integer()
                 if not den:
-                    raise ExprSyntaxError("zero denominator", den_tok[2])
-                coeff = Fraction(num, den)
-            else:
-                coeff = Fraction(num)
+                    raise ExprSyntaxError("zero denominator", offset)
+            coeff *= Fraction(num, den)
             self.expect("*")
-            node, depth = self.factor()
-            return Scale(coeff, node), self.nest(depth)
-        return self.factor()
+        return coeff, self.factor()
 
     def factor(self):
-        node, depth = self.primary()
+        node = self.primary()
         if self.peek()[0] == "*":
             self.next()
-            rhs, d = self.primary()
-            node, depth = Prod(node, rhs), self.nest(max(depth, d))
+            node = Prod(node, self.primary())
             t = self.peek()
             if t[0] == "*":
                 raise ExprSyntaxError(
                     "products are binary; parenthesize nested products", t[2]
                 )
-        return node, depth
+        return node
 
     def primary(self):
         t = self.next()
         if t[0] == "var":
-            return Var(t[1]), 1
+            return Var(t[1])
         if t[0] not in ("(", "{"):
             raise ExprSyntaxError(f"unexpected token {t[1]!r}", t[2])
-        self.open_brackets = self.nest(self.open_brackets)
+        if self.open_brackets >= MAX_NESTING:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", self.peek()[2])
+        self.open_brackets += 1
         if t[0] == "(":
-            inner = self.expr()
+            node = self.expr()
             self.expect(")")
         else:
-            left, dl = self.expr()
+            left = self.expr()
             self.expect(",")
-            right, dr = self.expr()
+            node = Bracket(left, self.expr())
             self.expect("}")
-            inner = Bracket(left, right), self.nest(max(dl, dr))
         self.open_brackets -= 1
-        return inner
+        return node
 
 
 def parse_expr(src: str):
@@ -294,42 +276,31 @@ def identity(name, variables, source) -> Identity:
 # -- evaluation ---------------------------------------------------------------
 
 
-def _scale(vector, coeff):
-    return _prune({m: {k: coeff * c for k, c in coords.items()} for m, coords in vector.items()})
-
-
-def _add(a, b):
-    out = {m: dict(coords) for m, coords in a.items()}
-    for m, coords in b.items():
-        acc = out.setdefault(m, {})
-        for k, c in coords.items():
-            acc[k] = acc.get(k, 0) + c
-    return _prune(out)
-
-
 def _eval(node, env, alg, bracket):
     """Value of an expression over vectors {monomial: {coordinate: coeff}}."""
     if isinstance(node, Var):
         return env[node.name]
-    if isinstance(node, Scale):
-        return _scale(_eval(node.arg, env, alg, bracket), exact(node.coeff))
-    if not isinstance(node, (Add, Sub, Prod, Bracket)):
-        raise TypeError(f"not an expression node: {node!r}")
-    if isinstance(node, Bracket) and bracket is None:
-        raise MissingBracketError("identity uses {,} but no bracket table was supplied")
+    if isinstance(node, Sum):
+        acc = {}
+        for coeff, arg in node.terms:
+            c = exact(coeff)
+            for m, coords in _eval(arg, env, alg, bracket).items():
+                row = acc.setdefault(m, {})
+                for k, v in coords.items():
+                    row[k] = row.get(k, 0) + c * v
+        return _prune(acc)
     a = _eval(node.left, env, alg, bracket)
     b = _eval(node.right, env, alg, bracket)
-    if isinstance(node, Add):
-        return _add(a, b)
-    if isinstance(node, Sub):
-        return _add(a, _scale(b, -1))
     return (alg if isinstance(node, Prod) else bracket).mul_expanded(a, b)
 
 
 def _expand(alg: Algebra, ident: Identity, env, bracket: Algebra):
     """The defect of the identity over the vectors in `env`."""
-    if bracket is not None and ident.needs_bracket and bracket.dim != alg.dim:
-        raise DimensionMismatchError.of(alg.dim, bracket.dim)
+    if ident.needs_bracket:
+        if bracket is None:
+            raise MissingBracketError(f"identity {ident.name!r} uses {{,}} but no bracket table was supplied")
+        if bracket.dim != alg.dim:
+            raise DimensionMismatchError.of(alg.dim, bracket.dim)
     return _eval(ident.expr, env, alg, bracket)
 
 
@@ -370,26 +341,25 @@ class IdentityVerdict:
         return self.holds
 
 
-def _find_nonvanishing(poly: Poly, candidates=(0, 1, -1, 2, -2, 3)):
-    """A point where a nonzero polynomial does not vanish.
+def _find_nonvanishing(terms, candidates=(0, 1, -1, 2, -2, 3)):
+    """A point, {symbol: Fraction}, where the polynomial {sorted symbol
+    tuple: coefficient} does not vanish; symbols it lacks stay free.
 
-    Fixes variables one at a time; degree <= 5 per variable guarantees one
-    of the six candidate values keeps the rest nonzero.  The support is read
-    once: fixing a variable only shrinks it, and a variable that has left it
-    keeps the polynomial unchanged at the first candidate, 0.
+    Fixes its symbols in increasing order, so the one being fixed leads
+    every tuple; degree <= 5 per symbol guarantees one of the six
+    candidate values keeps the rest nonzero.
     """
     assignment = {}
-    current = poly
-    support = poly.support_variables()
-    for v in poly.variables:
-        if v not in support:
-            assignment[v] = Fraction(0)
-            continue
+    for s in sorted({s for m in terms for s in m}):
         for c in candidates:
-            nxt = current.substitute(v, c)
-            if not nxt.is_zero():
-                assignment[v] = Fraction(c)
-                current = nxt
+            fixed = {}
+            for m, coeff in terms.items():
+                e = m.count(s)
+                fixed[m[e:]] = fixed.get(m[e:], 0) + coeff * c**e
+            fixed = {m: coeff for m, coeff in fixed.items() if coeff}
+            if fixed:
+                assignment[s] = Fraction(c)
+                terms = fixed
                 break
         else:  # pragma: no cover - impossible for degree <= |candidates| - 1
             raise RuntimeError("no non-vanishing point found")
@@ -409,10 +379,6 @@ def _symbol_names(variables, n):
 def generic_defect(alg: Algebra, ident: Identity, bracket: Algebra = None):
     """The defect at generic vectors, as {monomial: {coordinate: coeff}}
     with every coefficient nonzero; empty iff the identity holds."""
-    if ident.needs_bracket and bracket is None:
-        raise MissingBracketError(
-            f"identity {ident.name!r} uses {{,}} but no bracket table was supplied"
-        )
     n = alg.dim
     env = {
         v: {(t * n + i,): {i: 1} for i in range(n)}
@@ -426,33 +392,28 @@ def check_identity(alg: Algebra, ident: Identity, bracket: Algebra = None) -> Id
 
     Each free variable v becomes the generic vector (v1, ..., vn); the
     identity holds iff every coordinate of the expanded defect is the zero
-    polynomial.  On failure the witness pins a nonzero monomial and a
-    rational point where the defect is provably nonzero.
+    polynomial.  On failure the witness pins the lex-largest monomial of the
+    first nonzero coordinate and a rational point where the defect is
+    provably nonzero.
     """
     n = alg.dim
     defect = generic_defect(alg, ident, bracket)
     if not defect:
         return IdentityVerdict(ident, True)
     k = min(k for coords in defect.values() for k in coords)
+    terms = {m: coords[k] for m, coords in defect.items() if k in coords}
     symbols = _symbol_names(ident.variables, n)
-    terms = {}
-    for m, coords in defect.items():
-        if k in coords:
-            exps = [0] * len(symbols)
-            for s in m:
-                exps[s] += 1
-            terms[tuple(exps)] = frac(coords[k])
-    coord = Poly(symbols, terms)
-    exps, coeff = coord.leading()
-    point = _find_nonvanishing(coord)
+    # exponent vectors in lex order are sorted symbol tuples, negated
+    leading = max(terms, key=lambda m: [-s for s in m])
+    point = _find_nonvanishing(terms)
     vectors = {
-        v: tuple(point.get(symbols[t * n + i], F0) for i in range(n))
+        v: tuple(point.get(t * n + i, F0) for i in range(n))
         for t, v in enumerate(ident.variables)
     }
     witness = IdentityWitness(
         coordinate=k,
-        monomial=exps,
-        coefficient=coeff,
+        monomial=tuple(leading.count(s) for s in range(len(symbols))),
+        coefficient=frac(terms[leading]),
         symbols=symbols,
         assignment=vectors,
         defect=evaluate_identity(alg, ident, vectors, bracket),

@@ -249,7 +249,8 @@ class GroebnerBasis:
     variables: tuple
     generators: tuple  # reduced, monic, sorted by leading monomial descending
     reductions_used: int = 0
-    max_reductions: int = MAX_REDUCTIONS  # the cap it was built under
+    max_reductions: int = MAX_REDUCTIONS  # the caps it was built under
+    max_degree: int = MAX_TOTAL_DEGREE
 
     def __iter__(self):
         return iter(self.generators)
@@ -438,7 +439,7 @@ def buchberger(generators, variables=(), max_reductions=MAX_REDUCTIONS, max_degr
         _same_ring(variables, p)
     polys = [p for p in generators if not p.is_zero()]
     budget = _Budget(max_reductions, max_degree)
-    return GroebnerBasis(variables, _groebner(polys, variables, budget), budget.reductions, max_reductions)
+    return GroebnerBasis(variables, _groebner(polys, variables, budget), budget.reductions, max_reductions, max_degree)
 
 
 # -- rational solutions ------------------------------------------------------
@@ -596,13 +597,13 @@ def solve_rational(gb: GroebnerBasis) -> SolutionSet:
     a single variable, the lex-smallest that has one, and for each root
     computes the basis of the substituted generators and solves from that.
     Those bases charge one budget that continues from `gb.reductions_used`,
-    under the cap `gb.max_reductions` the basis was built under, so that one
-    cap bounds the whole solve.
+    under the caps `gb.max_reductions` and `gb.max_degree` the basis was
+    built under, so that one pair of caps bounds the whole solve.
     Zero-dimensional triangular systems resolve completely; positive-
     dimensional or irrational components come back as unresolved
     descriptors, never guessed.
     """
-    budget = _Budget(gb.max_reductions, reductions=gb.reductions_used)
+    budget = _Budget(gb.max_reductions, gb.max_degree, gb.reductions_used)
     points, unresolved = _solve_recursive(gb.generators, gb.variables, (), budget)
     pts = tuple(
         tuple(p.get(v, F0) for v in gb.variables)

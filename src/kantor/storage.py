@@ -11,26 +11,47 @@ where <products> is either a dense n x n array of {basis_name: "p/q"}
 maps, or a sparse object mapping "ei*ej" to {basis_name: "p/q"}; a key
 is read at the one "*" that splits it into two basis names, and a key with
 more than one such split is refused on reading and on writing.  Omitted
-entries are zero and every rational is a string with canonical sign on the
-numerator.  `bracket_table` carries a second product over the same basis
-(used for Poisson-style input).
+entries are zero and every rational is a string `p/q` or `p`, the sign on
+the numerator; no other form is read, and no integer of more than
+MAX_DIGITS digits as written.  `bracket_table` carries a second product
+over the same basis (used for Poisson-style input).
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 
 from .algebra import Algebra, combination_document
 from .errors import AlgebraFormatError
 from .linalg import F0, Matrix
 
+# Most digits an integer may have as written in any input: the interpreter's
+# int-string limit when this module is imported (0: no cap).  `cli.main`
+# lifts that limit while it reports, so that results print at any size.
+MAX_DIGITS = sys.get_int_max_str_digits()
+_DIGITS = f"[0-9]{{1,{MAX_DIGITS}}}" if MAX_DIGITS else "[0-9]+"
+_FORM = f"p/q or p, at most {MAX_DIGITS} digits each" if MAX_DIGITS else "p/q or p"
+_RATIONAL = re.compile(f"[+-]?{_DIGITS}(?:/{_DIGITS})?")
+_INTEGER = re.compile(f"-?{_DIGITS}")
+
+
+def parse_rational(text) -> Fraction:
+    """The documented forms `p/q` and `p`: ASCII digits, at most MAX_DIGITS
+    in p and in q, and an optional sign on p.  ValueError or
+    ZeroDivisionError otherwise."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"expected {_FORM}")
+    return Fraction(text)
+
 
 def _parse_rational(text, where):
     if not isinstance(text, str):
         raise AlgebraFormatError(f"rational values must be strings, got {text!r}", where)
     try:
-        return Fraction(text)
+        return parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise AlgebraFormatError(f"not a rational: {text!r} ({exc})", where) from None
 
@@ -111,11 +132,17 @@ def parse_algebra_document(doc, where="<algebra>"):
 
 
 def read_json(path):
-    """The JSON document in a file; malformed or too deeply nested JSON is
-    an AlgebraFormatError."""
+    """The JSON document in a file; malformed or too deeply nested JSON, and
+    an integer of more than MAX_DIGITS digits, is an AlgebraFormatError."""
+
+    def integer(text):
+        if not _INTEGER.fullmatch(text):
+            raise AlgebraFormatError(f"integer of more than {MAX_DIGITS} digits", str(path))
+        return int(text)
+
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=integer)
         except json.JSONDecodeError as exc:
             raise AlgebraFormatError(f"invalid JSON: {exc}", f"{path}:{exc.lineno}:{exc.colno}") from None
         except RecursionError:

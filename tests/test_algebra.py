@@ -20,7 +20,7 @@ from kantor.errors import AlgebraFormatError, NotClosedError
 from kantor.identities import is_nilpotent4
 from kantor.linalg import Matrix, Subspace, solve_columns, unit_vec
 from kantor.multiops import MultilinearOp
-from kantor.storage import load_algebra_pair, parse_algebra_document, save_algebra
+from kantor.storage import MAX_DIGITS, load_algebra_pair, parse_algebra_document, parse_rational, save_algebra
 from kantor.wn import XI_LABELS, Z_LABELS, build_wn, w2sym_subspace, wn_associated_F
 from kantor import zoo
 
@@ -438,6 +438,18 @@ def test_storage_rejects_zero_denominator():
     doc = {"dim": 1, "basis": ["e1"], "table": {"e1*e1": {"e1": "1/0"}}}
     with pytest.raises(AlgebraFormatError):
         parse_algebra_document(doc)
+
+
+def test_rationals_are_read_in_the_documented_form_only():
+    assert parse_rational("-12/8") == Fraction(-3, 2)
+    assert parse_rational("+7") == 7 and type(parse_rational("7")) is Fraction
+    assert parse_rational("9" * MAX_DIGITS) == int("9" * MAX_DIGITS)
+    # twelve bytes that would expand to a billion digits are refused unread
+    for text in ("1e999999999", "1.5", "1/-2", "1 / 2", "", "٣", "9" * (MAX_DIGITS + 1)):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+    with pytest.raises(ZeroDivisionError):
+        parse_rational("1/0")
 
 
 def test_storage_rejects_bad_shape():

@@ -339,10 +339,9 @@ def test_deeply_nested_identity_file_is_a_format_error(tmp_path):
     [
         "(" * 3000 + "a*b" + ")" * 3000,
         "{" * 3000 + "a" + ", b}" * 3000,
-        " + ".join(["a*b"] * 3000),
         "(" * (MAX_NESTING + 1) + "a*b" + ")" * (MAX_NESTING + 1),
     ],
-    ids=["parentheses", "brackets", "long-sum", "one-past-the-cap"],
+    ids=["parentheses", "brackets", "one-past-the-cap"],
 )
 def test_deep_expression_exits_65(expr, capsys):
     code, _, err = run_cli(["identity", "--fixture", "sl2", "--expr", expr], capsys)
@@ -353,6 +352,60 @@ def test_deep_expression_exits_65(expr, capsys):
 def test_expression_at_the_nesting_cap_is_checked(capsys):
     expr = "(" * MAX_NESTING + "a*b + b*a" + ")" * MAX_NESTING
     assert run_cli(["identity", "--fixture", "sl2", "--expr", expr, "--assert"], capsys)[0] == 0
+
+
+def test_long_sum_is_checked(capsys):
+    # a sum of any length is one level of nesting; on sl2 every pair cancels
+    expr = " + ".join(["a*b", "b*a"] * 1500)
+    assert run_cli(["identity", "--fixture", "sl2", "--expr", expr, "--assert"], capsys)[0] == 0
+
+
+def test_number_past_the_digit_cap_exits_65(capsys):
+    expr = "9" * (sys.get_int_max_str_digits() + 1) + "*(a*b)"
+    code, out, err = run_cli(["identity", "--fixture", "sl2", "--expr", expr], capsys)
+    assert code == 65
+    assert out == "" and "number longer than" in err and "(byte 0)" in err
+
+
+@pytest.mark.parametrize(
+    "value", ["1e5000", "0.5", "1_000", " 1", "9" * 5000, "1/" + "7" * 5000]
+)
+def test_rational_outside_the_documented_form_exits_65(value, tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 1, "basis": ["e"], "table": {"e*e": {"e": value}}}))
+    for command in ("show", "conservative", "derivations", "codim1"):
+        code, out, err = run_cli([command, str(path)], capsys)
+        assert code == 65
+        assert out == "" and "not a rational" in err
+    code, out, err = run_cli(["twist", "quasi", "--fixture", "matrix2", "--lambda", value], capsys)
+    assert code == 65
+    assert out == "" and "bad rational" in err
+
+
+def test_json_integer_past_the_digit_cap_exits_65(tmp_path, capsys):
+    path = tmp_path / "dim.json"
+    path.write_text('{"dim": ' + "9" * 5000 + ', "basis": [], "table": {}}')
+    code, out, err = run_cli(["show", str(path)], capsys)
+    assert code == 65
+    assert out == "" and "integer of more than" in err
+
+
+def test_results_print_at_any_size(tmp_path, capsys):
+    # a 3000-digit constant c gives (a*a)*a = c^2 a^3, a 6000-digit witness
+    c = int("7" * 3000)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 1, "basis": ["e"], "table": {"e*e": {"e": str(c)}}}))
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(["--json", "identity", str(path), "--expr", "(a*a)*a"], capsys)
+    assert code == 0
+    witness = json.loads(out)["result"]["identities"][0]["witness"]
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert witness["coefficient"] == str(c * c)
+        assert witness["defect"] == {"e": str(c * c)}
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_identity_beyond_the_language_limits_exits_65(capsys):

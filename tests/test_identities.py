@@ -1,4 +1,6 @@
+import functools
 import random
+import re
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -9,12 +11,11 @@ from sympy import QQ, lex, ring
 from kantor.algebra import Algebra
 from kantor.errors import ExprSyntaxError, MissingBracketError
 from kantor.identities import (
+    MAX_NESTING,
     NILPOTENT4,
-    Add,
     Bracket,
     Prod,
-    Scale,
-    Sub,
+    Sum,
     Var,
     builtin_identities,
     check_identity,
@@ -31,18 +32,19 @@ from kantor import identities, wn, zoo
 
 def test_parse_associator():
     ast = parse_expr("(a*b)*c - a*(b*c)")
-    assert ast == Sub(Prod(Prod(Var("a"), Var("b")), Var("c")), Prod(Var("a"), Prod(Var("b"), Var("c"))))
+    assert ast == Sum((
+        (1, Prod(Prod(Var("a"), Var("b")), Var("c"))),
+        (-1, Prod(Var("a"), Prod(Var("b"), Var("c")))),
+    ))
 
 
 def test_parse_poisson_rule():
     ast = parse_expr("{a*b, c} - a*{b,c} - {a,c}*b")
-    assert ast == Sub(
-        Sub(
-            Bracket(Prod(Var("a"), Var("b")), Var("c")),
-            Prod(Var("a"), Bracket(Var("b"), Var("c"))),
-        ),
-        Prod(Bracket(Var("a"), Var("c")), Var("b")),
-    )
+    assert ast == Sum((
+        (1, Bracket(Prod(Var("a"), Var("b")), Var("c"))),
+        (-1, Prod(Var("a"), Bracket(Var("b"), Var("c")))),
+        (-1, Prod(Bracket(Var("a"), Var("c")), Var("b"))),
+    ))
 
 
 def test_parse_left_commutativity():
@@ -52,7 +54,11 @@ def test_parse_left_commutativity():
 
 def test_parse_scalar_prefix():
     ast = parse_expr("2/3*(a*b) - c")
-    assert ast == Sub(Scale(Fraction(2, 3), Prod(Var("a"), Var("b"))), Var("c"))
+    assert ast == Sum(((Fraction(2, 3), Prod(Var("a"), Var("b"))), (-1, Var("c"))))
+    assert all(type(coeff) is Fraction for coeff, _ in ast.terms)
+    # one term of coefficient 1 is the bare node, a scaled one a Sum
+    assert parse_expr("a*b") == parse_expr("(a*b)") == Prod(Var("a"), Var("b"))
+    assert parse_expr("3*(a*b)") == Sum(((3, Prod(Var("a"), Var("b"))),))
 
 
 def test_parse_errors_carry_offsets():
@@ -247,17 +253,18 @@ def _sympy_defect(alg, ident, bracket=None):
                         out[k] += x[i] * y[j] * QQ(c.numerator, c.denominator)
         return out
 
+    @functools.cache  # a long sum repeats its products
     def ev(node):
         if isinstance(node, Var):
             return env[node.name]
-        if isinstance(node, Scale):
-            return [QQ(node.coeff.numerator, node.coeff.denominator) * c for c in ev(node.arg)]
+        if isinstance(node, Sum):
+            out = [R.zero] * n
+            for coeff, arg in node.terms:
+                q = QQ(coeff.numerator, coeff.denominator)
+                out = [a + q * b for a, b in zip(out, ev(arg))]
+            return out
         left, right = ev(node.left), ev(node.right)
-        if isinstance(node, Prod):
-            return mul(alg.table, left, right)
-        if isinstance(node, Bracket):
-            return mul(bracket.table, left, right)
-        return [a + b if isinstance(node, Add) else a - b for a, b in zip(left, right)]
+        return mul((alg if isinstance(node, Prod) else bracket).table, left, right)
 
     return ev(ident.expr)
 
@@ -296,6 +303,32 @@ def test_expansion_agrees_with_sympy_on_random_algebras(data):
     alg = Algebra.from_table(table)
     scaled = identity("scaled", ("a", "b"), "2/3*(a*(b*a)) - 3*((a*b)*a) + 0*(a*b)")
     ident = data.draw(st.sampled_from([i for i in _CATALOG_IDENTITIES if not i.needs_bracket] + [scaled]))
+    _assert_agrees_with_sympy(alg, ident)
+
+
+def _products(ident):
+    """The products of a catalogue identity, as written in its source."""
+    return re.split(r" [+-] ", ident.source)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_long_signed_sums_agree_with_sympy(data):
+    # a sum is one node however long, so sums past MAX_NESTING terms parse
+    n = data.draw(st.integers(1, 3))
+    table = [[[data.draw(_SMALL_RATIONALS) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    alg = Algebra.from_table(table)
+    base = data.draw(st.sampled_from([i for i in _CATALOG_IDENTITIES if not i.needs_bracket]))
+    length = data.draw(st.one_of(st.integers(1, 6), st.integers(MAX_NESTING + 1, MAX_NESTING + 20)))
+    source = ""
+    for t in range(length):
+        product = data.draw(st.sampled_from(_products(base)))
+        coeff = Fraction(data.draw(st.integers(0 if t else 1, 5)), data.draw(st.integers(1, 3)))
+        term = product if coeff == 1 else f"{coeff}*({product})"
+        source += f" {data.draw(st.sampled_from('+-'))} {term}" if t else term
+    ident = identity("sum", base.variables, source)
+    if length > 1:
+        assert len(ident.expr.terms) == length
     _assert_agrees_with_sympy(alg, ident)
 
 

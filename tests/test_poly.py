@@ -365,6 +365,19 @@ def test_solve_rational_takes_its_cap_from_the_basis():
     assert trip.value.reductions == 3
 
 
+def test_solve_rational_takes_its_degree_cap_from_the_basis():
+    # root extraction substitutes y = 1 and meets x^13 - 1, of degree 13:
+    # past the default cap of 12, within the cap of 40 the basis was built under
+    V = ("x", "y")
+    x, y = P("x", V), P("y", V)
+    gb = buchberger([y - 1, x**13 - y], variables=V, max_degree=40)
+    assert gb.max_degree == 40
+    sols = solve_rational(gb)
+    assert sols.points == ((Fraction(1), Fraction(1)),)
+    assert [(u.kind, u.partial) for u in sols.unresolved] == [("irrational-factor", (("y", Fraction(1)),))]
+    assert "degree-12 factor" in sols.unresolved[0].detail
+
+
 def test_solutions_satisfy_generators():
     V = ("x", "y")
     x, y = P("x", V), P("y", V)
