@@ -10,7 +10,8 @@ catalogue suite on W(3) and M(4), `codim1_subalgebras` of W(3), M(4),
 W(4) and W(5) and of RANDOM_COUNT seeded sparse random algebras of dim
 3-6 (these two a single run, their rows say so),
 `verify_associated(W(2), F, cross_check=True)` and
-`verify_associated(W(3), F)` at its default, F being `wn_associated_F`,
+`verify_associated(W(3), F)` and `verify_associated(W(4), F)` at its
+default (the W(4) row a single run), F being `wn_associated_F`,
 `derivation_algebra` with `derived_series` on M(4), W(3), W(4) and W(5)
 (W(5) a single run), `conservativity`, `jacobi_space` and
 `quasi_units` on M(4), W(3) and W(4), `conservativity` and `quasi_units`
@@ -282,12 +283,13 @@ def main(argv=None):
     ))
     print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
 
-    w2, f2, f3 = build_wn(2), wn_associated_F(2), wn_associated_F(3)
-    for name, fn in (
-        ("verify_associated W2 cross_check=True", lambda: verify_associated(w2, f2, cross_check=True)),
-        ("verify_associated W3 default", lambda: verify_associated(algebras["W3"], f3)),
+    w2, f2, f3, f4 = build_wn(2), wn_associated_F(2), wn_associated_F(3), wn_associated_F(4)
+    for name, fn, runs in (
+        ("verify_associated W2 cross_check=True", lambda: verify_associated(w2, f2, cross_check=True), RUNS),
+        ("verify_associated W3 default", lambda: verify_associated(algebras["W3"], f3), RUNS),
+        ("verify_associated W4 default", lambda: verify_associated(w4, f4), 1),
     ):
-        rows.append(row(name, fn, lambda holds: {"holds": holds}))
+        rows.append(row(name, fn, lambda holds: {"holds": holds}, runs=runs))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
 
     structure = {"M4": algebras["M4"], "W3": algebras["W3"], "W4": w4}

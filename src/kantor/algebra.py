@@ -6,17 +6,20 @@ assumes associativity, commutativity, or anything else about the product,
 so the same object doubles as an arbitrary bilinear map V x V -> V.
 
 `Algebra.mul_expanded` is the package's one product kernel: it multiplies
-vectors stored as {monomial: {coordinate: coefficient}} by walking the
-nonzero structure constants of `sparse_table`.  The identity evaluator
+coordinate-major vectors {coordinate: {monomial: coefficient}} by walking
+the nonzero structure constants of `sparse_table`.  A monomial is a packed
+int, so the product of two monomials is their sum.  The identity evaluator
 multiplies generic (symbolic) vectors with it, and `mul_vec` is the same
-kernel on concrete coordinate vectors, at the constant monomial ().
+kernel on concrete coordinate vectors, at the constant monomial 0.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import DimensionMismatchError, NotClosedError
 from .linalg import (
@@ -40,14 +43,22 @@ def default_names(n: int):
 
 
 def _prune(vector):
-    """Drop zero coefficients, then monomials left without coordinates."""
+    """Drop zero coefficients, then coordinates left without monomials."""
     out = {}
-    for m, coords in vector.items():
-        if not all(coords.values()):
-            coords = {k: c for k, c in coords.items() if c}
-        if coords:
-            out[m] = coords
+    for k, terms in vector.items():
+        if not all(terms.values()):
+            terms = {m: c for m, c in terms.items() if c}
+        if terms:
+            out[k] = terms
     return out
+
+
+def _numerators(x):
+    """A coordinate vector as ({i: {0: numerator}}, d): coordinate i is
+    numerator / d, d being the least common denominator."""
+    x = {i: frac(c) for i, c in enumerate(x) if c}
+    d = lcm(*(c.denominator for c in x.values()))
+    return {i: {0: c.numerator * (d // c.denominator)} for i, c in x.items()}, d
 
 
 @dataclass(frozen=True)
@@ -114,35 +125,45 @@ class Algebra:
         return Element(self, coords)
 
     def mul_expanded(self, a, b):
-        """Product of two vectors stored as {monomial: {coordinate: coeff}}.
+        """Product of two vectors stored as {coordinate: {monomial: coeff}}.
 
-        A monomial is a sorted tuple of symbol indices, so the product of
-        monomials m1 and m2 is sorted(m1 + m2); coefficients may be ints or
-        Fractions, and the result keeps only nonzero coefficients."""
+        A monomial is a packed int: one fixed-width field per symbol holds
+        its exponent, symbol 0 in the most significant field, so the product
+        of monomials m1 and m2 is m1 + m2 (the caller picks fields wide
+        enough that no exponent carries) and int order is lex order of
+        exponent vectors.  A pair of coordinates (i, j) with no nonzero
+        constant is skipped before any monomial is touched.  Coefficients
+        may be ints or Fractions; the result keeps only nonzero ones."""
         table = self.sparse_table
         out = {}
-        for m1, u in a.items():
-            for m2, v in b.items():
-                acc = out.setdefault(tuple(sorted(m1 + m2)), {})
-                for i, x in u.items():
-                    row = table[i]
-                    for j, y in v.items():
-                        outputs = row[j]
-                        if outputs:
-                            xy = x * y
-                            for k, c in outputs:
-                                acc[k] = acc.get(k, 0) + xy * c
+        for i, u in a.items():
+            row = table[i]
+            for j, v in b.items():
+                outputs = row[j]
+                if not outputs:
+                    continue
+                products = [(m1 + m2, x * y) for m1, x in u.items() for m2, y in v.items()]
+                for k, c in outputs:
+                    acc = out.get(k)
+                    if acc is None:
+                        acc = out[k] = {}
+                    for m, xy in products:
+                        acc[m] = acc.get(m, 0) + xy * c
         return _prune(out)
 
     def mul_vec(self, x, y):
         """Product of two coordinate vectors, as Fractions: `mul_expanded`
-        on the constant monomial ()."""
+        on the constant monomial 0, fed each vector's integer numerators
+        over their common denominator, so that only the structure constants
+        can bring a Fraction into the products."""
         n = self.dim
         if len(x) != n or len(y) != n:
             raise DimensionMismatchError.of(n, (len(x), len(y)))
+        (a, dx), (b, dy) = _numerators(x), _numerators(y)
+        d = dx * dy
         out = [F0] * n
-        for k, c in self.mul_expanded({(): _sparse(x)}, {(): _sparse(y)}).get((), {}).items():
-            out[k] = frac(c)
+        for k, terms in self.mul_expanded(a, b).items():
+            out[k] = frac(terms[0]) if d == 1 else Fraction(terms[0], d)
         return tuple(out)
 
     def multiply(self, x: "Element", y: "Element") -> "Element":

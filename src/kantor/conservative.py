@@ -137,9 +137,9 @@ def verify_associated(alg: Algebra, f, cross_check: bool = True) -> bool:
     by `identities.generic_defect`: the equation is multilinear, so its
     defect is empty iff it holds on every basis quadruple.  The two routes
     must agree exactly.  Measured on a 2-core x86 machine, the cross-check
-    adds about 0.1 s on W(2), 1.5 s on W(3) and 19 s (300 MB peak) on
-    W(4), where the tensor route takes about 0.26 s and 1.6 s; pass
-    cross_check=False to skip it.
+    adds about 0.02 s on W(2), 0.5-0.8 s on W(3) and 5-8 s (130 MB peak)
+    on W(4), where the tensor route takes about 0.07 s and 0.35-0.65 s;
+    pass cross_check=False to skip it.
     """
     n = alg.dim
     if isinstance(f, Algebra):

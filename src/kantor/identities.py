@@ -15,19 +15,22 @@ iff every coordinate polynomial vanishes.  Over characteristic zero this
 decides non-multilinear identities (Jordan, Malcev, ...) without any
 linearization calculus.
 
-One evaluator expands every expression, over vectors stored as
-{monomial: {coordinate: coefficient}} (the sparse, packed-monomial layout
-of Monagan & Pearce, CASC 2007).  A monomial is the sorted tuple of the
-symbol indices it multiplies, where symbol t*n + i is coordinate i of the
-t-th free variable.  Products go to `Algebra.mul_expanded`, the package's
+One evaluator expands every expression, over coordinate-major vectors
+{coordinate: {monomial: coefficient}} with packed monomials (the sparse,
+packed-monomial layout of Monagan & Pearce, CASC 2007).  Symbol t*n + i is
+coordinate i of the t-th free variable, and a monomial is one int with a
+field of B bits per symbol, B being the bit length of the expression's
+degree, and symbol 0 in the most significant field: no exponent reaches
+2**B, so multiplying monomials is adding ints, and int order is lex order
+of exponent vectors.  Products go to `Algebra.mul_expanded`, the package's
 one product kernel, which walks the nonzero structure constants of
-`Algebra.sparse_table`.  A concrete vector is the constant monomial (), so
-`evaluate_identity` runs the same code.
+`Algebra.sparse_table`.  A concrete vector sits at the constant monomial
+0, so `evaluate_identity` runs the same code.
 A linear combination is one `Sum` node, added into one accumulator and
 pruned once.  Coefficients stay Python ints while they are integral (exact,
 and far cheaper than Fraction).  The witness of a failing identity is read
-off the first nonzero coordinate of its defect in the same layout: the
-lex-largest monomial, and a point found by fixing one symbol at a time.
+off the first nonzero coordinate of its defect: the largest monomial, and a
+point found by fixing one symbol at a time.
 """
 
 from __future__ import annotations
@@ -277,17 +280,19 @@ def identity(name, variables, source) -> Identity:
 
 
 def _eval(node, env, alg, bracket):
-    """Value of an expression over vectors {monomial: {coordinate: coeff}}."""
+    """Value of an expression over vectors {coordinate: {monomial: coeff}}."""
     if isinstance(node, Var):
         return env[node.name]
     if isinstance(node, Sum):
         acc = {}
         for coeff, arg in node.terms:
             c = exact(coeff)
-            for m, coords in _eval(arg, env, alg, bracket).items():
-                row = acc.setdefault(m, {})
-                for k, v in coords.items():
-                    row[k] = row.get(k, 0) + c * v
+            for k, terms in _eval(arg, env, alg, bracket).items():
+                row = acc.get(k)
+                if row is None:
+                    row = acc[k] = {}
+                for m, v in terms.items():
+                    row[m] = row.get(m, 0) + c * v
         return _prune(acc)
     a = _eval(node.left, env, alg, bracket)
     b = _eval(node.right, env, alg, bracket)
@@ -315,10 +320,9 @@ def evaluate_identity(alg: Algebra, ident: Identity, assignment, bracket: Algebr
         coords = tuple(assignment[v])
         if len(coords) != n:
             raise DimensionMismatchError.of(n, len(coords))
-        nonzero = {i: exact(c) for i, c in enumerate(coords) if c}
-        env[v] = {(): nonzero} if nonzero else {}
-    defect = _expand(alg, ident, env, bracket).get((), {})
-    return tuple(frac(defect.get(k, F0)) for k in range(n))
+        env[v] = {i: {0: exact(c)} for i, c in enumerate(coords) if c}
+    defect = _expand(alg, ident, env, bracket)
+    return tuple(frac(defect[k][0]) if k in defect else F0 for k in range(n))
 
 
 @dataclass(frozen=True)
@@ -341,21 +345,28 @@ class IdentityVerdict:
         return self.holds
 
 
-def _find_nonvanishing(terms, candidates=(0, 1, -1, 2, -2, 3)):
-    """A point, {symbol: Fraction}, where the polynomial {sorted symbol
-    tuple: coefficient} does not vanish; symbols it lacks stay free.
+def _find_nonvanishing(terms, width, shifts, candidates=(0, 1, -1, 2, -2, 3)):
+    """A point, {symbol: Fraction}, where the polynomial {monomial:
+    coefficient} does not vanish, symbol s having the `width`-bit field at
+    bit shifts[s] of each monomial; symbols it lacks stay free.
 
-    Fixes its symbols in increasing order, so the one being fixed leads
-    every tuple; degree <= 5 per symbol guarantees one of the six
-    candidate values keeps the rest nonzero.
+    Fixes its symbols in increasing order, so the one being fixed sits in
+    the top field of every monomial left; degree <= 5 per symbol guarantees
+    one of the six candidate values keeps the rest nonzero.
     """
+    used = 0
+    for m in terms:
+        used |= m
     assignment = {}
-    for s in sorted({s for m in terms for s in m}):
+    for s, shift in enumerate(shifts):
+        if not used >> shift & (1 << width) - 1:
+            continue
         for c in candidates:
             fixed = {}
             for m, coeff in terms.items():
-                e = m.count(s)
-                fixed[m[e:]] = fixed.get(m[e:], 0) + coeff * c**e
+                e = m >> shift
+                rest = m - (e << shift)
+                fixed[rest] = fixed.get(rest, 0) + coeff * c**e
             fixed = {m: coeff for m, coeff in fixed.items() if coeff}
             if fixed:
                 assignment[s] = Fraction(c)
@@ -376,12 +387,23 @@ def _symbol_names(variables, n):
     return names
 
 
+def _fields(ident: Identity, n: int):
+    """(width, shifts) of the packed monomials of `ident` over dim n: symbol
+    s has the field of `width` bits at bit shifts[s], symbol 0 highest.  No
+    exponent exceeds the identity's degree, so none carries into the next
+    field."""
+    width, count = product_degree(ident.expr).bit_length(), len(ident.variables) * n
+    return width, tuple(width * (count - 1 - s) for s in range(count))
+
+
 def generic_defect(alg: Algebra, ident: Identity, bracket: Algebra = None):
-    """The defect at generic vectors, as {monomial: {coordinate: coeff}}
-    with every coefficient nonzero; empty iff the identity holds."""
+    """The defect at generic vectors, as {coordinate: {monomial: coeff}}
+    with every coefficient nonzero and no coordinate empty; empty iff the
+    identity holds.  Monomials are packed as `_fields` says."""
     n = alg.dim
+    _, shifts = _fields(ident, n)
     env = {
-        v: {(t * n + i,): {i: 1} for i in range(n)}
+        v: {i: {1 << shifts[t * n + i]: 1} for i in range(n)}
         for t, v in enumerate(ident.variables)
     }
     return _expand(alg, ident, env, bracket)
@@ -400,21 +422,20 @@ def check_identity(alg: Algebra, ident: Identity, bracket: Algebra = None) -> Id
     defect = generic_defect(alg, ident, bracket)
     if not defect:
         return IdentityVerdict(ident, True)
-    k = min(k for coords in defect.values() for k in coords)
-    terms = {m: coords[k] for m, coords in defect.items() if k in coords}
-    symbols = _symbol_names(ident.variables, n)
-    # exponent vectors in lex order are sorted symbol tuples, negated
-    leading = max(terms, key=lambda m: [-s for s in m])
-    point = _find_nonvanishing(terms)
+    k = min(defect)
+    terms = defect[k]
+    leading = max(terms)  # int order of packed monomials is lex order
+    width, shifts = _fields(ident, n)
+    point = _find_nonvanishing(terms, width, shifts)
     vectors = {
         v: tuple(point.get(t * n + i, F0) for i in range(n))
         for t, v in enumerate(ident.variables)
     }
     witness = IdentityWitness(
         coordinate=k,
-        monomial=tuple(leading.count(s) for s in range(len(symbols))),
+        monomial=tuple(leading >> shift & (1 << width) - 1 for shift in shifts),
         coefficient=frac(terms[leading]),
-        symbols=symbols,
+        symbols=_symbol_names(ident.variables, n),
         assignment=vectors,
         defect=evaluate_identity(alg, ident, vectors, bracket),
     )

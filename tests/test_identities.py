@@ -11,9 +11,11 @@ from sympy import QQ, lex, ring
 from kantor.algebra import Algebra
 from kantor.errors import ExprSyntaxError, MissingBracketError
 from kantor.identities import (
+    MAX_DEGREE,
     MAX_NESTING,
     NILPOTENT4,
     Bracket,
+    Identity,
     Prod,
     Sum,
     Var,
@@ -21,9 +23,11 @@ from kantor.identities import (
     check_identity,
     evaluate_identity,
     free_variables,
+    generic_defect,
     identity,
     is_nilpotent4,
     parse_expr,
+    product_degree,
     suite_holds,
 )
 from kantor.linalg import unit_vec
@@ -274,10 +278,25 @@ def _fraction(q):
     return Fraction(int(r.p), int(r.q))
 
 
+def _decoded_defect(alg, ident, bracket=None):
+    """`generic_defect` with every packed monomial decoded to its exponent
+    vector: one field of product_degree.bit_length() bits per symbol,
+    symbol 0 in the most significant field."""
+    width = product_degree(ident.expr).bit_length()
+    count = len(ident.variables) * alg.dim
+    mask = (1 << width) - 1
+    return {
+        k: {tuple(m >> width * (count - 1 - s) & mask for s in range(count)): c for m, c in terms.items()}
+        for k, terms in generic_defect(alg, ident, bracket).items()
+    }
+
+
 def _assert_agrees_with_sympy(alg, ident, bracket=None):
     verdict = check_identity(alg, ident, bracket)
     coords = _sympy_defect(alg, ident, bracket)
     nonzero = [k for k, c in enumerate(coords) if c]
+    expected_terms = {k: {m: _fraction(c) for m, c in coords[k].terms()} for k in nonzero}
+    assert _decoded_defect(alg, ident, bracket) == expected_terms
     assert verdict.holds == (not nonzero)
     if verdict.holds:
         return
@@ -337,6 +356,54 @@ def test_expansion_agrees_with_sympy_on_the_truncated_poisson_pair(ident):
     comm, bracket = zoo.truncated_poisson_pair()
     for alg in (comm, zoo.poisson_kantor_product(comm, bracket), bracket):
         _assert_agrees_with_sympy(alg, ident, bracket)
+
+
+# -- packed monomials -----------------------------------------------------------
+
+
+def test_a_fifth_power_fills_its_exponent_field():
+    # e1 e1 = e1: the defect of a^5 is a1^5, whose exponent takes all three
+    # bits of a degree-5 field
+    alg = Algebra.from_products(1, {(0, 0): {0: 1}})
+    w = check_identity(alg, identity("power", ("a",), "(((a*a)*a)*a)*a")).witness
+    assert (w.coordinate, w.monomial, w.coefficient) == (0, (5,), 1)
+    assert w.defect == (1,)
+
+
+@pytest.mark.parametrize(
+    "n, products",
+    [(1, {(0, 0): {0: 1}}), (2, {(0, 0): {0: 1, 1: 1}, (0, 1): {1: 2}, (1, 0): {0: -1}, (1, 1): {1: Fraction(1, 2)}})],
+    ids=["idempotent", "dim2"],
+)
+def test_fields_widen_with_the_degree_past_max_degree(n, products):
+    # identity() caps the degree; an Identity built directly is not capped,
+    # and its exponents (8 here) need four bits, not the three of MAX_DEGREE
+    source = "((((((a*a)*a)*a)*a)*a)*a)*a - a"
+    ident = Identity("power", ("a",), source, parse_expr(source))
+    assert product_degree(ident.expr) == 8 > MAX_DEGREE
+    alg = Algebra.from_products(n, products)
+    _assert_agrees_with_sympy(alg, ident)
+    if alg.dim == 1:
+        assert check_identity(alg, ident).witness.monomial == (8,)
+
+
+@pytest.mark.parametrize("name", ["sl2", "matrix2", "m7", "jordan_sym2", "nilpotent4", "wn2"])
+def test_generic_defect_is_coordinate_major_and_pruned(name):
+    alg = zoo.fixture(name)
+    for ident in _CATALOG_IDENTITIES:
+        if ident.needs_bracket:
+            continue
+        defect = generic_defect(alg, ident)
+        for k, terms in defect.items():
+            assert type(k) is int and 0 <= k < alg.dim
+            assert terms and all(type(m) is int and m >= 0 and c for m, c in terms.items())
+        assert (not defect) == check_identity(alg, ident).holds
+
+
+def test_the_w3_malcev_defect_keeps_its_terms():
+    # `scripts/bench.py` reports this count as the row's defect_terms
+    malcev = builtin_identities()["malcev"].identities[1]
+    assert sum(map(len, generic_defect(wn.build_wn(3), malcev).values())) == 33118
 
 
 def _nilpotent4_by_enumeration(alg):
