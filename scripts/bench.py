@@ -7,8 +7,9 @@ Run from the repository root:  python scripts/bench.py LABEL
 
 Writes BENCH_<LABEL>.json.  Each row is one request: every non-bracket
 catalogue suite on W(3) and M(4), `codim1_subalgebras` of W(3), M(4),
-W(4) and W(5) and of RANDOM_COUNT seeded sparse random algebras of dim
-3-6 (these two a single run, their rows say so),
+W(4), W(5) and W(6) and of RANDOM_COUNT seeded sparse random algebras of
+dim 3-6 (W(5), W(6) and the random algebras a single run, their rows say
+so),
 `verify_associated(W(2), F, cross_check=True)` and
 `verify_associated(W(3), F)` and `verify_associated(W(4), F)` at its
 default (the W(4) row a single run), F being `wn_associated_F`,
@@ -32,10 +33,20 @@ argparse parser and each fixture are built once per process and reused.
 The one-shot row starts a fresh interpreter every run, so it shows what
 those caches cost a single command.
 A row holds the median of its timed runs (RUNS unless the row's `runs`
-says otherwise), every run, and counters that must repeat exactly from run
-to run and, apart from `reductions_used` (counted in the budget's unit of
-the version that wrote the row), between versions of the program that give
-the same verdicts:
+says otherwise), every run, the same median rescaled to the reference
+machine speed, and counters that must repeat exactly from run to run and,
+apart from `reductions_used` (counted in the budget's unit of the version
+that wrote the row), between versions of the program that give the same
+verdicts.  The host's speed drifts, by up to 2x within minutes on a shared
+virtual machine, so `benchmark/speed.SpeedProbe` times a fixed probe every
+50 ms for the whole session, as `benchmark/child.py` does.  `median_s` and
+`runs_s` are `perf_counter` times that include the probe's interruptions
+(about 2% of the machine), so they read a little higher than in BENCH files
+written before the probe ran.  `median_rescaled_s` is the median over the
+runs of the time less the probe's own, times REFERENCE_S over the median
+probe time within `speed.WINDOW_S` on both sides of the run, so that it reads as
+at the reference speed; like child.py, it is computed once the last row
+has run, when the samples after each run exist.  The counters are:
 
 - identity rows: the verdict, per identity the number of nonzero terms
   (coordinate, monomial) of the expanded defect and, per failing
@@ -60,7 +71,8 @@ the same verdicts:
 - the Tier-1 row: the numbers of tests passed and failed.
 
 Timings on a small shared machine are noisy; compare two labels written on
-the same machine, and trust the counters over the clock.
+the same machine by their rescaled medians, and trust the counters over
+the clock.
 """
 
 import argparse
@@ -80,7 +92,9 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.append(str(ROOT / "benchmark"))  # for the speed probe, read only
 
+import speed
 from kantor import cli, identities, zoo
 from kantor.algebra import Algebra
 from kantor.codim1 import codim1_subalgebras
@@ -90,6 +104,7 @@ from kantor.wn import build_wn, wn_associated_F
 
 RUNS = 5  # timed runs per row; the median is reported
 RANDOM_COUNT, RANDOM_SEED = 100, 11  # the random codim1 row's algebras
+PROBE = speed.SpeedProbe()  # sampling between start() and stop() in main
 
 
 def defect_terms(alg, ident):
@@ -229,12 +244,17 @@ def random_codim1_counters(reports):
 
 
 def row(name, fn, counters, runs=RUNS, **extra):
-    """Time `runs` calls of fn; the counters of every result must agree."""
-    times, seen = [], []
+    """Time `runs` calls of fn; the counters of every result must agree.
+    Each run's window and time less the probe's go to `windows`, for
+    `rescale` once the probe has stopped."""
+    times, windows, seen = [], [], []
     for _ in range(runs):
+        spent = PROBE.spent
         start = time.perf_counter()
         result = fn()
-        times.append(time.perf_counter() - start)
+        end = time.perf_counter()
+        times.append(end - start)
+        windows.append((start, end, end - start - (PROBE.spent - spent)))
         seen.append(counters(result))
     if any(c != seen[0] for c in seen):
         raise RuntimeError(f"{name}: counters differ between runs: {seen}")
@@ -242,16 +262,61 @@ def row(name, fn, counters, runs=RUNS, **extra):
         "name": name,
         "runs": runs,
         "median_s": round(statistics.median(times), 4),
+        "median_rescaled_s": None,  # filled by rescale
         "runs_s": [round(t, 4) for t in times],
         "counters": {**seen[0], **extra},
+        "windows": windows,
     }
+
+
+def rescale(r):
+    """Fill row r's rescaled median from the probe samples on both sides of
+    each of its runs, and drop its windows."""
+    windows = r.pop("windows")
+    r["median_rescaled_s"] = round(statistics.median(net * PROBE.factor(start, end) for start, end, net in windows), 4)
+
+
+def totals(rows, key):
+    """Per algebra, the sum of `key` over its identity suite rows."""
+    out = {}
+    for r in rows:
+        kind, name, *_ = r["name"].split()
+        if kind == "identity":
+            out[name] = out.get(name, 0) + r[key]
+    return {f"identity {name} suites": round(t, 4) for name, t in out.items()}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("label", help="written to BENCH_<label>.json")
     args = parser.parse_args(argv)
+    PROBE.start()
+    try:
+        rows = measure()
+    finally:
+        PROBE.stop()
+    for r in rows:
+        rescale(r)
+    doc = {
+        "label": args.label,
+        "runs": RUNS,
+        "environment": {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "speed_reference_s": speed.REFERENCE_S,
+        },
+        "totals_s": totals(rows, "median_s"),
+        "totals_rescaled_s": totals(rows, "median_rescaled_s"),
+        "rows": rows,
+    }
+    out = pathlib.Path(f"BENCH_{args.label}.json")
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {out}: {doc['totals_s']}")
 
+
+def measure():
+    """Every row, timed under the running speed probe."""
     algebras = {"W3": build_wn(3), "M4": zoo.matrix_algebra(4)}
     w4, w5 = build_wn(4), build_wn(5)
     suites = [s for s in identities.CATALOG if not s.needs_bracket]
@@ -272,6 +337,10 @@ def main(argv=None):
     ):
         rows.append(row(f"codim1 {name}", lambda: codim1_subalgebras(alg), codim1_counters, runs=runs))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    w6 = build_wn(6)  # dim 216, dropped after its one row
+    rows.append(row("codim1 W6", lambda: codim1_subalgebras(w6), codim1_counters, runs=1))
+    print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    del w6
     randoms = random_algebras()
     rows.append(row(
         "codim1 random dim 3-6",
@@ -340,25 +409,7 @@ def main(argv=None):
     print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     rows.append(row("tier1 pytest -q", run_tier1, tier1_counters, runs=1))
     print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s {rows[-1]['counters']}", flush=True)
-
-    totals = {
-        f"identity {name} suites": round(sum(r["median_s"] for r in rows if r["name"].startswith(f"identity {name} ")), 4)
-        for name in algebras
-    }
-    doc = {
-        "label": args.label,
-        "runs": RUNS,
-        "environment": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
-        "totals_s": totals,
-        "rows": rows,
-    }
-    out = pathlib.Path(f"BENCH_{args.label}.json")
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {out}: {totals}")
+    return rows
 
 
 if __name__ == "__main__":

@@ -51,53 +51,66 @@ def pivot_system(alg: Algebra, p: int):
         phi(h_i h_j) = phi(e_i e_j) + a_j phi(e_i e_p) + a_i phi(e_p e_j)
                        + a_i a_j phi(e_p e_p),
 
-    a generator of degree <= 3.  Its terms are summed straight from the
-    nonzero structure constants (`Algebra.sparse_table`): phi of each
-    product, shifted by the unit monomial a_j, a_i or a_i a_j.
+    a generator of degree <= 3.  Its terms are summed in ints (Fractions
+    only where a structure constant is one) straight from the nonzero
+    structure constants (`Algebra.sparse_table`): phi of each product,
+    shifted by the unit monomial a_j, a_i or a_i a_j.  A product whose phi
+    vanishes (every output coordinate above p) adds nothing.
     """
     n = alg.dim
     if not 1 <= p <= n:
         raise ValueError(f"pivot must be in 1..{n}")
+    return _pivot_system(_nonzero_products(alg), p)
+
+
+def _nonzero_products(alg: Algebra):
+    """(i, j, outputs) for each nonzero product e_i e_j in (i, j) order,
+    outputs as `Algebra.sparse_table` lists them: a sweep over every pivot
+    lists them once, instead of scanning all n^2 products per pivot."""
+    return [(i, j, outputs) for i, row in enumerate(alg.sparse_table) for j, outputs in enumerate(row) if outputs]
+
+
+def _pivot_system(products, p):
+    """`pivot_system` for pivot p from the algebra's nonzero products."""
     variables = _pivot_variables(p)
     q = p - 1  # 0-based pivot column; variable a_{m+1} has index m < q
     monomials = {}  # a-indices (each < q) -> exponent tuple of their product
     pending = {}  # (i, j) -> {exponent: coefficient} of generator phi(h_i h_j)
 
-    def add(i, j, factors, outputs):
-        """Add a_(factors) * phi(e_r e_s) to generator (i, j), where outputs
-        lists the nonzero coordinates of e_r e_s."""
+    def phi(outputs):
+        """phi(e_r e_s) as (a-indices, coefficient) terms, given the nonzero
+        coordinates of e_r e_s."""
+        return [((k,), -c) if k < q else ((), c) for k, c in outputs if k <= q]
+
+    def add(i, j, factors, form):
+        """Add a_(factors) * form to generator (i, j)."""
         terms = pending.setdefault((i, j), {})
-        for k, c in outputs:
-            if k < q:
-                key, c = factors + (k,), -c
-            elif k == q:
-                key = factors
-            else:
-                continue
-            if key not in monomials:
+        for key, c in form:
+            key = factors + key
+            e = monomials.get(key)
+            if e is None:
                 e = [0] * q
                 for m in key:
                     e[m] += 1
-                monomials[key] = tuple(e)
-            e = monomials[key]
+                e = monomials[key] = tuple(e)
             terms[e] = terms[e] + c if e in terms else c
 
-    table = alg.sparse_table
-    rest = [i for i in range(n) if i != q]
-    for i in rest:
-        for j, outputs in enumerate(table[i]):
-            if outputs and j != q:
-                add(i, j, (), outputs)
-        if table[i][q]:
-            for j in range(q):
-                add(i, j, (j,), table[i][q])
-        if table[q][i]:
+    for i, j, outputs in products:
+        form = phi(outputs)
+        if not form:
+            continue
+        if i != q and j != q:
+            add(i, j, (), form)
+        elif i != q:
             for m in range(q):
-                add(m, i, (m,), table[q][i])
-    if table[q][q]:
-        for i in range(q):
-            for j in range(q):
-                add(i, j, (i, j), table[q][q])
+                add(i, m, (m,), form)
+        elif j != q:
+            for m in range(q):
+                add(m, j, (m,), form)
+        else:
+            for m in range(q):
+                for m2 in range(q):
+                    add(m, m2, (m, m2), form)
     generators = []
     for key in sorted(pending):
         g = Poly(variables, pending[key])
@@ -139,8 +152,9 @@ def codim1_subalgebras(alg: Algebra, max_reductions=MAX_REDUCTIONS) -> Codim1Rep
     n = alg.dim
     cases = []
     flat = []
+    products = _nonzero_products(alg)
     for p in range(1, n + 1):
-        variables, gens = pivot_system(alg, p)
+        variables, gens = _pivot_system(products, p)
         try:
             gb = buchberger(gens, variables=variables, max_reductions=max_reductions)
             sols = solve_rational(gb)

@@ -1,6 +1,11 @@
 """Sparse multivariate polynomials over the rationals and a small Groebner
 engine.
 
+A coefficient is held exact as `linalg.exact` gives it, an int when
+integral and a Fraction otherwise, so integral systems stay in int
+arithmetic; every division has a Fraction operand.  The views hand back
+rationals as Fractions: `constant_value`, solution points and roots.
+
 A computation lives in one ring, named by its caller's variable tuple;
 mixing rings raises ValueError.  Monomial order is lexicographic in that
 order (first variable largest), which makes zero-dimensional bases
@@ -15,6 +20,7 @@ reduction budget covers a basis and the root extraction from it.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -22,7 +28,7 @@ from math import gcd, lcm
 
 from .algebra import _signed_sum
 from .errors import BudgetExceededError
-from .linalg import F0, F1, eliminate, frac
+from .linalg import F0, F1, eliminate, exact, frac
 
 MAX_REDUCTIONS = 10_000  # reduction steps per pivot: eliminated variables plus S-polynomial reductions
 MAX_TOTAL_DEGREE = 12
@@ -30,13 +36,16 @@ MAX_TOTAL_DEGREE = 12
 
 class Poly:
     """Polynomial as {exponent tuple: nonzero coefficient} in the ring over
-    `variables`; it adds and multiplies with rationals and that ring only."""
+    `variables`; it adds and multiplies with rationals and that ring only.
+    A coefficient is an int when integral, else a Fraction; the total
+    degree is computed on first request and kept."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "terms", "_degree")
 
     def __init__(self, variables, terms=None):
         self.variables = tuple(variables)
-        self.terms = {e: frac(c) for e, c in (terms or {}).items() if c}
+        self.terms = {e: exact(c) for e, c in (terms or {}).items() if c}
+        self._degree = None
 
     # -- constructors ----------------------------------------------------
 
@@ -46,7 +55,7 @@ class Poly:
 
     @classmethod
     def const(cls, c, variables) -> "Poly":
-        c = frac(c)
+        c = exact(c)
         z = (0,) * len(tuple(variables))
         return cls(variables, {z: c} if c else {})
 
@@ -55,7 +64,7 @@ class Poly:
         variables = tuple(variables)
         e = [0] * len(variables)
         e[variables.index(name)] = 1
-        return cls(variables, {tuple(e): F1})
+        return cls(variables, {tuple(e): 1})
 
     # -- ring operations --------------------------------------------------
 
@@ -68,7 +77,7 @@ class Poly:
     def __add__(self, other):
         terms = dict(self.terms)
         for e, c in self._coerce(other).terms.items():
-            terms[e] = terms.get(e, F0) + c
+            terms[e] = terms.get(e, 0) + c
         return Poly(self.variables, terms)
 
     __radd__ = __add__
@@ -84,14 +93,14 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            c = frac(other)
+            c = exact(other)
             return Poly(self.variables, {e: c * v for e, v in self.terms.items()})
         _same_ring(self.variables, other)
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                terms[e] = terms.get(e, F0) + c1 * c2
+                terms[e] = terms.get(e, 0) + c1 * c2
         return Poly(self.variables, terms)
 
     __rmul__ = __mul__
@@ -127,10 +136,12 @@ class Poly:
         return all(not any(e) for e in self.terms)
 
     def constant_value(self) -> Fraction:
-        return self.terms.get((0,) * len(self.variables), F0)
+        return frac(self.terms.get((0,) * len(self.variables), 0))
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        if self._degree is None:
+            self._degree = max(map(sum, self.terms), default=0)
+        return self._degree
 
     def degree_in(self, name) -> int:
         i = self.variables.index(name)
@@ -174,7 +185,7 @@ class Poly:
             rest = e[:i] + (0,) + e[i + 1:]
             for pe, pc in powers[e[i]].terms.items():
                 t = tuple(x + y for x, y in zip(rest, pe))
-                terms[t] = terms.get(t, F0) + c * pc
+                terms[t] = terms.get(t, 0) + c * pc
         return Poly(self.variables, terms)
 
     # -- printing -----------------------------------------------------------
@@ -194,7 +205,7 @@ class Poly:
 
 
 def _same_ring(variables, p):
-    if p.variables != variables:
+    if p.variables is not variables and p.variables != variables:
         raise ValueError(f"polynomial over {p.variables} in a computation over {variables}")
 
 
@@ -219,11 +230,11 @@ def normal_form(p: Poly, basis) -> Poly:
         c = work.pop(e)
         for eb, cb, terms in lead:
             if _divides(eb, e):
-                q = c / cb
+                q = c if cb == 1 else Fraction(c) / cb
                 for t, x in terms.items():
                     if t != eb:
                         k = tuple(a + b - d for a, b, d in zip(t, e, eb))
-                        v = work.get(k, F0) - q * x
+                        v = work.get(k, 0) - q * x
                         if v:
                             work[k] = v
                         else:
@@ -283,21 +294,36 @@ class _Budget:
             )
 
 
+def _primitive(terms):
+    """The frozenset of (exponent, int) of the primitive integer multiple of
+    nonzero `terms`: scaled by the lcm of the denominators, divided by the
+    content, its lex-largest coefficient positive.  Two polynomials share
+    it exactly when each is a rational multiple of the other."""
+    den = 1
+    for c in terms.values():
+        if type(c) is not int:
+            den = lcm(den, c.denominator)
+    if den == 1:
+        ints = terms
+    else:
+        ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    g = gcd(*ints.values())
+    if ints[max(ints)] < 0:
+        g = -g
+    return frozenset((e, c // g) for e, c in ints.items())
+
+
 def _distinct(gens):
-    """The nonzero generators, dropping each scalar multiple of one kept."""
-    kept = {}  # support -> the kept generators with that support
+    """The nonzero generators in input order, keeping the first of each
+    class of scalar multiples: one set lookup of its primitive form each."""
+    seen = set()
     out = []
     for g in gens:
-        if not g:
-            continue
-        same = kept.setdefault(frozenset(g.terms), [])
-        e0 = next(iter(g.terms))
-        if not any(
-            all(c * h.terms[e0] == h.terms[e] * g.terms[e0] for e, c in g.terms.items())
-            for h in same
-        ):
-            same.append(g)
-            out.append(g)
+        if g:
+            key = _primitive(g.terms)
+            if key not in seen:
+                seen.add(key)
+                out.append(g)
     return out
 
 
@@ -309,7 +335,6 @@ def _linear_bindings(linear, variables, budget):
     (1).  Each pivot costs one budget unit.
     """
     n = len(variables)
-    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
     rows = []
     for g in linear:
         row = {}
@@ -326,8 +351,8 @@ def _linear_bindings(linear, variables, budget):
         return None
     return {
         variables[p]: Poly(variables, {
-            **{units[c]: -x for c, x in row.items() if c < n and c != p},
-            (0,) * n: row.get(n, F0),
+            **{(0,) * c + (1,) + (0,) * (n - 1 - c): -x for c, x in row.items() if c < n and c != p},
+            (0,) * n: row.get(n, 0),
         })
         for p, row in zip(ech.pivots, ech.rows)
     }
@@ -405,9 +430,9 @@ def _groebner(polys, variables, budget):
     # Constant in the ideal: the whole ring; basis is just {1}.
     if any(g.is_constant() for g in basis):
         return (Poly.const(1, variables),)
-    pairs = list(combinations(range(len(basis)), 2))
+    pairs = deque(combinations(range(len(basis)), 2))
     while pairs:
-        i, j = pairs.pop(0)
+        i, j = pairs.popleft()
         f, g = basis[i], basis[j]
         ef, _ = f.leading()
         eg, _ = g.leading()

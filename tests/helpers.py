@@ -3,7 +3,8 @@
 None of these has a caller in the package: each is the plain, direct
 version of something the package computes another way (left and right
 multiplication for `MultilinearOp.partial`, the unit for `zoo.find_unit`,
-a polynomial's value for the Groebner solver), or a view the tests use to
+a polynomial's value for the Groebner solver, the pairwise scan that
+`poly._distinct` replaced with a hash key), or a view the tests use to
 state what they check.
 """
 
@@ -76,3 +77,23 @@ def evaluate(p, assignment):
 def machine_form(p):
     """A `Poly`'s exponent-vector/coefficient pairs, lex-descending."""
     return [{"exponents": list(e), "coeff": str(c)} for e, c in p.sorted_terms()]
+
+
+def distinct_pairwise(gens):
+    """The nonzero generators, dropping each scalar multiple of one kept,
+    found by cross-multiplying against every kept generator of the same
+    support."""
+    kept = {}  # support -> the kept generators with that support
+    out = []
+    for g in gens:
+        if not g:
+            continue
+        same = kept.setdefault(frozenset(g.terms), [])
+        e0 = next(iter(g.terms))
+        if not any(
+            all(c * h.terms[e0] == h.terms[e] * g.terms[e0] for e, c in g.terms.items())
+            for h in same
+        ):
+            same.append(g)
+            out.append(g)
+    return out

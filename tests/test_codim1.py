@@ -13,10 +13,11 @@ from kantor.codim1 import (
 )
 from kantor.errors import BudgetExceededError
 from kantor.linalg import Subspace, unit_vec
+from kantor.poly import _distinct
 from kantor import zoo
 from kantor.wn import build_wn
 
-from helpers import evaluate
+from helpers import distinct_pairwise, evaluate
 
 
 def drop(dim, i0):
@@ -36,6 +37,14 @@ def test_pivot_system_bad_pivot(s2):
         pivot_system(s2, 0)
     with pytest.raises(ValueError):
         pivot_system(s2, 5)
+
+
+@pytest.mark.parametrize("name", [*sorted(zoo.FIXTURES), "W3", "M4"])
+def test_distinct_matches_the_pairwise_scan_on_every_pivot_system(name):
+    alg = {"W3": lambda: build_wn(3), "M4": lambda: zoo.matrix_algebra(4)}.get(name, lambda: zoo.fixture(name))()
+    for p in range(1, alg.dim + 1):
+        _, gens = pivot_system(alg, p)
+        assert [id(g) for g in _distinct(gens)] == [id(g) for g in distinct_pairwise(gens)]
 
 
 def test_wn2_pivot5_origin_satisfies_all_generators(wn2):

@@ -9,6 +9,7 @@ from kantor.errors import BudgetExceededError
 from kantor.poly import (
     MAX_REDUCTIONS,
     Poly,
+    _distinct,
     buchberger,
     normal_form,
     s_polynomial,
@@ -16,7 +17,7 @@ from kantor.poly import (
     univariate_rational_roots,
 )
 
-from helpers import evaluate, machine_form
+from helpers import distinct_pairwise, evaluate, machine_form
 
 
 def P(name, variables):
@@ -40,7 +41,60 @@ def test_integer_coefficients_are_coerced_to_fractions():
     remainder = normal_form(Poly(("x",), {(1,): 1}), [Poly(("x",), {(1,): 3, (0,): 1})])
     assert remainder == Poly.const(Fraction(-1, 3), ("x",))
     assert all(type(c) is Fraction for c in remainder.terms.values())
-    assert all(type(c) is Fraction for c in Poly(("x",), {(0,): 2, (1,): 0}).terms.values())
+
+
+def _exact_terms(p):
+    return all(type(c) in (int, Fraction) for c in p.terms.values())
+
+
+def test_int_inputs_leave_no_floats_at_the_boundary():
+    # coefficients are ints where integral inside; whatever leaves the engine
+    # is an int or a Fraction of the exact value (a float quotient would
+    # reach a Poly as the float's binary value), and the views are Fractions
+    V = ("x", "y")
+    x, y = P("x", V), P("y", V)
+    f, g = 3 * x * y - 2, 2 * y**2 - 8
+    gb = buchberger([f, g])
+    assert [str(h) for h in gb] == ["x - 1/6*y", "y^2 - 4"]
+    for p, text in (
+        *((h, str(h)) for h in gb),
+        (normal_form(x * y**2, [f]), "2/3*y"),
+        (f.monic(), "x*y - 2/3"),
+        (s_polynomial(f, g), "4*x - 2/3*y"),
+        (f.substitute("x", Fraction(1, 2)), "3/2*y - 2"),
+        (f.substitute("y", 3), "9*x - 2"),
+        (g.substitute("y", 2 * x - 1), "8*x^2 - 8*x - 6"),
+    ):
+        assert str(p) == text and _exact_terms(p)
+    assert type(Poly.const(4, V).constant_value()) is Fraction
+    assert type(Poly.zero(V).constant_value()) is Fraction
+    sols = solve_rational(gb)
+    assert sols.points == ((Fraction(-1, 3), Fraction(-2)), (Fraction(1, 3), Fraction(2)))
+    assert all(type(v) is Fraction for point in sols.points for v in point)
+    roots, _ = univariate_rational_roots([-6, 1, 1])
+    assert roots == [-3, 2] and all(type(r) is Fraction for r in roots)
+    ints = Poly(V, {(2, 0): 2, (0, 1): -1, (0, 0): 3})
+    assert str(ints) == str(Poly(V, {e: Fraction(c) for e, c in ints.terms.items()})) == "2*x^2 - y + 3"
+
+
+def test_distinct_matches_the_pairwise_scan():
+    # zero polys and int, negative and rational multiples mixed in at random
+    rng = random.Random(20)
+    V = ("x", "y", "z")
+    for _ in range(200):
+        bases = []
+        for _ in range(rng.randint(1, 4)):
+            terms = {
+                tuple(rng.randint(0, 2) for _ in V): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for _ in range(rng.randint(0, 3))
+            }
+            bases.append(Poly(V, terms))
+        gens = []
+        for _ in range(rng.randint(0, 12)):
+            scale = rng.choice([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), 0])
+            gens.append(rng.choice(bases) * scale)
+        got = _distinct(gens)
+        assert [id(g) for g in got] == [id(g) for g in distinct_pairwise(gens)]
 
 
 def test_normal_form_evaluates_consistently_on_variety():
