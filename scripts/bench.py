@@ -19,7 +19,9 @@ default (the W(4) row a single run), F being `wn_associated_F`,
 on W(5) (a single run each) and, where both answer "no" with a Fredholm
 certificate, on the M7 fixture and `simple_left_commutative(20)`,
 `is_terminal` on W(3), `wn_associated_F` on W(3) and W(4),
-`is_nilpotent4` on W(3) and on the nilpotent4 fixture, and, end to end,
+`is_nilpotent4` on W(3) and on the nilpotent4 fixture, `build_wn` on W(7)
+and W(8) and `storage.load_algebra` of W(3)'s JSON file, each timed up to
+its `sparse_table`, and, end to end,
 `cli.main(["--json", command, "--fixture", f])` for the commands
 `conservative`, `derivations`, `codim1` and `identity --name malcev` on
 the fixtures wn2, wn3, m7 and s2, and `cli.main(["--json", "fixture",
@@ -66,6 +68,7 @@ has run, when the samples after each run exist.  The counters are:
 - is_terminal rows: the verdict;
 - wn_associated_F rows: the number of nonzero coefficients of F;
 - is_nilpotent4 rows: the verdict;
+- build_wn and load_algebra rows: the number of nonzero structure constants;
 - CLI rows, the one-shot row too: the exit code and the SHA-256 of what
   the command printed;
 - the Tier-1 row: the numbers of tests passed and failed.
@@ -88,6 +91,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -95,7 +99,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.append(str(ROOT / "benchmark"))  # for the speed probe, read only
 
 import speed
-from kantor import cli, identities, zoo
+from kantor import cli, identities, storage, zoo
 from kantor.algebra import Algebra
 from kantor.codim1 import codim1_subalgebras
 from kantor.conservative import conservativity, is_terminal, jacobi_space, quasi_units, verify_associated
@@ -241,6 +245,10 @@ def random_algebras():
 def random_codim1_counters(reports):
     totals = [codim1_counters(rep) for rep in reports]
     return {key: sum(t[key] for t in totals) for key in ("found", "budget_errors", "reductions_used")}
+
+
+def nonzeros(sparse_table):
+    return {"nnz": sum(len(outputs) for row in sparse_table for outputs in row)}
 
 
 def row(name, fn, counters, runs=RUNS, **extra):
@@ -394,6 +402,14 @@ def measure():
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     for name, alg in (("W3", algebras["W3"]), ("nilpotent4", zoo.fixture("nilpotent4"))):
         rows.append(row(f"is_nilpotent4 {name}", lambda: identities.is_nilpotent4(alg), lambda holds: {"holds": holds}))
+        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    for n in (7, 8):
+        rows.append(row(f"build_wn W{n}", lambda: build_wn(n).sparse_table, nonzeros))
+        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "wn3.json")
+        storage.save_algebra(algebras["W3"], path)
+        rows.append(row("load_algebra W3", lambda: storage.load_algebra(path).sparse_table, nonzeros))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     cli_argvs = [
         ["--json", command[0], "--fixture", fixture_name, *command[1:]]

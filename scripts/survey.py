@@ -101,7 +101,7 @@ def main():
     section("H1 versus S2")
     print("skew-invariance subspace == trace-zero subspace:",
           skew_invariance_subspace() == trace_zero_subspace())
-    print("induced tables identical:", h1.table == s2.table)
+    print("induced tables identical:", h1.sparse_table == s2.sparse_table)
 
     section("Variety checks")
     matrix2 = zoo.matrix_algebra(2)

@@ -1,7 +1,9 @@
 """Finite-dimensional algebras presented by structure constants.
 
 An `Algebra` is a based rational vector space with a bilinear product given
-by the tensor c[i][j][k]: e_i e_j = sum_k c[i][j][k] e_k.  Nothing here
+by its structure constants: e_i e_j = sum_k c_ijk e_k.  They are stored in
+one form, `sparse_table`, which lists only the nonzero c_ijk; the dense
+n x n x n `table` is a view derived from it on request.  Nothing here
 assumes associativity, commutativity, or anything else about the product,
 so the same object doubles as an arbitrary bilinear map V x V -> V.
 
@@ -25,9 +27,10 @@ from .errors import DimensionMismatchError, NotClosedError
 from .linalg import (
     F0,
     Subspace,
+    _dense,
+    _exact,
     _sparse,
     add_vec,
-    exact,
     frac,
     is_zero_vec,
     scale_vec,
@@ -64,31 +67,44 @@ def _numerators(x):
 @dataclass(frozen=True)
 class Algebra:
     basis_names: tuple
-    table: tuple  # table[i][j] is the coordinate vector of e_i e_j
+    # sparse_table[i][j] lists (k, c_ijk) over the nonzero constants of
+    # e_i e_j, k ascending, each c as `linalg.exact` gives it
+    sparse_table: tuple
 
     def __post_init__(self):
         n = len(self.basis_names)
         if len(set(self.basis_names)) != n:
             raise ValueError("basis labels must be unique")
-        if len(self.table) != n or any(
-            len(row) != n or any(len(p) != n for p in row) for row in self.table
-        ):
-            raise ValueError("structure tensor must have shape n x n x n")
+        if len(self.sparse_table) != n or any(len(row) != n for row in self.sparse_table):
+            raise ValueError(f"structure constants must form {n} x {n} products")
+        for row in self.sparse_table:
+            for outputs in row:
+                last = -1
+                for k, c in outputs:
+                    if not (type(k) is int and last < k < n) or not c:
+                        raise ValueError(f"bad structure constant ({k!r}, {c!r}) for dim {n}")
+                    last = k
 
     @classmethod
     def from_table(cls, table, names=None) -> "Algebra":
-        table = tuple(tuple(vec(p) for p in row) for row in table)
+        """Build from a dense table: table[i][j][k] = c_ijk."""
         n = len(table)
-        return cls(tuple(names) if names else default_names(n), table)
+        if any(len(row) != n or any(len(p) != n for p in row) for row in table):
+            raise ValueError("structure tensor must have shape n x n x n")
+        products = {(i, j): dict(enumerate(p)) for i, row in enumerate(table) for j, p in enumerate(row)}
+        return cls.from_products(n, products, names)
 
     @classmethod
     def from_products(cls, n, products, names=None) -> "Algebra":
-        """Build from a sparse {(i, j): {k: coeff}} description (0-based)."""
-        table = [[[F0] * n for _ in range(n)] for _ in range(n)]
+        """Build from a sparse {(i, j): {k: coeff}} description (0-based);
+        zero coefficients are dropped."""
+        table = [[()] * n for _ in range(n)]
         for (i, j), out in products.items():
-            for k, c in out.items():
-                table[i][j][k] = frac(c)
-        return cls.from_table(table, names)
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"product index ({i!r}, {j!r}) out of range for dim {n}")
+            out = {k: _exact(frac(c)) for k, c in out.items() if c}
+            table[i][j] = tuple(sorted((k, c) for k, c in out.items() if c))
+        return cls(tuple(names) if names else default_names(n), tuple(map(tuple, table)))
 
     @classmethod
     def zero(cls, n, names=None) -> "Algebra":
@@ -99,13 +115,13 @@ class Algebra:
         return len(self.basis_names)
 
     @cached_property
-    def sparse_table(self) -> tuple:
-        """sparse_table[i][j] lists (k, c_ijk) over the nonzero constants of
-        e_i e_j, each as `linalg.exact` gives it; built once per algebra."""
-        return tuple(
-            tuple(tuple((k, exact(c)) for k, c in enumerate(p) if c) for p in row)
-            for row in self.table
-        )
+    def table(self) -> tuple:
+        """The dense view: table[i][j] is the coordinate vector of e_i e_j,
+        as Fractions, derived from `sparse_table` on first use.  Nothing in
+        the package reads it; it stays for the benchmark's checker and for
+        tests that state a product as a whole vector."""
+        n = self.dim
+        return tuple(tuple(_dense(dict(p), n) for p in row) for row in self.sparse_table)
 
     def index_of(self, name: str) -> int:
         try:
@@ -231,6 +247,12 @@ def format_combination(coords, names) -> str:
     return _signed_sum(zip(coords, names))
 
 
+def format_sparse(outputs, names) -> str:
+    """The (k, c) pairs of a `sparse_table` entry as text, as
+    `format_combination` writes the same vector."""
+    return _signed_sum((c, names[k]) for k, c in outputs)
+
+
 def combination_document(coords, names) -> dict:
     """The sparse {basis_name: "p/q"} map of the nonzero coordinates."""
     return {name: str(c) for name, c in zip(names, coords) if c}
@@ -306,10 +328,10 @@ def induced_algebra(alg: Algebra, s: Subspace, basis=None, names=None) -> Algebr
     k = len(rows)
     products = list(basis_products(alg, rows))
     system = solve_columns([_sparse(r) for r in rows], [_sparse(p) for p in products])
-    table = [[None] * k for _ in range(k)]
+    table = {}
     for idx, product in enumerate(products):
-        i, j = divmod(idx, k)
-        table[i][j] = system.solution(k + idx)
-        if table[i][j] is None:
-            raise NotClosedError(i, j, product)
-    return Algebra.from_table(table, names)
+        coords = system.solution(k + idx)
+        if coords is None:
+            raise NotClosedError(*divmod(idx, k), product)
+        table[divmod(idx, k)] = dict(enumerate(coords))
+    return Algebra.from_products(k, table, names)

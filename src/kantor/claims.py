@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra, closure_witness, format_combination
+from .algebra import Algebra, closure_witness, format_combination, format_sparse
 from .linalg import Matrix, Subspace, unit_vec
 
 
@@ -87,16 +87,15 @@ def audit_table(alg: Algebra, fixture_name: str):
     errata = []
     if alg.dim != dim:
         return [Erratum(f"{fixture_name} table", f"dim {dim}", f"dim {alg.dim}")]
-    for i in range(dim):
-        for j in range(dim):
-            expected = recorded.table[i][j]
-            got = alg.table[i][j]
+    names = alg.basis_names
+    for i, (expected_row, got_row) in enumerate(zip(recorded.sparse_table, alg.sparse_table)):
+        for j, (expected, got) in enumerate(zip(expected_row, got_row)):
             if got != expected:
                 errata.append(
                     Erratum(
-                        f"{fixture_name}: {alg.basis_names[i]}*{alg.basis_names[j]}",
-                        format_combination(expected, alg.basis_names),
-                        format_combination(got, alg.basis_names),
+                        f"{fixture_name}: {names[i]}*{names[j]}",
+                        format_sparse(expected, names),
+                        format_sparse(got, names),
                     )
                 )
     return errata

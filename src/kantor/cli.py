@@ -24,7 +24,7 @@ from .algebra import (
     Algebra,
     annihilator,
     combination_document,
-    format_combination,
+    format_sparse,
     generated_subalgebra,
 )
 from .codim1 import codim1_subalgebras
@@ -186,10 +186,11 @@ def _show_algebra(report, alg, bracket=None, audit=None):
     """Report an algebra: its document, its table, and its errata against
     the recorded table named `audit`, if there is one."""
     report["result"] = algebra_document(alg, bracket)
+    names = alg.basis_names
     report["table"] = [
-        f"{ni} * {nj} = {format_combination(alg.table[i][j], alg.basis_names)}"
-        for i, ni in enumerate(alg.basis_names)
-        for j, nj in enumerate(alg.basis_names)
+        f"{names[i]} * {names[j]} = {format_sparse(outputs, names)}"
+        for i, row in enumerate(alg.sparse_table)
+        for j, outputs in enumerate(row)
     ]
     report["errata"] = [str(e) for e in claims.audit_table(alg, audit)]
     return EX_OK

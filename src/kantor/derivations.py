@@ -75,8 +75,8 @@ def derivation_algebra(alg: Algebra) -> DerivationAlgebra:
     coords = [system.solution(k + idx) for idx in range(k * k)]
     if None in coords:
         raise RuntimeError("derivation space not closed under commutator")
-    table = [coords[i * k : (i + 1) * k] for i in range(k)]
-    lie = Algebra.from_table(table, names=[f"D{i + 1}" for i in range(k)])
+    products = {divmod(idx, k): dict(enumerate(c)) for idx, c in enumerate(coords)}
+    lie = Algebra.from_products(k, products, names=[f"D{i + 1}" for i in range(k)])
     return DerivationAlgebra(n, basis, ker, lie)
 
 

@@ -43,7 +43,7 @@ from collections import defaultdict
 from itertools import combinations
 from fractions import Fraction
 
-from .algebra import Algebra, default_names
+from .algebra import Algebra
 from .errors import DimensionMismatchError
 from .linalg import F0, Matrix, _exact, frac, vec
 
@@ -118,12 +118,10 @@ class MultilinearOp:
     def as_algebra(self, names=None) -> Algebra:
         if self.arity != 2:
             raise ValueError("not an arity-2 operation")
-        n = self.dim
-        table = tuple(
-            tuple(tuple(self.coeff((i, j), k) for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-        return Algebra(tuple(names) if names else default_names(n), table)
+        products = {}
+        for ((i, j), k), c in self.coeffs.items():
+            products.setdefault((i, j), {})[k] = c
+        return Algebra.from_products(self.dim, products, names)
 
     def apply_basis(self, inputs):
         """Value on a tuple of basis indices, as a coordinate vector."""

@@ -374,9 +374,8 @@ def _linear_prepass(gens, budget):
     remaining generator is substituted into once per round, in any order.
     The bindings join the generating set, so the ideal is unchanged; the
     budget is charged one unit per eliminated variable.  Whatever is left
-    goes to the S-pair loop.
+    goes to the S-pair loop.  No two of `gens` are scalar multiples.
     """
-    gens = _distinct(gens)
     bindings = []
     while gens:
         variables = gens[0].variables
@@ -422,7 +421,9 @@ def _groebner(polys, variables, budget):
     """Generators of the reduced lex basis of the nonzero `polys`, all over
     `variables`, charging `budget`: the linear pre-pass, then Buchberger's
     algorithm with the coprime-leading-terms criterion, then
-    inter-reduction."""
+    inter-reduction.  Scalar multiples are dropped first, so each class of
+    them is degree-checked once, at its first member."""
+    polys = _distinct(polys)
     for p in polys:
         budget.check_degree(p)
     basis = _linear_prepass(polys, budget)

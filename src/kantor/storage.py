@@ -24,9 +24,9 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import Algebra, combination_document
+from .algebra import Algebra
 from .errors import AlgebraFormatError
-from .linalg import F0, Matrix
+from .linalg import Matrix
 
 # Most digits an integer may have as written in any input: the interpreter's
 # int-string limit when this module is imported (0: no cap).  `cli.main`
@@ -61,14 +61,14 @@ def _is_count(x):
 
 
 def _parse_combo(obj, names, where):
-    out = [F0] * len(names)
+    out = {}
     if not isinstance(obj, dict):
         raise AlgebraFormatError("product entries must be {basis_name: rational} maps", where)
     for name, val in obj.items():
         if name not in names:
             raise AlgebraFormatError(f"unknown basis name {name!r}", where)
         out[names.index(name)] = _parse_rational(val, f"{where}.{name}")
-    return tuple(out)
+    return out
 
 
 def _key_splits(key, index):
@@ -82,14 +82,15 @@ def _key_splits(key, index):
 
 
 def _parse_products(obj, names, where):
+    """The algebra over `names` with the products `obj`, dense or sparse."""
     n = len(names)
-    table = [[(F0,) * n for _ in range(n)] for _ in range(n)]
+    table = {}
     if isinstance(obj, list):
         if len(obj) != n or any(not isinstance(r, list) or len(r) != n for r in obj):
             raise AlgebraFormatError(f"dense table must be a {n}x{n} array", where)
         for i, row in enumerate(obj):
             for j, cell in enumerate(row):
-                table[i][j] = _parse_combo(cell, names, f"{where}[{i}][{j}]")
+                table[i, j] = _parse_combo(cell, names, f"{where}[{i}][{j}]")
     elif isinstance(obj, dict):
         index = {name: i for i, name in enumerate(names)}
         for key, cell in obj.items():
@@ -97,11 +98,10 @@ def _parse_products(obj, names, where):
             if len(splits) != 1:
                 problem = "ambiguous" if splits else "bad"
                 raise AlgebraFormatError(f"{problem} product key {key!r}", where)
-            (i, j), = splits
-            table[i][j] = _parse_combo(cell, names, f"{where}.{key}")
+            table[splits[0]] = _parse_combo(cell, names, f"{where}.{key}")
     else:
         raise AlgebraFormatError("table must be a dense array or a sparse object", where)
-    return table
+    return Algebra.from_products(n, table, names)
 
 
 def parse_algebra_document(doc, where="<algebra>"):
@@ -122,12 +122,10 @@ def parse_algebra_document(doc, where="<algebra>"):
         raise AlgebraFormatError(f"basis must list {dim} distinct names", f"{where}.basis")
     if "table" not in doc:
         raise AlgebraFormatError("missing field 'table'", where)
-    table = _parse_products(doc["table"], names, f"{where}.table")
-    alg = Algebra(names, tuple(tuple(row) for row in table))
+    alg = _parse_products(doc["table"], names, f"{where}.table")
     bracket = None
     if "bracket_table" in doc:
-        braw = _parse_products(doc["bracket_table"], names, f"{where}.bracket_table")
-        bracket = Algebra(names, tuple(tuple(row) for row in braw))
+        bracket = _parse_products(doc["bracket_table"], names, f"{where}.bracket_table")
     return alg, bracket
 
 
@@ -162,15 +160,15 @@ def _products_document(alg: Algebra):
     """The sparse products; a key that would read back as more than one
     basis pair is an AlgebraFormatError."""
     out = {}
-    index = {name: i for i, name in enumerate(alg.basis_names)}
-    for i, iname in enumerate(alg.basis_names):
-        for j, jname in enumerate(alg.basis_names):
-            combo = combination_document(alg.table[i][j], alg.basis_names)
-            if combo:
-                key = f"{iname}*{jname}"
+    names = alg.basis_names
+    index = {name: i for i, name in enumerate(names)}
+    for i, row in enumerate(alg.sparse_table):
+        for j, outputs in enumerate(row):
+            if outputs:
+                key = f"{names[i]}*{names[j]}"
                 if len(_key_splits(key, index)) > 1:
                     raise AlgebraFormatError(f"ambiguous product key {key!r}: basis names contain '*'")
-                out[key] = combo
+                out[key] = {names[k]: str(c) for k, c in outputs}
     return out
 
 

@@ -23,9 +23,10 @@ subspace, so H1 and S2 coincide as induced algebras.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .algebra import Algebra, induced_algebra
-from .linalg import F0, F1, Subspace, frac, unit_vec
+from .linalg import Subspace, unit_vec
 from .multiops import MultilinearOp, kantor_bracket
 
 THIRD = Fraction(1, 3)
@@ -41,18 +42,9 @@ def wn_basis_labels(n: int):
     )
 
 
-def _alpha_op(n, i, j, k) -> MultilinearOp:
-    """The coordinate operation sending (e_i, e_j) to e_k (0-based)."""
-    return MultilinearOp(2, n, {((i, j), k): F1})
-
-
-def _wn_basis_ops(n):
-    return [
-        _alpha_op(n, i, j, k)
-        for k in range(n)
-        for i in range(n)
-        for j in range(n)
-    ]
+def _index(n, i, j, k):
+    """The coordinate of a_ij^k (0-based) in the basis of W(n)."""
+    return (k * n + i) * n + j
 
 
 def wn_product(a: MultilinearOp, b: MultilinearOp) -> MultilinearOp:
@@ -60,25 +52,26 @@ def wn_product(a: MultilinearOp, b: MultilinearOp) -> MultilinearOp:
     return kantor_bracket(a.partial(unit_vec(a.dim, 0)), b)
 
 
-def _op_coords(op: MultilinearOp):
-    """Coordinates of a bilinear operation in the a_ij^k basis."""
-    n = op.dim
-    out = [F0] * (n * n * n)
-    for (inputs, k), c in op.coeffs.items():
-        i, j = inputs
-        out[(k * n + i) * n + j] = frac(c)
-    return tuple(out)
-
-
 def build_wn(n: int) -> Algebra:
-    """W(n): all bilinear operations on an n-dimensional space."""
+    """W(n): all bilinear operations on an n-dimensional space, from the
+    closed form of `wn_product` on the basis.  Only A = a_1j^k acts on the
+    left, as the matrix unit e_j -> e_k, so
+
+        a_1j^k . a_lm^r = delta_jr a_lm^k - delta_kl a_jm^r - delta_km a_lj^r,
+
+    coincident terms summed and zero sums dropped."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    ops = _wn_basis_ops(n)
-    table = tuple(
-        tuple(_op_coords(wn_product(a, b)) for b in ops) for a in ops
-    )
-    return Algebra(wn_basis_labels(n), table)
+    products = {}
+    for j, k, s, t in product(range(n), repeat=4):
+        for right, target, sign in (
+            (_index(n, s, t, j), _index(n, s, t, k), 1),  # r = j: (l, m) = (s, t)
+            (_index(n, k, s, t), _index(n, j, s, t), -1),  # l = k: (m, r) = (s, t)
+            (_index(n, s, k, t), _index(n, s, j, t), -1),  # m = k: (l, r) = (s, t)
+        ):
+            out = products.setdefault((_index(n, 0, j, k), right), {})
+            out[target] = out.get(target, 0) + sign
+    return Algebra.from_products(n**3, products, wn_basis_labels(n))
 
 
 def wn_associated_F(n: int) -> MultilinearOp:
@@ -89,7 +82,7 @@ def wn_associated_F(n: int) -> MultilinearOp:
     with its first input relabelled by A -> A^T, the swap a_ij^k <-> a_ji^k.
     """
     p = MultilinearOp.from_algebra(build_wn(n))
-    swap = [(k * n + j) * n + i for k in range(n) for i in range(n) for j in range(n)]
+    swap = [_index(n, j, i, k) for k in range(n) for i in range(n) for j in range(n)]
     q = MultilinearOp(2, p.dim, {((swap[a], b), k): c for ((a, b), k), c in p.coeffs.items()})
     return (p + q + (q.scale(2) - p).transpose()).scale(THIRD)
 
@@ -136,45 +129,25 @@ _Z_VECTORS = (
 )
 
 
-def _xi_ops():
-    """The xi basis as bilinear operations on the underlying 2-space."""
-    alphas = _wn_basis_ops(2)
-    return tuple(
-        sum((alphas[t].scale(c) for t, c in enumerate(v) if c), MultilinearOp.zero(2, 2))
-        for v in _XI_VECTORS
-    )
-
-
 def trace_zero_subspace() -> Subspace:
-    """Operations A on E_2 with trace(A(a, .)) = 0 for every a."""
-    xi = _xi_ops()
-    rows = []
-    for a in range(2):
-        rows.append([sum((op.coeff((a, s), s) for s in range(2)), F0) for op in xi])
-    return Subspace.from_spanning(len(xi), rows).orthogonal_complement()
+    """Operations A on E_2 with trace(A(a, .)) = 0 for every a, in the xi
+    basis (each xi vector holds W(2) coordinates)."""
+    rows = [[sum(v[_index(2, a, s, s)] for s in range(2)) for v in _XI_VECTORS] for a in range(2)]
+    return Subspace.from_spanning(len(_XI_VECTORS), rows).orthogonal_complement()
 
 
 def skew_invariance_subspace() -> Subspace:
-    """Operations A with <A(x,y),z> + <y,A(x,z)> = 0 for the form <e1,e2>=1."""
-    form = ((F0, F1), (-F1, F0))
-    xi = _xi_ops()
-    rows = []
-    for x in range(2):
-        for y in range(2):
-            for z in range(2):
-                row = []
-                for op in xi:
-                    s = F0
-                    for out in range(2):
-                        c = op.coeff((x, y), out)
-                        if c:
-                            s += c * form[out][z]
-                        c = op.coeff((x, z), out)
-                        if c:
-                            s += form[y][out] * c
-                    row.append(s)
-                rows.append(row)
-    return Subspace.from_spanning(len(xi), rows).orthogonal_complement()
+    """Operations A with <A(x,y),z> + <y,A(x,z)> = 0 for the form <e1,e2>=1,
+    in the xi basis."""
+    form = ((0, 1), (-1, 0))
+    rows = [
+        [
+            sum(v[_index(2, x, y, o)] * form[o][z] + form[y][o] * v[_index(2, x, z, o)] for o in range(2))
+            for v in _XI_VECTORS
+        ]
+        for x, y, z in product(range(2), repeat=3)
+    ]
+    return Subspace.from_spanning(len(_XI_VECTORS), rows).orthogonal_complement()
 
 
 def build_s2() -> Algebra:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .algebra import Algebra, two_sided_columns
 from .errors import GateError
-from .linalg import F1, Matrix, frac, solve_columns
+from .linalg import F1, Matrix, _dense, frac, solve_columns
 from .identities import NILPOTENT4, builtin_identities, check_identity
 from .multiops import MultilinearOp
 from .wn import build_h1, build_s2, build_w2sym, build_wn
@@ -221,10 +221,10 @@ def validate_involution(alg: Algebra, sigma: Matrix):
         raise GateError("involution-shape", f"expected {n}x{n}")
     if sigma @ sigma != Matrix.identity(n):
         raise GateError("involution-squares-to-identity")
-    for i in range(n):
+    for i, row in enumerate(alg.sparse_table):
         si = sigma.col(i)
-        for j in range(n):
-            lhs = sigma.apply(alg.table[i][j])
+        for j, outputs in enumerate(row):
+            lhs = sigma.apply(_dense(dict(outputs), n))
             rhs = alg.mul_vec(sigma.col(j), si)
             if lhs != rhs:
                 raise GateError(

@@ -3,6 +3,7 @@
 None of these has a caller in the package: each is the plain, direct
 version of something the package computes another way (left and right
 multiplication for `MultilinearOp.partial`, the unit for `zoo.find_unit`,
+W(n) product by product for `wn.build_wn`'s closed form,
 a polynomial's value for the Groebner solver, the pairwise scan that
 `poly._distinct` replaced with a hash key), or a view the tests use to
 state what they check.
@@ -10,6 +11,8 @@ state what they check.
 
 from kantor.algebra import Algebra, Element
 from kantor.linalg import F0, F1, Matrix, frac, sub_vec, unit_vec, vec
+from kantor.multiops import MultilinearOp
+from kantor.wn import wn_basis_labels, wn_product
 
 
 def _coords(a):
@@ -30,12 +33,23 @@ def right_mul_operator(alg: Algebra, a) -> Matrix:
 
 def opposite(alg: Algebra) -> Algebra:
     """The algebra with product x . y = y x."""
-    n = alg.dim
-    return Algebra(alg.basis_names, tuple(tuple(alg.table[j][i] for j in range(n)) for i in range(n)))
+    return Algebra(alg.basis_names, tuple(zip(*alg.sparse_table)))
 
 
 def rename(alg: Algebra, names) -> Algebra:
-    return Algebra(tuple(names), alg.table)
+    return Algebra(tuple(names), alg.sparse_table)
+
+
+def wn_by_bracket(n: int) -> Algebra:
+    """W(n) with every basis product computed by `wn_product` on the
+    coordinate operations a_ij^k and read back into coordinates."""
+    ops = [MultilinearOp(2, n, {((i, j), k): F1}) for k in range(n) for i in range(n) for j in range(n)]
+    products = {
+        (a, b): {(k * n + i) * n + j: c for ((i, j), k), c in wn_product(x, y).coeffs.items()}
+        for a, x in enumerate(ops)
+        for b, y in enumerate(ops)
+    }
+    return Algebra.from_products(n**3, products, wn_basis_labels(n))
 
 
 def matrix_unit(k: int):

@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from kantor import cli
 from kantor.algebra import (
     Algebra,
     annihilator,
@@ -14,13 +16,22 @@ from kantor.algebra import (
     two_sided_columns,
     verify_subalgebra,
 )
+from kantor.claims import audit_table
+from kantor.codim1 import codim1_subalgebras
 from kantor.conservative import conservativity, quasi_units
 from kantor.derivations import derivation_algebra
 from kantor.errors import AlgebraFormatError, NotClosedError
 from kantor.identities import is_nilpotent4
 from kantor.linalg import Matrix, Subspace, solve_columns, unit_vec
 from kantor.multiops import MultilinearOp
-from kantor.storage import MAX_DIGITS, load_algebra_pair, parse_algebra_document, parse_rational, save_algebra
+from kantor.storage import (
+    MAX_DIGITS,
+    dumps_algebra,
+    load_algebra_pair,
+    parse_algebra_document,
+    parse_rational,
+    save_algebra,
+)
 from kantor.wn import XI_LABELS, Z_LABELS, build_wn, w2sym_subspace, wn_associated_F
 from kantor import zoo
 
@@ -450,6 +461,48 @@ def test_rationals_are_read_in_the_documented_form_only():
             parse_rational(text)
     with pytest.raises(ZeroDivisionError):
         parse_rational("1/0")
+
+
+@pytest.mark.parametrize("products", [{(-1, 0): {-2: 3}}, {(0, 0): {2: 1}}, {(0, 2): {0: 1}}, {(0, 0): {-1: 1}}])
+def test_from_products_refuses_indices_out_of_range(products):
+    with pytest.raises(ValueError):
+        Algebra.from_products(2, products)
+
+
+@pytest.mark.parametrize("entry", [((2, 1),), ((-1, 1),), ((0, 0),), ((1, 1), (0, 1)), ((0, 1), (0, 2))])
+def test_the_constructor_checks_the_sparse_form(entry):
+    with pytest.raises(ValueError, match="structure constant"):
+        Algebra(("a", "b"), ((entry, ()), ((), ())))
+
+
+def test_the_constructor_checks_n_rows_of_n_products():
+    for table in [((),), (((), ()),), (((), ()), ((),))]:
+        with pytest.raises(ValueError, match="2 x 2 products"):
+            Algebra(("a", "b"), table)
+
+
+def test_the_package_never_derives_the_dense_view(capsys):
+    """Every reader in the package works on `sparse_table`: showing,
+    writing, reading back and auditing a fixture, its verdicts and the
+    involution gate leave the dense `table` view underived."""
+    zoo.fixture.cache_clear()  # fresh fixtures, with no view an earlier test derived
+    for name in sorted(zoo.FIXTURES):
+        assert cli.main(["--json", "show", "--fixture", name]) == 0
+        alg = zoo.fixture(name)
+        loaded, _ = parse_algebra_document(json.loads(dumps_algebra(alg)))
+        assert loaded == alg and "table" not in loaded.__dict__, name
+        audit_table(alg, name)
+        conservativity(alg)
+        derivation_algebra(alg)
+        codim1_subalgebras(alg)
+        assert "table" not in alg.__dict__, name
+    capsys.readouterr()
+    matrix2 = zoo.fixture("matrix2")
+    zoo.validate_involution(matrix2, zoo.transpose_involution_2x2())
+    assert "table" not in matrix2.__dict__
+    w8 = build_wn(8)
+    assert sum(len(p) for row in w8.sparse_table for p in row) == 11992
+    assert "table" not in w8.__dict__
 
 
 def test_storage_rejects_bad_shape():

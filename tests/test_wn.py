@@ -23,6 +23,8 @@ from kantor.wn import (
     wn_product,
 )
 
+from helpers import wn_by_bracket
+
 
 def test_wn2_regenerates_recorded_table(wn2):
     assert audit_table(wn2, "wn2") == []
@@ -159,6 +161,11 @@ def test_w2sym_table_spot_values(w2sym):
 def test_s2_table_spot_values(s2):
     assert s2.table[0][3] == (0, 0, 0, -3)  # z1 z4 = -3 z4
     assert s2.table[3][0] == (0, 0, 0, 3)   # z4 z1 = 3 z4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_form_matches_the_product_of_operations(n):
+    assert build_wn(n) == wn_by_bracket(n)
 
 
 def test_wn_envelope_n4_builds():
