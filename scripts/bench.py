@@ -18,7 +18,7 @@ default (the W(4) row a single run), F being `wn_associated_F`,
 `quasi_units` on M(4), W(3) and W(4), `conservativity` and `quasi_units`
 on W(5) (a single run each) and, where both answer "no" with a Fredholm
 certificate, on the M7 fixture and `simple_left_commutative(20)`,
-`is_terminal` on W(3), `wn_associated_F` on W(3) and W(4),
+`is_terminal` on W(3) and W(4), `wn_associated_F` on W(3) and W(4),
 `is_nilpotent4` on W(3) and on the nilpotent4 fixture, `build_wn` on W(7)
 and W(8) and `storage.load_algebra` of W(3)'s JSON file, each timed up to
 its `sparse_table`, and, end to end,
@@ -395,8 +395,9 @@ def measure():
         ):
             rows.append(row(f"{label} {name}", lambda: fn(alg), counters))
             print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
-    rows.append(row("is_terminal W3", lambda: is_terminal(algebras["W3"]), lambda holds: {"holds": holds}))
-    print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    for name, alg in (("W3", algebras["W3"]), ("W4", w4)):
+        rows.append(row(f"is_terminal {name}", lambda: is_terminal(alg), lambda holds: {"holds": holds}))
+        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     for n in (3, 4):
         rows.append(row(f"wn_associated_F W{n}", lambda: wn_associated_F(n), lambda f: {"nnz": len(f.coeffs)}))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)

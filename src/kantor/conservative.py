@@ -136,10 +136,10 @@ def verify_associated(alg: Algebra, f, cross_check: bool = True) -> bool:
     multiplied-out equation, expanded once over generic vectors a, b, x, y
     by `identities.generic_defect`: the equation is multilinear, so its
     defect is empty iff it holds on every basis quadruple.  The two routes
-    must agree exactly.  Measured on a 2-core x86 machine, the cross-check
-    adds about 0.02 s on W(2), 0.5-0.8 s on W(3) and 5-8 s (130 MB peak)
-    on W(4), where the tensor route takes about 0.07 s and 0.35-0.65 s;
-    pass cross_check=False to skip it.
+    must agree exactly.  Measured on a 2-core x86 machine, the tensor
+    route takes about 0.003 s on W(2), 0.03-0.04 s on W(3) and 0.26-0.29 s
+    on W(4), and the cross-check adds about 0.02 s, 0.6-0.9 s and 5.6-6.9 s
+    (110 MB peak) to them; pass cross_check=False to skip it.
     """
     n = alg.dim
     if isinstance(f, Algebra):
@@ -147,15 +147,17 @@ def verify_associated(alg: Algebra, f, cross_check: bool = True) -> bool:
     if f.dim != n or f.arity != 2:
         raise ValueError("f must be a bilinear operation on the same space")
     _, L, inner = _bracket_columns(alg)
+    f_values = defaultdict(list)  # (a, b) -> the nonzero (z, F(a,b)_z)
+    for (pair, z), w in f.coeffs.items():
+        f_values[pair].append((z, w))
 
     def minus_f_side(a, b):
         # -[L_{F(a,b)}, P] = -sum_z F(a,b)_z [L_z, P]: x -> L_x and the
         # bracket are linear, so the columns [L_z, P] already hold it
         acc = defaultdict(int)
-        for z, w in enumerate(f.apply_basis((a, b))):
-            if w:
-                for key, c in inner[z].coeffs.items():
-                    acc[key] -= w * c
+        for z, w in f_values.get((a, b), ()):
+            for key, c in inner[z].coeffs.items():
+                acc[key] -= w * c
         return MultilinearOp(2, n, acc)
 
     ok = all(

@@ -303,7 +303,9 @@ class Echelon:
             return None
         x = [F0] * self.cols
         for p, row in zip(self.pivots, self.rows):
-            x[p] = frac(row.get(col, 0))
+            c = row.get(col)
+            if c:
+                x[p] = frac(c)
         return tuple(x)
 
     def kernel(self) -> "Subspace":

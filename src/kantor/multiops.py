@@ -31,6 +31,13 @@ slot of a in turn.  The bracket is the antisymmetrization
 A(B(x,y)) - B(Ax,y) - B(x,Ay), and on symmetric operations the composition
 polarizes the evaluation of homogeneous polynomial maps on the diagonal.
 
+Both `insertion_product` and `kantor_bracket` run one kernel, `_insert`,
+which adds a signed product into the caller's accumulator.  The argument
+layouts of each (p, q) are a cached table: per term, the slot b fills and
+one `itemgetter` that reads the result's inputs off b's and a's inputs.
+The bracket adds a . b and -(b . a) into one accumulator and normalizes
+its coefficients once.
+
 The non-adjacent insertions matter: dropping them breaks the triple-bracket
 vanishing that characterizes the commutative-operations algebra built in
 `wn` (and with them, exactly one of the two element-bracket conventions
@@ -40,8 +47,10 @@ recovers it -- see `conservative.is_terminal`).
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import combinations
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
+from operator import itemgetter
 
 from .algebra import Algebra
 from .errors import DimensionMismatchError
@@ -192,20 +201,61 @@ class MultilinearOp:
         return f"MultilinearOp(arity={self.arity}, dim={self.dim}, nnz={len(self.coeffs)})"
 
 
-def _subset_layouts(m, p, q):
-    """Argument layouts for inserting an arity-q block among m variables.
+@cache
+def _layouts(p, q):
+    """The argument layouts of inserting an arity-q operation into an
+    arity-p one (p >= 1), computed once per (p, q).
 
-    Yields (subset, block_slot, single_positions): the variables of `subset`
-    feed the block, the block sits in slot `block_slot` of the outer
-    operation, and the remaining slots read the variables listed in
-    `single_positions`, everything ordered by largest variable index.
+    One layout per term of the shuffle insertion: (block_slot, pick), where
+    the inner operation's value fills slot `block_slot` of the outer one and
+    pick(v + u), for inner inputs v and outer inputs u, is the result's
+    input tuple.  For q >= 1 the terms are the increasing q-subsets S of the
+    p + q - 1 variables, whose block sits among the remaining variables by
+    its largest one; for q = 0 they are the p slots of the outer operation.
     """
-    for S in combinations(range(m), q):
-        chosen = set(S)
-        singles = [i for i in range(m) if i not in chosen]
-        keys = sorted(singles + [m + 1], key=lambda t: S[-1] if t == m + 1 else t)
-        block_slot = keys.index(m + 1)
-        yield S, block_slot, [k for k in keys if k != m + 1]
+    m = p + q - 1
+    layouts = []
+    for term, S in enumerate(combinations(range(m), q) if q else [()] * p):
+        singles = [i for i in range(m) if i not in S]
+        block_slot = sum(i < S[-1] for i in singles) if q else term
+        source = [0] * m
+        for j, var in enumerate(S):
+            source[var] = j
+        for slot, var in enumerate(singles):
+            source[var] = q + (slot if slot < block_slot else slot + 1)
+        layouts.append((block_slot, _picker(source)))
+    return tuple(layouts)
+
+
+def _picker(source):
+    """t -> tuple(t[i] for i in source), as one itemgetter call."""
+    if len(source) == 1:  # itemgetter of one index returns the item itself
+        return itemgetter(slice(source[0], source[0] + 1))
+    return itemgetter(*source) if source else itemgetter(slice(0))
+
+
+def _insert(acc, a: MultilinearOp, b: MultilinearOp, sign: int):
+    """Add sign * (a . b) into acc, a ``{(inputs, out): coefficient}`` map
+    with default 0.  An arity-0 a has no slots and adds nothing."""
+    if not a.arity:
+        return
+    by_out = defaultdict(list)
+    for (v, out), c in b.coeffs.items():
+        by_out[out].append((v, sign * c))
+    items = a.coeffs.items()
+    for block_slot, pick in _layouts(a.arity, b.arity):
+        for (u, out), ca in items:
+            matches = by_out.get(u[block_slot])
+            if matches:
+                for v, cb in matches:
+                    acc[(pick(v + u), out)] += ca * cb
+
+
+def _result_arity(a: MultilinearOp, b: MultilinearOp) -> int:
+    """The arity of a . b and of [a, b]; their dims must agree."""
+    if a.dim != b.dim:
+        raise DimensionMismatchError.of(a.dim, b.dim)
+    return max(a.arity + b.arity - 1, 0)
 
 
 def insertion_product(a: MultilinearOp, b: MultilinearOp) -> MultilinearOp:
@@ -217,39 +267,17 @@ def insertion_product(a: MultilinearOp, b: MultilinearOp) -> MultilinearOp:
     in turn.  An arity-0 left operand has no slots, so the result is then
     the zero operation (of arity max(arity(b) - 1, 0)).
     """
-    if a.dim != b.dim:
-        raise DimensionMismatchError.of(a.dim, b.dim)
-    p, q = a.arity, b.arity
-    if p == 0:
-        return MultilinearOp.zero(max(p + q - 1, 0), a.dim)
-    m = p + q - 1
+    arity = _result_arity(a, b)
     acc = defaultdict(int)
-    if q == 0:
-        for (u, out), ca in a.coeffs.items():
-            for i in range(p):
-                cb = b.coeffs.get(((), u[i]))
-                if cb:
-                    acc[(u[:i] + u[i + 1 :], out)] += ca * cb
-        return MultilinearOp(m, a.dim, acc)
-    by_out = defaultdict(list)
-    for (inputs, out), c in b.coeffs.items():
-        by_out[out].append((inputs, c))
-    for S, block_slot, single_positions in _subset_layouts(m, p, q):
-        for (u, out), ca in a.coeffs.items():
-            matches = by_out.get(u[block_slot])
-            if not matches:
-                continue
-            for v, cb in matches:
-                w = [0] * m
-                for j, pos in enumerate(S):
-                    w[pos] = v[j]
-                for slot, pos in enumerate(single_positions):
-                    src = slot if slot < block_slot else slot + 1
-                    w[pos] = u[src]
-                acc[(tuple(w), out)] += ca * cb
-    return MultilinearOp(m, a.dim, acc)
+    _insert(acc, a, b, 1)
+    return MultilinearOp(arity, a.dim, acc)
 
 
 def kantor_bracket(a: MultilinearOp, b: MultilinearOp) -> MultilinearOp:
-    """[a, b] = a . b - b . a (antisymmetrized insertion product)."""
-    return insertion_product(a, b) - insertion_product(b, a)
+    """[a, b] = a . b - b . a (antisymmetrized insertion product), summed
+    in one accumulator."""
+    arity = _result_arity(a, b)
+    acc = defaultdict(int)
+    _insert(acc, a, b, 1)
+    _insert(acc, b, a, -1)
+    return MultilinearOp(arity, a.dim, acc)

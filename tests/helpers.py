@@ -3,11 +3,15 @@
 None of these has a caller in the package: each is the plain, direct
 version of something the package computes another way (left and right
 multiplication for `MultilinearOp.partial`, the unit for `zoo.find_unit`,
-W(n) product by product for `wn.build_wn`'s closed form,
+W(n) product by product for `wn.build_wn`'s closed form, the slot-by-slot
+insertion loop for `multiops`' cached layouts,
 a polynomial's value for the Groebner solver, the pairwise scan that
 `poly._distinct` replaced with a hash key), or a view the tests use to
 state what they check.
 """
+
+from collections import defaultdict
+from itertools import combinations
 
 from kantor.algebra import Algebra, Element
 from kantor.linalg import F0, F1, Matrix, frac, sub_vec, unit_vec, vec
@@ -50,6 +54,40 @@ def wn_by_bracket(n: int) -> Algebra:
         for b, y in enumerate(ops)
     }
     return Algebra.from_products(n**3, products, wn_basis_labels(n))
+
+
+def insertion_by_slots(a: MultilinearOp, b: MultilinearOp) -> MultilinearOp:
+    """The shuffle insertion a . b term by term: for each increasing subset
+    S of the result variables feeding b (for an arity-0 b, each slot of a),
+    every matching pair of entries fills the result's inputs slot by slot."""
+    p, q = a.arity, b.arity
+    if p == 0:
+        return MultilinearOp.zero(max(p + q - 1, 0), a.dim)
+    m = p + q - 1
+    acc = defaultdict(int)
+    if q == 0:
+        for (u, out), ca in a.coeffs.items():
+            for i in range(p):
+                cb = b.coeffs.get(((), u[i]))
+                if cb:
+                    acc[(u[:i] + u[i + 1 :], out)] += ca * cb
+        return MultilinearOp(m, a.dim, acc)
+    by_out = defaultdict(list)
+    for (inputs, out), c in b.coeffs.items():
+        by_out[out].append((inputs, c))
+    for S in combinations(range(m), q):
+        singles = [i for i in range(m) if i not in S]
+        keys = sorted(singles + [m + 1], key=lambda t: S[-1] if t == m + 1 else t)
+        block_slot = keys.index(m + 1)
+        for (u, out), ca in a.coeffs.items():
+            for v, cb in by_out.get(u[block_slot], ()):
+                w = [0] * m
+                for j, pos in enumerate(S):
+                    w[pos] = v[j]
+                for slot, pos in enumerate(singles):
+                    w[pos] = u[slot if slot < block_slot else slot + 1]
+                acc[(tuple(w), out)] += ca * cb
+    return MultilinearOp(m, a.dim, acc)
 
 
 def matrix_unit(k: int):

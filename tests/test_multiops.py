@@ -8,7 +8,7 @@ from kantor.errors import DimensionMismatchError
 from kantor.linalg import Matrix, unit_vec
 from kantor.multiops import MultilinearOp, insertion_product, kantor_bracket
 
-from helpers import left_mul_operator
+from helpers import insertion_by_slots, left_mul_operator
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
@@ -152,9 +152,71 @@ def test_transpose():
         MultilinearOp.identity(2).transpose()
 
 
+coefficients = st.one_of(st.integers(-3, 3), rationals)
+
+
+def typed(op):
+    """op's coefficients with their types, so that 2 and Fraction(2) differ."""
+    return {key: (type(c), c) for key, c in op.coeffs.items()}
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_kernel_matches_the_slot_by_slot_oracle(data):
+    dim = data.draw(st.integers(1, 4))
+    index = st.integers(0, dim - 1)
+
+    def draw_op():
+        arity = data.draw(st.integers(0, 3))
+        keys = st.tuples(st.tuples(*[index] * arity), index)
+        return MultilinearOp(arity, dim, data.draw(st.dictionaries(keys, coefficients, max_size=8)))
+
+    a, b = draw_op(), draw_op()
+    ab, ba = insertion_by_slots(a, b), insertion_by_slots(b, a)
+    product, bracket = insertion_product(a, b), kantor_bracket(a, b)
+    assert (product.arity, typed(product)) == (ab.arity, typed(ab))
+    difference = ab - ba
+    assert (bracket.arity, typed(bracket)) == (difference.arity, typed(difference))
+    for op in (product, bracket):
+        for c in op.coeffs.values():
+            assert c and (type(c) is int or c.denominator > 1)
+
+
 def test_dim_mismatch():
     with pytest.raises(DimensionMismatchError):
         insertion_product(MultilinearOp.identity(2), MultilinearOp.identity(3))
+
+
+def test_dim_mismatch_in_the_bracket_and_with_elements():
+    # an arity-0 left operand contributes nothing, yet the dims are checked
+    for fn in (insertion_product, kantor_bracket):
+        with pytest.raises(DimensionMismatchError):
+            fn(MultilinearOp.from_element((1, 0)), MultilinearOp.from_element((1, 0, 0)))
+    with pytest.raises(DimensionMismatchError):
+        kantor_bracket(MultilinearOp.identity(2), MultilinearOp.identity(3))
+
+
+def test_bracket_with_an_element_on_either_side():
+    # [P, x] = P . x: y -> P(x, y) + P(y, x), and [x, P] = -[P, x]
+    alg = Algebra.from_products(2, {(0, 0): {1: 1}, (0, 1): {0: 2}, (1, 0): {1: Fraction(1, 2)}})
+    P = MultilinearOp.from_algebra(alg)
+    x = MultilinearOp.from_element(unit_vec(2, 0))
+    px = MultilinearOp(1, 2, {((0,), 1): 2, ((1,), 0): 2, ((1,), 1): Fraction(1, 2)})
+    assert kantor_bracket(P, x) == px
+    assert kantor_bracket(x, P) == -px
+    # a linear map against an element: [A, x] = A(x), an element
+    A = MultilinearOp.from_matrix(Matrix.from_rows([[1, 2], [3, 4]]))
+    y = MultilinearOp.from_element((Fraction(1), Fraction(-1)))
+    assert kantor_bracket(A, y).as_element() == (Fraction(-1), Fraction(-1))
+    assert kantor_bracket(y, A).as_element() == (Fraction(1), Fraction(1))
+
+
+def test_bracket_of_two_elements_is_the_zero_element():
+    x = MultilinearOp.from_element((1, 2, 0))
+    y = MultilinearOp.from_element((0, 1, 1))
+    bracket = kantor_bracket(x, y)
+    assert bracket.arity == 0 and bracket.is_zero()
+    assert insertion_product(x, y) == MultilinearOp.zero(0, 3)
 
 
 def test_roundtrip_algebra_matrix_element(wn2):
