@@ -6,10 +6,10 @@ the deterministic work behind them.
 Run from the repository root:  python scripts/bench.py LABEL
 
 Writes BENCH_<LABEL>.json.  Each row is one request: every non-bracket
-catalogue suite on W(3) and M(4), `codim1_subalgebras` of W(3), M(4),
-W(4), W(5) and W(6) and of RANDOM_COUNT seeded sparse random algebras of
-dim 3-6 (W(5), W(6) and the random algebras a single run, their rows say
-so),
+catalogue suite on W(3) and M(4) and the W4_SUITES on W(4),
+`codim1_subalgebras` of W(3), M(4), W(4), W(5) and W(6) and of
+RANDOM_COUNT seeded sparse random algebras of dim 3-6 (W(5), W(6) and
+the random algebras a single run, their rows say so),
 `verify_associated(W(2), F, cross_check=True)` and
 `verify_associated(W(3), F)` and `verify_associated(W(4), F)` at its
 default (the W(4) row a single run), F being `wn_associated_F`,
@@ -107,6 +107,7 @@ from kantor.derivations import derivation_algebra, derived_series
 from kantor.wn import build_wn, wn_associated_F
 
 RUNS = 5  # timed runs per row; the median is reported
+W4_SUITES = ("malcev", "jordan", "noncommutative_jordan")  # the suites also timed on W(4)
 RANDOM_COUNT, RANDOM_SEED = 100, 11  # the random codim1 row's algebras
 PROBE = speed.SpeedProbe()  # sampling between start() and stop() in main
 
@@ -328,16 +329,18 @@ def measure():
     algebras = {"W3": build_wn(3), "M4": zoo.matrix_algebra(4)}
     w4, w5 = build_wn(4), build_wn(5)
     suites = [s for s in identities.CATALOG if not s.needs_bracket]
+    catalogue = identities.builtin_identities()
+    identity_cases = [(name, alg, suite) for name, alg in algebras.items() for suite in suites]
+    identity_cases += [("W4", w4, catalogue[name]) for name in W4_SUITES]
     rows = []
-    for name, alg in algebras.items():
-        for suite in suites:
-            rows.append(row(
-                f"identity {name} {suite.name}",
-                lambda: identities.check_suite(alg, suite),
-                identity_counters,
-                defect_terms={i.name: defect_terms(alg, i) for i in suite.identities},
-            ))
-            print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    for name, alg, suite in identity_cases:
+        rows.append(row(
+            f"identity {name} {suite.name}",
+            lambda: identities.check_suite(alg, suite),
+            identity_counters,
+            defect_terms={i.name: defect_terms(alg, i) for i in suite.identities},
+        ))
+        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     for name, alg, runs in (
         *((name, alg, RUNS) for name, alg in algebras.items()),
         ("W4", w4, RUNS),

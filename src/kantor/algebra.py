@@ -7,16 +7,25 @@ n x n x n `table` is a view derived from it on request.  Nothing here
 assumes associativity, commutativity, or anything else about the product,
 so the same object doubles as an arbitrary bilinear map V x V -> V.
 
-`Algebra.mul_expanded` is the package's one product kernel: it multiplies
-coordinate-major vectors {coordinate: {monomial: coefficient}} by walking
-the nonzero structure constants of `sparse_table`.  A monomial is a packed
-int, so the product of two monomials is their sum.  The identity evaluator
-multiplies generic (symbolic) vectors with it, and `mul_vec` is the same
-kernel on concrete coordinate vectors, at the constant monomial 0.
+The package multiplies coordinate-major vectors {coordinate: {monomial:
+coefficient}} in two steps.  `Algebra.gather` is the one walk over the
+nonzero structure constants of `sparse_table`: it files each constant it
+meets under its output coordinate, with the two input coordinates it
+pairs.  `multiply_out` turns each coordinate's filed terms into its
+{monomial: coefficient} polynomial, in ascending order and only when the
+caller reaches it.  A monomial is a packed int, so the product of two
+monomials is their sum.  `mul_expanded` is the walk plus every coordinate
+multiplied out; the identity evaluator multiplies generic (symbolic)
+vectors with it, and `mul_vec` is the same kernel on concrete coordinate
+vectors, at the constant monomial 0.  A caller that needs only the first
+nonzero coordinate of a sum of products gathers them all and stops
+`multiply_out` there, as the identity engine does with an identity's
+defect.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,15 +54,24 @@ def default_names(n: int):
     return tuple(f"e{i + 1}" for i in range(n))
 
 
-def _prune(vector):
-    """Drop zero coefficients, then coordinates left without monomials."""
-    out = {}
-    for k, terms in vector.items():
-        if not all(terms.values()):
-            terms = {m: c for m, c in terms.items() if c}
+def multiply_out(groups):
+    """The coordinates of a product from the terms `Algebra.gather` filed:
+    for each k in ascending order, (k, {monomial: coeff}) holding the sum
+    of c * x * y at m1 + m2 over the filed (c, u, v) and the monomials m1
+    of u and m2 of v, zeros dropped; a coordinate whose terms cancel is
+    skipped.  A generator: each coordinate is multiplied out only when it
+    is reached, so a caller that needs the first stops there."""
+    for k in sorted(groups):
+        acc = {}
+        for c, u, v in groups[k]:
+            for m1, x in u.items():
+                cx = c * x
+                for m2, y in v.items():
+                    m = m1 + m2
+                    acc[m] = acc.get(m, 0) + cx * y
+        terms = {m: c for m, c in acc.items() if c}
         if terms:
-            out[k] = terms
-    return out
+            yield k, terms
 
 
 def _numerators(x):
@@ -140,32 +158,34 @@ class Algebra:
             raise DimensionMismatchError.of(self.dim, len(coords))
         return Element(self, coords)
 
-    def mul_expanded(self, a, b):
-        """Product of two vectors stored as {coordinate: {monomial: coeff}}.
+    def gather(self, groups, a, b, f=1):
+        """File the terms of f * (a b) under their output coordinates, for
+        `multiply_out`: groups[k], a list in a `defaultdict(list)`, gains one
+        (f * c_ijk, a[i], b[j]) per nonzero constant c_ijk met.
 
-        A monomial is a packed int: one fixed-width field per symbol holds
-        its exponent, symbol 0 in the most significant field, so the product
-        of monomials m1 and m2 is m1 + m2 (the caller picks fields wide
-        enough that no exponent carries) and int order is lex order of
-        exponent vectors.  A pair of coordinates (i, j) with no nonzero
-        constant is skipped before any monomial is touched.  Coefficients
-        may be ints or Fractions; the result keeps only nonzero ones."""
+        a and b are vectors {coordinate: {monomial: coeff}}.  A monomial is
+        a packed int: one fixed-width field per symbol holds its exponent,
+        symbol 0 in the most significant field, so the product of monomials
+        m1 and m2 is m1 + m2 (the caller picks fields wide enough that no
+        exponent carries) and int order is lex order of exponent vectors.
+        This is the package's one walk over `sparse_table` that multiplies
+        vectors; a pair (i, j) with no nonzero constant costs one lookup.
+        The filed vectors are a's and b's own, not copies."""
         table = self.sparse_table
-        out = {}
         for i, u in a.items():
             row = table[i]
             for j, v in b.items():
-                outputs = row[j]
-                if not outputs:
-                    continue
-                products = [(m1 + m2, x * y) for m1, x in u.items() for m2, y in v.items()]
-                for k, c in outputs:
-                    acc = out.get(k)
-                    if acc is None:
-                        acc = out[k] = {}
-                    for m, xy in products:
-                        acc[m] = acc.get(m, 0) + xy * c
-        return _prune(out)
+                for k, c in row[j]:
+                    groups[k].append((f * c, u, v))
+
+    def mul_expanded(self, a, b):
+        """Product of two vectors stored as {coordinate: {monomial: coeff}}:
+        `gather`, then every coordinate of `multiply_out`.  Coefficients may
+        be ints or Fractions; the result keeps only nonzero ones, and no
+        coordinate without any."""
+        groups = defaultdict(list)
+        self.gather(groups, a, b)
+        return dict(multiply_out(groups))
 
     def mul_vec(self, x, y):
         """Product of two coordinate vectors, as Fractions: `mul_expanded`

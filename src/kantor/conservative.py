@@ -24,7 +24,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .algebra import Algebra
-from .identities import generic_defect, identity
+from .identities import defect_coordinates, identity
 from .linalg import AffineSolutionSet, Subspace, fredholm_certificate, solve_columns, unit_vec
 from .multiops import MultilinearOp, kantor_bracket
 
@@ -32,7 +32,10 @@ from .multiops import MultilinearOp, kantor_bracket
 def _bracket_columns(alg: Algebra):
     """P, the operations L_{e_z}, and the columns [L_{e_z}, P] of z -> [L_z, P]."""
     P = MultilinearOp.from_algebra(alg)
-    L = [P.partial(unit_vec(alg.dim, z)) for z in range(alg.dim)]
+    rows = [{} for _ in range(alg.dim)]  # z -> the coefficients of L_{e_z}
+    for ((z, y), out), c in P.coeffs.items():
+        rows[z][((y,), out)] = c
+    L = [MultilinearOp(1, alg.dim, coeffs) for coeffs in rows]
     return P, L, [kantor_bracket(Lz, P) for Lz in L]
 
 
@@ -133,13 +136,14 @@ def verify_associated(alg: Algebra, f, cross_check: bool = True) -> bool:
     the zero operation encodes F = 0.  The verdict comes from the tensor
     route, [L_b, [L_a, P]] = -[L_{F(a,b)}, P] as operations for each basis
     pair.  The cross-check recomputes it through `KANTOR_EQUATION`, the
-    multiplied-out equation, expanded once over generic vectors a, b, x, y
-    by `identities.generic_defect`: the equation is multilinear, so its
-    defect is empty iff it holds on every basis quadruple.  The two routes
-    must agree exactly.  Measured on a 2-core x86 machine, the tensor
-    route takes about 0.003 s on W(2), 0.03-0.04 s on W(3) and 0.26-0.29 s
-    on W(4), and the cross-check adds about 0.02 s, 0.6-0.9 s and 5.6-6.9 s
-    (110 MB peak) to them; pass cross_check=False to skip it.
+    multiplied-out equation, expanded over generic vectors a, b, x, y by
+    `identities.defect_coordinates`, which stops at the first nonzero
+    coordinate: the equation is multilinear, so its defect is empty iff it
+    holds on every basis quadruple.  The two routes must agree exactly.
+    Measured on a 2-core x86 machine, the tensor route takes about 0.001 s
+    on W(2), 0.02 s on W(3) and 0.13-0.2 s on W(4), and the cross-check
+    adds about 0.012 s, 0.25-0.4 s and 1.9-2.6 s (31 MB peak) to them;
+    pass cross_check=False to skip it.
     """
     n = alg.dim
     if isinstance(f, Algebra):
@@ -165,7 +169,7 @@ def verify_associated(alg: Algebra, f, cross_check: bool = True) -> bool:
         for a in range(n)
         for b in range(n)
     )
-    if cross_check and ok != (not generic_defect(alg, KANTOR_EQUATION, f.as_algebra())):
+    if cross_check and ok != (next(defect_coordinates(alg, KANTOR_EQUATION, f.as_algebra()), None) is None):
         raise RuntimeError("bracket-equation route and expanded-identity route disagree")
     return ok
 

@@ -22,23 +22,37 @@ coordinate i of the t-th free variable, and a monomial is one int with a
 field of B bits per symbol, B being the bit length of the expression's
 degree, and symbol 0 in the most significant field: no exponent reaches
 2**B, so multiplying monomials is adding ints, and int order is lex order
-of exponent vectors.  Products go to `Algebra.mul_expanded`, the package's
-one product kernel, which walks the nonzero structure constants of
-`Algebra.sparse_table`.  A concrete vector sits at the constant monomial
-0, so `evaluate_identity` runs the same code.
-A linear combination is one `Sum` node, added into one accumulator and
-pruned once.  Coefficients stay Python ints while they are integral (exact,
-and far cheaper than Fraction).  The witness of a failing identity is read
-off the first nonzero coordinate of its defect: the largest monomial, and a
-point found by fixing one symbol at a time.
+of exponent vectors.  A concrete vector sits at the constant monomial 0,
+so `evaluate_identity` runs the same code.
+A linear combination is one `Sum` node.  Below the top level, every node
+is built whole: a sum added into one accumulator and pruned once, a
+product by `Algebra.mul_expanded`.  The defect itself, the top level, is
+never built whole.  Every product reached from the root through sums
+(and a bare top-level product) goes to `Algebra.gather`, the package's
+one walk over the nonzero structure constants, which files its terms
+under their output coordinates, each scaled by the product of the sum
+coefficients above it; a variable reached that way goes in as its
+coordinates times the constant monomial.  `defect_coordinates` then
+yields the nonzero coordinates in ascending order, multiplying each out
+(`algebra.multiply_out`) only when it is reached.  The defect is a unique
+polynomial vector, so this changes no value: only how much of it is
+built.  Like the heap multiplication of Monagan & Pearce, which produces
+terms in order so that a caller can stop early, it lets `check_identity`,
+`suite_holds` and the cross-check of `conservative.verify_associated`
+stop at the first nonzero coordinate.  Coefficients stay Python ints
+while they are integral (exact, and far cheaper than Fraction).  The
+witness of a failing identity is read off the first nonzero coordinate of
+its defect: the largest monomial, and a point found by fixing one symbol
+at a time.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra, _prune
+from .algebra import Algebra, multiply_out
 from .errors import AlgebraFormatError, DimensionMismatchError, ExprSyntaxError, MissingBracketError
 from .linalg import F0, exact, frac
 from .storage import MAX_DIGITS, read_json
@@ -279,6 +293,17 @@ def identity(name, variables, source) -> Identity:
 # -- evaluation ---------------------------------------------------------------
 
 
+def _prune(vector):
+    """Drop zero coefficients, then coordinates left without monomials."""
+    out = {}
+    for k, terms in vector.items():
+        if not all(terms.values()):
+            terms = {m: c for m, c in terms.items() if c}
+        if terms:
+            out[k] = terms
+    return out
+
+
 def _eval(node, env, alg, bracket):
     """Value of an expression over vectors {coordinate: {monomial: coeff}}."""
     if isinstance(node, Var):
@@ -299,14 +324,39 @@ def _eval(node, env, alg, bracket):
     return (alg if isinstance(node, Prod) else bracket).mul_expanded(a, b)
 
 
-def _expand(alg: Algebra, ident: Identity, env, bracket: Algebra):
-    """The defect of the identity over the vectors in `env`."""
+_ONE = {0: 1}  # the constant monomial with coefficient 1
+
+
+def _gather_top(node, f, env, alg, bracket, groups):
+    """File f * node into groups as `Algebra.gather` does, without building
+    the value of any product reached through sums from the root: the
+    operands of such a product are evaluated whole, the product itself only
+    gathered.  A variable's coordinate k goes in as (f, v[k], {0: 1})."""
+    if isinstance(node, Sum):
+        for coeff, arg in node.terms:
+            _gather_top(arg, f * exact(coeff), env, alg, bracket, groups)
+    elif isinstance(node, Var):
+        for k, terms in env[node.name].items():
+            groups[k].append((f, terms, _ONE))
+    else:
+        a = _eval(node.left, env, alg, bracket)
+        b = _eval(node.right, env, alg, bracket)
+        (alg if isinstance(node, Prod) else bracket).gather(groups, a, b, f)
+
+
+def _defect(alg: Algebra, ident: Identity, env, bracket: Algebra):
+    """The defect of the identity over the vectors in `env`, as an iterator
+    of (k, {monomial: coeff}) over its nonzero coordinates, k ascending.
+    The top-level products are gathered at once and each coordinate
+    multiplied out only when the iterator reaches it."""
     if ident.needs_bracket:
         if bracket is None:
             raise MissingBracketError(f"identity {ident.name!r} uses {{,}} but no bracket table was supplied")
         if bracket.dim != alg.dim:
             raise DimensionMismatchError.of(alg.dim, bracket.dim)
-    return _eval(ident.expr, env, alg, bracket)
+    groups = defaultdict(list)
+    _gather_top(ident.expr, 1, env, alg, bracket, groups)
+    return multiply_out(groups)
 
 
 def evaluate_identity(alg: Algebra, ident: Identity, assignment, bracket: Algebra = None):
@@ -321,7 +371,7 @@ def evaluate_identity(alg: Algebra, ident: Identity, assignment, bracket: Algebr
         if len(coords) != n:
             raise DimensionMismatchError.of(n, len(coords))
         env[v] = {i: {0: exact(c)} for i, c in enumerate(coords) if c}
-    defect = _expand(alg, ident, env, bracket)
+    defect = dict(_defect(alg, ident, env, bracket))
     return tuple(frac(defect[k][0]) if k in defect else F0 for k in range(n))
 
 
@@ -396,34 +446,42 @@ def _fields(ident: Identity, n: int):
     return width, tuple(width * (count - 1 - s) for s in range(count))
 
 
-def generic_defect(alg: Algebra, ident: Identity, bracket: Algebra = None):
-    """The defect at generic vectors, as {coordinate: {monomial: coeff}}
-    with every coefficient nonzero and no coordinate empty; empty iff the
-    identity holds.  Monomials are packed as `_fields` says."""
+def defect_coordinates(alg: Algebra, ident: Identity, bracket: Algebra = None):
+    """The defect at generic vectors, as an iterator of (k, {monomial:
+    coeff}) over its nonzero coordinates, k ascending, every coefficient
+    nonzero; empty iff the identity holds.  Each coordinate is multiplied
+    out only when reached, so a caller that needs the first stops there.
+    Monomials are packed as `_fields` says.  A missing or mismatched
+    bracket raises here, before anything is expanded."""
     n = alg.dim
     _, shifts = _fields(ident, n)
     env = {
         v: {i: {1 << shifts[t * n + i]: 1} for i in range(n)}
         for t, v in enumerate(ident.variables)
     }
-    return _expand(alg, ident, env, bracket)
+    return _defect(alg, ident, env, bracket)
+
+
+def generic_defect(alg: Algebra, ident: Identity, bracket: Algebra = None):
+    """Every coordinate of `defect_coordinates`, as {coordinate: {monomial:
+    coeff}}: empty iff the identity holds."""
+    return dict(defect_coordinates(alg, ident, bracket))
 
 
 def check_identity(alg: Algebra, ident: Identity, bracket: Algebra = None) -> IdentityVerdict:
-    """Exact verdict by full symbolic-coordinate expansion.
+    """Exact verdict by symbolic-coordinate expansion.
 
     Each free variable v becomes the generic vector (v1, ..., vn); the
     identity holds iff every coordinate of the expanded defect is the zero
     polynomial.  On failure the witness pins the lex-largest monomial of the
     first nonzero coordinate and a rational point where the defect is
-    provably nonzero.
+    provably nonzero; no later coordinate is expanded.
     """
     n = alg.dim
-    defect = generic_defect(alg, ident, bracket)
-    if not defect:
+    first = next(defect_coordinates(alg, ident, bracket), None)
+    if first is None:
         return IdentityVerdict(ident, True)
-    k = min(defect)
-    terms = defect[k]
+    k, terms = first
     leading = max(terms)  # int order of packed monomials is lex order
     width, shifts = _fields(ident, n)
     point = _find_nonvanishing(terms, width, shifts)
@@ -525,9 +583,9 @@ def check_suite(alg: Algebra, suite: IdentitySuite, bracket: Algebra = None):
 
 
 def suite_holds(alg: Algebra, suite: IdentitySuite, bracket: Algebra = None) -> bool:
-    """True iff every identity of the suite holds; stops at the first that
-    fails, and builds no witness."""
-    return not any(generic_defect(alg, ident, bracket) for ident in suite.identities)
+    """True iff every identity of the suite holds; stops at the first
+    nonzero coordinate of the first that fails, and builds no witness."""
+    return not any(next(defect_coordinates(alg, ident, bracket), None) for ident in suite.identities)
 
 
 # Every product of four elements vanishes, in each of its 5 bracketings; each

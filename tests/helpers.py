@@ -4,7 +4,9 @@ None of these has a caller in the package: each is the plain, direct
 version of something the package computes another way (left and right
 multiplication for `MultilinearOp.partial`, the unit for `zoo.find_unit`,
 W(n) product by product for `wn.build_wn`'s closed form, the slot-by-slot
-insertion loop for `multiops`' cached layouts,
+insertion loop for `multiops`' cached layouts, the scatter loop for
+`Algebra.mul_expanded`'s gather-then-multiply-out, the whole-expression
+evaluator for the identity engine's coordinate-at-a-time defect,
 a polynomial's value for the Groebner solver, the pairwise scan that
 `poly._distinct` replaced with a hash key), or a view the tests use to
 state what they check.
@@ -14,6 +16,7 @@ from collections import defaultdict
 from itertools import combinations
 
 from kantor.algebra import Algebra, Element
+from kantor.identities import Prod, Sum, Var, _fields
 from kantor.linalg import F0, F1, Matrix, frac, sub_vec, unit_vec, vec
 from kantor.multiops import MultilinearOp
 from kantor.wn import wn_basis_labels, wn_product
@@ -88,6 +91,65 @@ def insertion_by_slots(a: MultilinearOp, b: MultilinearOp) -> MultilinearOp:
                     w[pos] = u[slot if slot < block_slot else slot + 1]
                 acc[(tuple(w), out)] += ca * cb
     return MultilinearOp(m, a.dim, acc)
+
+
+def mul_by_scatter(alg: Algebra, a, b):
+    """The product of two vectors {coordinate: {monomial: coeff}}, packed
+    monomials added: for each pair (i, j) with a nonzero constant, every
+    monomial product of a[i] and b[j], scattered into each output k."""
+    out = {}
+    for i, u in a.items():
+        for j, v in b.items():
+            outputs = alg.sparse_table[i][j]
+            if not outputs:
+                continue
+            products = [(m1 + m2, x * y) for m1, x in u.items() for m2, y in v.items()]
+            for k, c in outputs:
+                acc = out.setdefault(k, {})
+                for m, xy in products:
+                    acc[m] = acc.get(m, 0) + xy * c
+    return _pruned(out)
+
+
+def _pruned(vector):
+    out = {}
+    for k, terms in vector.items():
+        terms = {m: c for m, c in terms.items() if c}
+        if terms:
+            out[k] = terms
+    return out
+
+
+def expand_whole(node, env, alg: Algebra, bracket: Algebra = None):
+    """The value of an identity's expression over the vectors in env, every
+    node built whole: a sum added term by term into one vector, a product
+    through `mul_by_scatter`."""
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Sum):
+        acc = {}
+        for coeff, arg in node.terms:
+            for k, terms in expand_whole(arg, env, alg, bracket).items():
+                row = acc.setdefault(k, {})
+                for m, v in terms.items():
+                    row[m] = row.get(m, 0) + coeff * v
+        return _pruned(acc)
+    left = expand_whole(node.left, env, alg, bracket)
+    right = expand_whole(node.right, env, alg, bracket)
+    return mul_by_scatter(alg if isinstance(node, Prod) else bracket, left, right)
+
+
+def generic_env(alg: Algebra, ident):
+    """Each free variable of ident as a generic vector over alg, its
+    coordinates packed as the identity engine packs them."""
+    n = alg.dim
+    _, shifts = _fields(ident, n)
+    return {v: {i: {1 << shifts[t * n + i]: 1} for i in range(n)} for t, v in enumerate(ident.variables)}
+
+
+def whole_defect(alg: Algebra, ident, bracket: Algebra = None):
+    """The generic defect of ident, expanded whole by `expand_whole`."""
+    return expand_whole(ident.expr, generic_env(alg, ident), alg, bracket)
 
 
 def matrix_unit(k: int):

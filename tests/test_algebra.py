@@ -35,7 +35,7 @@ from kantor.storage import (
 from kantor.wn import XI_LABELS, Z_LABELS, build_wn, w2sym_subspace, wn_associated_F
 from kantor import zoo
 
-from helpers import left_mul_operator, right_mul_operator
+from helpers import left_mul_operator, mul_by_scatter, right_mul_operator
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -143,6 +143,30 @@ def test_mul_vec_is_the_triple_sum(data):
     product = alg.mul_vec(x, y)
     assert product == expected
     assert all(isinstance(c, Fraction) for c in product)
+
+
+def _expanded_vectors(n):
+    """Vectors {coordinate: {monomial: coeff}} over dim n, with small packed
+    monomials and nonzero int, Fraction and integral-Fraction coefficients."""
+    coeff = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(2)])
+    terms = st.dictionaries(st.integers(0, 15), coeff, min_size=1, max_size=3)
+    return st.dictionaries(st.integers(0, n - 1), terms, max_size=n)
+
+
+def _typed(vector):
+    return {k: {m: (type(c), c) for m, c in terms.items()} for k, terms in vector.items()}
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_mul_expanded_matches_the_scatter_loop(data):
+    # gather, then multiply out each coordinate: the same coefficients, of
+    # the same types, as scattering every pair's products into its outputs
+    alg = _random_algebra(data, 4)
+    a, b = (data.draw(_expanded_vectors(alg.dim)) for _ in range(2))
+    product = alg.mul_expanded(a, b)
+    assert _typed(product) == _typed(mul_by_scatter(alg, a, b))
+    assert list(product) == sorted(product)
 
 
 @settings(deadline=None, max_examples=20)

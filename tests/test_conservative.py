@@ -232,3 +232,18 @@ def test_wn1():
     u = w1.gen(0)
     assert u * u == -u
     assert conservativity(w1).conservative
+
+
+@pytest.mark.parametrize("name", sorted(zoo.FIXTURES))
+def test_left_multiplications_are_the_partials_of_the_product(name):
+    # each L_{e_z}, grouped from P's coefficients by first input, is
+    # P.partial(e_z): the same coefficients, of the same types, in order
+    alg = zoo.fixture(name)
+    P, L, _ = _bracket_columns(alg)
+    assert len(L) == alg.dim
+    for z, Lz in enumerate(L):
+        expected = P.partial(unit_vec(alg.dim, z))
+        assert (Lz.arity, Lz.dim) == (expected.arity, expected.dim)
+        assert [(key, type(c), c) for key, c in Lz.coeffs.items()] == [
+            (key, type(c), c) for key, c in expected.coeffs.items()
+        ]

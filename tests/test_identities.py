@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import QQ, lex, ring
 
 from kantor.algebra import Algebra
-from kantor.errors import ExprSyntaxError, MissingBracketError
+from kantor.errors import DimensionMismatchError, ExprSyntaxError, MissingBracketError
 from kantor.identities import (
     MAX_DEGREE,
     MAX_NESTING,
@@ -21,6 +21,7 @@ from kantor.identities import (
     Var,
     builtin_identities,
     check_identity,
+    defect_coordinates,
     evaluate_identity,
     free_variables,
     generic_defect,
@@ -30,8 +31,10 @@ from kantor.identities import (
     product_degree,
     suite_holds,
 )
-from kantor.linalg import unit_vec
+from kantor.linalg import frac, unit_vec
 from kantor import identities, wn, zoo
+
+from helpers import expand_whole, whole_defect
 
 
 def test_parse_associator():
@@ -457,3 +460,130 @@ def test_is_nilpotent4_matches_the_enumeration_on_fixtures():
     for name in sorted(zoo.FIXTURES):
         alg = zoo.fixture(name)
         assert is_nilpotent4(alg) == _nilpotent4_by_enumeration(alg), name
+
+
+# -- coordinate at a time against the whole-expression oracle --------------------
+
+_LEAVES = st.sampled_from([Var("a"), Var("b"), Var("c")])
+_TERM_COEFFS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)])
+
+
+def _compound(children):
+    return st.one_of(
+        st.builds(Prod, children, children),
+        st.builds(Bracket, children, children),
+        st.lists(st.tuples(_TERM_COEFFS, children), min_size=1, max_size=3).map(lambda ts: Sum(tuple(ts))),
+    )
+
+
+_EXPRESSIONS = st.recursive(_LEAVES, _compound, max_leaves=6)
+
+
+def _raw_identity(expr, source=""):
+    """An Identity over a, b and c for an expression built as a tree."""
+    return Identity("expr", ("a", "b", "c"), source, expr)
+
+
+def _assert_coordinates_match_the_oracle(alg, ident, bracket):
+    expected = whole_defect(alg, ident, bracket)
+    got = list(defect_coordinates(alg, ident, bracket))
+    assert [k for k, _ in got] == sorted(expected)
+    assert dict(got) == expected == generic_defect(alg, ident, bracket)
+    # and at a concrete point: coordinate i of the t-th variable is i - t
+    env = {v: {i: {0: frac(i - t)} for i in range(alg.dim) if i != t} for t, v in enumerate(ident.variables)}
+    whole = expand_whole(ident.expr, env, alg, bracket)
+    point = {v: tuple(frac(i - t) for i in range(alg.dim)) for t, v in enumerate(ident.variables)}
+    assert evaluate_identity(alg, ident, point, bracket) == tuple(
+        frac(whole[k][0]) if k in whole else 0 for k in range(alg.dim)
+    )
+
+
+def _random_table(data, n):
+    return Algebra.from_table(
+        [[[data.draw(_SMALL_RATIONALS) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_defect_coordinates_are_the_oracles_nonzero_coordinates(data):
+    n = data.draw(st.integers(1, 3))
+    alg, bracket = _random_table(data, n), _random_table(data, n)
+    _assert_coordinates_match_the_oracle(alg, _raw_identity(data.draw(_EXPRESSIONS)), bracket)
+
+
+_SHAPES = {
+    "variable": "a",
+    "scaled variable": "3/2*a",
+    "bare product": "a*b",
+    "bare bracket": "{a, b}",
+    "sum with a variable": "a*b - 2*a",
+    "nested sums": "a - 2*(b - 1/2*(a*c) + 3*(c - {a, b}))",
+    "bracket of sums": "{a + b, 2/3*(a*c) - c}",
+    "product of products": "(a*b)*(c*a) - 1/2*((a*b)*c)",
+}
+
+
+@pytest.mark.parametrize("source", _SHAPES.values(), ids=_SHAPES.keys())
+@pytest.mark.parametrize("name", ["sl2", "m7", "matrix2", "jordan_sym2", "wn2", "poisson_trunc"])
+def test_each_top_level_shape_matches_the_oracle(name, source):
+    alg = zoo.fixture(name)
+    _assert_coordinates_match_the_oracle(alg, _raw_identity(parse_expr(source), source), alg)
+
+
+def _oracle_witness(alg, ident, bracket):
+    """(coordinate, monomial, coefficient, assignment) of the witness, read
+    off the whole defect as the witness is defined; None when it holds."""
+    defect = whole_defect(alg, ident, bracket)
+    if not defect:
+        return None
+    n, k = alg.dim, min(defect)
+    terms = defect[k]
+    width, shifts = identities._fields(ident, n)
+    leading = max(terms)
+    point = identities._find_nonvanishing(terms, width, shifts)
+    return (
+        k,
+        tuple(leading >> shift & (1 << width) - 1 for shift in shifts),
+        terms[leading],
+        {v: tuple(point.get(t * n + i, 0) for i in range(n)) for t, v in enumerate(ident.variables)},
+    )
+
+
+@pytest.mark.parametrize("name", sorted(zoo.FIXTURES))
+def test_witnesses_and_suite_verdicts_match_the_oracle_on_fixtures(name):
+    alg = zoo.fixture(name)
+    for suite in builtin_identities().values():
+        expected_holds = True
+        for ident in suite.identities:
+            verdict = check_identity(alg, ident, alg)
+            expected = _oracle_witness(alg, ident, alg)
+            assert verdict.holds == (expected is None)
+            if expected is not None:
+                w = verdict.witness
+                assert (w.coordinate, w.monomial, w.coefficient, w.assignment) == expected
+                assert w.defect == evaluate_identity(alg, ident, w.assignment, alg)
+                expected_holds = False
+        assert suite_holds(alg, suite, alg) == expected_holds
+
+
+def test_bracket_errors_raise_from_every_entry_point():
+    alg = zoo.fixture("sl2")
+    poisson = builtin_identities()["poisson_leibniz"]
+    ident = poisson.identities[0]
+    point = {v: unit_vec(3, 0) for v in ident.variables}
+    calls = (
+        lambda b: check_identity(alg, ident, b),
+        lambda b: identities.check_suite(alg, poisson, b),
+        lambda b: suite_holds(alg, poisson, b),
+        lambda b: generic_defect(alg, ident, b),
+        lambda b: defect_coordinates(alg, ident, b),  # raises before iterating
+        lambda b: evaluate_identity(alg, ident, point, b),
+    )
+    for call in calls:
+        with pytest.raises(MissingBracketError):
+            call(None)
+        with pytest.raises(DimensionMismatchError):
+            call(zoo.zero_algebra(2))
+    with pytest.raises(DimensionMismatchError):
+        evaluate_identity(alg, ident, {v: unit_vec(2, 0) for v in ident.variables}, alg)
