@@ -75,11 +75,12 @@ def multiply_out(groups):
 
 
 def _numerators(x):
-    """A coordinate vector as ({i: {0: numerator}}, d): coordinate i is
-    numerator / d, d being the least common denominator."""
+    """A coordinate vector as ({i: numerator}, d) over its nonzero
+    coordinates: coordinate i is numerator / d, d being the least common
+    denominator."""
     x = {i: frac(c) for i, c in enumerate(x) if c}
     d = lcm(*(c.denominator for c in x.values()))
-    return {i: {0: c.numerator * (d // c.denominator)} for i, c in x.items()}, d
+    return {i: c.numerator * (d // c.denominator) for i, c in x.items()}, d
 
 
 @dataclass(frozen=True)
@@ -198,6 +199,8 @@ class Algebra:
         (a, dx), (b, dy) = _numerators(x), _numerators(y)
         d = dx * dy
         out = [F0] * n
+        a = {i: {0: c} for i, c in a.items()}
+        b = {j: {0: c} for j, c in b.items()}
         for k, terms in self.mul_expanded(a, b).items():
             out[k] = frac(terms[0]) if d == 1 else Fraction(terms[0], d)
         return tuple(out)
@@ -304,13 +307,48 @@ def basis_products(alg: Algebra, rows) -> Iterator[tuple]:
     return (alg.mul_vec(a, b) for a in rows for b in rows)
 
 
+def _contraction(alg: Algebra, nu) -> dict:
+    """{i: {j: nu(e_i e_j)}} over the nonzero values, for a sparse
+    functional nu {k: value}: the structure constants contracted with it."""
+    form = {}
+    for i, row in enumerate(alg.sparse_table):
+        values = {}
+        for j, outputs in enumerate(row):
+            v = sum(c * nu[k] for k, c in outputs if k in nu)
+            if v:
+                values[j] = v
+        if values:
+            form[i] = values
+    return form
+
+
 def closure_witness(alg: Algebra, s: Subspace):
-    """(i, j, product) for the first basis product of s that leaves s, or None."""
+    """(i, j, product) for the first basis product of s that leaves s, in
+    the order of `basis_products`, or None.
+
+    A vector lies in s iff every normal nu of s, a basis vector of
+    `s.orthogonal_complement()`, vanishes on it, and nu(x y) is the
+    bilinear form `_contraction(alg, nu)` at (x, y).  So each basis row x
+    is multiplied into each form once, and nu(x y) for every basis row y
+    is a dot product with that.  Rows and normals are taken as integer
+    multiples, which keeps the zero tests in ints; only the first failing
+    pair is multiplied out, by `mul_vec`.
+    """
     if s.ambient_dim != alg.dim:
         raise DimensionMismatchError.of(alg.dim, s.ambient_dim)
-    for idx, p in enumerate(basis_products(alg, s.basis)):
-        if not s.contains(p):
-            return (*divmod(idx, s.dim), p)
+    rows = [_numerators(r)[0] for r in s.basis]
+    forms = [_contraction(alg, _numerators(nu)[0]) for nu in s.orthogonal_complement().basis]
+    for i, x in enumerate(rows):
+        images = []  # x B for each form B, as {j: value}
+        for form in forms:
+            image = defaultdict(int)
+            for r, xr in x.items():
+                for j, v in form.get(r, {}).items():
+                    image[j] += xr * v
+            images.append(image)
+        for j, y in enumerate(rows):
+            if any(sum(image[t] * yt for t, yt in y.items() if t in image) for image in images):
+                return (i, j, alg.mul_vec(s.basis[i], s.basis[j]))
     return None
 
 

@@ -7,7 +7,8 @@ budget exceeded, 74 stdout closed before the report was written, 1 failed
 assertion.  Identical inputs produce byte-identical reports.
 
 The argument parser is built on the first call of `main` and reused by
-every later call in the same process.
+every later call in the same process, and so is each fixture's input
+digest.
 """
 
 from __future__ import annotations
@@ -148,9 +149,28 @@ def _fixture(name):
         raise AlgebraFormatError(str(exc)) from None
 
 
-def _record_input(report, source, alg):
+def _digest(alg):
+    return hashlib.sha256(dumps_algebra(alg).encode()).hexdigest()
+
+
+def _fixture_input(name, pair=False):
+    """(algebra, bracket, input digest) of a named fixture; with `pair`,
+    poisson_trunc's commutative algebra and its bracket, the pair the
+    fixture is built from."""
+    alg, bracket = zoo.truncated_poisson_pair() if pair else (_fixture(name), None)
+    return alg, bracket, _fixture_digest(name, pair)
+
+
+@functools.cache
+def _fixture_digest(name, pair):
+    """`_fixture_input`'s digest, encoded once per process: a fixture is
+    the same algebra every time it is built."""
+    return _digest(zoo.truncated_poisson_pair()[0] if pair else _fixture(name))
+
+
+def _record_input(report, source, digest):
     report["input"] = source
-    report["input_digest"] = hashlib.sha256(dumps_algebra(alg).encode()).hexdigest()
+    report["input_digest"] = digest
     report["errata"] = []
 
 
@@ -160,15 +180,12 @@ def _load_input(args, report, need_bracket=False):
     if args.fixture and args.algebra:
         raise _UsageError("give either an algebra file or --fixture, not both")
     if args.fixture:
-        if args.fixture == "poisson_trunc" and need_bracket:
-            alg, bracket = zoo.truncated_poisson_pair()
-        else:
-            alg, bracket = _fixture(args.fixture), None
-        _record_input(report, f"fixture:{args.fixture}", alg)
+        alg, bracket, digest = _fixture_input(args.fixture, args.fixture == "poisson_trunc" and need_bracket)
+        _record_input(report, f"fixture:{args.fixture}", digest)
         return alg, bracket, args.fixture
     if args.algebra:
         alg, bracket = load_algebra_pair(args.algebra)
-        _record_input(report, args.algebra, alg)
+        _record_input(report, args.algebra, _digest(alg))
         return alg, bracket, None
     raise _UsageError("an algebra file or --fixture is required")
 
@@ -253,13 +270,13 @@ def _wn(args, report):
         raise AlgebraFormatError("wn requires n >= 1")
     name = f"wn{args.n}"
     alg = build_wn(args.n)
-    _record_input(report, name, alg)
+    _record_input(report, name, _digest(alg))
     return _show_algebra(report, alg, audit=name)
 
 
 def _fixture_command(args, report):
-    alg = _fixture(args.name)
-    _record_input(report, f"fixture:{args.name}", alg)
+    alg, _, digest = _fixture_input(args.name)
+    _record_input(report, f"fixture:{args.name}", digest)
     return _show_algebra(report, alg, audit=args.name)
 
 

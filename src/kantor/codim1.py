@@ -18,7 +18,7 @@ from math import gcd, lcm
 
 from .algebra import Algebra, verify_subalgebra
 from .errors import BudgetExceededError
-from .linalg import F0, F1, Subspace
+from .linalg import F0, F1, Subspace, exact
 from .poly import MAX_REDUCTIONS, Poly, buchberger, solve_rational
 
 
@@ -71,11 +71,16 @@ def _nonzero_products(alg: Algebra):
 
 
 def _pivot_system(products, p):
-    """`pivot_system` for pivot p from the algebra's nonzero products."""
+    """`pivot_system` for pivot p from the algebra's nonzero products.
+
+    Each generator is summed on short keys, the sorted a-indices of a
+    term, and each key becomes its exponent tuple once per pivot; the
+    generators leave with exact coefficients and their total degree, the
+    length of their longest key."""
     variables = _pivot_variables(p)
     q = p - 1  # 0-based pivot column; variable a_{m+1} has index m < q
-    monomials = {}  # a-indices (each < q) -> exponent tuple of their product
-    pending = {}  # (i, j) -> {exponent: coefficient} of generator phi(h_i h_j)
+    pending = {}  # (i, j) -> {sorted a-indices: coefficient} of generator phi(h_i h_j)
+    keys = {}  # a-indices in the order summed -> sorted
 
     def phi(outputs):
         """phi(e_r e_s) as (a-indices, coefficient) terms, given the nonzero
@@ -86,14 +91,12 @@ def _pivot_system(products, p):
         """Add a_(factors) * form to generator (i, j)."""
         terms = pending.setdefault((i, j), {})
         for key, c in form:
-            key = factors + key
-            e = monomials.get(key)
-            if e is None:
-                e = [0] * q
-                for m in key:
-                    e[m] += 1
-                e = monomials[key] = tuple(e)
-            terms[e] = terms[e] + c if e in terms else c
+            if factors:
+                raw = factors + key
+                key = keys.get(raw)
+                if key is None:
+                    key = keys[raw] = tuple(sorted(raw))
+            terms[key] = terms.get(key, 0) + c
 
     for i, j, outputs in products:
         form = phi(outputs)
@@ -111,11 +114,25 @@ def _pivot_system(products, p):
             for m in range(q):
                 for m2 in range(q):
                     add(m, m2, (m, m2), form)
+    exponents = {}  # sorted a-indices -> exponent tuple of their product
     generators = []
-    for key in sorted(pending):
-        g = Poly(variables, pending[key])
-        if g:
-            generators.append(g)
+    for ij in sorted(pending):
+        terms = {}
+        degree = 0
+        for key, c in pending[ij].items():
+            if not c:
+                continue
+            e = exponents.get(key)
+            if e is None:
+                e = [0] * q
+                for m in key:
+                    e[m] += 1
+                e = exponents[key] = tuple(e)
+            terms[e] = exact(c)
+            if len(key) > degree:
+                degree = len(key)
+        if terms:
+            generators.append(Poly._from_exact(variables, terms, degree))
     return variables, tuple(generators)
 
 

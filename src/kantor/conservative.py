@@ -29,13 +29,19 @@ from .linalg import AffineSolutionSet, Subspace, fredholm_certificate, solve_col
 from .multiops import MultilinearOp, kantor_bracket
 
 
+def _left_multiplications(P: MultilinearOp):
+    """The operations L_{e_z} = P.partial(e_z) of a bilinear P, z ascending,
+    from one grouping of P's coefficients by first input."""
+    rows = [{} for _ in range(P.dim)]  # z -> the coefficients of L_{e_z}
+    for ((z, y), out), c in P.coeffs.items():
+        rows[z][((y,), out)] = c
+    return [MultilinearOp(1, P.dim, coeffs) for coeffs in rows]
+
+
 def _bracket_columns(alg: Algebra):
     """P, the operations L_{e_z}, and the columns [L_{e_z}, P] of z -> [L_z, P]."""
     P = MultilinearOp.from_algebra(alg)
-    rows = [{} for _ in range(alg.dim)]  # z -> the coefficients of L_{e_z}
-    for ((z, y), out), c in P.coeffs.items():
-        rows[z][((y,), out)] = c
-    L = [MultilinearOp(1, alg.dim, coeffs) for coeffs in rows]
+    L = _left_multiplications(P)
     return P, L, [kantor_bracket(Lz, P) for Lz in L]
 
 
@@ -82,18 +88,20 @@ def conservativity(alg: Algebra) -> ConservativityVerdict:
     columns = [op.coeffs for op in inner]
     system = solve_columns(columns, [op.coeffs for op in rhs])
     kernel = system.kernel()
+    if system.inconsistent:
+        # the first basis pair whose equation has no solution
+        a, b = divmod(min(system.inconsistent) - n, n)
+        target = rhs[a * n + b].coeffs
+        witness = InfeasibilityWitness(a, b, target, fredholm_certificate(columns, target))
+        return ConservativityVerdict(False, None, kernel, witness)
+    # F(a, b)_k is the entry of pivot row k in target column n + a n + b,
+    # every free coordinate zero
     coeffs = {}
-    for idx in range(n * n):
-        a, b = divmod(idx, n)
-        sol = system.solution(n + idx)
-        if sol is None:
-            target = rhs[idx].coeffs
-            witness = InfeasibilityWitness(a, b, target, fredholm_certificate(columns, target))
-            return ConservativityVerdict(False, None, kernel, witness)
-        for k, c in enumerate(sol):
-            if c:
-                coeffs[((a, b), k)] = c
-    f = MultilinearOp(2, n, coeffs)
+    for k, row in zip(system.pivots, system.rows):
+        for col, c in row.items():
+            if col >= n:
+                coeffs[(divmod(col - n, n), k)] = c
+    f = MultilinearOp(2, n, dict(sorted(coeffs.items())))
     return ConservativityVerdict(True, f, kernel)
 
 
@@ -182,25 +190,25 @@ TERMINAL_CONVENTIONS = ("sym", "left")
 DEFAULT_TERMINAL_CONVENTION = "left"
 
 
-def _element_bracket(P: MultilinearOp, x: int, convention: str) -> MultilinearOp:
-    """The arity-1 operation [P, x] for a basis element x.
+def _element_brackets(P: MultilinearOp, convention: str):
+    """The arity-1 operations [P, e_x], x ascending.
 
-    Two readings are supported: "sym" inserts x into both slots of P
-    (P(x,.) + P(.,x), the literal insertion bracket) and "left" uses only
-    the left slot (P(x,.), left multiplication by x).
+    Two readings are supported: "sym" inserts e_x into both slots of P
+    (P(x,.) + P(.,x), the literal insertion bracket), one x at a time as
+    the caller reaches it, and "left" uses only the left slot (P(x,.),
+    left multiplication by x), all from one grouping of P.
     """
     if convention == "sym":
-        return kantor_bracket(P, MultilinearOp.from_element(unit_vec(P.dim, x)))
+        return (kantor_bracket(P, MultilinearOp.from_element(unit_vec(P.dim, x))) for x in range(P.dim))
     if convention == "left":
-        return P.partial(unit_vec(P.dim, x))
+        return _left_multiplications(P)
     raise ValueError(f"unknown convention {convention!r}; use one of {TERMINAL_CONVENTIONS}")
 
 
 def is_terminal(alg: Algebra, convention: str = DEFAULT_TERMINAL_CONVENTION) -> bool:
     """True iff [[[P, x], P], P] vanishes for every basis element x."""
     P = MultilinearOp.from_algebra(alg)
-    for x in range(alg.dim):
-        t1 = _element_bracket(P, x, convention)
+    for t1 in _element_brackets(P, convention):
         t2 = kantor_bracket(t1, P)
         t3 = kantor_bracket(t2, P)
         if not t3.is_zero():

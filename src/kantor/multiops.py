@@ -14,8 +14,9 @@ Fractions.
 Arity 0 is an element, arity 1 a linear map, arity 2 a bilinear map (the
 same data as an Algebra's structure tensor).  `partial(x)` fixes the first
 input at a coordinate vector x; on the product P of an algebra, P.partial(x)
-is left multiplication L_x, the one construction of it in the package
-(the tests compare it against a dense reference built from `mul_vec`).
+is left multiplication L_x (the tests compare it against a dense reference
+built from `mul_vec`, and `conservative`'s L_{e_z}, all grouped from P at
+once, against it).
 
 The composition used throughout is the sign-free shuffle insertion: with
 p = arity(a) and q = arity(b) >= 1,

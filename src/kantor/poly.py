@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import add
 
 from .algebra import _signed_sum
 from .errors import BudgetExceededError
@@ -48,6 +49,17 @@ class Poly:
         self._degree = None
 
     # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def _from_exact(cls, variables, terms, degree) -> "Poly":
+        """A polynomial taking `terms` as they are: nonzero coefficients, each
+        as `linalg.exact` gives it, and `degree` their total degree; no pass
+        over the terms.  Only `codim1._pivot_system` builds one this way."""
+        p = cls.__new__(cls)
+        p.variables = variables
+        p.terms = terms
+        p._degree = degree
+        return p
 
     @classmethod
     def zero(cls, variables) -> "Poly":
@@ -358,43 +370,89 @@ def _linear_bindings(linear, variables, budget):
     }
 
 
-def _substitute_all(p, values):
-    for v in p.support_variables() & values.keys():
-        p = p.substitute(v, values[v])
-    return p
+def _substitute_all(polys, values):
+    """`polys` with every variable named in `values` replaced by its value,
+    a rational or a polynomial of the same ring, exactly.  Each polynomial
+    is rewritten in one pass over its terms: a term's bound factors become
+    the product of the matching powers of their values, and each power is
+    computed once for all of `polys`."""
+    if not polys or not values:
+        return list(polys)
+    variables = polys[0].variables
+    bound = [variables.index(v) for v in values]
+    one = Poly.const(1, variables).terms
+    powers = {i: [one, polys[0]._coerce(value).terms] for i, value in zip(bound, values.values())}
+
+    def power(i, k):
+        pw = powers[i]
+        while len(pw) <= k:
+            pw.append(_multiply_terms(pw[-1], pw[1]))
+        return pw[k]
+
+    out = []
+    for p in polys:
+        _same_ring(variables, p)
+        terms = {}
+        changed = False
+        for e, c in p.terms.items():
+            hits = [(i, e[i]) for i in bound if e[i]]
+            if not hits:
+                terms[e] = terms.get(e, 0) + c
+                continue
+            changed = True
+            rest = list(e)
+            for i, _ in hits:
+                rest[i] = 0
+            part = {tuple(rest): c}
+            for i, k in hits:
+                part = _multiply_terms(part, power(i, k))
+            for t, x in part.items():
+                terms[t] = terms.get(t, 0) + x
+        out.append(Poly(variables, terms) if changed else p)
+    return out
 
 
-def _linear_prepass(gens, budget):
+def _multiply_terms(a, b):
+    """The product of two {exponent: coefficient} maps, zeros kept."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _linear_prepass(gens, variables, budget):
     """Eliminate the variables that the linear generators fix, round by
     round, until no generator of total degree <= 1 is left.
 
     A round solves every linear generator at once: an inconsistent round
     means the ideal is (1); otherwise each pivot variable is bound to its
-    RREF row.  The bound values involve free variables only, so each
-    remaining generator is substituted into once per round, in any order.
+    RREF row.  Scalar multiples of one generator give the same row space,
+    so the round decides before they are dropped; they are dropped from
+    the nonlinear generators only once it is consistent, keeping the first
+    of each class.  The bound values involve free variables only, so each
+    remaining generator is substituted into once per round, in one pass.
     The bindings join the generating set, so the ideal is unchanged; the
     budget is charged one unit per eliminated variable.  Whatever is left
-    goes to the S-pair loop.  No two of `gens` are scalar multiples.
+    goes to the S-pair loop, no two of it scalar multiples.
     """
     bindings = []
-    while gens:
-        variables = gens[0].variables
+    while True:
         linear = [g for g in gens if g.total_degree() <= 1]
         if not linear:
-            break
+            return bindings + _distinct(gens)
         values = _linear_bindings(linear, variables, budget)
         if values is None:
             return [Poly.const(1, variables)]
-        substituted = []
+        nonlinear = _distinct([g for g in gens if g.total_degree() > 1])
+        substituted = _substitute_all(nonlinear + bindings, values)
+        gens = substituted[: len(nonlinear)]
         for g in gens:
-            if g.total_degree() > 1:
-                s = _substitute_all(g, values)
-                budget.check_degree(s)
-                substituted.append(s)
-        gens = _distinct(substituted)
-        bindings = [_substitute_all(b, values) for b in bindings]
+            budget.check_degree(g)
+        gens = [g for g in gens if g]
+        bindings = substituted[len(nonlinear) :]
         bindings += [Poly.var(v, variables) - value for v, value in values.items()]
-    return bindings + gens
 
 
 def _interreduce(gens):
@@ -419,14 +477,14 @@ def _interreduce(gens):
 
 def _groebner(polys, variables, budget):
     """Generators of the reduced lex basis of the nonzero `polys`, all over
-    `variables`, charging `budget`: the linear pre-pass, then Buchberger's
-    algorithm with the coprime-leading-terms criterion, then
-    inter-reduction.  Scalar multiples are dropped first, so each class of
-    them is degree-checked once, at its first member."""
-    polys = _distinct(polys)
+    `variables`, charging `budget`: every generator is degree-checked in
+    input order, then the linear pre-pass, Buchberger's algorithm with the
+    coprime-leading-terms criterion, and inter-reduction.  Scalar multiples
+    share a degree and a linear row space, so they are dropped only after
+    the first linear round, and only if it is consistent."""
     for p in polys:
         budget.check_degree(p)
-    basis = _linear_prepass(polys, budget)
+    basis = _linear_prepass(polys, variables, budget)
     basis = [g.monic() for g in basis if not g.is_zero()]
     # Constant in the ideal: the whole ring; basis is just {1}.
     if any(g.is_constant() for g in basis):

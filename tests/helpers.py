@@ -8,17 +8,20 @@ insertion loop for `multiops`' cached layouts, the scatter loop for
 `Algebra.mul_expanded`'s gather-then-multiply-out, the whole-expression
 evaluator for the identity engine's coordinate-at-a-time defect,
 a polynomial's value for the Groebner solver, the pairwise scan that
-`poly._distinct` replaced with a hash key), or a view the tests use to
-state what they check.
+`poly._distinct` replaced with a hash key, the per-variable substitution
+and the distinct-first basis that `poly._groebner`'s linear round
+replaced, the exponent-keyed pivot system that `codim1._pivot_system`
+replaced), or a view the tests use to state what they check.
 """
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from itertools import combinations
 
 from kantor.algebra import Algebra, Element
 from kantor.identities import Prod, Sum, Var, _fields
 from kantor.linalg import F0, F1, Matrix, frac, sub_vec, unit_vec, vec
 from kantor.multiops import MultilinearOp
+from kantor.poly import Poly, _distinct, _interreduce, _linear_bindings, normal_form, s_polynomial
 from kantor.wn import wn_basis_labels, wn_product
 
 
@@ -211,3 +214,113 @@ def distinct_pairwise(gens):
             same.append(g)
             out.append(g)
     return out
+
+
+def substitute_each(p, values):
+    """p with each variable of `values` that p uses replaced by its value,
+    one `Poly.substitute` per variable."""
+    for v in p.support_variables() & values.keys():
+        p = p.substitute(v, values[v])
+    return p
+
+
+def pivot_system_by_exponents(products, p):
+    """`codim1._pivot_system` summed straight on exponent tuples, each
+    generator built by the public `Poly` constructor."""
+    variables = tuple(f"a{j}" for j in range(1, p))
+    q = p - 1
+    monomials = {}
+    pending = {}
+
+    def phi(outputs):
+        return [((k,), -c) if k < q else ((), c) for k, c in outputs if k <= q]
+
+    def add(i, j, factors, form):
+        terms = pending.setdefault((i, j), {})
+        for key, c in form:
+            key = factors + key
+            e = monomials.get(key)
+            if e is None:
+                e = [0] * q
+                for m in key:
+                    e[m] += 1
+                e = monomials[key] = tuple(e)
+            terms[e] = terms[e] + c if e in terms else c
+
+    for i, j, outputs in products:
+        form = phi(outputs)
+        if not form:
+            continue
+        if i != q and j != q:
+            add(i, j, (), form)
+        elif i != q:
+            for m in range(q):
+                add(i, m, (m,), form)
+        elif j != q:
+            for m in range(q):
+                add(m, j, (m,), form)
+        else:
+            for m in range(q):
+                for m2 in range(q):
+                    add(m, m2, (m, m2), form)
+    generators = []
+    for key in sorted(pending):
+        g = Poly(variables, pending[key])
+        if g:
+            generators.append(g)
+    return variables, tuple(generators)
+
+
+def linear_prepass_distinct_first(gens, budget):
+    """The linear pre-pass over generators no two of which are scalar
+    multiples, substituting one variable at a time."""
+    bindings = []
+    while gens:
+        variables = gens[0].variables
+        linear = [g for g in gens if g.total_degree() <= 1]
+        if not linear:
+            break
+        values = _linear_bindings(linear, variables, budget)
+        if values is None:
+            return [Poly.const(1, variables)]
+        substituted = []
+        for g in gens:
+            if g.total_degree() > 1:
+                s = substitute_each(g, values)
+                budget.check_degree(s)
+                substituted.append(s)
+        gens = _distinct(substituted)
+        bindings = [substitute_each(b, values) for b in bindings]
+        bindings += [Poly.var(v, variables) - value for v, value in values.items()]
+    return bindings + gens
+
+
+def groebner_distinct_first(polys, variables, budget):
+    """`poly._groebner` with the scalar multiples dropped before the degree
+    check and the linear pre-pass."""
+    polys = _distinct(polys)
+    for p in polys:
+        budget.check_degree(p)
+    basis = linear_prepass_distinct_first(polys, budget)
+    basis = [g.monic() for g in basis if not g.is_zero()]
+    if any(g.is_constant() for g in basis):
+        return (Poly.const(1, variables),)
+    pairs = deque(combinations(range(len(basis)), 2))
+    while pairs:
+        i, j = pairs.popleft()
+        f, g = basis[i], basis[j]
+        ef, _ = f.leading()
+        eg, _ = g.leading()
+        if all(a == 0 or b == 0 for a, b in zip(ef, eg)):
+            continue
+        budget.spend()
+        r = normal_form(s_polynomial(f, g), basis)
+        if r.is_zero():
+            continue
+        budget.check_degree(r)
+        if r.is_constant():
+            return (Poly.const(1, variables),)
+        basis.append(r.monic())
+        k = len(basis) - 1
+        pairs.extend((t, k) for t in range(k))
+    return tuple(_interreduce(basis))

@@ -662,6 +662,7 @@ def test_closure_witness_matches_the_double_loop(data):
     alg = _random_algebra(data, 4)
     n = alg.dim
     gens = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=n))
+    normal = data.draw(st.lists(rationals, min_size=n, max_size=n).filter(any))
     # a closed subspace, a random span, and every span of basis vectors:
     # these often hold the squares of their vectors but not a cross product
     spaces = [generated_subalgebra(alg, gens), Subspace.from_spanning(n, gens)]
@@ -669,6 +670,9 @@ def test_closure_witness_matches_the_double_loop(data):
         Subspace.from_spanning(n, [unit_vec(n, k) for k in range(n) if mask >> k & 1])
         for mask in range(1 << n)
     ]
+    # a hyperplane with a Fraction normal, as codim1 builds them, and the
+    # two spaces with no normal or no basis product
+    spaces += [Subspace.from_spanning(n, [normal]).orthogonal_complement(), Subspace.zero(n), Subspace.full(n)]
     assert closure_witness(alg, spaces[0]) is None
     for s in spaces:
         assert closure_witness(alg, s) == _closure_witness_reference(alg, s)

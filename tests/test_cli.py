@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -14,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from kantor import cli, zoo
 from kantor.errors import AlgebraFormatError
 from kantor.identities import MAX_NESTING, load_identity
-from kantor.storage import parse_algebra_document, save_algebra
+from kantor.storage import dumps_algebra, parse_algebra_document, save_algebra
+from kantor.wn import build_wn
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -145,6 +147,35 @@ def test_twist_poisson_fixture(capsys):
     doc = json.loads(out)["result"]
     alg, _ = parse_algebra_document(doc)
     assert alg.table == zoo.fixture("poisson_trunc").table
+
+
+def _digest(alg):
+    return hashlib.sha256(dumps_algebra(alg).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", ["show", "conservative"])
+def test_input_digest_is_the_digest_of_the_fixture(command, capsys):
+    # twice each, so that the second call reads the digest kept from the first
+    for name in sorted(zoo.FIXTURES):
+        for _ in range(2):
+            _, out, _ = run_cli(["--json", command, "--fixture", name], capsys)
+            assert json.loads(out)["input_digest"] == _digest(zoo.fixture(name)), name
+
+
+def test_input_digest_of_the_poisson_pair_a_file_and_wn(tmp_path, capsys):
+    # twist poisson reads poisson_trunc's pair, so its digest is the
+    # commutative algebra's, not the fixture's, on every call
+    comm, bracket = zoo.truncated_poisson_pair()
+    for argv in (["show"], ["twist", "poisson"], ["twist", "poisson"], ["show"]):
+        _, out, _ = run_cli(["--json", *argv, "--fixture", "poisson_trunc"], capsys)
+        expected = comm if argv == ["twist", "poisson"] else zoo.fixture("poisson_trunc")
+        assert json.loads(out)["input_digest"] == _digest(expected), argv
+    path = tmp_path / "pair.json"
+    save_algebra(comm, path, bracket=bracket)
+    _, out, _ = run_cli(["--json", "show", str(path)], capsys)
+    assert json.loads(out)["input_digest"] == _digest(comm)
+    _, out, _ = run_cli(["--json", "wn", "2"], capsys)
+    assert json.loads(out)["input_digest"] == _digest(build_wn(2))
 
 
 def test_twist_poisson_file(tmp_path, capsys):

@@ -8,14 +8,15 @@ from kantor.conservative import (
     DEFAULT_TERMINAL_CONVENTION,
     TERMINAL_CONVENTIONS,
     _bracket_columns,
+    _element_brackets,
     conservativity,
     is_terminal,
     jacobi_space,
     quasi_units,
     verify_associated,
 )
-from kantor.linalg import AffineSolutionSet, Subspace, unit_vec
-from kantor.multiops import MultilinearOp
+from kantor.linalg import AffineSolutionSet, Subspace, fredholm_certificate, solve_columns, unit_vec
+from kantor.multiops import MultilinearOp, kantor_bracket
 from kantor.wn import build_wn, w2sym_associated_F, wn_associated_F
 from kantor import zoo
 
@@ -247,3 +248,70 @@ def test_left_multiplications_are_the_partials_of_the_product(name):
         assert [(key, type(c), c) for key, c in Lz.coeffs.items()] == [
             (key, type(c), c) for key, c in expected.coeffs.items()
         ]
+
+
+@pytest.mark.parametrize("name", sorted(zoo.FIXTURES))
+def test_left_element_brackets_are_the_partials_of_the_product(name):
+    P = MultilinearOp.from_algebra(zoo.fixture(name))
+    left = list(_element_brackets(P, "left"))
+    assert len(left) == P.dim
+    for x, op in enumerate(left):
+        expected = P.partial(unit_vec(P.dim, x))
+        assert [(key, type(c), c) for key, c in op.coeffs.items()] == [
+            (key, type(c), c) for key, c in expected.coeffs.items()
+        ]
+
+
+def _conservativity_by_solutions(alg):
+    """(F's coefficients, the witness) read pair by pair from the dense
+    canonical solutions, the first infeasible pair being the witness."""
+    n = alg.dim
+    _, L, inner = _bracket_columns(alg)
+    rhs = [kantor_bracket(inner[a], L[b]) for a in range(n) for b in range(n)]
+    columns = [op.coeffs for op in inner]
+    system = solve_columns(columns, [op.coeffs for op in rhs])
+    coeffs = {}
+    for idx in range(n * n):
+        a, b = divmod(idx, n)
+        sol = system.solution(n + idx)
+        if sol is None:
+            target = rhs[idx].coeffs
+            return None, (a, b, target, fredholm_certificate(columns, target))
+        for k, c in enumerate(sol):
+            if c:
+                coeffs[((a, b), k)] = c
+    return list(MultilinearOp(2, n, coeffs).coeffs.items()), None
+
+
+def _check_against_solutions(alg):
+    verdict = conservativity(alg)
+    coeffs, witness = _conservativity_by_solutions(alg)
+    if verdict.conservative:
+        assert witness is None
+        assert [(key, type(c), c) for key, c in verdict.f.coeffs.items()] == [(key, type(c), c) for key, c in coeffs]
+    else:
+        w = verdict.witness
+        assert (w.a, w.b, w.target, w.certificate) == witness
+
+
+@pytest.mark.parametrize("name", [*sorted(zoo.FIXTURES), "W3", "M4"])
+def test_f_and_witness_match_the_dense_solutions(name):
+    alg = {"W3": lambda: build_wn(3), "M4": lambda: zoo.matrix_algebra(4)}.get(name, lambda: zoo.fixture(name))()
+    _check_against_solutions(alg)
+
+
+def test_the_witness_is_the_first_infeasible_pair_past_the_first():
+    # pairs (1, 2) and (2, 2) are infeasible and (0, 0) is not
+    alg = Algebra.from_products(3, {(1, 0): {0: 1}, (2, 1): {0: -1, 1: 1, 2: -1}, (2, 2): {0: -1, 1: 1}})
+    w = conservativity(alg).witness
+    assert (w.a, w.b) == (1, 2)
+    _check_against_solutions(alg)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_f_and_witness_match_the_dense_solutions_on_random_algebras(data):
+    n = data.draw(st.integers(1, 3))
+    entry = st.one_of(st.just(0), st.just(0), st.fractions(min_value=-2, max_value=2, max_denominator=2))
+    table = data.draw(st.lists(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n), min_size=n, max_size=n))
+    _check_against_solutions(Algebra.from_table(table))

@@ -10,6 +10,7 @@ from kantor.poly import (
     MAX_REDUCTIONS,
     Poly,
     _distinct,
+    _substitute_all,
     buchberger,
     normal_form,
     s_polynomial,
@@ -17,7 +18,7 @@ from kantor.poly import (
     univariate_rational_roots,
 )
 
-from helpers import distinct_pairwise, evaluate, machine_form
+from helpers import distinct_pairwise, evaluate, machine_form, substitute_each
 
 
 def P(name, variables):
@@ -544,3 +545,50 @@ def test_substitute_matches_sympy(data):
     assert sympy.expand(_as_sympy(q) - expected) == 0
     if name not in p.support_variables():
         assert q is p
+
+
+# -- one-pass substitution against one `Poly.substitute` per variable ---------
+
+
+def _poly_strategy(names, max_degree=3):
+    n = len(names)
+    exponent = st.lists(st.integers(0, max_degree), min_size=n, max_size=n).filter(lambda e: sum(e) <= max_degree)
+    coeff = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    return st.dictionaries(exponent.map(tuple), coeff, max_size=6).map(lambda t: Poly(names, t))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_one_pass_substitution_matches_one_variable_at_a_time(data):
+    names = tuple(f"x{i}" for i in range(data.draw(st.integers(1, 5))))
+    polys = data.draw(st.lists(_poly_strategy(names), min_size=1, max_size=4))
+    bound = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    free = [v for v in names if v not in bound]
+    values = {}
+    for v in bound:
+        # a rational, or a linear polynomial in the free variables, as the
+        # linear round binds them; int and Fraction coefficients both
+        c = data.draw(st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))))
+        if free and data.draw(st.booleans()):
+            value = Poly.const(c, names)
+            for w in data.draw(st.lists(st.sampled_from(free), max_size=2)):
+                value = value + data.draw(st.integers(-2, 2)) * Poly.var(w, names)
+            values[v] = value
+        else:
+            values[v] = c
+    got = _substitute_all(polys, values)
+    assert len(got) == len(polys)
+    for p, g in zip(polys, got):
+        expected = substitute_each(p, values)
+        assert g == expected
+        assert {e: type(c) for e, c in g.terms.items()} == {e: type(c) for e, c in expected.terms.items()}
+        assert all(type(c) is int for c in g.terms.values() if Fraction(c).denominator == 1)
+        assert not g.support_variables() & set(bound)
+
+
+def test_one_pass_substitution_of_variables_the_polynomial_lacks():
+    V = ("x", "y", "z")
+    p = P("x", V) ** 2 + 3
+    (same,) = _substitute_all([p], {"y": 5, "z": P("x", V)})
+    assert same == p
+    assert _substitute_all([], {"x": 1}) == []
