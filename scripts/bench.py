@@ -13,8 +13,8 @@ the random algebras a single run, their rows say so),
 `verify_associated(W(2), F, cross_check=True)` and
 `verify_associated(W(3), F)` and `verify_associated(W(4), F)` at its
 default (the W(4) row a single run), F being `wn_associated_F`,
-`derivation_algebra` with `derived_series` on M(4), W(3), W(4) and W(5)
-(W(5) a single run), `conservativity`, `jacobi_space` and
+`derivation_algebra` with `derived_series` on M(4), W(3), W(4), W(5)
+and W(6) (W(5) and W(6) a single run), `conservativity`, `jacobi_space` and
 `quasi_units` on M(4), W(3) and W(4), `conservativity` and `quasi_units`
 on W(5) (a single run each) and, where both answer "no" with a Fredholm
 certificate, on the M7 fixture and `simple_left_commutative(20)`,
@@ -376,6 +376,10 @@ def measure():
     for name, alg, runs in (*((name, alg, RUNS) for name, alg in structure.items()), ("W5", w5, 1)):
         rows.append(row(f"derivations {name}", lambda: derivations(alg), derivation_counters, runs=runs))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    w6 = build_wn(6)  # dim 216, dropped after its one row
+    rows.append(row("derivations W6", lambda: derivations(w6), derivation_counters, runs=1))
+    print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    del w6
     for name, alg in structure.items():
         for label, fn, counters in (
             ("conservativity", conservativity, conservativity_counters),

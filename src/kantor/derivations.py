@@ -2,21 +2,21 @@
 structure.
 
 A derivation is a linear map D with [D, P] = D(xy) - D(x)y - x D(y) = 0,
-P the product.  D -> [D, P] is linear, with columns the [E_rs, P] over the
-matrix units; Der(A) is the kernel of that system (n^3 equations in n^2
-unknowns), and its Lie table is one more solve, of every commutator in the
-basis.  Matrices act on coordinate columns: D(e_j) is column j.
+P the product.  D -> [D, P] is linear; Der(A) is the kernel of that
+system, n^3 equations in the n^2 unknowns D[r][s], whose rows are summed
+straight from the nonzero structure constants (`_leibniz_rows`), and its
+Lie table is one more solve, of every commutator in the basis.  Matrices
+act on coordinate columns: D(e_j) is column j.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .algebra import Algebra, basis_products
 from .conservative import jacobi_space
 from .errors import DimensionMismatchError
-from .linalg import Matrix, Subspace, solve_columns
+from .linalg import Matrix, Subspace, eliminate, solve_columns
 from .multiops import MultilinearOp, kantor_bracket
 
 
@@ -29,24 +29,40 @@ def is_derivation(alg: Algebra, d: Matrix) -> bool:
     return kantor_bracket(MultilinearOp.from_matrix(d), MultilinearOp.from_algebra(alg)).is_zero()
 
 
-def _derivation_columns(alg: Algebra) -> list:
-    """The columns [E_rs, P] of D -> [D, P], column r*n + s for the entry
-    D[r][s], in closed form: each nonzero c_ijk and each t give +c at
-    ((i, j), t) in column t*n + k, -c at ((t, j), k) in column i*n + t and
-    -c at ((i, t), k) in column j*n + t, keyed as `kantor_bracket` keys its
-    coefficients.  Entries that cancel stay as zeros, which `eliminate`
-    drops.
+def _leibniz_rows(alg: Algebra) -> dict:
+    """The equations of D -> [D, P] = 0 as sparse rows, equation ((i, j), t)
+    (the t-th coordinate of [D, P](e_i, e_j)) keyed (i*n + j)*n + t, entry
+    r*n + s the coefficient of D[r][s], in closed form: each nonzero c_ijk
+    and each t give +c at column t*n + k of row ((i, j), t), -c at column
+    i*n + t of row ((t, j), k) and -c at column j*n + t of row ((i, t), k).
+
+    The rows are filled one unknown at a time, in ascending order, so each
+    row is created at its first unknown and a stable sort by length breaks
+    ties by it; in that order the RREF of W(3) to W(5) holds ints only.
+    Entries that cancel stay as zeros, which `eliminate` drops.
     """
     n = alg.dim
-    columns = [defaultdict(int) for _ in range(n * n)]
+    # each c_ijk's terms by the index the unknown fixes, with the part of
+    # the row label that does not depend on the unknown
+    by_k, by_i, by_j = ([[] for _ in range(n)] for _ in range(3))
     for i, row in enumerate(alg.sparse_table):
         for j, outputs in enumerate(row):
             for k, c in outputs:
-                for t in range(n):
-                    columns[t * n + k][((i, j), t)] += c
-                    columns[i * n + t][((t, j), k)] -= c
-                    columns[j * n + t][((i, t), k)] -= c
-    return columns
+                by_k[k].append(((i * n + j) * n, c))
+                by_i[i].append((j * n + k, -c))
+                by_j[j].append((i * n * n + k, -c))
+    rows = {}
+    for r in range(n):
+        for s in range(n):
+            z = r * n + s
+            for terms, shift in ((by_k[s], r), (by_i[r], s * n * n), (by_j[r], s * n)):
+                for label, c in terms:
+                    row = rows.get(label + shift)
+                    if row is None:
+                        rows[label + shift] = {z: c}
+                    else:
+                        row[z] = row.get(z, 0) + c
+    return rows
 
 
 @dataclass(frozen=True)
@@ -62,11 +78,13 @@ class DerivationAlgebra:
 
 
 def derivation_algebra(alg: Algebra) -> DerivationAlgebra:
-    """Der(A) as the kernel over the columns [E_rs, P], and its Lie table:
-    every [D_i, D_j] as a sparse `kantor_bracket`, all written in the basis
-    by one `solve_columns`."""
+    """Der(A) as the kernel of the `_leibniz_rows`, eliminated shortest
+    first (the system has no right-hand side, so its RREF and kernel are
+    unique whatever the order), and its Lie table: every [D_i, D_j] as a
+    sparse `kantor_bracket`, all written in the basis by one
+    `solve_columns`."""
     n = alg.dim
-    ker = solve_columns(_derivation_columns(alg)).kernel()
+    ker = eliminate(sorted(_leibniz_rows(alg).values(), key=len), n * n).kernel()
     basis = tuple(Matrix(n, n, v) for v in ker.basis)
     k = len(basis)
     ops = [MultilinearOp.from_matrix(d) for d in basis]

@@ -16,14 +16,18 @@ The canonical forms used everywhere else in the package are fixed here:
 Every elimination runs through one routine, `eliminate`: Gauss–Jordan
 elimination over sparse rows stored as ``{column: value}`` dicts, which
 returns the unique RREF and so the same canonical forms whatever the
-storage or row order.  Every system given by its columns, sparse
-``{equation label: coefficient}`` dicts, becomes rows in one builder,
-`solve_columns`.  Systems built from structure constants are almost all
-zeros (the Leibniz system of W(3) has 15615 nonzeros among 14.3M cells),
-so Der(A), its Lie table, conservativity, the Jacobi space, quasi-units,
-induced tables and the two-sided annihilator and unit hand it sparse
-columns.  A kernel of dense rows is the orthogonal complement of their
-span, `Subspace.from_spanning(n, rows).orthogonal_complement()`.
+storage or row order.  A pivot row that is exactly ``{p: 1}`` pins
+unknown p to zero, so later rows drop column p as they are read in
+instead of being reduced by it.  Every system given by its columns,
+sparse ``{equation label: coefficient}`` dicts, becomes rows in one
+builder, `solve_columns`.  Systems built from structure constants are
+almost all zeros (the Leibniz system of W(3) has 15615 nonzeros among
+14.3M cells), so Der(A)'s Lie table, conservativity, the Jacobi space,
+quasi-units, induced tables and the two-sided annihilator and unit hand
+it sparse columns, and Der(A) itself hands `eliminate` the Leibniz
+equations as sparse rows.  A kernel of dense rows is the orthogonal
+complement of their span,
+`Subspace.from_spanning(n, rows).orthogonal_complement()`.
 A Fredholm certificate, `fredholm_certificate`, is the canonical solution
 of the transposed system, solved from the same sparse columns and
 computed only when a system is infeasible; it comes back keyed by the
@@ -247,13 +251,19 @@ def eliminate(rows, cols: int) -> "Echelon":
     so after every row the pivot rows are exactly the nonzero rows of the
     unique RREF of the rows seen.  Only nonzero entries are stored or
     touched, each as `exact` gives it: a pivot of ±1 normalises by sign
-    alone, so integral rows stay ints.
+    alone, so integral rows stay ints.  A pivot row that is exactly
+    ``{p: 1}``, made so or left so by back-substitution, pins unknown p
+    to zero for good: reducing by it only deletes column p, so each later
+    row drops p as it is read in, and a row left empty is skipped.
     """
     pivot_rows = {}
     holders = defaultdict(set)  # unknown column -> pivots whose rows hold it
+    zeros = set()  # pivots whose rows are exactly {p: 1}
     inconsistent = set()
     for row in rows:
-        row = {c: _exact(x) for c, x in row.items() if x}
+        row = {c: _exact(x) for c, x in row.items() if x and c not in zeros}
+        if not row:
+            continue
         for c in [c for c in row if c in pivot_rows]:
             # pivot rows vanish on each other's pivots, so one pass suffices
             _add_multiple(row, -row[c], pivot_rows[c], {}, None)
@@ -274,6 +284,10 @@ def eliminate(rows, cols: int) -> "Echelon":
         for q in holders.pop(p, ()):
             other = pivot_rows[q]
             _add_multiple(other, -other[p], row, holders, q)
+            if len(other) == 1:
+                zeros.add(q)
+        if len(row) == 1:
+            zeros.add(p)
         pivot_rows[p] = row
     pivots = tuple(sorted(pivot_rows))
     return Echelon(cols, pivots, tuple(pivot_rows[p] for p in pivots), frozenset(inconsistent))

@@ -11,16 +11,20 @@ a polynomial's value for the Groebner solver, the pairwise scan that
 `poly._distinct` replaced with a hash key, the per-variable substitution
 and the distinct-first basis that `poly._groebner`'s linear round
 replaced, the exponent-keyed pivot system that `codim1._pivot_system`
-replaced), or a view the tests use to state what they check.
+replaced, the elimination that reduced every row in full before
+`linalg.eliminate` dropped the unknowns pinned to zero, the columns
+[E_rs, P] that `derivations._leibniz_rows` replaced and the Der(A) solved
+from them), or a view the tests use to state what they check.
 """
 
 from collections import defaultdict, deque
 from itertools import combinations
 
 from kantor.algebra import Algebra, Element
+from kantor.derivations import DerivationAlgebra
 from kantor.identities import Prod, Sum, Var, _fields
-from kantor.linalg import F0, F1, Matrix, frac, sub_vec, unit_vec, vec
-from kantor.multiops import MultilinearOp
+from kantor.linalg import F0, F1, Echelon, Matrix, _add_multiple, _exact, frac, solve_columns, sub_vec, unit_vec, vec
+from kantor.multiops import MultilinearOp, kantor_bracket
 from kantor.poly import Poly, _distinct, _interreduce, _linear_bindings, normal_form, s_polynomial
 from kantor.wn import wn_basis_labels, wn_product
 
@@ -324,3 +328,69 @@ def groebner_distinct_first(polys, variables, budget):
         k = len(basis) - 1
         pairs.extend((t, k) for t in range(k))
     return tuple(_interreduce(basis))
+
+
+def eliminate_in_full(rows, cols: int) -> Echelon:
+    """`linalg.eliminate` reducing every row by every pivot row it holds,
+    the single-entry ones included."""
+    pivot_rows = {}
+    holders = defaultdict(set)  # unknown column -> pivots whose rows hold it
+    inconsistent = set()
+    for row in rows:
+        row = {c: _exact(x) for c, x in row.items() if x}
+        for c in [c for c in row if c in pivot_rows]:
+            _add_multiple(row, -row[c], pivot_rows[c], {}, None)
+        unknowns = [c for c in row if c < cols]
+        if not unknowns:
+            inconsistent.update(row)
+            continue
+        p = min(unknowns)
+        pivot = row[p]
+        if pivot == -1:
+            row = {c: -x for c, x in row.items()}
+        elif pivot != 1:
+            inv = F1 / pivot
+            row = {c: _exact(x * inv) for c, x in row.items()}
+        for c in unknowns:
+            if c != p:
+                holders[c].add(p)
+        for q in holders.pop(p, ()):
+            other = pivot_rows[q]
+            _add_multiple(other, -other[p], row, holders, q)
+        pivot_rows[p] = row
+    pivots = tuple(sorted(pivot_rows))
+    return Echelon(cols, pivots, tuple(pivot_rows[p] for p in pivots), frozenset(inconsistent))
+
+
+def derivation_columns(alg: Algebra) -> list:
+    """The columns [E_rs, P] of D -> [D, P], column r*n + s for the entry
+    D[r][s], in closed form: each nonzero c_ijk and each t give +c at
+    ((i, j), t) in column t*n + k, -c at ((t, j), k) in column i*n + t and
+    -c at ((i, t), k) in column j*n + t, keyed as `kantor_bracket` keys its
+    coefficients.  Entries that cancel stay as zeros.
+    """
+    n = alg.dim
+    columns = [defaultdict(int) for _ in range(n * n)]
+    for i, row in enumerate(alg.sparse_table):
+        for j, outputs in enumerate(row):
+            for k, c in outputs:
+                for t in range(n):
+                    columns[t * n + k][((i, j), t)] += c
+                    columns[i * n + t][((t, j), k)] -= c
+                    columns[j * n + t][((i, t), k)] -= c
+    return columns
+
+
+def derivation_algebra_by_columns(alg: Algebra) -> DerivationAlgebra:
+    """Der(A) as the kernel of `solve_columns` over `derivation_columns`,
+    with its Lie table solved as `derivations.derivation_algebra` solves it."""
+    n = alg.dim
+    ker = solve_columns(derivation_columns(alg)).kernel()
+    basis = tuple(Matrix(n, n, v) for v in ker.basis)
+    k = len(basis)
+    ops = [MultilinearOp.from_matrix(d) for d in basis]
+    brackets = [kantor_bracket(ops[i], ops[j]).coeffs for i in range(k) for j in range(k)]
+    system = solve_columns([op.coeffs for op in ops], brackets)
+    products = {divmod(idx, k): dict(enumerate(system.solution(k + idx))) for idx in range(k * k)}
+    lie = Algebra.from_products(k, products, names=[f"D{i + 1}" for i in range(k)])
+    return DerivationAlgebra(n, basis, ker, lie)

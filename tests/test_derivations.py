@@ -10,19 +10,19 @@ from kantor.claims import (
 )
 from kantor.derivations import (
     DerivationAlgebra,
-    _derivation_columns,
+    _leibniz_rows,
     derivation_algebra,
     derived_series,
     inner_derivations,
     is_derivation,
     is_solvable,
 )
-from kantor.linalg import Matrix, Subspace, solve_columns, unit_vec
+from kantor.linalg import Matrix, Subspace, eliminate, unit_vec
 from kantor.multiops import MultilinearOp, kantor_bracket
 from kantor.wn import build_wn
 from kantor import zoo
 
-from helpers import left_mul_operator
+from helpers import derivation_algebra_by_columns, derivation_columns, left_mul_operator
 
 
 def test_zero_map_is_derivation(wn2):
@@ -144,7 +144,7 @@ def test_derivation_columns_are_the_brackets_with_the_matrix_units(data):
     alg = _sparse_algebra(data, 4)
     n = alg.dim
     P = MultilinearOp.from_algebra(alg)
-    columns = _derivation_columns(alg)
+    columns = derivation_columns(alg)
     for r in range(n):
         for s in range(n):
             e_rs = MultilinearOp(1, n, {((s,), r): 1})
@@ -152,12 +152,42 @@ def test_derivation_columns_are_the_brackets_with_the_matrix_units(data):
             assert column == kantor_bracket(e_rs, P).coeffs
 
 
+def _assert_rows_are_the_columns_transposed(alg):
+    n = alg.dim
+    transposed = {}
+    for z, column in enumerate(derivation_columns(alg)):
+        for ((i, j), t), c in column.items():
+            if c:
+                transposed.setdefault((i * n + j) * n + t, {})[z] = c
+    rows = {label: {z: c for z, c in row.items() if c} for label, row in _leibniz_rows(alg).items()}
+    assert {label: row for label, row in rows.items() if row} == transposed
+
+
+def test_leibniz_rows_are_the_derivation_columns_transposed():
+    for name in sorted(zoo.FIXTURES):
+        _assert_rows_are_the_columns_transposed(zoo.fixture(name))
+    _assert_rows_are_the_columns_transposed(build_wn(3))
+    _assert_rows_are_the_columns_transposed(zoo.matrix_algebra(4))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_leibniz_rows_are_the_derivation_columns_transposed_on_random_algebras(data):
+    _assert_rows_are_the_columns_transposed(_sparse_algebra(data, 4))
+
+
 def test_derivation_system_of_w3_stays_in_int_arithmetic():
     # W(3)'s structure constants are integers and every pivot of its
-    # Leibniz system normalises to an integral row
-    system = solve_columns(_derivation_columns(build_wn(3)))
+    # Leibniz system, shortest row first as `derivation_algebra` hands it
+    # over, normalises to an integral row
+    system = eliminate(sorted(_leibniz_rows(build_wn(3)).values(), key=len), 27 * 27)
     assert len(system.rows) == 27 * 27 - 6
     assert all(type(x) is int for row in system.rows for x in row.values())
+
+
+def test_derivation_algebra_is_the_kernel_over_the_columns():
+    for alg in (build_wn(3), zoo.matrix_algebra(4), build_wn(4)):
+        assert derivation_algebra(alg) == derivation_algebra_by_columns(alg)
 
 
 def _assert_lie_table_is_the_matrix_commutator(alg):

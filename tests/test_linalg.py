@@ -16,7 +16,7 @@ from kantor.linalg import (
     zero_vec,
 )
 
-from helpers import pair, row_list, same_set
+from helpers import eliminate_in_full, pair, row_list, same_set
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -265,6 +265,62 @@ def test_eliminate_ignores_row_order_and_value_type(system):
         # the RREF of a consistent [A | b] is unique; an infeasible b
         # column depends on which rows came first
         assert second.rows == first.rows
+
+
+def _typed(echelon):
+    """An Echelon's pivots, rows with each entry's type, and inconsistent
+    columns."""
+    rows = [sorted((c, x, type(x)) for c, x in row.items()) for row in echelon.rows]
+    return echelon.pivots, rows, echelon.inconsistent
+
+
+def test_single_entry_pivot_rows_drop_their_column_on_entry():
+    # back-substitution of {1: 1} leaves row 0 as {0: 1}, so the third row
+    # enters without columns 0 and 1 and the fourth enters empty
+    rows = [{0: 1, 1: 2}, {1: 3}, {0: 5, 1: 7, 2: 2, 3: 4}, {0: -1, 1: Fraction(1, 2)}]
+    e = eliminate(rows, 3)
+    assert e.rows == ({0: 1}, {1: 1}, {2: 1, 3: 2})
+    assert _typed(e) == _typed(eliminate_in_full(rows, 3))
+
+
+@st.composite
+def _row_lists(draw):
+    """Rows over 1-5 unknowns and 0-2 right-hand sides, int and Fraction
+    entries, explicit zeros among them: single-entry rows, sparse rows,
+    repeats and sums of earlier rows (which reduce to empty, or to their
+    right-hand sides alone), and pairs {a, b}, {b} whose back-substitution
+    leaves the pivot row of a with one entry, or with one more entry c
+    when the first row is {a, b, c}."""
+    cols = draw(st.integers(1, 5))
+    column = st.integers(0, cols + draw(st.integers(0, 2)) - 1)
+    unknown = st.integers(0, cols - 1)
+    value = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(4)])
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["single", "sparse", "repeat", "sum", "pair"]))
+        if kind == "single":
+            rows.append({draw(column): draw(value)})
+        elif kind == "sparse":
+            rows.append({draw(column): draw(st.one_of(value, st.just(0))) for _ in range(draw(st.integers(1, 4)))})
+        elif kind == "repeat" and rows:
+            f = draw(value)
+            rows.append({c: f * x for c, x in draw(st.sampled_from(rows)).items()})
+        elif kind == "sum" and rows:
+            first, second = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append({c: first.get(c, 0) + second.get(c, 0) for c in {*first, *second}})
+        else:
+            a, b = sorted((draw(unknown), draw(unknown)))
+            extra = draw(st.lists(column, max_size=1))
+            rows.append({a: draw(value), b: draw(value), **{c: draw(value) for c in extra}})
+            rows.append({b: draw(value)})
+    return cols, rows
+
+
+@settings(deadline=None, max_examples=300)
+@given(_row_lists())
+def test_eliminate_matches_the_full_reduction(system):
+    cols, rows = system
+    assert _typed(eliminate(rows, cols)) == _typed(eliminate_in_full(rows, cols))
 
 
 def test_dimension_mismatch():
