@@ -7,9 +7,10 @@ Run from the repository root:  python scripts/bench.py LABEL
 
 Writes BENCH_<LABEL>.json.  Each row is one request: every non-bracket
 catalogue suite on W(3) and M(4) and the W4_SUITES on W(4),
-`codim1_subalgebras` of W(3), M(4), W(4), W(5) and W(6) and of
-RANDOM_COUNT seeded sparse random algebras of dim 3-6 (W(5), W(6) and
-the random algebras a single run, their rows say so),
+`codim1_subalgebras` of W(3), M(4) and W(4) and of RANDOM_COUNT seeded
+sparse random algebras of dim 3-6 (the random algebras a single run, their
+row says so), one run each of `codim1_subalgebras` of W(5), W(6), W(7) and
+W(8), each in a fresh child process (below),
 `verify_associated(W(2), F, cross_check=True)` and
 `verify_associated(W(3), F)` and `verify_associated(W(4), F)` at its
 default (the W(4) row a single run), F being `wn_associated_F`,
@@ -34,6 +35,15 @@ The in-process CLI rows time a warm process from their second run on: the
 argparse parser and each fixture are built once per process and reused.
 The one-shot row starts a fresh interpreter every run, so it shows what
 those caches cost a single command.
+The child rows (CHILD_ROWS) run one at a time, each in a fresh interpreter
+(`python scripts/bench.py --child NAME`) that builds its algebra, caps its
+own address space at CHILD_CAP_MB with `resource.setrlimit(RLIMIT_AS)` and
+times one call; the row records the child's peak resident set,
+`peak_rss_mb` (its own `VmHWM`: a forked child's `ru_maxrss` starts at the
+peak of this process), and the cap, `address_space_cap_mb`.
+A call that runs out of room under the cap ends its row with the counter
+`error: MemoryError` instead of exhausting the machine.  The speed probe
+runs in the parent process, so a child row's time is its whole call.
 A row holds the median of its timed runs (RUNS unless the row's `runs`
 says otherwise), every run, the same median rescaled to the reference
 machine speed, and counters that must repeat exactly from run to run and,
@@ -57,7 +67,8 @@ has run, when the samples after each run exist.  The counters are:
 - codim1 rows: the subalgebras found, the pivots that ran out of budget
   and each pivot's whole spend, `SolutionSet.reductions_used` (the
   basis's reduction steps plus root extraction's), in total and, on the
-  named algebras, per pivot;
+  named algebras, per pivot; or, for a child row that ran out of room,
+  the error;
 - verify_associated rows: the verdict;
 - derivations rows: dim Der(A) and its derived series;
 - conservativity rows: the verdict and the dimension of the kernel (the
@@ -88,6 +99,7 @@ import pathlib
 import platform
 import random
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -109,6 +121,8 @@ from kantor.wn import build_wn, wn_associated_F
 RUNS = 5  # timed runs per row; the median is reported
 W4_SUITES = ("malcev", "jordan", "noncommutative_jordan")  # the suites also timed on W(4)
 RANDOM_COUNT, RANDOM_SEED = 100, 11  # the random codim1 row's algebras
+CHILD_ROWS = {"codim1 W5": 5, "codim1 W6": 6, "codim1 W7": 7, "codim1 W8": 8}  # row -> n of its W(n)
+CHILD_CAP_MB = 3072  # address-space cap of each child row
 PROBE = speed.SpeedProbe()  # sampling between start() and stop() in main
 
 
@@ -278,6 +292,58 @@ def row(name, fn, counters, runs=RUNS, **extra):
     }
 
 
+def child_main(name):
+    """Child row `name`: one call under the address-space cap, written to
+    stdout as JSON with its window, counters and peak resident set."""
+    cap = CHILD_CAP_MB << 20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+    alg = build_wn(CHILD_ROWS[name])
+    alg.sparse_table
+    start = time.perf_counter()
+    try:
+        counters = codim1_counters(codim1_subalgebras(alg))
+    except MemoryError:
+        counters = {"error": "MemoryError"}
+    end = time.perf_counter()
+    print(json.dumps({"start": start, "end": end, "counters": counters, "peak_rss_mb": round(peak_rss_mb(), 1)}))
+
+
+def peak_rss_mb():
+    """This process's own peak resident set in MB: `VmHWM` of
+    /proc/self/status (Linux), which starts afresh at exec, where a child's
+    `ru_maxrss` starts at the peak of the process it was forked from."""
+    with open("/proc/self/status", encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+    raise RuntimeError("no VmHWM in /proc/self/status")
+
+
+def child_row(name):
+    """Row `name` from one fresh child process (`child_main`)."""
+    done = subprocess.run(
+        [sys.executable, str(pathlib.Path(__file__).resolve()), "--child", name],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+    )
+    if done.returncode:
+        raise RuntimeError(f"{name}: child exited {done.returncode}: {done.stderr.strip()}")
+    result = json.loads(done.stdout)
+    start, end = result["start"], result["end"]
+    return {
+        "name": name,
+        "runs": 1,
+        "median_s": round(end - start, 4),
+        "median_rescaled_s": None,  # filled by rescale
+        "runs_s": [round(end - start, 4)],
+        "counters": result["counters"],
+        "peak_rss_mb": result["peak_rss_mb"],
+        "address_space_cap_mb": CHILD_CAP_MB,
+        "windows": [(start, end, end - start)],  # the probe runs in this process, not the child's
+    }
+
+
 def rescale(r):
     """Fill row r's rescaled median from the probe samples on both sides of
     each of its runs, and drop its windows."""
@@ -297,8 +363,14 @@ def totals(rows, key):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("label", help="written to BENCH_<label>.json")
+    parser.add_argument("label", nargs="?", help="written to BENCH_<label>.json")
+    parser.add_argument("--child", choices=sorted(CHILD_ROWS), help="run one child row and print it as JSON")
     args = parser.parse_args(argv)
+    if args.child:
+        child_main(args.child)
+        return
+    if args.label is None:
+        parser.error("a label is required")
     PROBE.start()
     try:
         rows = measure()
@@ -341,17 +413,12 @@ def measure():
             defect_terms={i.name: defect_terms(alg, i) for i in suite.identities},
         ))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
-    for name, alg, runs in (
-        *((name, alg, RUNS) for name, alg in algebras.items()),
-        ("W4", w4, RUNS),
-        ("W5", w5, 1),
-    ):
-        rows.append(row(f"codim1 {name}", lambda: codim1_subalgebras(alg), codim1_counters, runs=runs))
+    for name, alg in (*algebras.items(), ("W4", w4)):
+        rows.append(row(f"codim1 {name}", lambda: codim1_subalgebras(alg), codim1_counters))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
-    w6 = build_wn(6)  # dim 216, dropped after its one row
-    rows.append(row("codim1 W6", lambda: codim1_subalgebras(w6), codim1_counters, runs=1))
-    print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
-    del w6
+    for name in CHILD_ROWS:
+        rows.append(child_row(name))
+        print(f"{name}: {rows[-1]['median_s']} s, {rows[-1]['peak_rss_mb']} MB", flush=True)
     randoms = random_algebras()
     rows.append(row(
         "codim1 random dim 3-6",

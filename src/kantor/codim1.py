@@ -7,19 +7,27 @@ all hyperplanes, so closure of the hyperplane under the product becomes,
 per pivot, a polynomial system in the a_j, solved exactly by the Groebner
 engine; rational solutions are materialized as subspaces and re-verified,
 anything else is reported unresolved, never guessed.
+
+A pivot is first decided from the generators that are linear by
+construction, summed straight from the structure constants: when they are
+inconsistent the ideal is (1), and the full system is built only if the
+case's `ideal` is read.  Such a pivot spends the rank of those rows from
+its reduction budget, as the first linear round of the full system would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd, lcm
 
 from .algebra import Algebra, verify_subalgebra
 from .errors import BudgetExceededError
 from .linalg import F0, F1, Subspace, exact
-from .poly import MAX_REDUCTIONS, Poly, buchberger, solve_rational
+from .poly import MAX_REDUCTIONS, Poly, buchberger, solve_rational, unit_basis_of_linear
 
 
 def _pivot_variables(p: int):
@@ -136,15 +144,77 @@ def _pivot_system(products, p):
     return variables, tuple(generators)
 
 
+def _by_smallest_output(products):
+    """The nonzero products sorted by their smallest output (the first of
+    their ascending outputs), and those smallest outputs: the products that
+    can touch pivot p's generators, those with an output at or below p - 1,
+    are a prefix."""
+    ordered = sorted(products, key=lambda t: t[2][0][0])
+    return ordered, [outputs[0][0] for _, _, outputs in ordered]
+
+
+def _linear_rows(table, ordered, lows, p):
+    """The generators of pivot p that are linear by construction, as
+    `eliminate` rows {m: coefficient of a_(m+1), p - 1: constant term}
+    keyed (i, j) like `pivot_system`'s, summed straight from `table`
+    (`Algebra.sparse_table`) and `_by_smallest_output`'s products; a row
+    may hold zeros, and one whose entries all vanish is a generator that
+    cancels to zero.
+
+    With q = p - 1, generator phi(h_i h_j) has a term of degree above 1
+    only if e_i e_q (when j < q) or e_q e_j (when i < q) has an output
+    below q, or e_q e_q (when i, j < q) one at or below q.  Every other
+    generator is linear: phi(e_i e_j), plus c a_j for the output c e_q of
+    e_i e_q when j < q, plus c a_i for that of e_q e_j when i < q.
+    """
+    q = p - 1
+    column = [row[q] for row in table]  # e_i e_q
+    top = table[q]  # e_q e_j
+    left = [bool(out) and out[0][0] < q for out in column]  # rows (i, m < q) not linear
+    right = [bool(out) and out[0][0] < q for out in top]  # rows (m < q, j) not linear
+    square = bool(top[q]) and top[q][0][0] <= q  # rows (m < q, m2 < q) not linear
+    rows = {}
+    for i, j, outputs in ordered[: bisect_right(lows, q)]:
+        if i != q and j != q and not (j < q and (left[i] or i < q and square) or i < q and right[j]):
+            rows[i, j] = {k: -c if k < q else c for k, c in outputs if k <= q}
+    for s in range(len(table)):
+        if s == q or s < q and square:
+            continue
+        if column[s] and column[s][0][0] == q:  # c a_m in row (s, m)
+            c = column[s][0][1]
+            for m in range(q):
+                if not (s < q and right[m]):
+                    row = rows.setdefault((s, m), {})
+                    row[m] = row.get(m, 0) + c
+        if top[s] and top[s][0][0] == q:  # c a_m in row (m, s)
+            c = top[s][0][1]
+            for m in range(q):
+                if not (s < q and left[m]):
+                    row = rows.setdefault((m, s), {})
+                    row[m] = row.get(m, 0) + c
+    return rows
+
+
 @dataclass(frozen=True)
 class PivotCase:
     pivot: int
     variables: tuple
-    ideal: tuple               # closure generators
     groebner: object           # GroebnerBasis, or None on budget failure
     solutions: object          # SolutionSet, or None on budget failure
     subalgebras: tuple         # verified Subspaces, solution order
     error: object = None       # BudgetExceededError when the pivot failed
+    products: list = field(default=(), compare=False, repr=False)  # the sweep's, for `ideal`
+    generators: InitVar[tuple] = None  # the closure generators, when the pivot built them
+
+    def __post_init__(self, generators):
+        if generators is not None:
+            self.__dict__["ideal"] = generators
+
+    @cached_property
+    def ideal(self):
+        """The closure generators (`pivot_system`): kept if the pivot built
+        them, else built from `products` on first access."""
+        return _pivot_system(self.products, self.pivot)[1]
 
 
 @dataclass(frozen=True)
@@ -161,22 +231,32 @@ class Codim1Report:
 def codim1_subalgebras(alg: Algebra, max_reductions=MAX_REDUCTIONS) -> Codim1Report:
     """Search every pivot case; verify every rational solution.
 
+    Each pivot is first decided from its generators that are linear by
+    construction (`_linear_rows`): if they are inconsistent, its ideal is
+    (1), and its full system is built only if `PivotCase.ideal` is read.
+    Otherwise the full system goes to the Groebner engine.
     `max_reductions` caps each pivot's whole solve, its basis and the root
-    extraction from it.  A budget failure in one pivot is recorded on that
-    case and the sweep continues; every returned subspace passes
-    verify_subalgebra.
+    extraction from it; a pivot decided by its linear rows spends their
+    rank.  A budget failure in one pivot is recorded on that case and the
+    sweep continues; every returned subspace passes verify_subalgebra.
     """
     n = alg.dim
     cases = []
     flat = []
     products = _nonzero_products(alg)
+    ordered, lows = _by_smallest_output(products)
     for p in range(1, n + 1):
-        variables, gens = _pivot_system(products, p)
+        variables = _pivot_variables(p)
+        gens = None
         try:
-            gb = buchberger(gens, variables=variables, max_reductions=max_reductions)
+            rows = _linear_rows(alg.sparse_table, ordered, lows, p)
+            gb = unit_basis_of_linear(rows.values(), variables, max_reductions)
+            if gb is None:
+                _, gens = _pivot_system(products, p)
+                gb = buchberger(gens, variables=variables, max_reductions=max_reductions)
             sols = solve_rational(gb)
         except BudgetExceededError as exc:
-            cases.append(PivotCase(p, variables, gens, None, None, (), exc))
+            cases.append(PivotCase(p, variables, None, None, (), exc, products, gens))
             continue
         subs = []
         for point in sols.points:
@@ -184,8 +264,7 @@ def codim1_subalgebras(alg: Algebra, max_reductions=MAX_REDUCTIONS) -> Codim1Rep
             if not verify_subalgebra(alg, sub):  # pragma: no cover - solver guarantee
                 raise RuntimeError(f"pivot {p}: solution fails closure re-verification")
             subs.append(sub)
-        case = PivotCase(p, variables, gens, gb, sols, tuple(subs))
-        cases.append(case)
+        cases.append(PivotCase(p, variables, gb, sols, tuple(subs), None, products, gens))
         flat.extend(subs)
     return Codim1Report(n, tuple(cases), tuple(flat))
 

@@ -85,8 +85,7 @@ class MultilinearOp:
             raise ValueError("linear operations must be square")
         coeffs = {}
         for j in range(m.cols):
-            for i in range(m.rows):
-                c = m[i, j]
+            for i, c in enumerate(m.entries[j :: m.cols]):
                 if c:
                     coeffs[((j,), i)] = c
         return cls(1, m.rows, coeffs)

@@ -339,35 +339,55 @@ def _distinct(gens):
     return out
 
 
+def _linear_round(rows, n, budget):
+    """`eliminate` of linear generators over n variables, each a row
+    {variable index: coefficient, n: constant term}, charging one budget
+    unit per pivot."""
+    ech = eliminate(rows, n)
+    for _ in ech.pivots:
+        budget.spend()
+    return ech
+
+
 def _linear_bindings(linear, variables, budget):
-    """Solve the generators of degree <= 1 together with one `eliminate`.
+    """Solve the generators of degree <= 1 together in one linear round.
 
     Returns {pivot variable: its value in the free variables}, read off the
     RREF rows, or None when the system is inconsistent, i.e. the ideal is
     (1).  Each pivot costs one budget unit.
     """
     n = len(variables)
-    rows = []
-    for g in linear:
-        row = {}
-        for e, c in g.terms.items():
-            if any(e):
-                row[e.index(1)] = c
-            else:
-                row[n] = -c
-        rows.append(row)
-    ech = eliminate(rows, n)
-    for _ in ech.pivots:
-        budget.spend()
+    rows = [{e.index(1) if any(e) else n: c for e, c in g.terms.items()} for g in linear]
+    ech = _linear_round(rows, n, budget)
     if ech.inconsistent:
         return None
     return {
         variables[p]: Poly(variables, {
             **{(0,) * c + (1,) + (0,) * (n - 1 - c): -x for c, x in row.items() if c < n and c != p},
-            (0,) * n: row.get(n, 0),
+            (0,) * n: -row.get(n, 0),
         })
         for p, row in zip(ech.pivots, ech.rows)
     }
+
+
+def unit_basis_of_linear(rows, variables, max_reductions=MAX_REDUCTIONS):
+    """The basis [1] of any ideal over `variables` that holds the linear
+    generators `rows` (each {variable index: coefficient, len(variables):
+    constant term}) when they are inconsistent; None when they are not.
+
+    Rows with no constant term are consistent (the origin solves them)
+    and are not eliminated.  Otherwise they are solved as one linear round
+    of `buchberger`, one reduction per RREF pivot, so past `max_reductions`
+    the same BudgetExceededError is raised; the basis records that spend.
+    """
+    n = len(variables)
+    rows = list(rows)
+    if not any(row.get(n) for row in rows):
+        return None
+    budget = _Budget(max_reductions)
+    if not _linear_round(rows, n, budget).inconsistent:
+        return None
+    return GroebnerBasis(variables, (Poly.const(1, variables),), budget.reductions, max_reductions)
 
 
 def _substitute_all(polys, values):

@@ -11,7 +11,8 @@ a polynomial's value for the Groebner solver, the pairwise scan that
 `poly._distinct` replaced with a hash key, the per-variable substitution
 and the distinct-first basis that `poly._groebner`'s linear round
 replaced, the exponent-keyed pivot system that `codim1._pivot_system`
-replaced, the elimination that reduced every row in full before
+replaced, the codim1 sweep that built and solved every pivot's full system
+before the linear rows decided pivots first, the elimination that reduced every row in full before
 `linalg.eliminate` dropped the unknowns pinned to zero, the columns
 [E_rs, P] that `derivations._leibniz_rows` replaced and the Der(A) solved
 from them), or a view the tests use to state what they check.
@@ -20,12 +21,25 @@ from them), or a view the tests use to state what they check.
 from collections import defaultdict, deque
 from itertools import combinations
 
-from kantor.algebra import Algebra, Element
+from kantor import codim1
+from kantor.algebra import Algebra, Element, verify_subalgebra
+from kantor.codim1 import Codim1Report, PivotCase, hyperplane_basis
 from kantor.derivations import DerivationAlgebra
+from kantor.errors import BudgetExceededError
 from kantor.identities import Prod, Sum, Var, _fields
-from kantor.linalg import F0, F1, Echelon, Matrix, _add_multiple, _exact, frac, solve_columns, sub_vec, unit_vec, vec
+from kantor.linalg import F0, F1, Echelon, Matrix, Subspace, _add_multiple, _exact, frac, solve_columns, sub_vec, unit_vec, vec
 from kantor.multiops import MultilinearOp, kantor_bracket
-from kantor.poly import Poly, _distinct, _interreduce, _linear_bindings, normal_form, s_polynomial
+from kantor.poly import (
+    MAX_REDUCTIONS,
+    Poly,
+    _distinct,
+    _interreduce,
+    _linear_bindings,
+    buchberger,
+    normal_form,
+    s_polynomial,
+    solve_rational,
+)
 from kantor.wn import wn_basis_labels, wn_product
 
 
@@ -228,9 +242,10 @@ def substitute_each(p, values):
     return p
 
 
-def pivot_system_by_exponents(products, p):
-    """`codim1._pivot_system` summed straight on exponent tuples, each
-    generator built by the public `Poly` constructor."""
+def labelled_pivot_system(products, p):
+    """`codim1._pivot_system` summed straight on exponent tuples: each
+    nonzero generator phi(h_i h_j) by the public `Poly` constructor, keyed
+    (i, j) in ascending order."""
     variables = tuple(f"a{j}" for j in range(1, p))
     q = p - 1
     monomials = {}
@@ -267,12 +282,40 @@ def pivot_system_by_exponents(products, p):
             for m in range(q):
                 for m2 in range(q):
                     add(m, m2, (m, m2), form)
-    generators = []
+    generators = {}
     for key in sorted(pending):
         g = Poly(variables, pending[key])
         if g:
-            generators.append(g)
-    return variables, tuple(generators)
+            generators[key] = g
+    return generators
+
+
+def pivot_system_by_exponents(products, p):
+    """`codim1._pivot_system` as `labelled_pivot_system` sums it."""
+    return tuple(f"a{j}" for j in range(1, p)), tuple(labelled_pivot_system(products, p).values())
+
+
+def codim1_in_full(alg: Algebra, max_reductions=MAX_REDUCTIONS) -> Codim1Report:
+    """`codim1.codim1_subalgebras` building every pivot's full system
+    (`codim1._pivot_system`, looked up at each call) and solving it with
+    `buchberger`, whatever its linear rows say."""
+    n = alg.dim
+    cases = []
+    flat = []
+    products = codim1._nonzero_products(alg)
+    for p in range(1, n + 1):
+        variables, gens = codim1._pivot_system(products, p)
+        try:
+            gb = buchberger(gens, variables=variables, max_reductions=max_reductions)
+            sols = solve_rational(gb)
+        except BudgetExceededError as exc:
+            cases.append(PivotCase(p, variables, None, None, (), exc, generators=gens))
+            continue
+        subs = tuple(Subspace.from_spanning(n, hyperplane_basis(n, p, point)) for point in sols.points)
+        assert all(verify_subalgebra(alg, sub) for sub in subs)
+        cases.append(PivotCase(p, variables, gb, sols, subs, generators=gens))
+        flat.extend(subs)
+    return Codim1Report(n, tuple(cases), tuple(flat))
 
 
 def linear_prepass_distinct_first(gens, budget):

@@ -6,6 +6,8 @@ import pytest
 from kantor import codim1, poly
 from kantor.algebra import Algebra, verify_subalgebra
 from kantor.codim1 import (
+    _by_smallest_output,
+    _linear_rows,
     _nonzero_products,
     codim1_subalgebras,
     grid_hyperplane_oracle,
@@ -15,11 +17,18 @@ from kantor.codim1 import (
 )
 from kantor.errors import BudgetExceededError
 from kantor.linalg import Subspace, unit_vec
-from kantor.poly import MAX_REDUCTIONS, _distinct
+from kantor.poly import MAX_REDUCTIONS, _distinct, buchberger, unit_basis_of_linear
 from kantor import zoo
 from kantor.wn import build_wn
 
-from helpers import distinct_pairwise, evaluate, groebner_distinct_first, pivot_system_by_exponents
+from helpers import (
+    codim1_in_full,
+    distinct_pairwise,
+    evaluate,
+    groebner_distinct_first,
+    labelled_pivot_system,
+    pivot_system_by_exponents,
+)
 
 
 def drop(dim, i0):
@@ -255,5 +264,97 @@ def test_every_pivot_matches_the_distinct_first_solver(name, seed, monkeypatch):
     got = [[_case_view(c) for c in codim1_subalgebras(alg, b).cases] for b in budgets]
     monkeypatch.setattr(poly, "_groebner", groebner_distinct_first)
     monkeypatch.setattr(codim1, "_pivot_system", pivot_system_by_exponents)
-    expected = [[_case_view(c) for c in codim1_subalgebras(alg, b).cases] for b in budgets]
+    expected = [[_case_view(c) for c in codim1_in_full(alg, b).cases] for b in budgets]
     assert got == expected
+
+
+def _equivalence_algebra(name, seed):
+    if seed is None:
+        return zoo.fixture(name)
+    rng = random.Random(seed)
+    return _sparse_random_algebra(rng, rng.randint(2, 5))
+
+
+@pytest.mark.parametrize("name,seed", _EQUIVALENCE_ALGEBRAS)
+def test_every_pivot_matches_the_full_sweep(name, seed):
+    # deciding a pivot from its linear rows first changes no pivot's ideal,
+    # basis, spend, points, unresolved parts or error, at any budget
+    alg = _equivalence_algebra(name, seed)
+    for budget in (0, 1, 3, MAX_REDUCTIONS):
+        got = [_case_view(c) for c in codim1_subalgebras(alg, budget).cases]
+        assert got == [_case_view(c) for c in codim1_in_full(alg, budget).cases]
+
+
+@pytest.mark.parametrize("name", ["M4", "W3", "W4"])
+def test_every_pivot_matches_the_full_sweep_at_the_default_budget(name):
+    alg = build_wn(4) if name == "W4" else _named(name)
+    got = codim1_subalgebras(alg)
+    expected = codim1_in_full(alg)
+    assert [_case_view(c) for c in got.cases] == [_case_view(c) for c in expected.cases]
+    assert got.subalgebras == expected.subalgebras
+
+
+def _pivot_rows(alg):
+    """Per pivot p: (p, its linear rows, its generators keyed (i, j))."""
+    products = _nonzero_products(alg)
+    ordered, lows = _by_smallest_output(products)
+    for p in range(1, alg.dim + 1):
+        yield p, _linear_rows(alg.sparse_table, ordered, lows, p), labelled_pivot_system(products, p)
+
+
+def _as_row(g):
+    """A generator of degree <= 1 as a row {m: coefficient of a_(m+1), q: constant term}."""
+    q = len(g.variables)
+    return {e.index(1) if any(e) else q: c for e, c in g.terms.items()}
+
+
+_ROW_ALGEBRAS = [*sorted(zoo.FIXTURES), "W3", "M4", *(f"random{s}" for s in range(40))]
+
+
+@pytest.mark.parametrize("name", _ROW_ALGEBRAS)
+def test_linear_rows_are_their_generators(name):
+    # each row is its generator of pivot_system term for term (a row whose
+    # entries all cancel is a generator that vanishes), so the rows are
+    # among the linear generators; a generator whose terms of degree above 1
+    # cancel (w2sym pivot 5, (1, 1)) is linear but not a row
+    alg = _named(name) if not name.startswith("random") else _equivalence_algebra(name, int(name[6:]))
+    for p, rows, generators in _pivot_rows(alg):
+        nonzero = {ij: {m: c for m, c in row.items() if c} for ij, row in rows.items()}
+        for ij, row in nonzero.items():
+            if row:
+                assert row == _as_row(generators[ij])
+                assert [type(c) for c in row.values()] == [type(c) for c in _as_row(generators[ij]).values()]
+            else:
+                assert ij not in generators
+        linear = {ij for ij, g in generators.items() if g.total_degree() <= 1}
+        assert linear >= {ij for ij, row in nonzero.items() if row}
+
+
+@pytest.mark.parametrize("name", _ROW_ALGEBRAS)
+def test_inconsistent_linear_rows_mean_the_full_basis_is_one(name):
+    # the rows' verdict (1) is the full system's, at the same spend
+    alg = _named(name) if not name.startswith("random") else _equivalence_algebra(name, int(name[6:]))
+    for p, rows, generators in _pivot_rows(alg):
+        variables = tuple(f"a{j}" for j in range(1, p))
+        unit = unit_basis_of_linear(rows.values(), variables)
+        if unit is None:
+            continue
+        full = buchberger(generators.values(), variables=variables)
+        assert [str(g) for g in unit] == [str(g) for g in full] == ["1"]
+        assert unit.reductions_used == full.reductions_used
+
+
+@pytest.mark.parametrize("name,decided", [("W3", 26), ("M4", 15), ("W4", 63)])
+def test_linear_rows_decide_nearly_every_pivot(name, decided, monkeypatch):
+    # the full system is built only for the pivots the rows leave open, and
+    # each pivot's ideal at most once more, on first reading
+    alg = build_wn(4) if name == "W4" else _named(name)
+    builds = []
+    real = codim1._pivot_system
+    monkeypatch.setattr(codim1, "_pivot_system", lambda products, p: builds.append(p) or real(products, p))
+    report = codim1_subalgebras(alg)
+    assert len(builds) == alg.dim - decided
+    first = [c.ideal for c in report.cases]
+    assert len(builds) == alg.dim
+    assert [c.ideal for c in report.cases] == first and len(builds) == alg.dim
+    assert [c.ideal for c in report.cases] == [pivot_system(alg, c.pivot)[1] for c in report.cases]
