@@ -251,8 +251,8 @@ def codim1_subalgebras(alg: Algebra, max_reductions=MAX_REDUCTIONS) -> Codim1Rep
         try:
             rows = _linear_rows(alg.sparse_table, ordered, lows, p)
             gb = unit_basis_of_linear(rows.values(), variables, max_reductions)
-            if gb is None:
-                _, gens = _pivot_system(products, p)
+            if gb is None:  # the generators' own tuple: ring checks then match by identity
+                variables, gens = _pivot_system(products, p)
                 gb = buchberger(gens, variables=variables, max_reductions=max_reductions)
             sols = solve_rational(gb)
         except BudgetExceededError as exc:

@@ -200,7 +200,10 @@ def test_grid_oracle_agreement_random_algebras(dim, count, seed):
 
 
 def _named(name):
-    return {"W3": lambda: build_wn(3), "M4": lambda: zoo.matrix_algebra(4)}.get(name, lambda: zoo.fixture(name))()
+    if name.startswith("random"):
+        return _equivalence_algebra(name, int(name[len("random"):]))
+    builders = {"W3": lambda: build_wn(3), "W4": lambda: build_wn(4), "M4": lambda: zoo.matrix_algebra(4)}
+    return builders.get(name, lambda: zoo.fixture(name))()
 
 
 @pytest.mark.parametrize("name", [*sorted(zoo.FIXTURES), "W3", "M4"])
@@ -250,29 +253,25 @@ def _sparse_random_algebra(rng, n):
 _EQUIVALENCE_ALGEBRAS = [(name, None) for name in sorted(zoo.FIXTURES)] + [(f"random{s}", s) for s in range(100)]
 
 
+def _equivalence_algebra(name, seed):
+    if seed is None:
+        return zoo.fixture(name)
+    rng = random.Random(seed)
+    return _sparse_random_algebra(rng, rng.randint(2, 5))
+
+
 @pytest.mark.parametrize("name,seed", _EQUIVALENCE_ALGEBRAS)
 def test_every_pivot_matches_the_distinct_first_solver(name, seed, monkeypatch):
     # the linear round deciding before scalar multiples are dropped, the
     # generators built ready and the one-pass substitution change no
     # pivot's ideal, basis, spend, points, unresolved parts or error
-    if seed is None:
-        alg = zoo.fixture(name)
-    else:
-        rng = random.Random(seed)
-        alg = _sparse_random_algebra(rng, rng.randint(2, 5))
+    alg = _equivalence_algebra(name, seed)
     budgets = (0, 1, 3, MAX_REDUCTIONS)
     got = [[_case_view(c) for c in codim1_subalgebras(alg, b).cases] for b in budgets]
     monkeypatch.setattr(poly, "_groebner", groebner_distinct_first)
     monkeypatch.setattr(codim1, "_pivot_system", pivot_system_by_exponents)
     expected = [[_case_view(c) for c in codim1_in_full(alg, b).cases] for b in budgets]
     assert got == expected
-
-
-def _equivalence_algebra(name, seed):
-    if seed is None:
-        return zoo.fixture(name)
-    rng = random.Random(seed)
-    return _sparse_random_algebra(rng, rng.randint(2, 5))
 
 
 @pytest.mark.parametrize("name,seed", _EQUIVALENCE_ALGEBRAS)
@@ -287,7 +286,7 @@ def test_every_pivot_matches_the_full_sweep(name, seed):
 
 @pytest.mark.parametrize("name", ["M4", "W3", "W4"])
 def test_every_pivot_matches_the_full_sweep_at_the_default_budget(name):
-    alg = build_wn(4) if name == "W4" else _named(name)
+    alg = _named(name)
     got = codim1_subalgebras(alg)
     expected = codim1_in_full(alg)
     assert [_case_view(c) for c in got.cases] == [_case_view(c) for c in expected.cases]
@@ -317,7 +316,7 @@ def test_linear_rows_are_their_generators(name):
     # entries all cancel is a generator that vanishes), so the rows are
     # among the linear generators; a generator whose terms of degree above 1
     # cancel (w2sym pivot 5, (1, 1)) is linear but not a row
-    alg = _named(name) if not name.startswith("random") else _equivalence_algebra(name, int(name[6:]))
+    alg = _named(name)
     for p, rows, generators in _pivot_rows(alg):
         nonzero = {ij: {m: c for m, c in row.items() if c} for ij, row in rows.items()}
         for ij, row in nonzero.items():
@@ -333,7 +332,7 @@ def test_linear_rows_are_their_generators(name):
 @pytest.mark.parametrize("name", _ROW_ALGEBRAS)
 def test_inconsistent_linear_rows_mean_the_full_basis_is_one(name):
     # the rows' verdict (1) is the full system's, at the same spend
-    alg = _named(name) if not name.startswith("random") else _equivalence_algebra(name, int(name[6:]))
+    alg = _named(name)
     for p, rows, generators in _pivot_rows(alg):
         variables = tuple(f"a{j}" for j in range(1, p))
         unit = unit_basis_of_linear(rows.values(), variables)
@@ -348,13 +347,13 @@ def test_inconsistent_linear_rows_mean_the_full_basis_is_one(name):
 def test_linear_rows_decide_nearly_every_pivot(name, decided, monkeypatch):
     # the full system is built only for the pivots the rows leave open, and
     # each pivot's ideal at most once more, on first reading
-    alg = build_wn(4) if name == "W4" else _named(name)
+    alg = _named(name)
     builds = []
     real = codim1._pivot_system
     monkeypatch.setattr(codim1, "_pivot_system", lambda products, p: builds.append(p) or real(products, p))
     report = codim1_subalgebras(alg)
     assert len(builds) == alg.dim - decided
-    first = [c.ideal for c in report.cases]
-    assert len(builds) == alg.dim
-    assert [c.ideal for c in report.cases] == first and len(builds) == alg.dim
-    assert [c.ideal for c in report.cases] == [pivot_system(alg, c.pivot)[1] for c in report.cases]
+    ideals = [c.ideal for c in report.cases]
+    assert [c.ideal for c in report.cases] == ideals and len(builds) == alg.dim
+    monkeypatch.undo()
+    assert ideals == [pivot_system(alg, p)[1] for p in range(1, alg.dim + 1)]
