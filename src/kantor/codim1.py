@@ -156,10 +156,10 @@ def _by_smallest_output(products):
 def _linear_rows(table, ordered, lows, p):
     """The generators of pivot p that are linear by construction, as
     `eliminate` rows {m: coefficient of a_(m+1), p - 1: constant term}
-    keyed (i, j) like `pivot_system`'s, summed straight from `table`
-    (`Algebra.sparse_table`) and `_by_smallest_output`'s products; a row
-    may hold zeros, and one whose entries all vanish is a generator that
-    cancels to zero.
+    keyed by the basis pair (i, j) of phi(h_i h_j), summed straight from
+    `table` (`Algebra.sparse_table`) and `_by_smallest_output`'s products;
+    a row may hold zeros, and one whose entries all vanish is a generator
+    that cancels to zero.
 
     With q = p - 1, generator phi(h_i h_j) has a term of degree above 1
     only if e_i e_q (when j < q) or e_q e_j (when i < q) has an output
@@ -203,7 +203,7 @@ class PivotCase:
     solutions: object          # SolutionSet, or None on budget failure
     subalgebras: tuple         # verified Subspaces, solution order
     error: object = None       # BudgetExceededError when the pivot failed
-    products: list = field(default=(), compare=False, repr=False)  # the sweep's, for `ideal`
+    products: object = field(default=(), compare=False, repr=False)  # the sweep's, for `ideal`
     generators: InitVar[tuple] = None  # the closure generators, when the pivot built them
 
     def __post_init__(self, generators):
