@@ -159,13 +159,15 @@ def _linear_rows(table, ordered, lows, p):
     keyed by the basis pair (i, j) of phi(h_i h_j), summed straight from
     `table` (`Algebra.sparse_table`) and `_by_smallest_output`'s products;
     a row may hold zeros, and one whose entries all vanish is a generator
-    that cancels to zero.
+    that cancels to zero.  None when no row has a constant term: the origin
+    then solves them, so they leave the pivot open.
 
     With q = p - 1, generator phi(h_i h_j) has a term of degree above 1
     only if e_i e_q (when j < q) or e_q e_j (when i < q) has an output
     below q, or e_q e_q (when i, j < q) one at or below q.  Every other
     generator is linear: phi(e_i e_j), plus c a_j for the output c e_q of
-    e_i e_q when j < q, plus c a_i for that of e_q e_j when i < q.
+    e_i e_q when j < q, plus c a_i for that of e_q e_j when i < q.  Only
+    phi(e_i e_j) has a constant term, so those terms are summed first.
     """
     q = p - 1
     column = [row[q] for row in table]  # e_i e_q
@@ -177,6 +179,8 @@ def _linear_rows(table, ordered, lows, p):
     for i, j, outputs in ordered[: bisect_right(lows, q)]:
         if i != q and j != q and not (j < q and (left[i] or i < q and square) or i < q and right[j]):
             rows[i, j] = {k: -c if k < q else c for k, c in outputs if k <= q}
+    if not any(q in row for row in rows.values()):
+        return None
     for s in range(len(table)):
         if s == q or s < q and square:
             continue
@@ -250,7 +254,7 @@ def codim1_subalgebras(alg: Algebra, max_reductions=MAX_REDUCTIONS) -> Codim1Rep
         gens = None
         try:
             rows = _linear_rows(alg.sparse_table, ordered, lows, p)
-            gb = unit_basis_of_linear(rows.values(), variables, max_reductions)
+            gb = None if rows is None else unit_basis_of_linear(rows.values(), variables, max_reductions)
             if gb is None:  # the generators' own tuple: ring checks then match by identity
                 variables, gens = _pivot_system(products, p)
                 gb = buchberger(gens, variables=variables, max_reductions=max_reductions)

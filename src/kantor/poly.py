@@ -375,17 +375,12 @@ def unit_basis_of_linear(rows, variables, max_reductions=MAX_REDUCTIONS):
     generators `rows` (each {variable index: coefficient, len(variables):
     constant term}) when they are inconsistent; None when they are not.
 
-    Rows with no constant term are consistent (the origin solves them)
-    and are not eliminated.  Otherwise they are solved as one linear round
-    of `buchberger`, one reduction per RREF pivot, so past `max_reductions`
-    the same BudgetExceededError is raised; the basis records that spend.
+    The rows are solved as one linear round of `buchberger`, one reduction
+    per RREF pivot, so past `max_reductions` the same BudgetExceededError
+    is raised; the basis records that spend.
     """
-    n = len(variables)
-    rows = list(rows)
-    if not any(row.get(n) for row in rows):
-        return None
     budget = _Budget(max_reductions)
-    if not _linear_round(rows, n, budget).inconsistent:
+    if not _linear_round(rows, len(variables), budget).inconsistent:
         return None
     return GroebnerBasis(variables, (Poly.const(1, variables),), budget.reductions, max_reductions)
 

@@ -310,23 +310,39 @@ def _as_row(g):
 _ROW_ALGEBRAS = [*sorted(zoo.FIXTURES), "W3", "M4", *(f"random{s}" for s in range(40))]
 
 
+def _linear_by_construction(table, p, i, j):
+    """Whether generator (i, j) of pivot p can have no term of degree above
+    1: no output below q = p - 1 of e_i e_q (if j < q) or of e_q e_j (if
+    i < q), and none at or below q of e_q e_q (if i, j < q)."""
+    q = p - 1
+
+    def low(outputs):
+        return outputs[0][0] if outputs else len(table)
+
+    return not (
+        j < q and low(table[i][q]) < q or i < q and low(table[q][j]) < q or i < q and j < q and low(table[q][q]) <= q
+    )
+
+
 @pytest.mark.parametrize("name", _ROW_ALGEBRAS)
 def test_linear_rows_are_their_generators(name):
-    # each row is its generator of pivot_system term for term (a row whose
-    # entries all cancel is a generator that vanishes), so the rows are
-    # among the linear generators; a generator whose terms of degree above 1
-    # cancel (w2sym pivot 5, (1, 1)) is linear but not a row
+    # the rows are the generators linear by construction, each its
+    # pivot_system generator term for term (a row whose entries all cancel
+    # is a generator that vanishes), or None when none of those has a
+    # constant term; a generator whose terms of degree above 1 cancel
+    # (w2sym pivot 5, (1, 1)) is linear but not a row
     alg = _named(name)
     for p, rows, generators in _pivot_rows(alg):
+        linear = {ij: g for ij, g in generators.items() if _linear_by_construction(alg.sparse_table, p, *ij)}
+        assert all(g.total_degree() <= 1 for g in linear.values())
+        if rows is None:
+            assert not any(_as_row(g).get(p - 1) for g in linear.values())
+            continue
         nonzero = {ij: {m: c for m, c in row.items() if c} for ij, row in rows.items()}
-        for ij, row in nonzero.items():
-            if row:
-                assert row == _as_row(generators[ij])
-                assert [type(c) for c in row.values()] == [type(c) for c in _as_row(generators[ij]).values()]
-            else:
-                assert ij not in generators
-        linear = {ij for ij, g in generators.items() if g.total_degree() <= 1}
-        assert linear >= {ij for ij, row in nonzero.items() if row}
+        assert {ij for ij, row in nonzero.items() if row} == set(linear)
+        for ij, g in linear.items():
+            assert nonzero[ij] == _as_row(g)
+            assert [type(c) for c in nonzero[ij].values()] == [type(c) for c in _as_row(g).values()]
 
 
 @pytest.mark.parametrize("name", _ROW_ALGEBRAS)
@@ -335,7 +351,7 @@ def test_inconsistent_linear_rows_mean_the_full_basis_is_one(name):
     alg = _named(name)
     for p, rows, generators in _pivot_rows(alg):
         variables = tuple(f"a{j}" for j in range(1, p))
-        unit = unit_basis_of_linear(rows.values(), variables)
+        unit = None if rows is None else unit_basis_of_linear(rows.values(), variables)
         if unit is None:
             continue
         full = buchberger(generators.values(), variables=variables)
