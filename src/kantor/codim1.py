@@ -170,17 +170,22 @@ def _linear_rows(table, ordered, lows, p):
     phi(e_i e_j) has a constant term, so those terms are summed first.
     """
     q = p - 1
-    column = [row[q] for row in table]  # e_i e_q
     top = table[q]  # e_q e_j
-    left = [bool(out) and out[0][0] < q for out in column]  # rows (i, m < q) not linear
-    right = [bool(out) and out[0][0] < q for out in top]  # rows (m < q, j) not linear
     square = bool(top[q]) and top[q][0][0] <= q  # rows (m < q, m2 < q) not linear
     rows = {}
     for i, j, outputs in ordered[: bisect_right(lows, q)]:
-        if i != q and j != q and not (j < q and (left[i] or i < q and square) or i < q and right[j]):
-            rows[i, j] = {k: -c if k < q else c for k, c in outputs if k <= q}
+        if i == q or j == q:
+            continue
+        if j < q and (i < q and square or table[i][q] and table[i][q][0][0] < q):
+            continue  # e_q e_q at or below q, or e_i e_q below q
+        if i < q and top[j] and top[j][0][0] < q:
+            continue  # e_q e_j below q
+        rows[i, j] = {k: -c if k < q else c for k, c in outputs if k <= q}
     if not any(q in row for row in rows.values()):
         return None
+    column = [row[q] for row in table]  # e_i e_q
+    left = [bool(out) and out[0][0] < q for out in column]  # rows (i, m < q) not linear
+    right = [bool(out) and out[0][0] < q for out in top]  # rows (m < q, j) not linear
     for s in range(len(table)):
         if s == q or s < q and square:
             continue
@@ -250,11 +255,12 @@ def codim1_subalgebras(alg: Algebra, max_reductions=MAX_REDUCTIONS) -> Codim1Rep
     products = _nonzero_products(alg)
     ordered, lows = _by_smallest_output(products)
     for p in range(1, n + 1):
-        variables = _pivot_variables(p)
-        gens = None
+        gens = gb = None
         try:
             rows = _linear_rows(alg.sparse_table, ordered, lows, p)
-            gb = None if rows is None else unit_basis_of_linear(rows.values(), variables, max_reductions)
+            if rows is not None:
+                variables = _pivot_variables(p)
+                gb = unit_basis_of_linear(rows.values(), variables, max_reductions)
             if gb is None:  # the generators' own tuple: ring checks then match by identity
                 variables, gens = _pivot_system(products, p)
                 gb = buchberger(gens, variables=variables, max_reductions=max_reductions)
