@@ -9,15 +9,15 @@ Writes BENCH_<LABEL>.json.  Each row is one request: every non-bracket
 catalogue suite on W(3) and M(4) and the W4_SUITES on W(4),
 `codim1_subalgebras` of W(3), M(4) and W(4) and of RANDOM_COUNT seeded
 sparse random algebras of dim 3-6 (the random algebras a single run, their
-row says so), one run each of `codim1_subalgebras` of W(5), W(6), W(7) and
-W(8), each in a fresh child process (below),
-`verify_associated(W(2), F, cross_check=True)` and
-`verify_associated(W(3), F)` and `verify_associated(W(4), F)` at its
-default (the W(4) row a single run), F being `wn_associated_F`,
-`derivation_algebra` with `derived_series` on M(4), W(3), W(4), W(5)
-and W(6) (W(5) and W(6) a single run), `conservativity`, `jacobi_space` and
-`quasi_units` on M(4), W(3) and W(4), `conservativity` and `quasi_units`
-on W(5) (a single run each) and, where both answer "no" with a Fredholm
+row says so), `verify_associated(W(2), F, cross_check=True)` and
+`verify_associated(W(3), F)` at its default, F being `wn_associated_F`,
+`derivation_algebra` with `derived_series` on M(4), W(3) and W(4),
+`conservativity`, `jacobi_space` and `quasi_units` on M(4), W(3) and
+W(4), `quasi_units` on W(5) (a single run), the heavy rows, one run each
+in a fresh child process (below): `codim1_subalgebras` of W(5) to W(8),
+`derivation_algebra` with `derived_series` and `conservativity` on W(5),
+W(6) and W(7), and `verify_associated(W(n), F)` at its default on W(4)
+and W(5), and, where both answer "no" with a Fredholm
 certificate, on the M7 fixture and `simple_left_commutative(20)`,
 `is_terminal` on W(3) and W(4), `wn_associated_F` on W(3) and W(4),
 `is_nilpotent4` on W(3) and on the nilpotent4 fixture, `build_wn` on W(7)
@@ -36,11 +36,13 @@ argparse parser and each fixture are built once per process and reused.
 The one-shot row starts a fresh interpreter every run, so it shows what
 those caches cost a single command.
 The child rows (CHILD_ROWS) run one at a time, each in a fresh interpreter
-(`python scripts/bench.py --child NAME`) that builds its algebra, caps its
-own address space at CHILD_CAP_MB with `resource.setrlimit(RLIMIT_AS)` and
-times one call; the row records the child's peak resident set,
+(`python scripts/bench.py --child NAME`) that builds its algebra, and F
+for `verify_associated`, caps its own address space at CHILD_CAP_MB with
+`resource.setrlimit(RLIMIT_AS)` and times one call; the row records the
+child's peak resident set,
 `peak_rss_mb` (its own `VmHWM`: a forked child's `ru_maxrss` starts at the
-peak of this process), and the cap, `address_space_cap_mb`.
+peak of this process), and the cap, `address_space_cap_mb`.  Two runs of
+one tree agree on each peak within 5%.
 A call that runs out of room under the cap ends its row with the counter
 `error: MemoryError` instead of exhausting the machine.  The speed probe
 runs in the parent process, so a child row's time is its whole call.
@@ -121,7 +123,12 @@ from kantor.wn import build_wn, wn_associated_F
 RUNS = 5  # timed runs per row; the median is reported
 W4_SUITES = ("malcev", "jordan", "noncommutative_jordan")  # the suites also timed on W(4)
 RANDOM_COUNT, RANDOM_SEED = 100, 11  # the random codim1 row's algebras
-CHILD_ROWS = {"codim1 W5": 5, "codim1 W6": 6, "codim1 W7": 7, "codim1 W8": 8}  # row -> n of its W(n)
+CHILD_ROWS = {  # row -> n of its W(n); the row's first word names its call (`child_call`)
+    **{f"codim1 W{n}": n for n in (5, 6, 7, 8)},
+    **{f"derivations W{n}": n for n in (5, 6, 7)},
+    **{f"conservativity W{n}": n for n in (5, 6, 7)},
+    **{f"verify_associated W{n} default": n for n in (4, 5)},
+}
 CHILD_CAP_MB = 3072  # address-space cap of each child row
 PROBE = speed.SpeedProbe()  # sampling between start() and stop() in main
 
@@ -292,6 +299,21 @@ def row(name, fn, counters, runs=RUNS, **extra):
     }
 
 
+def child_call(name, alg):
+    """The timed call of child row `name` on its W(n), alg, and the counters
+    of its result; what the call needs besides alg is built here, untimed."""
+    kind = name.split()[0]
+    if kind == "verify_associated":
+        f = wn_associated_F(CHILD_ROWS[name])
+        return lambda: verify_associated(alg, f), lambda holds: {"holds": holds}
+    fn, counters = {
+        "codim1": (codim1_subalgebras, codim1_counters),
+        "derivations": (derivations, derivation_counters),
+        "conservativity": (conservativity, conservativity_counters),
+    }[kind]
+    return lambda: fn(alg), counters
+
+
 def child_main(name):
     """Child row `name`: one call under the address-space cap, written to
     stdout as JSON with its window, counters and peak resident set."""
@@ -299,9 +321,10 @@ def child_main(name):
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
     alg = build_wn(CHILD_ROWS[name])
     alg.sparse_table
+    call, counters_of = child_call(name, alg)
     start = time.perf_counter()
     try:
-        counters = codim1_counters(codim1_subalgebras(alg))
+        counters = counters_of(call())
     except MemoryError:
         counters = {"error": "MemoryError"}
     end = time.perf_counter()
@@ -416,9 +439,6 @@ def measure():
     for name, alg in (*algebras.items(), ("W4", w4)):
         rows.append(row(f"codim1 {name}", lambda: codim1_subalgebras(alg), codim1_counters))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
-    for name in CHILD_ROWS:
-        rows.append(child_row(name))
-        print(f"{name}: {rows[-1]['median_s']} s, {rows[-1]['peak_rss_mb']} MB", flush=True)
     randoms = random_algebras()
     rows.append(row(
         "codim1 random dim 3-6",
@@ -430,23 +450,18 @@ def measure():
     ))
     print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
 
-    w2, f2, f3, f4 = build_wn(2), wn_associated_F(2), wn_associated_F(3), wn_associated_F(4)
+    w2, f2, f3 = build_wn(2), wn_associated_F(2), wn_associated_F(3)
     for name, fn, runs in (
         ("verify_associated W2 cross_check=True", lambda: verify_associated(w2, f2, cross_check=True), RUNS),
         ("verify_associated W3 default", lambda: verify_associated(algebras["W3"], f3), RUNS),
-        ("verify_associated W4 default", lambda: verify_associated(w4, f4), 1),
     ):
         rows.append(row(name, fn, lambda holds: {"holds": holds}, runs=runs))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
 
     structure = {"M4": algebras["M4"], "W3": algebras["W3"], "W4": w4}
-    for name, alg, runs in (*((name, alg, RUNS) for name, alg in structure.items()), ("W5", w5, 1)):
-        rows.append(row(f"derivations {name}", lambda: derivations(alg), derivation_counters, runs=runs))
+    for name, alg in structure.items():
+        rows.append(row(f"derivations {name}", lambda: derivations(alg), derivation_counters))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
-    w6 = build_wn(6)  # dim 216, dropped after its one row
-    rows.append(row("derivations W6", lambda: derivations(w6), derivation_counters, runs=1))
-    print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
-    del w6
     for name, alg in structure.items():
         for label, fn, counters in (
             ("conservativity", conservativity, conservativity_counters),
@@ -455,12 +470,11 @@ def measure():
         ):
             rows.append(row(f"{label} {name}", lambda: fn(alg), counters))
             print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
-    for label, fn, counters in (
-        ("conservativity", conservativity, conservativity_counters),
-        ("quasi_units", quasi_units, quasi_unit_counters),
-    ):
-        rows.append(row(f"{label} W5", lambda: fn(w5), counters, runs=1))
-        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    rows.append(row("quasi_units W5", lambda: quasi_units(w5), quasi_unit_counters, runs=1))
+    print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    for name in CHILD_ROWS:
+        rows.append(child_row(name))
+        print(f"{name}: {rows[-1]['median_s']} s, {rows[-1]['peak_rss_mb']} MB", flush=True)
     infeasible = {"m7": zoo.fixture("m7"), "slc20": zoo.simple_left_commutative(20)}
     for name, alg in infeasible.items():
         for label, fn, counters in (

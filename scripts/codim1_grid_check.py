@@ -15,10 +15,14 @@ import random
 import sys
 from fractions import Fraction
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))  # the grid oracle lives beside the other test oracles
 
 from kantor.algebra import Algebra, verify_subalgebra
-from kantor.codim1 import codim1_subalgebras, grid_hyperplane_oracle, normal_vector
+from kantor.codim1 import codim1_subalgebras
+
+from helpers import grid_hyperplane_oracle, normal_vector
 
 
 def main():

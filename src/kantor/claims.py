@@ -102,10 +102,10 @@ def audit_table(alg: Algebra, fixture_name: str):
 
 
 # Derivation family of W(2) as narrated by the relations in the proof (rows
-# D(e_i) = sum_j x_ij e_j).  The displayed matrix is the same family with a
-# stray w in row 4, column 2.
-def wn2_derivation_relations(z, w) -> Matrix:
-    rows = [
+# D(e_i) = sum_j x_ij e_j, transposed to the column-action convention).  The
+# displayed matrix is the same family with a stray w in row 4, column 2.
+def _wn2_derivation_rows(z, w):
+    return [
         [0, z, z, 0, 0, 0, 0, 0],
         [0, w, 0, z, 0, 0, 0, 0],
         [0, 0, w, z, 0, 0, 0, 0],
@@ -115,13 +115,16 @@ def wn2_derivation_relations(z, w) -> Matrix:
         [0, 0, -z, 0, 0, 0, 0, z],
         [0, 0, 0, -z, 0, 0, 0, w],
     ]
-    return Matrix.from_rows(rows).transpose()  # to column-action convention
+
+
+def wn2_derivation_relations(z, w) -> Matrix:
+    return Matrix.from_rows(zip(*_wn2_derivation_rows(z, w)))
 
 
 def wn2_derivation_display(z, w) -> Matrix:
-    stray = [[0] * 8 for _ in range(8)]
-    stray[3][1] = w
-    return wn2_derivation_relations(z, w) + Matrix.from_rows(stray).transpose()
+    rows = _wn2_derivation_rows(z, w)
+    rows[3][1] = w
+    return Matrix.from_rows(zip(*rows))
 
 
 RECORDED_DERIVATION_DIMS = {"wn2": 2, "w2sym": 2, "s2": 0, "h1": 0}
@@ -143,7 +146,7 @@ def audit_derivations(fixture_name: str, der) -> list:
         n2 = der.amb_dim * der.amb_dim
         display = Subspace.from_spanning(
             n2,
-            [wn2_derivation_display(1, 0).flatten(), wn2_derivation_display(0, 1).flatten()],
+            [wn2_derivation_display(1, 0).entries, wn2_derivation_display(0, 1).entries],
         )
         if display != der.subspace:
             errata.append(

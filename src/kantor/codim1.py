@@ -19,10 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field
-from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from math import gcd, lcm
 
 from .algebra import Algebra, verify_subalgebra
 from .errors import BudgetExceededError
@@ -277,44 +274,3 @@ def codim1_subalgebras(alg: Algebra, max_reductions=MAX_REDUCTIONS) -> Codim1Rep
         cases.append(PivotCase(p, variables, gb, sols, tuple(subs), None, products, gens))
         flat.extend(subs)
     return Codim1Report(n, tuple(cases), tuple(flat))
-
-
-def _primitive_normal(v):
-    """The primitive integer multiple of a nonzero rational vector whose
-    first nonzero entry is positive."""
-    den = lcm(*(Fraction(c).denominator for c in v))
-    ints = [int(c * den) for c in v]
-    g = gcd(*ints)
-    sign = 1 if next(c for c in ints if c) > 0 else -1
-    return tuple(sign * c // g for c in ints)
-
-
-def grid_hyperplane_oracle(alg: Algebra, bound: int = 3):
-    """All closed hyperplanes whose normal has coordinates in [-bound, bound].
-
-    Brute-force necessary-condition oracle for small examples: enumerates
-    primitive integer normals up to sign, takes each kernel hyperplane, and
-    keeps the ones closed under the product.  Exhaustive over the grid, so
-    any reported subalgebra with a small normal must appear here too.
-    """
-    seen = set()
-    found = []
-    for coords in product(range(-bound, bound + 1), repeat=alg.dim):
-        if not any(coords):
-            continue
-        prim = _primitive_normal(coords)
-        if prim in seen:
-            continue
-        seen.add(prim)
-        sub = Subspace.from_spanning(alg.dim, [prim]).orthogonal_complement()
-        if verify_subalgebra(alg, sub):
-            found.append(sub)
-    return found
-
-
-def normal_vector(sub: Subspace):
-    """Primitive integer normal of a hyperplane subspace."""
-    if sub.dim != sub.ambient_dim - 1:
-        raise ValueError("not a hyperplane")
-    (v,) = sub.orthogonal_complement().basis
-    return _primitive_normal(v)

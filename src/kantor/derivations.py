@@ -120,5 +120,5 @@ def inner_derivations(alg: Algebra) -> Subspace:
     """{L_a : a in the Jacobi space}, as a subspace of n^2-vectors; L_a is
     the product P with its first input fixed at a."""
     p = MultilinearOp.from_algebra(alg)
-    vecs = [p.partial(v).as_matrix().flatten() for v in jacobi_space(alg).basis]
+    vecs = [p.partial(v).as_matrix().entries for v in jacobi_space(alg).basis]
     return Subspace.from_spanning(alg.dim * alg.dim, vecs)

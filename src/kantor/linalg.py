@@ -31,7 +31,9 @@ complement of their span,
 A Fredholm certificate, `fredholm_certificate`, is the canonical solution
 of the transposed system, solved from the same sparse columns and
 computed only when a system is infeasible; it comes back keyed by the
-equation labels.
+equation labels.  A `Matrix`, with no arithmetic, is only the dense form
+in which a linear map enters or leaves the package: every computation on a
+map is on an arity-1 `multiops.MultilinearOp`.
 """
 
 from __future__ import annotations
@@ -71,10 +73,6 @@ def vec(values) -> Vec:
     return tuple(frac(v) for v in values)
 
 
-def zero_vec(n: int) -> Vec:
-    return (F0,) * n
-
-
 def unit_vec(n: int, i: int) -> Vec:
     return tuple(F1 if j == i else F0 for j in range(n))
 
@@ -91,21 +89,14 @@ def scale_vec(c: Fraction, x: Vec) -> Vec:
     return tuple(c * a for a in x)
 
 
-def dot(x: Vec, y: Vec) -> Fraction:
-    s = F0
-    for a, b in zip(x, y):
-        if a and b:
-            s += a * b
-    return s
-
-
 def is_zero_vec(x: Vec) -> bool:
     return not any(x)
 
 
 @dataclass(frozen=True)
 class Matrix:
-    """Dense rational matrix, row-major."""
+    """Dense rational matrix, row-major, acting on coordinate columns;
+    `MultilinearOp.from_matrix` and `as_matrix` are its only conversions."""
 
     rows: int
     cols: int
@@ -123,83 +114,9 @@ class Matrix:
             raise ValueError("ragged rows")
         return cls(len(rows), ncols, tuple(x for r in rows for x in r))
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls.from_rows([unit_vec(n, i) for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (F0,) * (rows * cols))
-
-    def row(self, i: int) -> Vec:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def col(self, j: int) -> Vec:
-        return self.entries[j :: self.cols]
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i * self.cols + j]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
-
-    def apply(self, v: Vec) -> Vec:
-        """Matrix times coordinate column."""
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch in apply")
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            s = F0
-            for j, x in enumerate(v):
-                if x:
-                    e = self.entries[base + j]
-                    if e:
-                        s += e * x
-            out.append(s)
-        return tuple(out)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols, tuple(a + b if b else a for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols, tuple(a - b if b else a for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
-
-    def scale(self, c) -> "Matrix":
-        c = frac(c)
-        return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries))
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
-        nonzero = [[(j, b) for j, b in enumerate(other.row(k)) if b] for k in range(other.rows)]
-        out = []
-        for i in range(self.rows):
-            acc = [F0] * other.cols
-            for k, a in enumerate(self.row(i)):
-                if a:
-                    for j, b in nonzero[k]:
-                        acc[j] += a * b
-            out.extend(acc)
-        return Matrix(self.rows, other.cols, tuple(out))
-
-    def flatten(self) -> Vec:
-        return self.entries
-
-    def is_zero(self) -> bool:
-        return not any(self.entries)
 
 
 def _sparse(values) -> dict:

@@ -16,7 +16,9 @@ same data as an Algebra's structure tensor).  `partial(x)` fixes the first
 input at a coordinate vector x; on the product P of an algebra, P.partial(x)
 is left multiplication L_x (the tests compare it against a dense reference
 built from `mul_vec`, and `conservative`'s L_{e_z}, all grouped from P at
-once, against it).
+once, against it).  Arity 1 is the package's one arithmetic on linear maps
+(a . b is the composition a(b(x))); a `linalg.Matrix` is only the dense form
+a map enters by `from_matrix` and leaves by `as_matrix`.
 
 The composition used throughout is the sign-free shuffle insertion: with
 p = arity(a) and q = arity(b) >= 1,
@@ -115,7 +117,7 @@ class MultilinearOp:
     def as_element(self):
         if self.arity != 0:
             raise ValueError("not an arity-0 operation")
-        return tuple(self.coeff((), k) for k in range(self.dim))
+        return self.apply_basis(())
 
     def as_matrix(self) -> Matrix:
         if self.arity != 1:

@@ -184,21 +184,7 @@ class Poly:
     def substitute(self, name, value) -> "Poly":
         """Replace a variable by a rational or by a polynomial of the same
         ring (exact, no remainder)."""
-        value = self._coerce(value)
-        i = self.variables.index(name)
-        top = max((e[i] for e in self.terms), default=0)
-        if not top:
-            return self
-        powers = [Poly.const(1, self.variables)]
-        for _ in range(top):
-            powers.append(powers[-1] * value)
-        terms = {}
-        for e, c in self.terms.items():
-            rest = e[:i] + (0,) + e[i + 1:]
-            for pe, pc in powers[e[i]].terms.items():
-                t = tuple(x + y for x, y in zip(rest, pe))
-                terms[t] = terms.get(t, 0) + c * pc
-        return Poly(self.variables, terms)
+        return _substitute_all([self], {name: value})[0]
 
     # -- printing -----------------------------------------------------------
 
@@ -681,7 +667,7 @@ def _solve_recursive(basis, variables, fixed, budget):
             f"{g} has a degree-{leftover} factor with no rational root",
         ))
     for r in roots:
-        sub = [h.substitute(v, r) for h in basis]
+        sub = _substitute_all(list(basis), {v: r})
         sub_basis = _groebner([h for h in sub if h], variables, budget)
         p, u = _solve_recursive(sub_basis, variables, fixed + ((v, r),), budget)
         points.extend(p)

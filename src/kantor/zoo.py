@@ -19,7 +19,7 @@ from .algebra import Algebra, two_sided_columns
 from .errors import GateError
 from .linalg import F1, Matrix, _dense, frac, solve_columns
 from .identities import NILPOTENT4, builtin_identities, check_identity
-from .multiops import MultilinearOp
+from .multiops import MultilinearOp, insertion_product
 from .wn import build_h1, build_s2, build_w2sym, build_wn
 
 
@@ -219,21 +219,21 @@ def validate_involution(alg: Algebra, sigma: Matrix):
     n = alg.dim
     if sigma.rows != n or sigma.cols != n:
         raise GateError("involution-shape", f"expected {n}x{n}")
-    if sigma @ sigma != Matrix.identity(n):
+    s = MultilinearOp.from_matrix(sigma)
+    if insertion_product(s, s) != MultilinearOp.identity(n):
         raise GateError("involution-squares-to-identity")
+    images = [s.apply_basis((i,)) for i in range(n)]
     for i, row in enumerate(alg.sparse_table):
-        si = sigma.col(i)
         for j, outputs in enumerate(row):
-            lhs = sigma.apply(_dense(dict(outputs), n))
-            rhs = alg.mul_vec(sigma.col(j), si)
-            if lhs != rhs:
+            lhs = s.partial(_dense(dict(outputs), n)).as_element()
+            if lhs != alg.mul_vec(images[j], images[i]):
                 raise GateError(
                     "involution-antiautomorphism", f"fails on basis pair ({i}, {j})"
                 )
     unit = find_unit(alg)
     if unit is None:
         raise GateError("unital", "algebra has no two-sided unit")
-    if sigma.apply(unit) != unit:
+    if s.partial(unit).as_element() != unit:
         raise GateError("involution-fixes-unit")
     return unit
 
@@ -241,13 +241,14 @@ def validate_involution(alg: Algebra, sigma: Matrix):
 def structurable_twist(alg: Algebra, sigma: Matrix) -> Algebra:
     """x * y = xy + y(x - sigma(x)) on a unital algebra with involution."""
     validate_involution(alg, sigma)
+    s = MultilinearOp.from_matrix(sigma)
     p = MultilinearOp.from_algebra(alg)
     pt = p.transpose()
     # y sigma(x) = P^T(sigma x, y); its e_i slice is P^T with sigma(e_i) fixed.
     y_sigma_x = {
         ((i,) + inputs, k): c
         for i in range(alg.dim)
-        for (inputs, k), c in pt.partial(sigma.col(i)).coeffs.items()
+        for (inputs, k), c in pt.partial(s.apply_basis((i,))).coeffs.items()
     }
     return (p + pt - MultilinearOp(2, alg.dim, y_sigma_x)).as_algebra(alg.basis_names)
 

@@ -15,11 +15,17 @@ replaced, the codim1 sweep that built and solved every pivot's full system
 before the linear rows decided pivots first, the elimination that reduced every row in full before
 `linalg.eliminate` dropped the unknowns pinned to zero, the columns
 [E_rs, P] that `derivations._leibniz_rows` replaced and the Der(A) solved
-from them), or a view the tests use to state what they check.
+from them, the dense matrix arithmetic that arity-1 `MultilinearOp`s
+replaced, the one-variable substitution that `Poly.substitute` now leaves
+to `poly._substitute_all`, and the grid hyperplane oracle of
+`scripts/codim1_grid_check.py`), or a view the tests use to state what
+they check.
 """
 
 from collections import defaultdict, deque
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
+from math import gcd, lcm
 
 from kantor import codim1
 from kantor.algebra import Algebra, Element, verify_subalgebra
@@ -50,13 +56,13 @@ def _coords(a):
 def left_mul_operator(alg: Algebra, a) -> Matrix:
     """Matrix of x -> a x; column j holds the coordinates of a e_j."""
     av = _coords(a)
-    return Matrix.from_rows([alg.mul_vec(av, unit_vec(alg.dim, j)) for j in range(alg.dim)]).transpose()
+    return Matrix.from_rows(zip(*(alg.mul_vec(av, unit_vec(alg.dim, j)) for j in range(alg.dim))))
 
 
 def right_mul_operator(alg: Algebra, a) -> Matrix:
     """Matrix of x -> x a; column j holds the coordinates of e_j a."""
     av = _coords(a)
-    return Matrix.from_rows([alg.mul_vec(unit_vec(alg.dim, j), av) for j in range(alg.dim)]).transpose()
+    return Matrix.from_rows(zip(*(alg.mul_vec(unit_vec(alg.dim, j), av) for j in range(alg.dim))))
 
 
 def opposite(alg: Algebra) -> Algebra:
@@ -178,8 +184,59 @@ def matrix_unit(k: int):
     return tuple(F1 if i % k == i // k else F0 for i in range(k * k))
 
 
+# -- dense matrices: the arithmetic that `linalg.Matrix` leaves to arity-1
+# `MultilinearOp`s, kept here as the tests' independent reference ----------
+
+
+def identity_matrix(n: int) -> Matrix:
+    return Matrix.from_rows([unit_vec(n, i) for i in range(n)])
+
+
+def zero_matrix(rows: int, cols: int) -> Matrix:
+    return Matrix.from_rows([[0] * cols] * rows)
+
+
+def mat_row(m: Matrix, i: int):
+    return m.entries[i * m.cols : (i + 1) * m.cols]
+
+
+def mat_col(m: Matrix, j: int):
+    return m.entries[j :: m.cols]
+
+
 def row_list(m: Matrix):
-    return [list(m.row(i)) for i in range(m.rows)]
+    return [list(mat_row(m, i)) for i in range(m.rows)]
+
+
+def mat_apply(m: Matrix, v):
+    """m times the coordinate column v."""
+    return tuple(dot(mat_row(m, i), vec(v)) for i in range(m.rows))
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix.from_rows([[dot(mat_row(a, i), mat_col(b, j)) for j in range(b.cols)] for i in range(a.rows)])
+
+
+def mat_combination(coeffs, matrices) -> Matrix:
+    """sum_i coeffs[i] * matrices[i], all of one shape."""
+    first = matrices[0]
+    entries = [F0] * (first.rows * first.cols)
+    for c, m in zip(coeffs, matrices):
+        entries = [x + frac(c) * y for x, y in zip(entries, m.entries)]
+    return Matrix(first.rows, first.cols, tuple(entries))
+
+
+def commutator(a: Matrix, b: Matrix) -> Matrix:
+    """ab - ba."""
+    return mat_combination((1, -1), (mat_mul(a, b), mat_mul(b, a)))
+
+
+def zero_vec(n: int):
+    return (F0,) * n
+
+
+def dot(x, y):
+    return sum((a * b for a, b in zip(x, y)), F0)
 
 
 def pair(y, column):
@@ -234,11 +291,31 @@ def distinct_pairwise(gens):
     return out
 
 
+def substitute_one(p, name, value):
+    """p with one variable replaced by a rational or by a polynomial of p's
+    ring, through the powers of the value, term by term."""
+    value = p._coerce(value)
+    i = p.variables.index(name)
+    top = max((e[i] for e in p.terms), default=0)
+    if not top:
+        return p
+    powers = [Poly.const(1, p.variables)]
+    for _ in range(top):
+        powers.append(powers[-1] * value)
+    terms = {}
+    for e, c in p.terms.items():
+        rest = e[:i] + (0,) + e[i + 1:]
+        for pe, pc in powers[e[i]].terms.items():
+            t = tuple(x + y for x, y in zip(rest, pe))
+            terms[t] = terms.get(t, 0) + c * pc
+    return Poly(p.variables, terms)
+
+
 def substitute_each(p, values):
     """p with each variable of `values` that p uses replaced by its value,
-    one `Poly.substitute` per variable."""
+    one `substitute_one` per variable."""
     for v in p.support_variables() & values.keys():
-        p = p.substitute(v, values[v])
+        p = substitute_one(p, v, values[v])
     return p
 
 
@@ -437,3 +514,44 @@ def derivation_algebra_by_columns(alg: Algebra) -> DerivationAlgebra:
     products = {divmod(idx, k): dict(enumerate(system.solution(k + idx))) for idx in range(k * k)}
     lie = Algebra.from_products(k, products, names=[f"D{i + 1}" for i in range(k)])
     return DerivationAlgebra(n, basis, ker, lie)
+
+
+def _primitive_normal(v):
+    """The primitive integer multiple of a nonzero rational vector whose
+    first nonzero entry is positive."""
+    den = lcm(*(Fraction(c).denominator for c in v))
+    ints = [int(c * den) for c in v]
+    g = gcd(*ints)
+    sign = 1 if next(c for c in ints if c) > 0 else -1
+    return tuple(sign * c // g for c in ints)
+
+
+def grid_hyperplane_oracle(alg: Algebra, bound: int = 3):
+    """All closed hyperplanes whose normal has coordinates in [-bound, bound].
+
+    Brute-force necessary-condition oracle for small examples: enumerates
+    primitive integer normals up to sign, takes each kernel hyperplane, and
+    keeps the ones closed under the product.  Exhaustive over the grid, so
+    any reported subalgebra with a small normal must appear here too.
+    """
+    seen = set()
+    found = []
+    for coords in product(range(-bound, bound + 1), repeat=alg.dim):
+        if not any(coords):
+            continue
+        prim = _primitive_normal(coords)
+        if prim in seen:
+            continue
+        seen.add(prim)
+        sub = Subspace.from_spanning(alg.dim, [prim]).orthogonal_complement()
+        if verify_subalgebra(alg, sub):
+            found.append(sub)
+    return found
+
+
+def normal_vector(sub: Subspace):
+    """Primitive integer normal of a hyperplane subspace."""
+    if sub.dim != sub.ambient_dim - 1:
+        raise ValueError("not a hyperplane")
+    (v,) = sub.orthogonal_complement().basis
+    return _primitive_normal(v)

@@ -10,9 +10,7 @@ from kantor.codim1 import (
     _linear_rows,
     _nonzero_products,
     codim1_subalgebras,
-    grid_hyperplane_oracle,
     hyperplane_basis,
-    normal_vector,
     pivot_system,
 )
 from kantor.errors import BudgetExceededError
@@ -24,9 +22,12 @@ from kantor.wn import build_wn
 from helpers import (
     codim1_in_full,
     distinct_pairwise,
+    dot,
     evaluate,
+    grid_hyperplane_oracle,
     groebner_distinct_first,
     labelled_pivot_system,
+    normal_vector,
     pivot_system_by_exponents,
 )
 
@@ -160,8 +161,6 @@ def test_normal_vector_roundtrip():
     sub = Subspace.from_spanning(3, hyperplane_basis(3, 2, [Fraction(1, 2)]))
     normal = normal_vector(sub)
     # the normal annihilates the hyperplane and is primitive integer
-    from kantor.linalg import dot
-
     for row in sub.basis:
         assert dot(normal, row) == 0
     from math import gcd

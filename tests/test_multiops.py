@@ -8,7 +8,7 @@ from kantor.errors import DimensionMismatchError
 from kantor.linalg import Matrix, unit_vec
 from kantor.multiops import MultilinearOp, insertion_product, kantor_bracket
 
-from helpers import insertion_by_slots, left_mul_operator
+from helpers import insertion_by_slots, left_mul_operator, mat_apply, mat_col, mat_mul
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
@@ -34,15 +34,34 @@ def test_linear_into_bilinear_is_composition():
     for i in range(2):
         for j in range(2):
             b_val = alg.mul_vec(unit_vec(2, i), unit_vec(2, j))
-            assert ab.apply_basis((i, j)) == A.apply(b_val)
+            assert ab.apply_basis((i, j)) == mat_apply(A, b_val)
             expected = tuple(
                 x + y
                 for x, y in zip(
-                    alg.mul_vec(A.col(i), unit_vec(2, j)),
-                    alg.mul_vec(unit_vec(2, i), A.col(j)),
+                    alg.mul_vec(mat_col(A, i), unit_vec(2, j)),
+                    alg.mul_vec(unit_vec(2, i), mat_col(A, j)),
                 )
             )
             assert ba.apply_basis((i, j)) == expected
+
+
+def _square_matrices(data, n):
+    return Matrix.from_rows(data.draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_linear_into_linear_is_composition(data):
+    # A . B = A o B, the dense product; a map's images of e_j and of x are
+    # the columns of its matrix and the matrix times x
+    n = data.draw(st.integers(1, 4))
+    A, B = _square_matrices(data, n), _square_matrices(data, n)
+    Aop, Bop = MultilinearOp.from_matrix(A), MultilinearOp.from_matrix(B)
+    assert insertion_product(Aop, Bop).as_matrix() == mat_mul(A, B)
+    x = tuple(data.draw(st.lists(rationals, min_size=n, max_size=n)))
+    assert Aop.partial(x).as_element() == mat_apply(A, x)
+    for j in range(n):
+        assert Aop.apply_basis((j,)) == mat_col(A, j)
 
 
 def test_bilinear_with_element():

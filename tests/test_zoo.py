@@ -11,7 +11,7 @@ from kantor.identities import builtin_identities, suite_holds
 from kantor.linalg import Matrix
 from kantor import identities, zoo
 
-from helpers import matrix_unit, opposite, rename
+from helpers import identity_matrix, matrix_unit, opposite, rename
 
 
 def test_m7_products(m7):
@@ -135,13 +135,13 @@ def test_structurable_identity_involution():
     # the identity map is an involution only of a commutative algebra;
     # there the twist changes nothing (x - conj(x) = 0)
     diag = Algebra.from_products(2, {(0, 0): {0: 1}, (1, 1): {1: 1}})
-    twisted = zoo.structurable_twist(diag, Matrix.identity(2))
+    twisted = zoo.structurable_twist(diag, Matrix.from_rows([[1, 0], [0, 1]]))
     assert twisted.table == diag.table
 
 
 def test_structurable_identity_involution_needs_commutative(matrix2):
     with pytest.raises(GateError) as err:
-        zoo.structurable_twist(matrix2, Matrix.identity(4))
+        zoo.structurable_twist(matrix2, identity_matrix(4))
     assert err.value.check == "involution-antiautomorphism"
 
 
@@ -157,6 +157,20 @@ def test_structurable_rejects_non_antiautomorphism(matrix2):
     with pytest.raises(GateError) as err:
         zoo.structurable_twist(matrix2, bad)
     assert err.value.check == "involution-antiautomorphism"
+
+
+def test_involution_gate_rejects_a_map_of_the_wrong_size(matrix2):
+    with pytest.raises(GateError) as err:
+        zoo.validate_involution(matrix2, Matrix.from_rows([[0, 1], [1, 0]]))
+    assert err.value.check == "involution-shape"
+
+
+def test_involution_gate_rejects_an_algebra_with_no_unit():
+    # the identity map is an involution of the commutative zero algebra,
+    # which has no two-sided unit
+    with pytest.raises(GateError) as err:
+        zoo.validate_involution(zoo.zero_algebra(2), identity_matrix(2))
+    assert err.value.check == "unital"
 
 
 def test_structurable_rejects_non_involution(matrix2):
