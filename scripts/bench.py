@@ -13,11 +13,14 @@ row says so), `verify_associated(W(2), F, cross_check=True)` and
 `verify_associated(W(3), F)` at its default, F being `wn_associated_F`,
 `derivation_algebra` with `derived_series` on M(4), W(3) and W(4),
 `conservativity`, `jacobi_space` and `quasi_units` on M(4), W(3) and
-W(4), `quasi_units` on W(5) (a single run), the heavy rows, one run each
-in a fresh child process (below): `codim1_subalgebras` of W(5) to W(8),
-`derivation_algebra` with `derived_series` and `conservativity` on W(5),
-W(6) and W(7), and `verify_associated(W(n), F)` at its default on W(4)
-and W(5), and, where both answer "no" with a Fredholm
+W(4), `quasi_units` on W(5) (a single run), `inner_derivations` on W(3)
+and W(4), `induced_algebra` of W(3) on its whole space (timed up to its
+`sparse_table`), the heavy rows, one run each in a fresh child process
+(below): `codim1_subalgebras` of W(5) to W(8), `derivation_algebra` with
+`derived_series` and `conservativity` on W(5), W(6) and W(7),
+`verify_associated(W(n), F)` at its default on W(4) and W(5), and
+`jacobi_space`, `quasi_units` and `is_terminal` on W(7), and, where both
+answer "no" with a Fredholm
 certificate, on the M7 fixture and `simple_left_commutative(20)`,
 `is_terminal` on W(3) and W(4), `wn_associated_F` on W(3) and W(4),
 `is_nilpotent4` on W(3) and on the nilpotent4 fixture, `build_wn` on W(7)
@@ -78,10 +81,12 @@ has run, when the samples after each run exist.  The counters are:
   of its certificate; jacobi_space rows: its dimension; quasi_units rows:
   whether a quasi-unit exists, the dimension of the kernel and, when none
   exists, the number of nonzeros of the certificate;
+- inner_derivations rows: the dimension of the span of the L_a;
 - is_terminal rows: the verdict;
 - wn_associated_F rows: the number of nonzero coefficients of F;
 - is_nilpotent4 rows: the verdict;
-- build_wn and load_algebra rows: the number of nonzero structure constants;
+- build_wn, load_algebra and induced_algebra rows: the number of nonzero
+  structure constants;
 - CLI rows, the one-shot row too: the exit code and the SHA-256 of what
   the command printed;
 - the Tier-1 row: the numbers of tests passed and failed.
@@ -114,10 +119,11 @@ sys.path.append(str(ROOT / "benchmark"))  # for the speed probe, read only
 
 import speed
 from kantor import cli, identities, storage, zoo
-from kantor.algebra import Algebra
+from kantor.algebra import Algebra, induced_algebra
 from kantor.codim1 import codim1_subalgebras
 from kantor.conservative import conservativity, is_terminal, jacobi_space, quasi_units, verify_associated
-from kantor.derivations import derivation_algebra, derived_series
+from kantor.derivations import derivation_algebra, derived_series, inner_derivations
+from kantor.linalg import Subspace
 from kantor.wn import build_wn, wn_associated_F
 
 RUNS = 5  # timed runs per row; the median is reported
@@ -128,6 +134,7 @@ CHILD_ROWS = {  # row -> n of its W(n); the row's first word names its call (`ch
     **{f"derivations W{n}": n for n in (5, 6, 7)},
     **{f"conservativity W{n}": n for n in (5, 6, 7)},
     **{f"verify_associated W{n} default": n for n in (4, 5)},
+    **{f"{call} W7": 7 for call in ("jacobi_space", "quasi_units", "is_terminal")},
 }
 CHILD_CAP_MB = 3072  # address-space cap of each child row
 PROBE = speed.SpeedProbe()  # sampling between start() and stop() in main
@@ -176,6 +183,14 @@ def derivations(alg):
 def derivation_counters(result):
     da, series = result
     return {"dim": da.dim, "series": series}
+
+
+def dim_counters(space):
+    return {"dim": space.dim}
+
+
+def verdict_counters(holds):
+    return {"holds": holds}
 
 
 def certificate_nonzeros(certificate):
@@ -305,11 +320,14 @@ def child_call(name, alg):
     kind = name.split()[0]
     if kind == "verify_associated":
         f = wn_associated_F(CHILD_ROWS[name])
-        return lambda: verify_associated(alg, f), lambda holds: {"holds": holds}
+        return lambda: verify_associated(alg, f), verdict_counters
     fn, counters = {
         "codim1": (codim1_subalgebras, codim1_counters),
         "derivations": (derivations, derivation_counters),
         "conservativity": (conservativity, conservativity_counters),
+        "jacobi_space": (jacobi_space, dim_counters),
+        "quasi_units": (quasi_units, quasi_unit_counters),
+        "is_terminal": (is_terminal, verdict_counters),
     }[kind]
     return lambda: fn(alg), counters
 
@@ -455,7 +473,7 @@ def measure():
         ("verify_associated W2 cross_check=True", lambda: verify_associated(w2, f2, cross_check=True), RUNS),
         ("verify_associated W3 default", lambda: verify_associated(algebras["W3"], f3), RUNS),
     ):
-        rows.append(row(name, fn, lambda holds: {"holds": holds}, runs=runs))
+        rows.append(row(name, fn, verdict_counters, runs=runs))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
 
     structure = {"M4": algebras["M4"], "W3": algebras["W3"], "W4": w4}
@@ -465,12 +483,19 @@ def measure():
     for name, alg in structure.items():
         for label, fn, counters in (
             ("conservativity", conservativity, conservativity_counters),
-            ("jacobi_space", jacobi_space, lambda space: {"dim": space.dim}),
+            ("jacobi_space", jacobi_space, dim_counters),
             ("quasi_units", quasi_units, quasi_unit_counters),
         ):
             rows.append(row(f"{label} {name}", lambda: fn(alg), counters))
             print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     rows.append(row("quasi_units W5", lambda: quasi_units(w5), quasi_unit_counters, runs=1))
+    print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    for name in ("W3", "W4"):
+        alg = structure[name]
+        rows.append(row(f"inner_derivations {name}", lambda: inner_derivations(alg), dim_counters))
+        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
+    w3_full = Subspace.full(algebras["W3"].dim)
+    rows.append(row("induced_algebra W3 full", lambda: induced_algebra(algebras["W3"], w3_full).sparse_table, nonzeros))
     print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     for name in CHILD_ROWS:
         rows.append(child_row(name))
@@ -484,13 +509,13 @@ def measure():
             rows.append(row(f"{label} {name}", lambda: fn(alg), counters))
             print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     for name, alg in (("W3", algebras["W3"]), ("W4", w4)):
-        rows.append(row(f"is_terminal {name}", lambda: is_terminal(alg), lambda holds: {"holds": holds}))
+        rows.append(row(f"is_terminal {name}", lambda: is_terminal(alg), verdict_counters))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     for n in (3, 4):
         rows.append(row(f"wn_associated_F W{n}", lambda: wn_associated_F(n), lambda f: {"nnz": len(f.coeffs)}))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     for name, alg in (("W3", algebras["W3"]), ("nilpotent4", zoo.fixture("nilpotent4"))):
-        rows.append(row(f"is_nilpotent4 {name}", lambda: identities.is_nilpotent4(alg), lambda holds: {"holds": holds}))
+        rows.append(row(f"is_nilpotent4 {name}", lambda: identities.is_nilpotent4(alg), verdict_counters))
         print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     for n in (7, 8):
         rows.append(row(f"build_wn W{n}", lambda: build_wn(n).sparse_table, nonzeros))

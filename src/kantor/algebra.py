@@ -39,6 +39,7 @@ from .linalg import (
     _dense,
     _exact,
     _sparse,
+    _subspace,
     add_vec,
     frac,
     is_zero_vec,
@@ -301,10 +302,12 @@ def annihilator(alg: Algebra) -> Subspace:
     return solve_columns(two_sided_columns(alg)).kernel()
 
 
-def basis_products(alg: Algebra, rows) -> Iterator[tuple]:
-    """Every product of two of the rows, computed lazily; rows[i] rows[j]
-    comes at index i * len(rows) + j."""
-    return (alg.mul_vec(a, b) for a in rows for b in rows)
+def basis_products(alg: Algebra, rows) -> Iterator[dict]:
+    """Every product of two of the sparse rows {i: c}, lazily, as the sparse
+    {k: c} row of its nonzeros, `Algebra.mul_expanded` on the constant
+    monomial 0; rows[i] rows[j] comes at index i * len(rows) + j."""
+    vectors = [{i: {0: c} for i, c in row.items()} for row in rows]
+    return ({k: terms[0] for k, terms in alg.mul_expanded(a, b).items()} for a in vectors for b in vectors)
 
 
 def _contraction(alg: Algebra, nu) -> dict:
@@ -365,10 +368,11 @@ def generated_subalgebra(alg: Algebra, generators) -> Subspace:
     gens = [g.coords if isinstance(g, Element) else vec(g) for g in generators]
     current = Subspace.from_spanning(alg.dim, gens)
     while True:
-        extra = [p for p in basis_products(alg, current.basis) if not current.contains(p)]
-        if not extra:
+        rows = [_sparse(r) for r in current.basis]
+        grown = _subspace(alg.dim, [*rows, *basis_products(alg, rows)])
+        if grown.dim == current.dim:
             return current
-        current = Subspace.from_spanning(alg.dim, list(current.basis) + extra)
+        current = grown
 
 
 def induced_algebra(alg: Algebra, s: Subspace, basis=None, names=None) -> Algebra:
@@ -378,18 +382,21 @@ def induced_algebra(alg: Algebra, s: Subspace, basis=None, names=None) -> Algebr
     (rows spanning s) reproduces hand-picked presentations.
     """
     if basis is None:
+        if s.ambient_dim != alg.dim:
+            raise DimensionMismatchError.of(alg.dim, s.ambient_dim)
         rows = list(s.basis)
     else:
         rows = [b.coords if isinstance(b, Element) else vec(b) for b in basis]
         if Subspace.from_spanning(alg.dim, rows) != s or len(rows) != s.dim:
             raise ValueError("supplied basis does not span the subspace")
     k = len(rows)
+    rows = [_sparse(r) for r in rows]
     products = list(basis_products(alg, rows))
-    system = solve_columns([_sparse(r) for r in rows], [_sparse(p) for p in products])
+    system = solve_columns(rows, products)
     table = {}
     for idx, product in enumerate(products):
         coords = system.solution(k + idx)
         if coords is None:
-            raise NotClosedError(*divmod(idx, k), product)
+            raise NotClosedError(*divmod(idx, k), _dense(product, alg.dim))
         table[divmod(idx, k)] = dict(enumerate(coords))
     return Algebra.from_products(k, table, names)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .algebra import Algebra, basis_products
 from .conservative import jacobi_space
 from .errors import DimensionMismatchError
-from .linalg import Matrix, Subspace, eliminate, solve_columns
+from .linalg import Matrix, Subspace, _subspace, eliminate, solve_columns
 from .multiops import MultilinearOp, kantor_bracket
 
 
@@ -81,13 +81,13 @@ def derivation_algebra(alg: Algebra) -> DerivationAlgebra:
     """Der(A) as the kernel of the `_leibniz_rows`, eliminated shortest
     first (the system has no right-hand side, so its RREF and kernel are
     unique whatever the order), and its Lie table: every [D_i, D_j] as a
-    sparse `kantor_bracket`, all written in the basis by one
-    `solve_columns`."""
+    `kantor_bracket` of operations read off the kernel vectors' nonzeros,
+    all written in the basis by one `solve_columns`."""
     n = alg.dim
     ker = eliminate(sorted(_leibniz_rows(alg).values(), key=len), n * n).kernel()
     basis = tuple(Matrix(n, n, v) for v in ker.basis)
     k = len(basis)
-    ops = [MultilinearOp.from_matrix(d) for d in basis]
+    ops = [MultilinearOp(1, n, {((z % n,), z // n): c for z, c in enumerate(v) if c}) for v in ker.basis]
     brackets = [kantor_bracket(ops[i], ops[j]).coeffs for i in range(k) for j in range(k)]
     system = solve_columns([op.coeffs for op in ops], brackets)
     coords = [system.solution(k + idx) for idx in range(k * k)]
@@ -99,17 +99,16 @@ def derivation_algebra(alg: Algebra) -> DerivationAlgebra:
 
 
 def derived_series(da: DerivationAlgebra):
-    """Dimensions of g, [g,g], [[g,g],[g,g]], ... until they stabilize."""
+    """Dimensions of g, [g,g], [[g,g],[g,g]], ... until they stabilize,
+    each the rank of the sparse products of the last one's RREF rows."""
     lie = da.lie
+    rows = [{i: 1} for i in range(lie.dim)]
     dims = [lie.dim]
-    current = Subspace.full(lie.dim)
     while True:
-        nxt = Subspace.from_spanning(lie.dim, basis_products(lie, current.basis))
-        if nxt.dim == current.dim:
-            break
-        dims.append(nxt.dim)
-        current = nxt
-    return dims
+        rows = eliminate(basis_products(lie, rows), lie.dim).rows
+        if len(rows) == dims[-1]:
+            return dims
+        dims.append(len(rows))
 
 
 def is_solvable(da: DerivationAlgebra) -> bool:
@@ -119,6 +118,7 @@ def is_solvable(da: DerivationAlgebra) -> bool:
 def inner_derivations(alg: Algebra) -> Subspace:
     """{L_a : a in the Jacobi space}, as a subspace of n^2-vectors; L_a is
     the product P with its first input fixed at a."""
+    n = alg.dim
     p = MultilinearOp.from_algebra(alg)
-    vecs = [p.partial(v).as_matrix().entries for v in jacobi_space(alg).basis]
-    return Subspace.from_spanning(alg.dim * alg.dim, vecs)
+    rows = [{out * n + s: c for ((s,), out), c in p.partial(v).coeffs.items()} for v in jacobi_space(alg).basis]
+    return _subspace(n * n, rows)

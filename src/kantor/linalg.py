@@ -32,8 +32,8 @@ A Fredholm certificate, `fredholm_certificate`, is the canonical solution
 of the transposed system, solved from the same sparse columns and
 computed only when a system is infeasible; it comes back keyed by the
 equation labels.  A `Matrix`, with no arithmetic, is only the dense form
-in which a linear map enters or leaves the package: every computation on a
-map is on an arity-1 `multiops.MultilinearOp`.
+of a linear map: it enters by `MultilinearOp.from_matrix`, the one dense
+entry, and every computation on a map is on an arity-1 `MultilinearOp`.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def is_zero_vec(x: Vec) -> bool:
 @dataclass(frozen=True)
 class Matrix:
     """Dense rational matrix, row-major, acting on coordinate columns;
-    `MultilinearOp.from_matrix` and `as_matrix` are its only conversions."""
+    `MultilinearOp.from_matrix` is its one conversion."""
 
     rows: int
     cols: int

@@ -8,8 +8,7 @@ coeffs maps (inputs, out) -> coefficient, meaning
 Each coefficient is exact, as `linalg.exact` gives it: an int where
 integral, else a Fraction, as in `Algebra.sparse_table`.  Ints keep the
 arithmetic of the structure constants cheap; the views (`coeff`,
-`as_element`, `as_matrix`, `as_algebra`, `apply_basis`) hand back
-Fractions.
+`as_element`, `as_algebra`, `apply_basis`) hand back Fractions.
 
 Arity 0 is an element, arity 1 a linear map, arity 2 a bilinear map (the
 same data as an Algebra's structure tensor).  `partial(x)` fixes the first
@@ -17,8 +16,8 @@ input at a coordinate vector x; on the product P of an algebra, P.partial(x)
 is left multiplication L_x (the tests compare it against a dense reference
 built from `mul_vec`, and `conservative`'s L_{e_z}, all grouped from P at
 once, against it).  Arity 1 is the package's one arithmetic on linear maps
-(a . b is the composition a(b(x))); a `linalg.Matrix` is only the dense form
-a map enters by `from_matrix` and leaves by `as_matrix`.
+(a . b is the composition a(b(x))); `from_matrix` is the one dense entry,
+from a `linalg.Matrix`, and a map leaves as its sparse `coeffs`.
 
 The composition used throughout is the sign-free shuffle insertion: with
 p = arity(a) and q = arity(b) >= 1,
@@ -118,13 +117,6 @@ class MultilinearOp:
         if self.arity != 0:
             raise ValueError("not an arity-0 operation")
         return self.apply_basis(())
-
-    def as_matrix(self) -> Matrix:
-        if self.arity != 1:
-            raise ValueError("not an arity-1 operation")
-        return Matrix.from_rows(
-            [[self.coeff((j,), i) for j in range(self.dim)] for i in range(self.dim)]
-        )
 
     def as_algebra(self, names=None) -> Algebra:
         if self.arity != 2:

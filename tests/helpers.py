@@ -17,9 +17,12 @@ before the linear rows decided pivots first, the elimination that reduced every 
 [E_rs, P] that `derivations._leibniz_rows` replaced and the Der(A) solved
 from them, the dense matrix arithmetic that arity-1 `MultilinearOp`s
 replaced, the one-variable substitution that `Poly.substitute` now leaves
-to `poly._substitute_all`, and the grid hyperplane oracle of
-`scripts/codim1_grid_check.py`), or a view the tests use to state what
-they check.
+to `poly._substitute_all`, the grid hyperplane oracle of
+`scripts/codim1_grid_check.py`, and the dense routes that sparse
+`algebra.basis_products` rows replaced: `mul_vec` products re-spanned for
+the derived series, generated subalgebras and induced tables, and
+`as_matrix` for the inner derivations), or a view the tests use to state
+what they check.
 """
 
 from collections import defaultdict, deque
@@ -30,10 +33,11 @@ from math import gcd, lcm
 from kantor import codim1
 from kantor.algebra import Algebra, Element, verify_subalgebra
 from kantor.codim1 import Codim1Report, PivotCase, hyperplane_basis
+from kantor.conservative import jacobi_space
 from kantor.derivations import DerivationAlgebra
-from kantor.errors import BudgetExceededError
+from kantor.errors import BudgetExceededError, NotClosedError
 from kantor.identities import Prod, Sum, Var, _fields
-from kantor.linalg import F0, F1, Echelon, Matrix, Subspace, _add_multiple, _exact, frac, solve_columns, sub_vec, unit_vec, vec
+from kantor.linalg import F0, F1, Echelon, Matrix, Subspace, _add_multiple, _exact, _sparse, frac, solve_columns, sub_vec, unit_vec, vec
 from kantor.multiops import MultilinearOp, kantor_bracket
 from kantor.poly import (
     MAX_REDUCTIONS,
@@ -514,6 +518,70 @@ def derivation_algebra_by_columns(alg: Algebra) -> DerivationAlgebra:
     products = {divmod(idx, k): dict(enumerate(system.solution(k + idx))) for idx in range(k * k)}
     lie = Algebra.from_products(k, products, names=[f"D{i + 1}" for i in range(k)])
     return DerivationAlgebra(n, basis, ker, lie)
+
+
+def as_matrix(op: MultilinearOp) -> Matrix:
+    """An arity-1 operation's dense matrix, every cell read through `coeff`:
+    row i, column j holds the coefficient of e_i in op(e_j)."""
+    if op.arity != 1:
+        raise ValueError("not an arity-1 operation")
+    return Matrix.from_rows([[op.coeff((j,), i) for j in range(op.dim)] for i in range(op.dim)])
+
+
+def dense_basis_products(alg: Algebra, rows) -> list:
+    """Every product of two dense rows by `mul_vec`; rows[i] rows[j] comes
+    at index i * len(rows) + j."""
+    return [alg.mul_vec(a, b) for a in rows for b in rows]
+
+
+def dense_derived_series(da: DerivationAlgebra) -> list:
+    """The dimensions of g, [g,g], ... until they stabilize, each step the
+    span of the dense products of the last step's basis, from the whole
+    space on."""
+    lie = da.lie
+    dims = [lie.dim]
+    current = Subspace.full(lie.dim)
+    while True:
+        nxt = Subspace.from_spanning(lie.dim, dense_basis_products(lie, current.basis))
+        if nxt.dim == current.dim:
+            return dims
+        dims.append(nxt.dim)
+        current = nxt
+
+
+def dense_inner_derivations(alg: Algebra) -> Subspace:
+    """The span of every L_a over the Jacobi space, each L_a read off
+    `MultilinearOp.partial` as a dense `as_matrix`."""
+    p = MultilinearOp.from_algebra(alg)
+    vecs = [as_matrix(p.partial(v)).entries for v in jacobi_space(alg).basis]
+    return Subspace.from_spanning(alg.dim * alg.dim, vecs)
+
+
+def dense_generated_subalgebra(alg: Algebra, generators) -> Subspace:
+    """The span of the generators, grown by every dense product outside it
+    until none is."""
+    current = Subspace.from_spanning(alg.dim, [vec(g) for g in generators])
+    while True:
+        extra = [p for p in dense_basis_products(alg, current.basis) if not current.contains(p)]
+        if not extra:
+            return current
+        current = Subspace.from_spanning(alg.dim, list(current.basis) + extra)
+
+
+def dense_induced_algebra(alg: Algebra, s: Subspace, names=None) -> Algebra:
+    """The product restricted to s in its RREF basis, every product dense;
+    the first product outside s raises `NotClosedError` with it."""
+    rows = list(s.basis)
+    k = len(rows)
+    products = dense_basis_products(alg, rows)
+    system = solve_columns([_sparse(r) for r in rows], [_sparse(p) for p in products])
+    table = {}
+    for idx, product in enumerate(products):
+        coords = system.solution(k + idx)
+        if coords is None:
+            raise NotClosedError(*divmod(idx, k), product)
+        table[divmod(idx, k)] = dict(enumerate(coords))
+    return Algebra.from_products(k, table, names)
 
 
 def _primitive_normal(v):

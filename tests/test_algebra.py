@@ -35,7 +35,7 @@ from kantor.storage import (
 from kantor.wn import XI_LABELS, Z_LABELS, build_wn, w2sym_subspace, wn_associated_F
 from kantor import zoo
 
-from helpers import identity_matrix, left_mul_operator, mat_col, mat_combination, mul_by_scatter, right_mul_operator
+from helpers import as_matrix, identity_matrix, left_mul_operator, mat_col, mat_combination, mul_by_scatter, right_mul_operator
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -270,7 +270,7 @@ def test_public_results_hold_fractions_on_int_tables(name):
     if f is not None:
         e1 = unit_vec(n, 0)
         vectors += [f.apply_basis((0, 0)), (f.coeff((0, 0), 0),)]
-        vectors += [f.partial(e1).as_matrix().entries, f.partial(e1).partial(e1).as_element()]
+        vectors += [as_matrix(f.partial(e1)).entries, f.partial(e1).partial(e1).as_element()]
         vectors += [p for row in f.as_algebra().table for p in row]
     assert vectors and all(type(x) is Fraction for v in vectors for x in v)
 
@@ -425,8 +425,13 @@ def test_induced_w2sym_from_wn2(wn2):
 
 def test_induced_not_closed_raises(wn2):
     sub = drop(8, 0)
-    with pytest.raises(NotClosedError):
+    with pytest.raises(NotClosedError) as err:
         induced_algebra(wn2, sub)
+    # the first product outside, as a dense tuple of Fractions
+    i, j, product = err.value.i, err.value.j, err.value.product
+    assert (i, j) == (0, 3)
+    assert type(product) is tuple and all(type(x) is Fraction for x in product)
+    assert product == wn2.mul_vec(sub.basis[i], sub.basis[j])
 
 
 def test_induced_respects_products(s2, w2sym):

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from kantor.algebra import Algebra
+from kantor.algebra import Algebra, generated_subalgebra, induced_algebra
 from kantor.claims import (
     audit_derivations,
     wn2_derivation_display,
@@ -17,6 +19,7 @@ from kantor.derivations import (
     is_derivation,
     is_solvable,
 )
+from kantor.errors import NotClosedError
 from kantor.linalg import Matrix, Subspace, eliminate, unit_vec
 from kantor.multiops import MultilinearOp, kantor_bracket
 from kantor.wn import build_wn
@@ -24,6 +27,10 @@ from kantor import zoo
 
 from helpers import (
     commutator,
+    dense_derived_series,
+    dense_generated_subalgebra,
+    dense_induced_algebra,
+    dense_inner_derivations,
     derivation_algebra_by_columns,
     derivation_columns,
     identity_matrix,
@@ -258,3 +265,53 @@ def test_derived_series_abelian():
     )
     assert derived_series(abelian) == [2, 0]
     assert is_solvable(abelian)
+
+
+def _seeded_algebra(seed):
+    """A random algebra of dim 1-5, about half its products nonzero, with
+    constants in -2..2 over denominators 1 and 2."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    products = {
+        (i, j): {k: Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2))) for k in range(n) if rng.random() < 0.5}
+        for i in range(n)
+        for j in range(n)
+        if rng.random() < 0.5
+    }
+    return Algebra.from_products(n, products)
+
+
+_NAMED = {
+    **{name: lambda name=name: zoo.fixture(name) for name in sorted(zoo.FIXTURES)},
+    "M4": lambda: zoo.matrix_algebra(4),
+    "W3": lambda: build_wn(3),
+    "W4": lambda: build_wn(4),
+    "zero0": lambda: Algebra.zero(0),
+    "dim1": lambda: Algebra.from_products(1, {(0, 0): {0: 2}}),
+    **{f"random{seed}": lambda seed=seed: _seeded_algebra(seed) for seed in range(40)},
+}
+
+
+def _outcome(fn, *args):
+    """fn's value, or the pair and product of the `NotClosedError` it raises."""
+    try:
+        return fn(*args)
+    except NotClosedError as err:
+        return ("not closed", err.i, err.j, err.product)
+
+
+@pytest.mark.parametrize("name", list(_NAMED))
+def test_sparse_products_match_the_dense_routes(name):
+    # the derived series, inner derivations, generated subalgebras and
+    # induced tables from sparse `basis_products` rows equal those of
+    # dense `mul_vec` products re-spanned, and of `as_matrix` for L_a
+    alg = _NAMED[name]()
+    n = alg.dim
+    da = derivation_algebra(alg)
+    assert derived_series(da) == dense_derived_series(da)
+    assert inner_derivations(alg) == dense_inner_derivations(alg)
+    gens = [unit_vec(n, 0), tuple(Fraction(i % 3 - 1, 2) for i in range(n))] if n else []
+    sub = generated_subalgebra(alg, gens)
+    assert sub == dense_generated_subalgebra(alg, gens)
+    for s in (sub, Subspace.full(n), Subspace.from_spanning(n, gens)):
+        assert _outcome(induced_algebra, alg, s) == _outcome(dense_induced_algebra, alg, s)

@@ -1,5 +1,6 @@
 """The documented scripts, run as a user runs them."""
 
+import json
 import pathlib
 import subprocess
 import sys
@@ -28,3 +29,13 @@ def test_codim1_grid_check_finds_no_disagreement():
     result = _run("codim1_grid_check.py", "--count", "5", "--dim", "3")
     assert result.returncode == 0, result.stderr
     assert "0 grid disagreements" in result.stdout
+
+
+def test_bench_child_row_reports_its_own_peak():
+    # one heavy row in a fresh child under its address-space cap
+    result = _run("bench.py", "--child", "codim1 W5")
+    assert result.returncode == 0, result.stderr
+    row = json.loads(result.stdout.splitlines()[-1])
+    assert row["peak_rss_mb"] > 0
+    assert row["counters"]["found"] == 0
+    assert row["counters"]["budget_errors"] == 0
