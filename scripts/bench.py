@@ -290,7 +290,7 @@ def nonzeros(sparse_table):
 
 def row(name, fn, counters, runs=RUNS, **extra):
     """Time `runs` calls of fn; the counters of every result must agree.
-    Each run's window and time less the probe's go to `windows`, for
+    Prints the row's median as a progress line.  Each run's window and time less the probe's go to `windows`, for
     `rescale` once the probe has stopped."""
     times, windows, seen = [], [], []
     for _ in range(runs):
@@ -303,10 +303,12 @@ def row(name, fn, counters, runs=RUNS, **extra):
         seen.append(counters(result))
     if any(c != seen[0] for c in seen):
         raise RuntimeError(f"{name}: counters differ between runs: {seen}")
+    median_s = round(statistics.median(times), 4)
+    print(f"{name}: {median_s} s", flush=True)
     return {
         "name": name,
         "runs": runs,
-        "median_s": round(statistics.median(times), 4),
+        "median_s": median_s,
         "median_rescaled_s": None,  # filled by rescale
         "runs_s": [round(t, 4) for t in times],
         "counters": {**seen[0], **extra},
@@ -361,7 +363,8 @@ def peak_rss_mb():
 
 
 def child_row(name):
-    """Row `name` from one fresh child process (`child_main`)."""
+    """Row `name` from one fresh child process (`child_main`), its median
+    and peak printed as a progress line; the child prints only its JSON."""
     done = subprocess.run(
         [sys.executable, str(pathlib.Path(__file__).resolve()), "--child", name],
         cwd=ROOT,
@@ -372,6 +375,7 @@ def child_row(name):
         raise RuntimeError(f"{name}: child exited {done.returncode}: {done.stderr.strip()}")
     result = json.loads(done.stdout)
     start, end = result["start"], result["end"]
+    print(f"{name}: {round(end - start, 4)} s, {result['peak_rss_mb']} MB", flush=True)
     return {
         "name": name,
         "runs": 1,
@@ -453,10 +457,8 @@ def measure():
             identity_counters,
             defect_terms={i.name: defect_terms(alg, i) for i in suite.identities},
         ))
-        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     for name, alg in (*algebras.items(), ("W4", w4)):
         rows.append(row(f"codim1 {name}", lambda: codim1_subalgebras(alg), codim1_counters))
-        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     randoms = random_algebras()
     rows.append(row(
         "codim1 random dim 3-6",
@@ -466,7 +468,6 @@ def measure():
         algebras=RANDOM_COUNT,
         seed=RANDOM_SEED,
     ))
-    print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
 
     w2, f2, f3 = build_wn(2), wn_associated_F(2), wn_associated_F(3)
     for name, fn, runs in (
@@ -474,12 +475,10 @@ def measure():
         ("verify_associated W3 default", lambda: verify_associated(algebras["W3"], f3), RUNS),
     ):
         rows.append(row(name, fn, verdict_counters, runs=runs))
-        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
 
     structure = {"M4": algebras["M4"], "W3": algebras["W3"], "W4": w4}
     for name, alg in structure.items():
         rows.append(row(f"derivations {name}", lambda: derivations(alg), derivation_counters))
-        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     for name, alg in structure.items():
         for label, fn, counters in (
             ("conservativity", conservativity, conservativity_counters),
@@ -487,19 +486,14 @@ def measure():
             ("quasi_units", quasi_units, quasi_unit_counters),
         ):
             rows.append(row(f"{label} {name}", lambda: fn(alg), counters))
-            print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     rows.append(row("quasi_units W5", lambda: quasi_units(w5), quasi_unit_counters, runs=1))
-    print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     for name in ("W3", "W4"):
         alg = structure[name]
         rows.append(row(f"inner_derivations {name}", lambda: inner_derivations(alg), dim_counters))
-        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     w3_full = Subspace.full(algebras["W3"].dim)
     rows.append(row("induced_algebra W3 full", lambda: induced_algebra(algebras["W3"], w3_full).sparse_table, nonzeros))
-    print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     for name in CHILD_ROWS:
         rows.append(child_row(name))
-        print(f"{name}: {rows[-1]['median_s']} s, {rows[-1]['peak_rss_mb']} MB", flush=True)
     infeasible = {"m7": zoo.fixture("m7"), "slc20": zoo.simple_left_commutative(20)}
     for name, alg in infeasible.items():
         for label, fn, counters in (
@@ -507,24 +501,18 @@ def measure():
             ("quasi_units", quasi_units, quasi_unit_counters),
         ):
             rows.append(row(f"{label} {name}", lambda: fn(alg), counters))
-            print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     for name, alg in (("W3", algebras["W3"]), ("W4", w4)):
         rows.append(row(f"is_terminal {name}", lambda: is_terminal(alg), verdict_counters))
-        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     for n in (3, 4):
         rows.append(row(f"wn_associated_F W{n}", lambda: wn_associated_F(n), lambda f: {"nnz": len(f.coeffs)}))
-        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     for name, alg in (("W3", algebras["W3"]), ("nilpotent4", zoo.fixture("nilpotent4"))):
         rows.append(row(f"is_nilpotent4 {name}", lambda: identities.is_nilpotent4(alg), verdict_counters))
-        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     for n in (7, 8):
         rows.append(row(f"build_wn W{n}", lambda: build_wn(n).sparse_table, nonzeros))
-        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "wn3.json")
         storage.save_algebra(algebras["W3"], path)
         rows.append(row("load_algebra W3", lambda: storage.load_algebra(path).sparse_table, nonzeros))
-        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     cli_argvs = [
         ["--json", command[0], "--fixture", fixture_name, *command[1:]]
         for command in (["conservative"], ["derivations"], ["codim1"], ["identity", "--name", "malcev"])
@@ -533,12 +521,9 @@ def measure():
     cli_argvs.append(["--json", "fixture", "zero2"])
     for argv in cli_argvs:
         rows.append(row(f"cli {' '.join(argv)}", lambda: run_cli(argv), cli_counters))
-        print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     one_shot = ["--json", "fixture", "zero2"]
     rows.append(row(f"cli one-shot {' '.join(one_shot)}", lambda: run_cli_process(one_shot), cli_counters))
-    print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s", flush=True)
     rows.append(row("tier1 pytest -q", run_tier1, tier1_counters, runs=1))
-    print(f"{rows[-1]['name']}: {rows[-1]['median_s']} s {rows[-1]['counters']}", flush=True)
     return rows
 
 

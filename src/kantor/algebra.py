@@ -15,12 +15,12 @@ pairs.  `multiply_out` turns each coordinate's filed terms into its
 {monomial: coefficient} polynomial, in ascending order and only when the
 caller reaches it.  A monomial is a packed int, so the product of two
 monomials is their sum.  `mul_expanded` is the walk plus every coordinate
-multiplied out; the identity evaluator multiplies generic (symbolic)
+multiplied out.  The identity evaluator multiplies generic (symbolic)
 vectors with it, and `mul_vec` is the same kernel on concrete coordinate
-vectors, at the constant monomial 0.  A caller that needs only the first
-nonzero coordinate of a sum of products gathers them all and stops
-`multiply_out` there, as the identity engine does with an identity's
-defect.
+vectors at the constant monomial 0, which enter as `linalg._sparse` gives
+them.  A caller that needs only the first nonzero coordinate of a sum of
+products gathers them all and stops `multiply_out` there, as the identity
+engine does with an identity's defect.
 """
 
 from __future__ import annotations
@@ -28,13 +28,10 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .errors import DimensionMismatchError, NotClosedError
 from .linalg import (
-    F0,
     Subspace,
     _dense,
     _exact,
@@ -73,15 +70,6 @@ def multiply_out(groups):
         terms = {m: c for m, c in acc.items() if c}
         if terms:
             yield k, terms
-
-
-def _numerators(x):
-    """A coordinate vector as ({i: numerator}, d) over its nonzero
-    coordinates: coordinate i is numerator / d, d being the least common
-    denominator."""
-    x = {i: frac(c) for i, c in enumerate(x) if c}
-    d = lcm(*(c.denominator for c in x.values()))
-    return {i: c.numerator * (d // c.denominator) for i, c in x.items()}, d
 
 
 @dataclass(frozen=True)
@@ -191,20 +179,13 @@ class Algebra:
 
     def mul_vec(self, x, y):
         """Product of two coordinate vectors, as Fractions: `mul_expanded`
-        on the constant monomial 0, fed each vector's integer numerators
-        over their common denominator, so that only the structure constants
-        can bring a Fraction into the products."""
+        on the constant monomial 0, each vector taken through `_sparse`."""
         n = self.dim
         if len(x) != n or len(y) != n:
             raise DimensionMismatchError.of(n, (len(x), len(y)))
-        (a, dx), (b, dy) = _numerators(x), _numerators(y)
-        d = dx * dy
-        out = [F0] * n
-        a = {i: {0: c} for i, c in a.items()}
-        b = {j: {0: c} for j, c in b.items()}
-        for k, terms in self.mul_expanded(a, b).items():
-            out[k] = frac(terms[0]) if d == 1 else Fraction(terms[0], d)
-        return tuple(out)
+        a = {i: {0: c} for i, c in _sparse(x).items()}
+        b = {j: {0: c} for j, c in _sparse(y).items()}
+        return _dense({k: terms[0] for k, terms in self.mul_expanded(a, b).items()}, n)
 
     def multiply(self, x: "Element", y: "Element") -> "Element":
         if x.algebra is not self and x.algebra != self:
@@ -333,14 +314,14 @@ def closure_witness(alg: Algebra, s: Subspace):
     `s.orthogonal_complement()`, vanishes on it, and nu(x y) is the
     bilinear form `_contraction(alg, nu)` at (x, y).  So each basis row x
     is multiplied into each form once, and nu(x y) for every basis row y
-    is a dot product with that.  Rows and normals are taken as integer
-    multiples, which keeps the zero tests in ints; only the first failing
-    pair is multiplied out, by `mul_vec`.
+    is a dot product with that.  Rows and normals are taken through
+    `_sparse`; only the first failing pair is multiplied out, by
+    `mul_vec`.
     """
     if s.ambient_dim != alg.dim:
         raise DimensionMismatchError.of(alg.dim, s.ambient_dim)
-    rows = [_numerators(r)[0] for r in s.basis]
-    forms = [_contraction(alg, _numerators(nu)[0]) for nu in s.orthogonal_complement().basis]
+    rows = [_sparse(r) for r in s.basis]
+    forms = [_contraction(alg, _sparse(nu)) for nu in s.orthogonal_complement().basis]
     for i, x in enumerate(rows):
         images = []  # x B for each form B, as {j: value}
         for form in forms:

@@ -23,19 +23,20 @@ field of B bits per symbol, B being the bit length of the expression's
 degree, and symbol 0 in the most significant field: no exponent reaches
 2**B, so multiplying monomials is adding ints, and int order is lex order
 of exponent vectors.  A concrete vector sits at the constant monomial 0,
-so `evaluate_identity` runs the same code.
-A linear combination is one `Sum` node.  Below the top level, every node
-is built whole: a sum added into one accumulator and pruned once, a
-product by `Algebra.mul_expanded`.  The defect itself, the top level, is
-never built whole.  Every product reached from the root through sums
-(and a bare top-level product) goes to `Algebra.gather`, the package's
-one walk over the nonzero structure constants, which files its terms
+its coordinates taken through `linalg._sparse`, so `evaluate_identity`
+runs the same code.
+A linear combination is one `Sum` node, and every node but a variable
+goes through the package's one product kernel.  Every product reached
+from a node through sums (and a bare product) goes to `Algebra.gather`,
+the one walk over the nonzero structure constants, which files its terms
 under their output coordinates, each scaled by the product of the sum
 coefficients above it; a variable reached that way goes in as its
-coordinates times the constant monomial.  `defect_coordinates` then
-yields the nonzero coordinates in ascending order, multiplying each out
-(`algebra.multiply_out`) only when it is reached.  The defect is a unique
-polynomial vector, so this changes no value: only how much of it is
+coordinates times the constant monomial.  `algebra.multiply_out` then
+turns each coordinate's filed terms into its polynomial.  The operands of
+a product are built whole this way; the defect itself, the top level, is
+not: `defect_coordinates` yields its nonzero coordinates in ascending
+order, multiplying each out only when it is reached.  The defect is a
+unique polynomial vector, so this changes no value: only how much of it is
 built.  Like the heap multiplication of Monagan & Pearce, which produces
 terms in order so that a caller can stop early, it lets `check_identity`,
 `suite_holds` and the cross-check of `conservative.verify_associated`
@@ -51,10 +52,11 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import Algebra, multiply_out
 from .errors import AlgebraFormatError, DimensionMismatchError, ExprSyntaxError, MissingBracketError
-from .linalg import F0, exact, frac
+from .linalg import F0, _sparse, exact, frac
 from .storage import MAX_DIGITS, read_json
 
 MAX_FREE_VARIABLES = 4
@@ -256,7 +258,7 @@ class Identity:
     source: str
     expr: object
 
-    @property
+    @cached_property
     def needs_bracket(self) -> bool:
         return uses_bracket(self.expr)
 
@@ -293,35 +295,15 @@ def identity(name, variables, source) -> Identity:
 # -- evaluation ---------------------------------------------------------------
 
 
-def _prune(vector):
-    """Drop zero coefficients, then coordinates left without monomials."""
-    out = {}
-    for k, terms in vector.items():
-        if not all(terms.values()):
-            terms = {m: c for m, c in terms.items() if c}
-        if terms:
-            out[k] = terms
-    return out
-
-
 def _eval(node, env, alg, bracket):
-    """Value of an expression over vectors {coordinate: {monomial: coeff}}."""
+    """Value of an expression over vectors {coordinate: {monomial: coeff}}:
+    a variable's own vector, any other node gathered by `_gather_top` and
+    every coordinate multiplied out."""
     if isinstance(node, Var):
         return env[node.name]
-    if isinstance(node, Sum):
-        acc = {}
-        for coeff, arg in node.terms:
-            c = exact(coeff)
-            for k, terms in _eval(arg, env, alg, bracket).items():
-                row = acc.get(k)
-                if row is None:
-                    row = acc[k] = {}
-                for m, v in terms.items():
-                    row[m] = row.get(m, 0) + c * v
-        return _prune(acc)
-    a = _eval(node.left, env, alg, bracket)
-    b = _eval(node.right, env, alg, bracket)
-    return (alg if isinstance(node, Prod) else bracket).mul_expanded(a, b)
+    groups = defaultdict(list)
+    _gather_top(node, 1, env, alg, bracket, groups)
+    return dict(multiply_out(groups))
 
 
 _ONE = {0: 1}  # the constant monomial with coefficient 1
@@ -329,8 +311,8 @@ _ONE = {0: 1}  # the constant monomial with coefficient 1
 
 def _gather_top(node, f, env, alg, bracket, groups):
     """File f * node into groups as `Algebra.gather` does, without building
-    the value of any product reached through sums from the root: the
-    operands of such a product are evaluated whole, the product itself only
+    the value of any product reached through sums from the node: the
+    operands of such a product are built by `_eval`, the product itself only
     gathered.  A variable's coordinate k goes in as (f, v[k], {0: 1})."""
     if isinstance(node, Sum):
         for coeff, arg in node.terms:
@@ -370,7 +352,7 @@ def evaluate_identity(alg: Algebra, ident: Identity, assignment, bracket: Algebr
         coords = tuple(assignment[v])
         if len(coords) != n:
             raise DimensionMismatchError.of(n, len(coords))
-        env[v] = {i: {0: exact(c)} for i, c in enumerate(coords) if c}
+        env[v] = {i: {0: c} for i, c in _sparse(coords).items()}
     defect = dict(_defect(alg, ident, env, bracket))
     return tuple(frac(defect[k][0]) if k in defect else F0 for k in range(n))
 

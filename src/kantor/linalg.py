@@ -120,12 +120,14 @@ class Matrix:
 
 
 def _sparse(values) -> dict:
-    """The ``{column: Fraction}`` row of a vector's nonzero coordinates."""
+    """The ``{column: value}`` row of a dense vector's nonzero coordinates,
+    each as `exact` gives it: the one conversion of a concrete vector for
+    `eliminate` and for the product kernel."""
     row = {}
     for j, x in enumerate(values):
         x = frac(x)
         if x:
-            row[j] = x
+            row[j] = _exact(x)
     return row
 
 

@@ -108,12 +108,7 @@ class Poly:
             c = exact(other)
             return Poly(self.variables, {e: c * v for e, v in self.terms.items()})
         _same_ring(self.variables, other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return Poly(self.variables, terms)
+        return Poly(self.variables, _multiply_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
