@@ -25,8 +25,11 @@ certificate, on the M7 fixture and `simple_left_commutative(20)`,
 `is_terminal` on W(3) and W(4), `wn_associated_F` on W(3) and W(4),
 `is_nilpotent4` on W(3) and on the nilpotent4 fixture, `build_wn` on W(7)
 and W(8) and `storage.load_algebra` of W(3)'s JSON file, each timed up to
-its `sparse_table`, and, end to end,
-`cli.main(["--json", command, "--fixture", f])` for the commands
+its `sparse_table`; the CLI's file I/O: `storage.dumps_algebra` of W(4),
+`storage.load_algebra` of M7_DENSE, the M7 fixture written as a dense table
+in the basis f_i = e_i + e_(i+1) (f_7 = e_7), a fixed unimodular change
+built here, and `cli.main(["--json", "derivations", M7_DENSE])`; and, end
+to end, `cli.main(["--json", command, "--fixture", f])` for the commands
 `conservative`, `derivations`, `codim1` and `identity --name malcev` on
 the fixtures wn2, wn3, m7 and s2, and `cli.main(["--json", "fixture",
 "zero2"])`, whose time is the fixed cost of one call; the same command
@@ -86,9 +89,12 @@ has run, when the samples after each run exist.  The counters are:
 - wn_associated_F rows: the number of nonzero coefficients of F;
 - is_nilpotent4 rows: the verdict;
 - build_wn, load_algebra and induced_algebra rows: the number of nonzero
-  structure constants;
+  structure constants; the load_algebra row of M7_DENSE also the SHA-256
+  of the loaded basis names and `sparse_table`, value types included;
+- dumps_algebra rows: the SHA-256 of the text written;
 - CLI rows, the one-shot row too: the exit code and the SHA-256 of what
-  the command printed;
+  the command printed (the file row runs in the file's directory, so that
+  its report names the same path on every run);
 - the Tier-1 row: the numbers of tests passed and failed.
 
 Timings on a small shared machine are noisy; compare two labels written on
@@ -137,6 +143,7 @@ CHILD_ROWS = {  # row -> n of its W(n); the row's first word names its call (`ch
     **{f"{call} W7": 7 for call in ("jacobi_space", "quasi_units", "is_terminal")},
 }
 CHILD_CAP_MB = 3072  # address-space cap of each child row
+M7_DENSE = "m7-dense.json"  # the basis-changed M7 file of the I/O rows
 PROBE = speed.SpeedProbe()  # sampling between start() and stop() in main
 
 
@@ -261,6 +268,34 @@ def run_tier1():
 def tier1_counters(summary):
     counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed)", summary)}
     return {"passed": counts.get("passed", 0), "failed": counts.get("failed", 0)}
+
+
+def basis_changed_document(alg):
+    """The dense document of alg in the basis f_i = e_i + e_(i+1), f_n = e_n:
+    a vector with e-coordinates a has f-coordinates b with b_0 = a_0 and
+    b_k = a_k - b_(k-1), so every constant stays an integer."""
+    n = alg.dim
+    basis = [tuple(int(k in (i, i + 1)) for k in range(n)) for i in range(n)]
+    table = []
+    for x in basis:
+        products = []
+        for y in basis:
+            b = []
+            for a in alg.mul_vec(x, y):
+                b.append(a - (b[-1] if b else 0))
+            products.append({alg.basis_names[k]: str(c) for k, c in enumerate(b) if c})
+        table.append(products)
+    return {"dim": n, "basis": list(alg.basis_names), "table": table}
+
+
+def table_digest(alg):
+    """The nonzero count and the SHA-256 of alg's basis names and `sparse_table`."""
+    digest = hashlib.sha256(repr((alg.basis_names, alg.sparse_table)).encode()).hexdigest()
+    return {**nonzeros(alg.sparse_table), "sha256": digest}
+
+
+def text_digest(text):
+    return {"sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
 def random_algebras():
@@ -513,6 +548,13 @@ def measure():
         path = os.path.join(tmp, "wn3.json")
         storage.save_algebra(algebras["W3"], path)
         rows.append(row("load_algebra W3", lambda: storage.load_algebra(path).sparse_table, nonzeros))
+        rows.append(row("dumps_algebra W4", lambda: storage.dumps_algebra(w4), text_digest))
+        with open(os.path.join(tmp, M7_DENSE), "w", encoding="utf-8") as fh:
+            json.dump(basis_changed_document(zoo.fixture("m7")), fh, indent=1)
+        with contextlib.chdir(tmp):
+            rows.append(row("load_algebra m7 dense", lambda: storage.load_algebra(M7_DENSE), table_digest))
+            argv = ["--json", "derivations", M7_DENSE]
+            rows.append(row(f"cli {' '.join(argv)}", lambda: run_cli(argv), cli_counters))
     cli_argvs = [
         ["--json", command[0], "--fixture", fixture_name, *command[1:]]
         for command in (["conservative"], ["derivations"], ["codim1"], ["identity", "--name", "malcev"])

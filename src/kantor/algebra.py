@@ -110,7 +110,7 @@ class Algebra:
         for (i, j), out in products.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"product index ({i!r}, {j!r}) out of range for dim {n}")
-            out = {k: _exact(frac(c)) for k, c in out.items() if c}
+            out = {k: c if type(c) is int else _exact(frac(c)) for k, c in out.items() if c}
             table[i][j] = tuple(sorted((k, c) for k, c in out.items() if c))
         return cls(tuple(names) if names else default_names(n), tuple(map(tuple, table)))
 

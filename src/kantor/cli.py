@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import os
 import sys
 
@@ -56,6 +55,7 @@ from .identities import (
 from .storage import (
     algebra_document,
     dumps_algebra,
+    dumps_json,
     load_algebra_pair,
     load_linear_map,
     parse_rational,
@@ -467,13 +467,13 @@ def _execute(args, argv):
 
 def _print_report(report, as_json):
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(dumps_json(report, sort_keys=True))
         return
     for line in report.get("table", ()):
         print(line)
     result = report.get("result")
     if result is not None and "table" not in report:
-        print(json.dumps(result, indent=2, sort_keys=True))
+        print(dumps_json(result, sort_keys=True))
     for e in report.get("errata", ()):
         print(f"erratum: {e}")
     if report["status"] != "ok":

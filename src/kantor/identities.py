@@ -56,7 +56,7 @@ from functools import cached_property
 
 from .algebra import Algebra, multiply_out
 from .errors import AlgebraFormatError, DimensionMismatchError, ExprSyntaxError, MissingBracketError
-from .linalg import F0, _sparse, exact, frac
+from .linalg import F0, _exact, _sparse, frac
 from .storage import MAX_DIGITS, read_json
 
 MAX_FREE_VARIABLES = 4
@@ -313,10 +313,13 @@ def _gather_top(node, f, env, alg, bracket, groups):
     """File f * node into groups as `Algebra.gather` does, without building
     the value of any product reached through sums from the node: the
     operands of such a product are built by `_eval`, the product itself only
-    gathered.  A variable's coordinate k goes in as (f, v[k], {0: 1})."""
+    gathered.  A variable's coordinate k goes in as (f, v[k], {0: 1}).
+    f is an int wherever it is integral: a term's coefficient and its
+    product with f are both made exact, so integers multiply as ints and
+    an integral product of Fractions becomes one."""
     if isinstance(node, Sum):
         for coeff, arg in node.terms:
-            _gather_top(arg, f * exact(coeff), env, alg, bracket, groups)
+            _gather_top(arg, _exact(f * _exact(coeff)), env, alg, bracket, groups)
     elif isinstance(node, Var):
         for k, terms in env[node.name].items():
             groups[k].append((f, terms, _ONE))

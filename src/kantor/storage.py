@@ -15,6 +15,9 @@ entries are zero and every rational is a string `p/q` or `p`, the sign on
 the numerator; no other form is read, and no integer of more than
 MAX_DIGITS digits as written.  `bracket_table` carries a second product
 over the same basis (used for Poisson-style input).
+
+This module is the one reader of rationals and the one JSON writer:
+`dumps_json` writes every report and algebra file of the package.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import Algebra
 from .errors import AlgebraFormatError
-from .linalg import Matrix
+from .linalg import Matrix, _exact
 
 # Most digits an integer may have as written in any input: the interpreter's
 # int-string limit when this module is imported (0: no cap).  `cli.main`
@@ -42,16 +46,22 @@ def parse_rational(text) -> Fraction:
     """The documented forms `p/q` and `p`: ASCII digits, at most MAX_DIGITS
     in p and in q, and an optional sign on p.  ValueError or
     ZeroDivisionError otherwise."""
+    return Fraction(_rational(text))
+
+
+def _rational(text):
+    """`parse_rational`'s value, an int where it is integral."""
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"expected {_FORM}")
-    return Fraction(text)
+    p, _, q = text.partition("/")
+    return _exact(Fraction(int(p), int(q))) if q else int(p)
 
 
 def _parse_rational(text, where):
     if not isinstance(text, str):
         raise AlgebraFormatError(f"rational values must be strings, got {text!r}", where)
     try:
-        return parse_rational(text)
+        return _rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise AlgebraFormatError(f"not a rational: {text!r} ({exc})", where) from None
 
@@ -60,14 +70,17 @@ def _is_count(x):
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
-def _parse_combo(obj, names, where):
+def _parse_combo(obj, index, where):
+    """{k: value} of a {basis_name: rational} map; `index` maps names to
+    indices."""
     out = {}
     if not isinstance(obj, dict):
         raise AlgebraFormatError("product entries must be {basis_name: rational} maps", where)
     for name, val in obj.items():
-        if name not in names:
+        k = index.get(name)
+        if k is None:
             raise AlgebraFormatError(f"unknown basis name {name!r}", where)
-        out[names.index(name)] = _parse_rational(val, f"{where}.{name}")
+        out[k] = _parse_rational(val, f"{where}.{name}")
     return out
 
 
@@ -84,21 +97,21 @@ def _key_splits(key, index):
 def _parse_products(obj, names, where):
     """The algebra over `names` with the products `obj`, dense or sparse."""
     n = len(names)
+    index = {name: i for i, name in enumerate(names)}
     table = {}
     if isinstance(obj, list):
         if len(obj) != n or any(not isinstance(r, list) or len(r) != n for r in obj):
             raise AlgebraFormatError(f"dense table must be a {n}x{n} array", where)
         for i, row in enumerate(obj):
             for j, cell in enumerate(row):
-                table[i, j] = _parse_combo(cell, names, f"{where}[{i}][{j}]")
+                table[i, j] = _parse_combo(cell, index, f"{where}[{i}][{j}]")
     elif isinstance(obj, dict):
-        index = {name: i for i, name in enumerate(names)}
         for key, cell in obj.items():
             splits = _key_splits(key, index)
             if len(splits) != 1:
                 problem = "ambiguous" if splits else "bad"
                 raise AlgebraFormatError(f"{problem} product key {key!r}", where)
-            table[splits[0]] = _parse_combo(cell, names, f"{where}.{key}")
+            table[splits[0]] = _parse_combo(cell, index, f"{where}.{key}")
     else:
         raise AlgebraFormatError("table must be a dense array or a sparse object", where)
     return Algebra.from_products(n, table, names)
@@ -158,15 +171,16 @@ def load_algebra(path) -> Algebra:
 
 def _products_document(alg: Algebra):
     """The sparse products; a key that would read back as more than one
-    basis pair is an AlgebraFormatError."""
+    basis pair is an AlgebraFormatError; only names with a "*" can make one."""
     out = {}
     names = alg.basis_names
+    starred = any("*" in name for name in names)
     index = {name: i for i, name in enumerate(names)}
     for i, row in enumerate(alg.sparse_table):
         for j, outputs in enumerate(row):
             if outputs:
                 key = f"{names[i]}*{names[j]}"
-                if len(_key_splits(key, index)) > 1:
+                if starred and len(_key_splits(key, index)) > 1:
                     raise AlgebraFormatError(f"ambiguous product key {key!r}: basis names contain '*'")
                 out[key] = {names[k]: str(c) for k, c in outputs}
     return out
@@ -184,8 +198,50 @@ def algebra_document(alg: Algebra, bracket: Algebra = None):
     return doc
 
 
+def dumps_json(obj, sort_keys=False) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=sort_keys)`, byte for byte.
+
+    json writes an indented document with its pure-Python encoder; here
+    strings go through json's C quoting and ints through `int.__repr__`,
+    and any other scalar through json itself, so a value json cannot write
+    (a Fraction, a set) raises the same TypeError."""
+    return _json(obj, "\n", sort_keys)
+
+
+def _json(obj, newline, sort_keys):
+    """`dumps_json` of obj at the indentation that ends `newline`."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        parts = [_json(x, inner, sort_keys) for x in obj]
+        return f"[{inner}{(',' + inner).join(parts)}{newline}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = sorted(obj.items()) if sort_keys else obj.items()
+        parts = [
+            f"{_quote(k if isinstance(k, str) else _json_key(k))}: {_json(v, inner, sort_keys)}"
+            for k, v in items
+        ]
+        return f"{{{inner}{(',' + inner).join(parts)}{newline}}}"
+    return json.dumps(obj)
+
+
+def _json_key(key):
+    """A key other than a str as json writes it: int, float, bool and None
+    only."""
+    if key is None or isinstance(key, (int, float)):
+        return _json(key, "", False)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
 def dumps_algebra(alg: Algebra, bracket: Algebra = None) -> str:
-    return json.dumps(algebra_document(alg, bracket), indent=2) + "\n"
+    return dumps_json(algebra_document(alg, bracket)) + "\n"
 
 
 def save_algebra(alg: Algebra, path, bracket: Algebra = None):

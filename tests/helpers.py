@@ -21,10 +21,12 @@ to `poly._substitute_all`, the grid hyperplane oracle of
 `scripts/codim1_grid_check.py`, and the dense routes that sparse
 `algebra.basis_products` rows replaced: `mul_vec` products re-spanned for
 the derived series, generated subalgebras and induced tables, and
-`as_matrix` for the inner derivations), or a view the tests use to state
-what they check.
+`as_matrix` for the inner derivations, and the library JSON writer that
+`storage.dumps_json` replaced), or a view the tests use to state what they
+check.
 """
 
+import json
 from collections import defaultdict, deque
 from fractions import Fraction
 from itertools import combinations, product
@@ -623,3 +625,9 @@ def normal_vector(sub: Subspace):
         raise ValueError("not a hyperplane")
     (v,) = sub.orthogonal_complement().basis
     return _primitive_normal(v)
+
+
+def dumps_json_by_library(obj, sort_keys=False) -> str:
+    """The writer `storage.dumps_json` replaced: json's own indented dump,
+    which runs its pure-Python encoder."""
+    return json.dumps(obj, indent=2, sort_keys=sort_keys)

@@ -531,15 +531,22 @@ def test_each_top_level_shape_matches_the_oracle(name, source):
     _assert_coordinates_match_the_oracle(alg, _raw_identity(parse_expr(source), source), alg)
 
 
-_INTEGER_SHAPES = ("a*b - 2*(b*a + 3*(a*(b*c)) - c)", "{a + 2*b, a*c - 3*c}", "(a + b)*(c - 2*a)")
+_INTEGER_SHAPES = (
+    "a*b - 2*(b*a + 3*(a*(b*c)) - c)",
+    "{a + 2*b, a*c - 3*c}",
+    "(a + b)*(c - 2*a)",
+    "1/2*(2*(a*b))",
+    "(1/2*(2*a))*b",
+)
 
 
 @pytest.mark.parametrize("source", _INTEGER_SHAPES)
 @pytest.mark.parametrize("name", ["sl2", "matrix2", "m7", "nilpotent4", "wn2"])
 def test_nested_integer_sums_keep_int_coefficients(name, source):
     # the parser's scalars are Fractions; an integral table and integral
-    # scalars must still give int coefficients at every level, sums inside
-    # product operands included (the oracles compare values, not types)
+    # scalars, or nested scalars whose product is integral (1/2 of 2), must
+    # still give int coefficients at every level, sums inside product
+    # operands included (the oracles compare values, not types)
     alg = zoo.fixture(name)
     assert all(type(c) is int for row in alg.sparse_table for outputs in row for _, c in outputs)
     ident = _raw_identity(parse_expr(source), source)
