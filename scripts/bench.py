@@ -9,15 +9,17 @@ Writes BENCH_<LABEL>.json.  Each row is one request: every non-bracket
 catalogue suite on W(3) and M(4) and the W4_SUITES on W(4),
 `codim1_subalgebras` of W(3), M(4) and W(4) and of RANDOM_COUNT seeded
 sparse random algebras of dim 3-6 (the random algebras a single run, their
-row says so), `verify_associated(W(2), F, cross_check=True)` and
-`verify_associated(W(3), F)` at its default, F being `wn_associated_F`,
+row says so), `verify_associated(W(2), F, cross_check=True)`,
+`verify_associated(W(3), F)` at its default and
+`verify_associated(W(4), F, cross_check=False)`, the tensor route alone,
+F being `wn_associated_F`,
 `derivation_algebra` with `derived_series` on M(4), W(3) and W(4),
 `conservativity`, `jacobi_space` and `quasi_units` on M(4), W(3) and
 W(4), `quasi_units` on W(5) (a single run), `inner_derivations` on W(3)
 and W(4), `induced_algebra` of W(3) on its whole space (timed up to its
 `sparse_table`), the heavy rows, one run each in a fresh child process
 (below): `codim1_subalgebras` of W(5) to W(8), `derivation_algebra` with
-`derived_series` and `conservativity` on W(5), W(6) and W(7),
+`derived_series` on W(5), W(6) and W(7), `conservativity` on W(5) to W(8),
 `verify_associated(W(n), F)` at its default on W(4) and W(5), and
 `jacobi_space`, `quasi_units` and `is_terminal` on W(7), and, where both
 answer "no" with a Fredholm
@@ -138,7 +140,7 @@ RANDOM_COUNT, RANDOM_SEED = 100, 11  # the random codim1 row's algebras
 CHILD_ROWS = {  # row -> n of its W(n); the row's first word names its call (`child_call`)
     **{f"codim1 W{n}": n for n in (5, 6, 7, 8)},
     **{f"derivations W{n}": n for n in (5, 6, 7)},
-    **{f"conservativity W{n}": n for n in (5, 6, 7)},
+    **{f"conservativity W{n}": n for n in (5, 6, 7, 8)},
     **{f"verify_associated W{n} default": n for n in (4, 5)},
     **{f"{call} W7": 7 for call in ("jacobi_space", "quasi_units", "is_terminal")},
 }
@@ -504,10 +506,11 @@ def measure():
         seed=RANDOM_SEED,
     ))
 
-    w2, f2, f3 = build_wn(2), wn_associated_F(2), wn_associated_F(3)
+    w2, f2, f3, f4 = build_wn(2), wn_associated_F(2), wn_associated_F(3), wn_associated_F(4)
     for name, fn, runs in (
         ("verify_associated W2 cross_check=True", lambda: verify_associated(w2, f2, cross_check=True), RUNS),
         ("verify_associated W3 default", lambda: verify_associated(algebras["W3"], f3), RUNS),
+        ("verify_associated W4 cross_check=False", lambda: verify_associated(w4, f4, cross_check=False), RUNS),
     ):
         rows.append(row(name, fn, verdict_counters, runs=runs))
 

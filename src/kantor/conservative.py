@@ -12,10 +12,21 @@ the unknown value F(a, b).  The kernel of z -> [L_z, P] measures the
 non-uniqueness of F; it coincides with the space of Jacobi elements
 (elements whose left multiplication is a derivation).
 
-Every system here is solved over the sparse columns [L_z, P], one per
-unknown z, each a ``{((x, y), out): coefficient}`` map.  When a system has
-no solution, its Fredholm certificate is solved from those same columns
-and comes back keyed the same way.
+Every system here is solved over the sparse columns I_z = [L_z, P], one
+per unknown z, and the pair equations have the targets
+T_ab = [[L_a, P], L_b] = -[L_b, [L_a, P]].  Both are brackets of a
+bilinear map B with a left multiplication,
+
+    [B, L_b](x, y) = B(bx, y) + B(x, by) - b B(x, y),
+
+I_z = [-P, L_z] and T_ab = [I_a, L_b], so `_bracket_system` sums both in
+that one closed form from the nonzero structure constants.  They are
+``{label: coefficient}`` maps whose int label (x*n + y)*n + o names
+coordinate o at the basis pair (x, y).  Int labels sort as the
+``((x, y), o)`` keys of `MultilinearOp.coeffs` do, so a Fredholm
+certificate, solved from the same columns when a system has no solution,
+is the one those keys give; it is handed back re-keyed by them, as is a
+witness's target.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra
 from .identities import defect_coordinates, identity
-from .linalg import AffineSolutionSet, Subspace, fredholm_certificate, solve_columns, unit_vec
+from .linalg import AffineSolutionSet, Subspace, _exact, fredholm_certificate, solve_columns, unit_vec
 from .multiops import MultilinearOp, kantor_bracket
 
 
@@ -38,11 +49,67 @@ def _left_multiplications(P: MultilinearOp):
     return [MultilinearOp(1, P.dim, coeffs) for coeffs in rows]
 
 
-def _bracket_columns(alg: Algebra):
-    """P, the operations L_{e_z}, and the columns [L_{e_z}, P] of z -> [L_z, P]."""
-    P = MultilinearOp.from_algebra(alg)
-    L = _left_multiplications(P)
-    return P, L, [kantor_bracket(Lz, P) for Lz in L]
+def _bracket_system(alg: Algebra):
+    """The columns I_z = [-P, L_z], z ascending, and an iterator of the
+    targets T_ab = [I_a, L_b] in pair order a*n + b, the n targets of each
+    a built when the first of them is reached; see the module docstring
+    for the closed form and the labels.  Each map holds its nonzero
+    coefficients only, as `linalg.exact` gives them."""
+    n = alg.dim
+    right = [[] for _ in range(n)]  # right[j]: each (i, outputs of e_i e_j), nonzero
+    meets = [[] for _ in range(n)]  # meets[k]: each (i, j, c), c the e_k-coordinate of e_i e_j
+    for i, row in enumerate(alg.sparse_table):
+        for j, outputs in enumerate(row):
+            if outputs:
+                right[j].append((i, outputs))
+                for k, c in outputs:
+                    meets[k].append((i, j, c))
+    columns = _left_brackets(_minus_product(alg), n, right, meets)
+    return columns, (target for column in columns for target in _left_brackets(column, n, right, meets))
+
+
+def _left_brackets(bilinear, n, right, meets):
+    """[B, L_b] for b ascending, B a bilinear map labelled as in
+    `_bracket_system`: every b's map summed at once from B's nonzeros and
+    the nonzero products that meet them."""
+    nn = n * n
+    brackets = [defaultdict(int) for _ in range(n)]
+    for label, d in bilinear.items():
+        xy, o = divmod(label, n)
+        x, y = divmod(xy, n)
+        rest = label - x * nn
+        for b, bx, c in meets[x]:  # + B(bx, y)
+            brackets[b][bx * nn + rest] += c * d
+        rest = label - y * n
+        for b, by, c in meets[y]:  # + B(x, by)
+            brackets[b][rest + by * n] += c * d
+        rest = label - o
+        for b, bo in right[o]:  # - b B(x, y)
+            bracket = brackets[b]
+            for o2, c in bo:
+                bracket[rest + o2] -= c * d
+    return [_nonzero(bracket) for bracket in brackets]
+
+
+def _minus_product(alg: Algebra) -> dict:
+    """-P, labelled as in `_bracket_system`."""
+    n = alg.dim
+    return {
+        (x * n + y) * n + k: -c
+        for x, row in enumerate(alg.sparse_table)
+        for y, outputs in enumerate(row)
+        for k, c in outputs
+    }
+
+
+def _nonzero(acc) -> dict:
+    """acc's nonzero coefficients, as `linalg.exact` gives them."""
+    return {label: c if type(c) is int else _exact(c) for label, c in acc.items() if c}
+
+
+def _keyed(n, coefficients) -> dict:
+    """A map labelled (x*n + y)*n + o, keyed ``((x, y), o)`` instead."""
+    return {(divmod(label // n, n), label % n): c for label, c in coefficients.items()}
 
 
 @dataclass(frozen=True)
@@ -64,8 +131,9 @@ class InfeasibilityWitness:
     equation and `certificate` a functional y with y.[L_z, P] = 0 for every
     z and y.target = 1, so the unsolvability can be rechecked without
     rerunning the elimination.  Both are sparse maps keyed like
-    `MultilinearOp.coeffs`, by ``((x, y), out)``: the target's exact
-    coefficients, and the certificate's nonzero Fractions.
+    `MultilinearOp.coeffs`, by ``((x, y), out)`` (re-keyed from the
+    system's int labels): the target's exact coefficients, and the
+    certificate's nonzero Fractions.
     """
 
     a: int
@@ -82,17 +150,17 @@ def conservativity(alg: Algebra) -> ConservativityVerdict:
     value of F gives the other valid choices.
     """
     n = alg.dim
-    _, L, inner = _bracket_columns(alg)
     # [L_{F(a,b)}, P] = -[L_b, [L_a, P]] = [[L_a, P], L_b]
-    rhs = [kantor_bracket(inner[a], L[b]) for a in range(n) for b in range(n)]
-    columns = [op.coeffs for op in inner]
-    system = solve_columns(columns, [op.coeffs for op in rhs])
+    columns, targets = _bracket_system(alg)
+    targets = list(targets)
+    system = solve_columns(columns, targets)
     kernel = system.kernel()
     if system.inconsistent:
         # the first basis pair whose equation has no solution
         a, b = divmod(min(system.inconsistent) - n, n)
-        target = rhs[a * n + b].coeffs
-        witness = InfeasibilityWitness(a, b, target, fredholm_certificate(columns, target))
+        target = targets[a * n + b]
+        certificate = fredholm_certificate(columns, target)
+        witness = InfeasibilityWitness(a, b, _keyed(n, target), _keyed(n, certificate))
         return ConservativityVerdict(False, None, kernel, witness)
     # F(a, b)_k is the entry of pivot row k in target column n + a n + b,
     # every free coordinate zero
@@ -107,8 +175,8 @@ def conservativity(alg: Algebra) -> ConservativityVerdict:
 
 def jacobi_space(alg: Algebra) -> Subspace:
     """{a : [L_a, P] = 0}, i.e. elements whose left multiplication derives."""
-    _, _, columns = _bracket_columns(alg)
-    return solve_columns([op.coeffs for op in columns]).kernel()
+    columns, _ = _bracket_system(alg)
+    return solve_columns(columns).kernel()
 
 
 def quasi_units(alg: Algebra) -> AffineSolutionSet:
@@ -117,11 +185,12 @@ def quasi_units(alg: Algebra) -> AffineSolutionSet:
     The kernel of the homogeneous part is the Jacobi space, so quasi-units
     (when any exist) form a coset of it.
     """
-    P, _, inner = _bracket_columns(alg)
-    columns, target = [op.coeffs for op in inner], (-P).coeffs
+    n = alg.dim
+    columns, _ = _bracket_system(alg)
+    target = _minus_product(alg)
     system = solve_columns(columns, [target])
-    particular = system.solution(alg.dim)
-    certificate = None if particular is not None else fredholm_certificate(columns, target)
+    particular = system.solution(n)
+    certificate = None if particular is not None else _keyed(n, fredholm_certificate(columns, target))
     return AffineSolutionSet(particular, system.kernel(), certificate)
 
 
@@ -142,41 +211,38 @@ def verify_associated(alg: Algebra, f, cross_check: bool = True) -> bool:
 
     `f` is a bilinear MultilinearOp (or an Algebra over the same space);
     the zero operation encodes F = 0.  The verdict comes from the tensor
-    route, [L_b, [L_a, P]] = -[L_{F(a,b)}, P] as operations for each basis
-    pair.  The cross-check recomputes it through `KANTOR_EQUATION`, the
-    multiplied-out equation, expanded over generic vectors a, b, x, y by
-    `identities.defect_coordinates`, which stops at the first nonzero
-    coordinate: the equation is multilinear, so its defect is empty iff it
-    holds on every basis quadruple.  The two routes must agree exactly.
-    Measured on a 2-core x86 machine, the tensor route takes about 0.001 s
-    on W(2), 0.02 s on W(3) and 0.13-0.2 s on W(4), and the cross-check
-    adds about 0.012 s, 0.25-0.4 s and 1.9-2.6 s (31 MB peak) to them;
-    pass cross_check=False to skip it.
+    route: T_ab = sum_z F(a,b)_z I_z, that is
+    [L_b, [L_a, P]] = -[L_{F(a,b)}, P], for each basis pair in pair order,
+    stopping at the first pair where it fails.  The cross-check recomputes
+    it through `KANTOR_EQUATION`, the multiplied-out equation, expanded
+    over generic vectors a, b, x, y by `identities.defect_coordinates`,
+    which stops at the first nonzero coordinate: the equation is
+    multilinear, so its defect is empty iff it holds on every basis
+    quadruple.  The two routes must agree exactly.  Measured on a 2-core
+    x86 machine, the tensor route takes about 0.0005 s on W(2), 0.006 s on
+    W(3) and 0.04-0.05 s on W(4), and the cross-check adds about 0.011 s,
+    0.22-0.28 s and 1.7-1.9 s to them; pass cross_check=False to skip it.
     """
     n = alg.dim
     if isinstance(f, Algebra):
         f = MultilinearOp.from_algebra(f)
     if f.dim != n or f.arity != 2:
         raise ValueError("f must be a bilinear operation on the same space")
-    _, L, inner = _bracket_columns(alg)
-    f_values = defaultdict(list)  # (a, b) -> the nonzero (z, F(a,b)_z)
-    for (pair, z), w in f.coeffs.items():
-        f_values[pair].append((z, w))
+    columns, targets = _bracket_system(alg)
+    f_values = defaultdict(list)  # a*n + b -> the nonzero (z, F(a,b)_z)
+    for ((a, b), z), w in f.coeffs.items():
+        f_values[a * n + b].append((z, w))
 
-    def minus_f_side(a, b):
-        # -[L_{F(a,b)}, P] = -sum_z F(a,b)_z [L_z, P]: x -> L_x and the
-        # bracket are linear, so the columns [L_z, P] already hold it
+    def f_side(pair):
+        # [L_{F(a,b)}, P] = sum_z F(a,b)_z I_z: x -> L_x and the bracket
+        # are linear, so the columns I_z already hold it
         acc = defaultdict(int)
-        for z, w in f_values.get((a, b), ()):
-            for key, c in inner[z].coeffs.items():
-                acc[key] -= w * c
-        return MultilinearOp(2, n, acc)
+        for z, w in f_values[pair]:
+            for label, c in columns[z].items():
+                acc[label] += w * c
+        return _nonzero(acc)
 
-    ok = all(
-        kantor_bracket(L[b], inner[a]) == minus_f_side(a, b)
-        for a in range(n)
-        for b in range(n)
-    )
+    ok = all(target == f_side(pair) for pair, target in enumerate(targets))
     if cross_check and ok != (next(defect_coordinates(alg, KANTOR_EQUATION, f.as_algebra()), None) is None):
         raise RuntimeError("bracket-equation route and expanded-identity route disagree")
     return ok

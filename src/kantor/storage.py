@@ -84,9 +84,15 @@ def _parse_combo(obj, index, where):
     return out
 
 
-def _key_splits(key, index):
+def _key_splits(key, index, starred=True):
     """Every (i, j) with key == name_i + "*" + name_j; `index` maps names to
-    indices.  Basis names may contain "*", so a key can split more ways."""
+    indices.  Basis names may contain "*", so a key can split more ways;
+    when none does (`starred` false), only the key's first "*" can split
+    it."""
+    if not starred:
+        first, sep, second = key.partition("*")
+        i, j = index.get(first), index.get(second)
+        return [(i, j)] if sep and i is not None and j is not None else []
     return [
         (index[key[:p]], index[key[p + 1 :]])
         for p, ch in enumerate(key)
@@ -98,6 +104,7 @@ def _parse_products(obj, names, where):
     """The algebra over `names` with the products `obj`, dense or sparse."""
     n = len(names)
     index = {name: i for i, name in enumerate(names)}
+    starred = any("*" in name for name in names)
     table = {}
     if isinstance(obj, list):
         if len(obj) != n or any(not isinstance(r, list) or len(r) != n for r in obj):
@@ -107,7 +114,7 @@ def _parse_products(obj, names, where):
                 table[i, j] = _parse_combo(cell, index, f"{where}[{i}][{j}]")
     elif isinstance(obj, dict):
         for key, cell in obj.items():
-            splits = _key_splits(key, index)
+            splits = _key_splits(key, index, starred)
             if len(splits) != 1:
                 problem = "ambiguous" if splits else "bad"
                 raise AlgebraFormatError(f"{problem} product key {key!r}", where)

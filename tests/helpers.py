@@ -15,7 +15,10 @@ replaced, the codim1 sweep that built and solved every pivot's full system
 before the linear rows decided pivots first, the elimination that reduced every row in full before
 `linalg.eliminate` dropped the unknowns pinned to zero, the columns
 [E_rs, P] that `derivations._leibniz_rows` replaced and the Der(A) solved
-from them, the dense matrix arithmetic that arity-1 `MultilinearOp`s
+from them, the `kantor_bracket` columns [L_z, P] and targets
+[[L_a, P], L_b] that `conservative._bracket_system` replaced and the
+conservativity, Jacobi space, quasi-units and tensor route solved from
+them, the dense matrix arithmetic that arity-1 `MultilinearOp`s
 replaced, the one-variable substitution that `Poly.substitute` now leaves
 to `poly._substitute_all`, the grid hyperplane oracle of
 `scripts/codim1_grid_check.py`, and the dense routes that sparse
@@ -35,11 +38,27 @@ from math import gcd, lcm
 from kantor import codim1
 from kantor.algebra import Algebra, Element, verify_subalgebra
 from kantor.codim1 import Codim1Report, PivotCase, hyperplane_basis
-from kantor.conservative import jacobi_space
+from kantor.conservative import ConservativityVerdict, InfeasibilityWitness, _left_multiplications, jacobi_space
 from kantor.derivations import DerivationAlgebra
 from kantor.errors import BudgetExceededError, NotClosedError
 from kantor.identities import Prod, Sum, Var, _fields
-from kantor.linalg import F0, F1, Echelon, Matrix, Subspace, _add_multiple, _exact, _sparse, frac, solve_columns, sub_vec, unit_vec, vec
+from kantor.linalg import (
+    F0,
+    F1,
+    AffineSolutionSet,
+    Echelon,
+    Matrix,
+    Subspace,
+    _add_multiple,
+    _exact,
+    _sparse,
+    frac,
+    fredholm_certificate,
+    solve_columns,
+    sub_vec,
+    unit_vec,
+    vec,
+)
 from kantor.multiops import MultilinearOp, kantor_bracket
 from kantor.poly import (
     MAX_REDUCTIONS,
@@ -520,6 +539,72 @@ def derivation_algebra_by_columns(alg: Algebra) -> DerivationAlgebra:
     products = {divmod(idx, k): dict(enumerate(system.solution(k + idx))) for idx in range(k * k)}
     lie = Algebra.from_products(k, products, names=[f"D{i + 1}" for i in range(k)])
     return DerivationAlgebra(n, basis, ker, lie)
+
+
+def bracket_columns(alg: Algebra):
+    """P, the operations L_{e_z}, and the columns [L_{e_z}, P] of
+    z -> [L_z, P], each a `kantor_bracket`."""
+    P = MultilinearOp.from_algebra(alg)
+    L = _left_multiplications(P)
+    return P, L, [kantor_bracket(Lz, P) for Lz in L]
+
+
+def bracket_targets(alg: Algebra) -> list:
+    """The targets [[L_a, P], L_b], a*n + b ascending, each a `kantor_bracket`."""
+    _, L, inner = bracket_columns(alg)
+    return [kantor_bracket(Ia, Lb) for Ia in inner for Lb in L]
+
+
+def conservativity_by_brackets(alg: Algebra) -> ConservativityVerdict:
+    """`conservative.conservativity` solved over `bracket_columns` and
+    `bracket_targets`, keyed ``((x, y), o)`` throughout."""
+    n = alg.dim
+    columns = [op.coeffs for op in bracket_columns(alg)[2]]
+    targets = [op.coeffs for op in bracket_targets(alg)]
+    system = solve_columns(columns, targets)
+    kernel = system.kernel()
+    if system.inconsistent:
+        a, b = divmod(min(system.inconsistent) - n, n)
+        target = targets[a * n + b]
+        witness = InfeasibilityWitness(a, b, target, fredholm_certificate(columns, target))
+        return ConservativityVerdict(False, None, kernel, witness)
+    coeffs = {}
+    for k, row in zip(system.pivots, system.rows):
+        for col, c in row.items():
+            if col >= n:
+                coeffs[(divmod(col - n, n), k)] = c
+    return ConservativityVerdict(True, MultilinearOp(2, n, dict(sorted(coeffs.items()))), kernel)
+
+
+def jacobi_space_by_brackets(alg: Algebra) -> Subspace:
+    return solve_columns([op.coeffs for op in bracket_columns(alg)[2]]).kernel()
+
+
+def quasi_units_by_brackets(alg: Algebra) -> AffineSolutionSet:
+    P, _, inner = bracket_columns(alg)
+    columns, target = [op.coeffs for op in inner], (-P).coeffs
+    system = solve_columns(columns, [target])
+    particular = system.solution(alg.dim)
+    certificate = None if particular is not None else fredholm_certificate(columns, target)
+    return AffineSolutionSet(particular, system.kernel(), certificate)
+
+
+def verify_associated_by_brackets(alg: Algebra, f: MultilinearOp) -> bool:
+    """The tensor route of `conservative.verify_associated`:
+    [L_b, [L_a, P]] == -sum_z F(a,b)_z [L_z, P] for every basis pair."""
+    n = alg.dim
+    _, L, inner = bracket_columns(alg)
+    for a in range(n):
+        for b in range(n):
+            acc = defaultdict(int)
+            for z in range(n):
+                w = f.coeffs.get(((a, b), z))
+                if w:
+                    for key, c in inner[z].coeffs.items():
+                        acc[key] -= w * c
+            if kantor_bracket(L[b], inner[a]) != MultilinearOp(2, n, acc):
+                return False
+    return True
 
 
 def as_matrix(op: MultilinearOp) -> Matrix:

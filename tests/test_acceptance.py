@@ -34,7 +34,7 @@ from kantor.wn import (
 )
 from kantor.algebra import Algebra
 
-from helpers import commutator, grid_hyperplane_oracle, left_mul_operator, normal_vector, pair, same_set
+from helpers import bracket_columns, commutator, grid_hyperplane_oracle, left_mul_operator, normal_vector, pair, same_set
 
 
 def _finish(name, errors):
@@ -178,9 +178,7 @@ def test_c07_variety_positives(matrix2, jordan, nilp4, sl2):
     for name, alg in cases:
         check(errors, conservativity(alg).conservative, f"{name} not conservative")
     # the left Leibniz fixture satisfies [L_a, P] = 0, so F = 0 works
-    from kantor.conservative import _bracket_columns
-
-    _, _, columns = _bracket_columns(leib)
+    _, _, columns = bracket_columns(leib)
     check(errors, all(column.is_zero() for column in columns), "left Leibniz: [L_a, P] != 0")
     check(errors, verify_associated(leib, MultilinearOp.zero(2, 2)), "left Leibniz: F = 0 rejected")
     check(errors, verify_associated(nilp4, MultilinearOp.zero(2, 3)), "nilpotent4: F = 0 rejected")
@@ -189,8 +187,6 @@ def test_c07_variety_positives(matrix2, jordan, nilp4, sl2):
 
 def test_c08_variety_negatives(m7):
     errors = []
-    from kantor.conservative import _bracket_columns
-
     for name, alg in (
         ("M7", m7),
         ("simple_left_commutative(2)", zoo.simple_left_commutative(2)),
@@ -201,7 +197,7 @@ def test_c08_variety_negatives(m7):
         w = verdict.witness
         check(errors, w is not None, f"{name}: no witness")
         if w is not None:
-            _, _, columns = _bracket_columns(alg)
+            _, _, columns = bracket_columns(alg)
             ok = all(pair(w.certificate, column.coeffs) == 0 for column in columns)
             check(errors, ok, f"{name}: certificate does not kill the system columns")
             check(errors, pair(w.certificate, w.target) == 1, f"{name}: certificate misses the target")

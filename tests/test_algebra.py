@@ -26,6 +26,7 @@ from kantor.linalg import Subspace, solve_columns, unit_vec
 from kantor.multiops import MultilinearOp
 from kantor.storage import (
     MAX_DIGITS,
+    _key_splits,
     dumps_algebra,
     load_algebra_pair,
     parse_algebra_document,
@@ -574,6 +575,40 @@ def test_storage_ambiguous_product_key_is_a_format_error(tmp_path):
     alg = Algebra.from_products(2, {(0, 1): {0: 1}}, names=["a", "a*a"])
     with pytest.raises(AlgebraFormatError, match="ambiguous"):
         save_algebra(alg, tmp_path / "ambiguous.json")
+
+
+PRODUCT_KEYS = [  # basis, key, the pair the key reads as or the reader's whole message
+    (["e1", "e2", "e3"], "e1*e2", (0, 1)),
+    (["e1", "e2", "e3"], "e1*e2*e3", "bad product key 'e1*e2*e3' (at <algebra>.table)"),
+    (["e1", "e2", "e3"], "e1", "bad product key 'e1' (at <algebra>.table)"),
+    (["e1", "e2", "e3"], "*", "bad product key '*' (at <algebra>.table)"),
+    (["e1", "e2", "e3"], "e1*", "bad product key 'e1*' (at <algebra>.table)"),
+    (["e1", "e2", "e3"], "*e2", "bad product key '*e2' (at <algebra>.table)"),
+    (["x*y", "z"], "x*y*z", (0, 1)),
+    (["x*y", "z"], "x*y", "bad product key 'x*y' (at <algebra>.table)"),
+    (["e1", "e2", "e3", "e1*e2", "e2*e3"], "e1*e2*e3", "ambiguous product key 'e1*e2*e3' (at <algebra>.table)"),
+    (["", "e2"], "*e2", (0, 1)),
+    (["", "e2"], "e2*", (1, 0)),
+    (["", "e2"], "*", (0, 0)),
+    (["", "e2"], "e2", "bad product key 'e2' (at <algebra>.table)"),
+    (["", "e2"], "e2**", "bad product key 'e2**' (at <algebra>.table)"),
+]
+
+
+@pytest.mark.parametrize("basis, key, expected", PRODUCT_KEYS)
+def test_storage_product_key_readings(basis, key, expected):
+    doc = {"dim": len(basis), "basis": basis, "table": {key: {basis[-1]: "1"}}}
+    if isinstance(expected, str):
+        with pytest.raises(AlgebraFormatError) as exc:
+            parse_algebra_document(doc)
+        assert str(exc.value) == expected
+    else:
+        alg, _ = parse_algebra_document(doc)
+        assert [(i, j) for i, row in enumerate(alg.sparse_table) for j, out in enumerate(row) if out] == [expected]
+    # without a "*" in any name, the first "*" alone reads the key as every split does
+    index = {name: i for i, name in enumerate(basis)}
+    if not any("*" in name for name in basis):
+        assert _key_splits(key, index, starred=False) == _key_splits(key, index)
 
 
 def _readings(name_i, name_j, names):

@@ -7,7 +7,7 @@ from kantor.algebra import Algebra
 from kantor.conservative import (
     DEFAULT_TERMINAL_CONVENTION,
     TERMINAL_CONVENTIONS,
-    _bracket_columns,
+    _bracket_system,
     _element_brackets,
     conservativity,
     is_terminal,
@@ -16,11 +16,20 @@ from kantor.conservative import (
     verify_associated,
 )
 from kantor.linalg import AffineSolutionSet, Subspace, fredholm_certificate, solve_columns, unit_vec
-from kantor.multiops import MultilinearOp, kantor_bracket
+from kantor.multiops import MultilinearOp
 from kantor.wn import build_wn, w2sym_associated_F, wn_associated_F
 from kantor import zoo
 
-from helpers import pair, same_set
+from helpers import (
+    bracket_columns,
+    bracket_targets,
+    conservativity_by_brackets,
+    jacobi_space_by_brackets,
+    pair,
+    quasi_units_by_brackets,
+    same_set,
+    verify_associated_by_brackets,
+)
 
 
 def test_zero_algebra_f_zero():
@@ -48,7 +57,7 @@ def test_m7_not_conservative(m7):
     w = verdict.witness
     # Fredholm certificate: kills the bracket-map columns, pairs to 1 with
     # the target of the failing pair
-    _, _, columns = _bracket_columns(m7)
+    _, _, columns = bracket_columns(m7)
     for column in columns:
         assert pair(w.certificate, column.coeffs) == 0
     assert pair(w.certificate, w.target) == 1
@@ -120,7 +129,7 @@ def test_quasi_unit_certificate(name):
     qs = quasi_units(alg)
     assert not qs.feasible
     # y.[L_z, P] = 0 for every z, so y kills every column, and y.(-P) = 1
-    P, _, columns = _bracket_columns(alg)
+    P, _, columns = bracket_columns(alg)
     for column in columns:
         assert pair(qs.certificate, column.coeffs) == 0
     assert pair(qs.certificate, (-P).coeffs) == 1
@@ -240,7 +249,7 @@ def test_left_multiplications_are_the_partials_of_the_product(name):
     # each L_{e_z}, grouped from P's coefficients by first input, is
     # P.partial(e_z): the same coefficients, of the same types, in order
     alg = zoo.fixture(name)
-    P, L, _ = _bracket_columns(alg)
+    P, L, _ = bracket_columns(alg)
     assert len(L) == alg.dim
     for z, Lz in enumerate(L):
         expected = P.partial(unit_vec(alg.dim, z))
@@ -266,9 +275,8 @@ def _conservativity_by_solutions(alg):
     """(F's coefficients, the witness) read pair by pair from the dense
     canonical solutions, the first infeasible pair being the witness."""
     n = alg.dim
-    _, L, inner = _bracket_columns(alg)
-    rhs = [kantor_bracket(inner[a], L[b]) for a in range(n) for b in range(n)]
-    columns = [op.coeffs for op in inner]
+    rhs = bracket_targets(alg)
+    columns = [op.coeffs for op in bracket_columns(alg)[2]]
     system = solve_columns(columns, [op.coeffs for op in rhs])
     coeffs = {}
     for idx in range(n * n):
@@ -300,9 +308,12 @@ def test_f_and_witness_match_the_dense_solutions(name):
     _check_against_solutions(alg)
 
 
+# pairs (1, 2) and (2, 2) are infeasible and (0, 0) is not
+PAST_THE_FIRST = Algebra.from_products(3, {(1, 0): {0: 1}, (2, 1): {0: -1, 1: 1, 2: -1}, (2, 2): {0: -1, 1: 1}})
+
+
 def test_the_witness_is_the_first_infeasible_pair_past_the_first():
-    # pairs (1, 2) and (2, 2) are infeasible and (0, 0) is not
-    alg = Algebra.from_products(3, {(1, 0): {0: 1}, (2, 1): {0: -1, 1: 1, 2: -1}, (2, 2): {0: -1, 1: 1}})
+    alg = PAST_THE_FIRST
     w = conservativity(alg).witness
     assert (w.a, w.b) == (1, 2)
     _check_against_solutions(alg)
@@ -315,3 +326,78 @@ def test_f_and_witness_match_the_dense_solutions_on_random_algebras(data):
     entry = st.one_of(st.just(0), st.just(0), st.fractions(min_value=-2, max_value=2, max_denominator=2))
     table = data.draw(st.lists(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n), min_size=n, max_size=n))
     _check_against_solutions(Algebra.from_table(table))
+
+
+def _typed(coefficients):
+    return {key: (type(c), c) for key, c in coefficients.items()}
+
+
+def _keyed(n, coefficients):
+    """A map labelled (x*n + y)*n + o, keyed ((x, y), o)."""
+    return {(divmod(label // n, n), label % n): c for label, c in coefficients.items()}
+
+
+def _check_against_brackets(alg):
+    """The closed-form columns, targets and every verdict built on them
+    against the `kantor_bracket` route, value types included."""
+    n = alg.dim
+    columns, targets = _bracket_system(alg)
+    assert [_typed(_keyed(n, c)) for c in columns] == [_typed(op.coeffs) for op in bracket_columns(alg)[2]]
+    assert [_typed(_keyed(n, t)) for t in targets] == [_typed(op.coeffs) for op in bracket_targets(alg)]
+
+    verdict, expected = conservativity(alg), conservativity_by_brackets(alg)
+    assert verdict == expected
+    if verdict.conservative:
+        assert _typed(verdict.f.coeffs) == _typed(expected.f.coeffs)
+    else:
+        w, v = verdict.witness, expected.witness
+        assert (_typed(w.target), _typed(w.certificate)) == (_typed(v.target), _typed(v.certificate))
+        assert list(w.certificate) == list(v.certificate)
+    qs, expected_qs = quasi_units(alg), quasi_units_by_brackets(alg)
+    assert qs == expected_qs
+    if not qs.feasible:
+        assert list(qs.certificate.items()) == list(expected_qs.certificate.items())
+        assert _typed(qs.certificate) == _typed(expected_qs.certificate)
+    assert jacobi_space(alg) == jacobi_space_by_brackets(alg)
+
+    # F = 0, the canonical F when there is one, and F perturbed at one pair
+    candidates = [MultilinearOp.zero(2, n)]
+    if verdict.conservative:
+        candidates.append(verdict.f)
+    base = verdict.f or MultilinearOp.zero(2, n)
+    candidates.append(base + MultilinearOp(2, n, {((n - 1, 0), 0): 1}))
+    for f in candidates:
+        assert verify_associated(alg, f, cross_check=False) == verify_associated_by_brackets(alg, f)
+
+
+EXTRA = {
+    "M4": lambda: zoo.matrix_algebra(4),
+    "W4": lambda: build_wn(4),
+    "slc20": lambda: zoo.simple_left_commutative(20),
+    "past_the_first": lambda: PAST_THE_FIRST,
+}
+
+
+@pytest.mark.parametrize("name", [*sorted(zoo.FIXTURES), *EXTRA])
+def test_bracket_system_matches_the_bracket_route(name):
+    _check_against_brackets(EXTRA.get(name, lambda: zoo.fixture(name))())
+
+
+def test_the_right_f_of_w3_is_accepted_and_a_wrong_one_rejected():
+    w3 = zoo.fixture("wn3")
+    right = wn_associated_F(3)
+    wrong = right + MultilinearOp(2, 27, {((26, 0), 0): 1})
+    assert verify_associated(w3, right, cross_check=False) and verify_associated_by_brackets(w3, right)
+    assert not verify_associated(w3, wrong, cross_check=False) and not verify_associated_by_brackets(w3, wrong)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_bracket_system_matches_the_bracket_route_on_random_algebras(data):
+    n = data.draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    products = {}
+    for i in range(n):
+        for j in range(n):
+            products[i, j] = dict(enumerate(data.draw(st.lists(entry, min_size=n, max_size=n))))
+    _check_against_brackets(Algebra.from_products(n, products))
