@@ -50,12 +50,13 @@ def _left_multiplications(P: MultilinearOp):
 
 
 def _bracket_system(alg: Algebra):
-    """The columns I_z = [-P, L_z], z ascending, and an iterator of the
+    """-P, the columns I_z = [-P, L_z], z ascending, and an iterator of the
     targets T_ab = [I_a, L_b] in pair order a*n + b, the n targets of each
     a built when the first of them is reached; see the module docstring
     for the closed form and the labels.  Each map holds its nonzero
     coefficients only, as `linalg.exact` gives them."""
     n = alg.dim
+    minus_p = {}
     right = [[] for _ in range(n)]  # right[j]: each (i, outputs of e_i e_j), nonzero
     meets = [[] for _ in range(n)]  # meets[k]: each (i, j, c), c the e_k-coordinate of e_i e_j
     for i, row in enumerate(alg.sparse_table):
@@ -63,9 +64,11 @@ def _bracket_system(alg: Algebra):
             if outputs:
                 right[j].append((i, outputs))
                 for k, c in outputs:
+                    minus_p[(i * n + j) * n + k] = -c
                     meets[k].append((i, j, c))
-    columns = _left_brackets(_minus_product(alg), n, right, meets)
-    return columns, (target for column in columns for target in _left_brackets(column, n, right, meets))
+    columns = _left_brackets(minus_p, n, right, meets)
+    targets = (target for column in columns for target in _left_brackets(column, n, right, meets))
+    return minus_p, columns, targets
 
 
 def _left_brackets(bilinear, n, right, meets):
@@ -88,18 +91,9 @@ def _left_brackets(bilinear, n, right, meets):
             bracket = brackets[b]
             for o2, c in bo:
                 bracket[rest + o2] -= c * d
-    return [_nonzero(bracket) for bracket in brackets]
-
-
-def _minus_product(alg: Algebra) -> dict:
-    """-P, labelled as in `_bracket_system`."""
-    n = alg.dim
-    return {
-        (x * n + y) * n + k: -c
-        for x, row in enumerate(alg.sparse_table)
-        for y, outputs in enumerate(row)
-        for k, c in outputs
-    }
+    for b, bracket in enumerate(brackets):  # each accumulator freed as it is copied
+        brackets[b] = _nonzero(bracket)
+    return brackets
 
 
 def _nonzero(acc) -> dict:
@@ -151,7 +145,7 @@ def conservativity(alg: Algebra) -> ConservativityVerdict:
     """
     n = alg.dim
     # [L_{F(a,b)}, P] = -[L_b, [L_a, P]] = [[L_a, P], L_b]
-    columns, targets = _bracket_system(alg)
+    _, columns, targets = _bracket_system(alg)
     targets = list(targets)
     system = solve_columns(columns, targets)
     kernel = system.kernel()
@@ -175,7 +169,7 @@ def conservativity(alg: Algebra) -> ConservativityVerdict:
 
 def jacobi_space(alg: Algebra) -> Subspace:
     """{a : [L_a, P] = 0}, i.e. elements whose left multiplication derives."""
-    columns, _ = _bracket_system(alg)
+    _, columns, _ = _bracket_system(alg)
     return solve_columns(columns).kernel()
 
 
@@ -186,8 +180,7 @@ def quasi_units(alg: Algebra) -> AffineSolutionSet:
     (when any exist) form a coset of it.
     """
     n = alg.dim
-    columns, _ = _bracket_system(alg)
-    target = _minus_product(alg)
+    target, columns, _ = _bracket_system(alg)
     system = solve_columns(columns, [target])
     particular = system.solution(n)
     certificate = None if particular is not None else _keyed(n, fredholm_certificate(columns, target))
@@ -228,7 +221,7 @@ def verify_associated(alg: Algebra, f, cross_check: bool = True) -> bool:
         f = MultilinearOp.from_algebra(f)
     if f.dim != n or f.arity != 2:
         raise ValueError("f must be a bilinear operation on the same space")
-    columns, targets = _bracket_system(alg)
+    _, columns, targets = _bracket_system(alg)
     f_values = defaultdict(list)  # a*n + b -> the nonzero (z, F(a,b)_z)
     for ((a, b), z), w in f.coeffs.items():
         f_values[a * n + b].append((z, w))

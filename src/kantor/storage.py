@@ -84,27 +84,24 @@ def _parse_combo(obj, index, where):
     return out
 
 
-def _key_splits(key, index, starred=True):
+def _key_splits(key, index):
     """Every (i, j) with key == name_i + "*" + name_j; `index` maps names to
-    indices.  Basis names may contain "*", so a key can split more ways;
-    when none does (`starred` false), only the key's first "*" can split
-    it."""
-    if not starred:
-        first, sep, second = key.partition("*")
-        i, j = index.get(first), index.get(second)
-        return [(i, j)] if sep and i is not None and j is not None else []
-    return [
-        (index[key[:p]], index[key[p + 1 :]])
-        for p, ch in enumerate(key)
-        if ch == "*" and key[:p] in index and key[p + 1 :] in index
-    ]
+    indices.  Basis names may contain "*", so a key can split at any of its
+    "*"s; only those positions are tried."""
+    splits = []
+    p = key.find("*")
+    while p != -1:
+        i, j = index.get(key[:p]), index.get(key[p + 1 :])
+        if i is not None and j is not None:
+            splits.append((i, j))
+        p = key.find("*", p + 1)
+    return splits
 
 
 def _parse_products(obj, names, where):
     """The algebra over `names` with the products `obj`, dense or sparse."""
     n = len(names)
     index = {name: i for i, name in enumerate(names)}
-    starred = any("*" in name for name in names)
     table = {}
     if isinstance(obj, list):
         if len(obj) != n or any(not isinstance(r, list) or len(r) != n for r in obj):
@@ -114,7 +111,7 @@ def _parse_products(obj, names, where):
                 table[i, j] = _parse_combo(cell, index, f"{where}[{i}][{j}]")
     elif isinstance(obj, dict):
         for key, cell in obj.items():
-            splits = _key_splits(key, index, starred)
+            splits = _key_splits(key, index)
             if len(splits) != 1:
                 problem = "ambiguous" if splits else "bad"
                 raise AlgebraFormatError(f"{problem} product key {key!r}", where)

@@ -605,10 +605,13 @@ def test_storage_product_key_readings(basis, key, expected):
     else:
         alg, _ = parse_algebra_document(doc)
         assert [(i, j) for i, row in enumerate(alg.sparse_table) for j, out in enumerate(row) if out] == [expected]
-    # without a "*" in any name, the first "*" alone reads the key as every split does
+    # the "*" positions alone read the key as a scan of every character does
     index = {name: i for i, name in enumerate(basis)}
-    if not any("*" in name for name in basis):
-        assert _key_splits(key, index, starred=False) == _key_splits(key, index)
+    assert _key_splits(key, index) == [
+        (index[key[:p]], index[key[p + 1 :]])
+        for p in range(len(key))
+        if key[p] == "*" and key[:p] in index and key[p + 1 :] in index
+    ]
 
 
 def _readings(name_i, name_j, names):

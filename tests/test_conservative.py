@@ -341,7 +341,8 @@ def _check_against_brackets(alg):
     """The closed-form columns, targets and every verdict built on them
     against the `kantor_bracket` route, value types included."""
     n = alg.dim
-    columns, targets = _bracket_system(alg)
+    minus_p, columns, targets = _bracket_system(alg)
+    assert _typed(_keyed(n, minus_p)) == _typed({key: -c for key, c in MultilinearOp.from_algebra(alg).coeffs.items()})
     assert [_typed(_keyed(n, c)) for c in columns] == [_typed(op.coeffs) for op in bracket_columns(alg)[2]]
     assert [_typed(_keyed(n, t)) for t in targets] == [_typed(op.coeffs) for op in bracket_targets(alg)]
 
