@@ -24,7 +24,7 @@ and W(4), `induced_algebra` of W(3) on its whole space (timed up to its
 `jacobi_space`, `quasi_units` and `is_terminal` on W(7), and, where both
 answer "no" with a Fredholm
 certificate, on the M7 fixture and `simple_left_commutative(20)`,
-`is_terminal` on W(3) and W(4), `wn_associated_F` on W(3) and W(4),
+`is_terminal` on W(3) and W(4) under both conventions, `wn_associated_F` on W(3) and W(4),
 `is_nilpotent4` on W(3) and on the nilpotent4 fixture, `build_wn` on W(7)
 and W(8) and `storage.load_algebra` of W(3)'s JSON file, each timed up to
 its `sparse_table`; the CLI's file I/O: `storage.dumps_algebra` of W(4),
@@ -541,6 +541,7 @@ def measure():
             rows.append(row(f"{label} {name}", lambda: fn(alg), counters))
     for name, alg in (("W3", algebras["W3"]), ("W4", w4)):
         rows.append(row(f"is_terminal {name}", lambda: is_terminal(alg), verdict_counters))
+        rows.append(row(f"is_terminal {name} sym", lambda: is_terminal(alg, "sym"), verdict_counters))
     for n in (3, 4):
         rows.append(row(f"wn_associated_F W{n}", lambda: wn_associated_F(n), lambda f: {"nnz": len(f.coeffs)}))
     for name, alg in (("W3", algebras["W3"]), ("nilpotent4", zoo.fixture("nilpotent4"))):

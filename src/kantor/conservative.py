@@ -36,17 +36,8 @@ from dataclasses import dataclass
 
 from .algebra import Algebra
 from .identities import defect_coordinates, identity
-from .linalg import AffineSolutionSet, Subspace, _exact, fredholm_certificate, solve_columns, unit_vec
+from .linalg import AffineSolutionSet, Subspace, _exact, fredholm_certificate, solve_columns
 from .multiops import MultilinearOp, kantor_bracket
-
-
-def _left_multiplications(P: MultilinearOp):
-    """The operations L_{e_z} = P.partial(e_z) of a bilinear P, z ascending,
-    from one grouping of P's coefficients by first input."""
-    rows = [{} for _ in range(P.dim)]  # z -> the coefficients of L_{e_z}
-    for ((z, y), out), c in P.coeffs.items():
-        rows[z][((y,), out)] = c
-    return [MultilinearOp(1, P.dim, coeffs) for coeffs in rows]
 
 
 def _bracket_system(alg: Algebra):
@@ -249,26 +240,24 @@ TERMINAL_CONVENTIONS = ("sym", "left")
 DEFAULT_TERMINAL_CONVENTION = "left"
 
 
-def _element_brackets(P: MultilinearOp, convention: str):
-    """The arity-1 operations [P, e_x], x ascending.
-
-    Two readings are supported: "sym" inserts e_x into both slots of P
-    (P(x,.) + P(.,x), the literal insertion bracket), one x at a time as
-    the caller reaches it, and "left" uses only the left slot (P(x,.),
-    left multiplication by x), all from one grouping of P.
-    """
-    if convention == "sym":
-        return (kantor_bracket(P, MultilinearOp.from_element(unit_vec(P.dim, x))) for x in range(P.dim))
-    if convention == "left":
-        return _left_multiplications(P)
-    raise ValueError(f"unknown convention {convention!r}; use one of {TERMINAL_CONVENTIONS}")
-
-
 def is_terminal(alg: Algebra, convention: str = DEFAULT_TERMINAL_CONVENTION) -> bool:
-    """True iff [[[P, x], P], P] vanishes for every basis element x."""
+    """True iff [[[P, x], P], P] vanishes for every basis element x.
+
+    [P, e_x] is read as "left", P(x, .), left multiplication by x, or as
+    "sym", P(x, .) + P(., x), the literal insertion bracket; one pass over
+    P's coefficients files each under its first input x and, for "sym",
+    also under its second.
+    """
+    if convention not in TERMINAL_CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}; use one of {TERMINAL_CONVENTIONS}")
     P = MultilinearOp.from_algebra(alg)
-    for t1 in _element_brackets(P, convention):
-        t2 = kantor_bracket(t1, P)
+    brackets = [defaultdict(int) for _ in range(P.dim)]  # x -> the coefficients of [P, e_x]
+    for ((x, y), out), c in P.coeffs.items():
+        brackets[x][((y,), out)] += c
+        if convention == "sym":
+            brackets[y][((x,), out)] += c
+    for coeffs in brackets:
+        t2 = kantor_bracket(MultilinearOp(1, P.dim, coeffs), P)
         t3 = kantor_bracket(t2, P)
         if not t3.is_zero():
             return False

@@ -14,8 +14,7 @@ Arity 0 is an element, arity 1 a linear map, arity 2 a bilinear map (the
 same data as an Algebra's structure tensor).  `partial(x)` fixes the first
 input at a coordinate vector x; on the product P of an algebra, P.partial(x)
 is left multiplication L_x (the tests compare it against a dense reference
-built from `mul_vec`, and `conservative`'s L_{e_z}, all grouped from P at
-once, against it).  Arity 1 is the package's one arithmetic on linear maps
+built from `mul_vec`).  Arity 1 is the package's one arithmetic on linear maps
 (a . b is the composition a(b(x))); `from_matrix` is the one dense entry,
 from a `linalg.Matrix`, and a map leaves as its sparse `coeffs`.
 

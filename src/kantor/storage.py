@@ -10,7 +10,8 @@ The on-disk format is UTF-8 JSON:
 where <products> is either a dense n x n array of {basis_name: "p/q"}
 maps, or a sparse object mapping "ei*ej" to {basis_name: "p/q"}; a key
 is read at the one "*" that splits it into two basis names, and a key with
-more than one such split is refused on reading and on writing.  Omitted
+more than one such split is refused on reading and on writing, as is a
+key given twice in any object of any file read.  Omitted
 entries are zero and every rational is a string `p/q` or `p`, the sign on
 the numerator; no other form is read, and no integer of more than
 MAX_DIGITS digits as written.  `bracket_table` carries a second product
@@ -147,17 +148,28 @@ def parse_algebra_document(doc, where="<algebra>"):
 
 
 def read_json(path):
-    """The JSON document in a file; malformed or too deeply nested JSON, and
-    an integer of more than MAX_DIGITS digits, is an AlgebraFormatError."""
+    """The JSON document in a file; malformed or too deeply nested JSON, an
+    object with a key given twice, and an integer of more than MAX_DIGITS
+    digits, is an AlgebraFormatError."""
 
     def integer(text):
         if not _INTEGER.fullmatch(text):
             raise AlgebraFormatError(f"integer of more than {MAX_DIGITS} digits", str(path))
         return int(text)
 
+    def unique(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise AlgebraFormatError(f"duplicate key {key!r}", str(path))
+                seen.add(key)
+        return obj
+
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh, parse_int=integer)
+            return json.load(fh, parse_int=integer, object_pairs_hook=unique)
         except json.JSONDecodeError as exc:
             raise AlgebraFormatError(f"invalid JSON: {exc}", f"{path}:{exc.lineno}:{exc.colno}") from None
         except RecursionError:

@@ -18,7 +18,9 @@ before the linear rows decided pivots first, the elimination that reduced every 
 from them, the `kantor_bracket` columns [L_z, P] and targets
 [[L_a, P], L_b] that `conservative._bracket_system` replaced and the
 conservativity, Jacobi space, quasi-units and tensor route solved from
-them, the dense matrix arithmetic that arity-1 `MultilinearOp`s
+them, the triple bracket [[[P, x], P], P] multiplied out as an identity
+under each reading of [P, x] for `conservative.is_terminal`'s brackets,
+the dense matrix arithmetic that arity-1 `MultilinearOp`s
 replaced, the one-variable substitution that `Poly.substitute` now leaves
 to `poly._substitute_all`, the grid hyperplane oracle of
 `scripts/codim1_grid_check.py`, and the dense routes that sparse
@@ -38,10 +40,10 @@ from math import gcd, lcm
 from kantor import codim1
 from kantor.algebra import Algebra, Element, verify_subalgebra
 from kantor.codim1 import Codim1Report, PivotCase, hyperplane_basis
-from kantor.conservative import ConservativityVerdict, InfeasibilityWitness, _left_multiplications, jacobi_space
+from kantor.conservative import TERMINAL_CONVENTIONS, ConservativityVerdict, InfeasibilityWitness, jacobi_space
 from kantor.derivations import DerivationAlgebra
 from kantor.errors import BudgetExceededError, NotClosedError
-from kantor.identities import Prod, Sum, Var, _fields
+from kantor.identities import Prod, Sum, Var, _fields, identity
 from kantor.linalg import (
     F0,
     F1,
@@ -542,10 +544,10 @@ def derivation_algebra_by_columns(alg: Algebra) -> DerivationAlgebra:
 
 
 def bracket_columns(alg: Algebra):
-    """P, the operations L_{e_z}, and the columns [L_{e_z}, P] of
-    z -> [L_z, P], each a `kantor_bracket`."""
+    """P, the operations L_{e_z} = P.partial(e_z), and the columns
+    [L_{e_z}, P] of z -> [L_z, P], each a `kantor_bracket`."""
     P = MultilinearOp.from_algebra(alg)
-    L = _left_multiplications(P)
+    L = [P.partial(unit_vec(alg.dim, z)) for z in range(alg.dim)]
     return P, L, [kantor_bracket(Lz, P) for Lz in L]
 
 
@@ -553,6 +555,29 @@ def bracket_targets(alg: Algebra) -> list:
     """The targets [[L_a, P], L_b], a*n + b ascending, each a `kantor_bracket`."""
     _, L, inner = bracket_columns(alg)
     return [kantor_bracket(Ia, Lb) for Ia in inner for Lb in L]
+
+
+def _terminal_identity(convention: str):
+    """[[[P, x], P], P](y, z, w) multiplied out, each bracket in `multiops`'
+    insertion order: t = [[P, x], P] and t . P - P . t."""
+
+    def t(a, b):
+        value = f"x*(({a})*({b})) - (x*({a}))*({b}) - ({a})*(x*({b}))"
+        if convention == "sym":
+            value += f" + (({a})*({b}))*x - (({a})*x)*({b}) - ({a})*(({b})*x)"
+        return f"({value})"
+
+    return identity(
+        f"terminal_{convention}",
+        ("x", "y", "z", "w"),
+        f"{t('y*z', 'w')} + {t('z', 'y*w')} + {t('y', 'z*w')}"
+        f" - {t('y', 'z')}*w - z*{t('y', 'w')} - y*{t('z', 'w')}",
+    )
+
+
+# `conservative.is_terminal` under each element-bracket reading, as an
+# identity of degree 4 in 4 variables.
+TERMINAL_IDENTITIES = {c: _terminal_identity(c) for c in TERMINAL_CONVENTIONS}
 
 
 def conservativity_by_brackets(alg: Algebra) -> ConservativityVerdict:

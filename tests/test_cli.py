@@ -421,6 +421,23 @@ def test_json_integer_past_the_digit_cap_exits_65(tmp_path, capsys):
     assert out == "" and "integer of more than" in err
 
 
+@pytest.mark.parametrize(
+    "text, argv, key",
+    [
+        ('{"dim": 2, "basis": ["e1", "e2"], "table": {"e1*e1": {"e1": "1"}, "e1*e1": {"e2": "5"}}}', ["--json", "show"], "e1*e1"),
+        ('{"dim": 1, "basis": ["e1"], "table": {"e1*e1": {"e1": "1", "e1": "7"}}}', ["--json", "show"], "e1"),
+        ('{"name": "t", "vars": ["a"], "zero": "a*a", "zero": "a"}', ["identity", "--fixture", "sl2", "--file"], "zero"),
+    ],
+    ids=["product", "coefficient", "identity"],
+)
+def test_duplicate_json_key_exits_65(text, argv, key, tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    code, out, err = run_cli(argv + [str(path)], capsys)
+    assert code == 65
+    assert out == "" and f"duplicate key {key!r}" in err
+
+
 def test_results_print_at_any_size(tmp_path, capsys):
     # a 3000-digit constant c gives (a*a)*a = c^2 a^3, a 6000-digit witness
     c = int("7" * 3000)

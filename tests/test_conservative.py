@@ -8,19 +8,20 @@ from kantor.conservative import (
     DEFAULT_TERMINAL_CONVENTION,
     TERMINAL_CONVENTIONS,
     _bracket_system,
-    _element_brackets,
     conservativity,
     is_terminal,
     jacobi_space,
     quasi_units,
     verify_associated,
 )
+from kantor.identities import defect_coordinates
 from kantor.linalg import AffineSolutionSet, Subspace, fredholm_certificate, solve_columns, unit_vec
 from kantor.multiops import MultilinearOp
 from kantor.wn import build_wn, w2sym_associated_F, wn_associated_F
 from kantor import zoo
 
 from helpers import (
+    TERMINAL_IDENTITIES,
     bracket_columns,
     bracket_targets,
     conservativity_by_brackets,
@@ -244,33 +245,6 @@ def test_wn1():
     assert conservativity(w1).conservative
 
 
-@pytest.mark.parametrize("name", sorted(zoo.FIXTURES))
-def test_left_multiplications_are_the_partials_of_the_product(name):
-    # each L_{e_z}, grouped from P's coefficients by first input, is
-    # P.partial(e_z): the same coefficients, of the same types, in order
-    alg = zoo.fixture(name)
-    P, L, _ = bracket_columns(alg)
-    assert len(L) == alg.dim
-    for z, Lz in enumerate(L):
-        expected = P.partial(unit_vec(alg.dim, z))
-        assert (Lz.arity, Lz.dim) == (expected.arity, expected.dim)
-        assert [(key, type(c), c) for key, c in Lz.coeffs.items()] == [
-            (key, type(c), c) for key, c in expected.coeffs.items()
-        ]
-
-
-@pytest.mark.parametrize("name", sorted(zoo.FIXTURES))
-def test_left_element_brackets_are_the_partials_of_the_product(name):
-    P = MultilinearOp.from_algebra(zoo.fixture(name))
-    left = list(_element_brackets(P, "left"))
-    assert len(left) == P.dim
-    for x, op in enumerate(left):
-        expected = P.partial(unit_vec(P.dim, x))
-        assert [(key, type(c), c) for key, c in op.coeffs.items()] == [
-            (key, type(c), c) for key, c in expected.coeffs.items()
-        ]
-
-
 def _conservativity_by_solutions(alg):
     """(F's coefficients, the witness) read pair by pair from the dense
     canonical solutions, the first infeasible pair being the witness."""
@@ -392,13 +366,36 @@ def test_the_right_f_of_w3_is_accepted_and_a_wrong_one_rejected():
     assert not verify_associated(w3, wrong, cross_check=False) and not verify_associated_by_brackets(w3, wrong)
 
 
-@settings(deadline=None, max_examples=40)
-@given(st.data())
-def test_bracket_system_matches_the_bracket_route_on_random_algebras(data):
+def _draw_algebra(data):
+    """An algebra of dim 1-4 whose constants are mostly 0, else Fractions
+    in [-2, 2] with denominators up to 3."""
     n = data.draw(st.integers(1, 4))
     entry = st.one_of(st.just(0), st.just(0), st.just(0), st.fractions(min_value=-2, max_value=2, max_denominator=3))
     products = {}
     for i in range(n):
         for j in range(n):
             products[i, j] = dict(enumerate(data.draw(st.lists(entry, min_size=n, max_size=n))))
-    _check_against_brackets(Algebra.from_products(n, products))
+    return Algebra.from_products(n, products)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_bracket_system_matches_the_bracket_route_on_random_algebras(data):
+    _check_against_brackets(_draw_algebra(data))
+
+
+def _check_terminal_against_identity(alg):
+    for convention in TERMINAL_CONVENTIONS:
+        holds = next(defect_coordinates(alg, TERMINAL_IDENTITIES[convention]), None) is None
+        assert is_terminal(alg, convention) == holds, convention
+
+
+@pytest.mark.parametrize("name", [*sorted(zoo.FIXTURES), *EXTRA])
+def test_terminal_matches_the_multiplied_out_identity(name):
+    _check_terminal_against_identity(EXTRA.get(name, lambda: zoo.fixture(name))())
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_terminal_matches_the_multiplied_out_identity_on_random_algebras(data):
+    _check_terminal_against_identity(_draw_algebra(data))
