@@ -384,18 +384,20 @@ def test_bracket_system_matches_the_bracket_route_on_random_algebras(data):
     _check_against_brackets(_draw_algebra(data))
 
 
-def _check_terminal_against_identity(alg):
-    for convention in TERMINAL_CONVENTIONS:
-        holds = next(defect_coordinates(alg, TERMINAL_IDENTITIES[convention]), None) is None
-        assert is_terminal(alg, convention) == holds, convention
+def _check_terminal_against_identity(alg, convention):
+    holds = next(defect_coordinates(alg, TERMINAL_IDENTITIES[convention]), None) is None
+    assert is_terminal(alg, convention) == holds, convention
 
 
 @pytest.mark.parametrize("name", [*sorted(zoo.FIXTURES), *EXTRA])
-def test_terminal_matches_the_multiplied_out_identity(name):
-    _check_terminal_against_identity(EXTRA.get(name, lambda: zoo.fixture(name))())
+@pytest.mark.parametrize("convention", TERMINAL_CONVENTIONS)
+def test_terminal_matches_the_multiplied_out_identity(convention, name):
+    _check_terminal_against_identity(EXTRA.get(name, lambda: zoo.fixture(name))(), convention)
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_terminal_matches_the_multiplied_out_identity_on_random_algebras(data):
-    _check_terminal_against_identity(_draw_algebra(data))
+    alg = _draw_algebra(data)
+    for convention in TERMINAL_CONVENTIONS:
+        _check_terminal_against_identity(alg, convention)
