@@ -13,6 +13,7 @@ from fractions import Fraction
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from kantor import zoo
+from kantor.algebra import format_combination
 from kantor.claims import audit_codim1, audit_derivations, audit_table
 from kantor.codim1 import codim1_subalgebras
 from kantor.conservative import (
@@ -73,7 +74,7 @@ def main():
     print(f"Jacobi space: dim {js.dim} (codimension {wn2.dim - js.dim}), "
           f"pivot columns {[c + 1 for c in js.pivot_columns]}")
     qs = quasi_units(wn2)
-    e = wn2.element(qs.particular)
+    e = format_combination(qs.particular, wn2.basis_names)
     print(f"left quasi-unit: {e}  (+ any Jacobi element)")
 
     section("Derivation algebras")

@@ -5,7 +5,6 @@ and codimension-1 subalgebra enumeration."""
 
 from .algebra import (
     Algebra,
-    Element,
     annihilator,
     closure_witness,
     generated_subalgebra,

@@ -37,13 +37,8 @@ from .linalg import (
     _exact,
     _sparse,
     _subspace,
-    add_vec,
     frac,
-    is_zero_vec,
-    scale_vec,
     solve_columns,
-    sub_vec,
-    unit_vec,
     vec,
 )
 
@@ -131,23 +126,6 @@ class Algebra:
         n = self.dim
         return tuple(tuple(_dense(dict(p), n) for p in row) for row in self.sparse_table)
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.basis_names.index(name)
-        except ValueError:
-            raise KeyError(f"no basis element named {name!r}") from None
-
-    def gen(self, i) -> "Element":
-        if isinstance(i, str):
-            i = self.index_of(i)
-        return Element(self, unit_vec(self.dim, i))
-
-    def element(self, coords) -> "Element":
-        coords = vec(coords)
-        if len(coords) != self.dim:
-            raise DimensionMismatchError.of(self.dim, len(coords))
-        return Element(self, coords)
-
     def gather(self, groups, a, b, f=1):
         """File the terms of f * (a b) under their output coordinates, for
         `multiply_out`: groups[k], a list in a `defaultdict(list)`, gains one
@@ -186,48 +164,6 @@ class Algebra:
         a = {i: {0: c} for i, c in _sparse(x).items()}
         b = {j: {0: c} for j, c in _sparse(y).items()}
         return _dense({k: terms[0] for k, terms in self.mul_expanded(a, b).items()}, n)
-
-    def multiply(self, x: "Element", y: "Element") -> "Element":
-        if x.algebra is not self and x.algebra != self:
-            raise DimensionMismatchError("element does not belong to this algebra")
-        if y.algebra is not self and y.algebra != self:
-            raise DimensionMismatchError("element does not belong to this algebra")
-        return Element(self, self.mul_vec(x.coords, y.coords))
-
-
-@dataclass(frozen=True)
-class Element:
-    algebra: Algebra
-    coords: tuple
-
-    def __add__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.algebra, add_vec(self.coords, other.coords))
-
-    def __sub__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.algebra, sub_vec(self.coords, other.coords))
-
-    def __neg__(self) -> "Element":
-        return Element(self.algebra, tuple(-c for c in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, Element):
-            return self.algebra.multiply(self, other)
-        return Element(self.algebra, scale_vec(frac(other), self.coords))
-
-    def __rmul__(self, other):
-        return Element(self.algebra, scale_vec(frac(other), self.coords))
-
-    def is_zero(self) -> bool:
-        return is_zero_vec(self.coords)
-
-    def __str__(self):
-        return format_combination(self.coords, self.algebra.basis_names)
-
-    def _check(self, other: "Element"):
-        if self.algebra is not other.algebra and self.algebra != other.algebra:
-            raise DimensionMismatchError("elements of different algebras")
 
 
 def _signed_sum(terms) -> str:
@@ -341,13 +277,13 @@ def verify_subalgebra(alg: Algebra, s: Subspace) -> bool:
 
 
 def generated_subalgebra(alg: Algebra, generators) -> Subspace:
-    """Least subspace containing the generators and closed under the product.
+    """Least subspace containing the generators, coordinate sequences, and
+    closed under the product.
 
     Iterates span-then-add-products; terminates because the dimension grows
     strictly until the fixed point.
     """
-    gens = [g.coords if isinstance(g, Element) else vec(g) for g in generators]
-    current = Subspace.from_spanning(alg.dim, gens)
+    current = Subspace.from_spanning(alg.dim, [vec(g) for g in generators])
     while True:
         rows = [_sparse(r) for r in current.basis]
         grown = _subspace(alg.dim, [*rows, *basis_products(alg, rows)])
@@ -367,7 +303,7 @@ def induced_algebra(alg: Algebra, s: Subspace, basis=None, names=None) -> Algebr
             raise DimensionMismatchError.of(alg.dim, s.ambient_dim)
         rows = list(s.basis)
     else:
-        rows = [b.coords if isinstance(b, Element) else vec(b) for b in basis]
+        rows = [vec(b) for b in basis]
         if Subspace.from_spanning(alg.dim, rows) != s or len(rows) != s.dim:
             raise ValueError("supplied basis does not span the subspace")
     k = len(rows)

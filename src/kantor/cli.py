@@ -52,6 +52,7 @@ from .identities import (
     load_identity,
     parse_expr,
 )
+from .linalg import unit_vec
 from .storage import (
     algebra_document,
     dumps_algebra,
@@ -245,7 +246,7 @@ def _gens_to_vectors(alg: Algebra, spec_text: str):
         if not part:
             continue
         if part in alg.basis_names:
-            vectors.append(alg.gen(part).coords)
+            vectors.append(unit_vec(alg.dim, alg.basis_names.index(part)))
         else:
             try:
                 idx = int(part)
@@ -253,7 +254,7 @@ def _gens_to_vectors(alg: Algebra, spec_text: str):
                 raise AlgebraFormatError(f"unknown generator {part!r}") from None
             if not 1 <= idx <= alg.dim:
                 raise AlgebraFormatError(f"generator index {idx} out of range")
-            vectors.append(alg.gen(idx - 1).coords)
+            vectors.append(unit_vec(alg.dim, idx - 1))
     return vectors
 
 

@@ -193,9 +193,9 @@ KANTOR_EQUATION = identity(
 def verify_associated(alg: Algebra, f, cross_check: bool = True) -> bool:
     """Check that f satisfies the bracket equation for every basis pair.
 
-    `f` is a bilinear MultilinearOp (or an Algebra over the same space);
-    the zero operation encodes F = 0.  The verdict comes from the tensor
-    route: T_ab = sum_z F(a,b)_z I_z, that is
+    `f` is a bilinear MultilinearOp on the same space; the zero operation
+    encodes F = 0.  The verdict comes from the tensor route:
+    T_ab = sum_z F(a,b)_z I_z, that is
     [L_b, [L_a, P]] = -[L_{F(a,b)}, P], for each basis pair in pair order,
     stopping at the first pair where it fails.  The cross-check recomputes
     it through `KANTOR_EQUATION`, the multiplied-out equation, expanded
@@ -208,8 +208,6 @@ def verify_associated(alg: Algebra, f, cross_check: bool = True) -> bool:
     0.22-0.28 s and 1.7-1.9 s to them; pass cross_check=False to skip it.
     """
     n = alg.dim
-    if isinstance(f, Algebra):
-        f = MultilinearOp.from_algebra(f)
     if f.dim != n or f.arity != 2:
         raise ValueError("f must be a bilinear operation on the same space")
     _, columns, targets = _bracket_system(alg)

@@ -77,22 +77,6 @@ def unit_vec(n: int, i: int) -> Vec:
     return tuple(F1 if j == i else F0 for j in range(n))
 
 
-def add_vec(x: Vec, y: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def sub_vec(x: Vec, y: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def scale_vec(c: Fraction, x: Vec) -> Vec:
-    return tuple(c * a for a in x)
-
-
-def is_zero_vec(x: Vec) -> bool:
-    return not any(x)
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Dense rational matrix, row-major, acting on coordinate columns;

@@ -41,6 +41,9 @@ _DIGITS = f"[0-9]{{1,{MAX_DIGITS}}}" if MAX_DIGITS else "[0-9]+"
 _FORM = f"p/q or p, at most {MAX_DIGITS} digits each" if MAX_DIGITS else "p/q or p"
 _RATIONAL = re.compile(f"[+-]?{_DIGITS}(?:/{_DIGITS})?")
 _INTEGER = re.compile(f"-?{_DIGITS}")
+# A lone surrogate: JSON's \ud800 escape reads as one, but no text encoding
+# can write it out.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def parse_rational(text) -> Fraction:
@@ -136,6 +139,9 @@ def parse_algebra_document(doc, where="<algebra>"):
     if not isinstance(basis, list) or not all(isinstance(b, (str, int, float)) for b in basis):
         raise AlgebraFormatError("basis must be a list of names", f"{where}.basis")
     names = tuple(str(b) for b in basis)
+    for name in names:
+        if _SURROGATE.search(name):
+            raise AlgebraFormatError(f"basis name {name!r} holds a lone surrogate", f"{where}.basis")
     if len(names) != dim or len(set(names)) != dim:
         raise AlgebraFormatError(f"basis must list {dim} distinct names", f"{where}.basis")
     if "table" not in doc:
@@ -148,9 +154,9 @@ def parse_algebra_document(doc, where="<algebra>"):
 
 
 def read_json(path):
-    """The JSON document in a file; malformed or too deeply nested JSON, an
-    object with a key given twice, and an integer of more than MAX_DIGITS
-    digits, is an AlgebraFormatError."""
+    """The JSON document in a file; a file that is not UTF-8, malformed or
+    too deeply nested JSON, an object with a key given twice, and an integer
+    of more than MAX_DIGITS digits, is an AlgebraFormatError."""
 
     def integer(text):
         if not _INTEGER.fullmatch(text):
@@ -174,6 +180,8 @@ def read_json(path):
             raise AlgebraFormatError(f"invalid JSON: {exc}", f"{path}:{exc.lineno}:{exc.colno}") from None
         except RecursionError:
             raise AlgebraFormatError("JSON nested too deeply", str(path)) from None
+        except UnicodeDecodeError as exc:
+            raise AlgebraFormatError(f"not UTF-8 ({exc.reason}, byte {exc.start})", str(path)) from None
 
 
 def load_algebra_pair(path):

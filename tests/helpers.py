@@ -38,7 +38,7 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 from kantor import codim1
-from kantor.algebra import Algebra, Element, verify_subalgebra
+from kantor.algebra import Algebra, verify_subalgebra
 from kantor.codim1 import Codim1Report, PivotCase, hyperplane_basis
 from kantor.conservative import TERMINAL_CONVENTIONS, ConservativityVerdict, InfeasibilityWitness, jacobi_space
 from kantor.derivations import DerivationAlgebra
@@ -57,7 +57,6 @@ from kantor.linalg import (
     frac,
     fredholm_certificate,
     solve_columns,
-    sub_vec,
     unit_vec,
     vec,
 )
@@ -76,19 +75,15 @@ from kantor.poly import (
 from kantor.wn import wn_basis_labels, wn_product
 
 
-def _coords(a):
-    return a.coords if isinstance(a, Element) else vec(a)
-
-
 def left_mul_operator(alg: Algebra, a) -> Matrix:
     """Matrix of x -> a x; column j holds the coordinates of a e_j."""
-    av = _coords(a)
+    av = vec(a)
     return Matrix.from_rows(zip(*(alg.mul_vec(av, unit_vec(alg.dim, j)) for j in range(alg.dim))))
 
 
 def right_mul_operator(alg: Algebra, a) -> Matrix:
     """Matrix of x -> x a; column j holds the coordinates of e_j a."""
-    av = _coords(a)
+    av = vec(a)
     return Matrix.from_rows(zip(*(alg.mul_vec(unit_vec(alg.dim, j), av) for j in range(alg.dim))))
 
 
@@ -260,6 +255,10 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 def zero_vec(n: int):
     return (F0,) * n
+
+
+def sub_vec(x, y):
+    return tuple(a - b for a, b in zip(x, y))
 
 
 def dot(x, y):

@@ -27,6 +27,12 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def _process_env():
+    """The environment for `python -m kantor.cli` in a child process."""
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
 def test_wn_table_matches_recorded(capsys):
     code, out, _ = run_cli(["wn", "2", "--table"], capsys)
     assert code == 0
@@ -438,6 +444,35 @@ def test_duplicate_json_key_exits_65(text, argv, key, tmp_path, capsys):
     assert out == "" and f"duplicate key {key!r}" in err
 
 
+NOT_UTF8 = b'{"dim": 1, "basis": ["\xff"], "table": {}}'
+SURROGATE_NAME = b'{"dim": 1, "basis": ["\\ud800"], "table": {"\\ud800*\\ud800": {"\\ud800": "1"}}}'
+
+
+@pytest.mark.parametrize(
+    "content, argv, message",
+    [
+        (NOT_UTF8, ["show"], b"not UTF-8"),
+        (NOT_UTF8, ["twist", "structurable", "--fixture", "matrix2", "--involution"], b"not UTF-8"),
+        (NOT_UTF8, ["identity", "--fixture", "sl2", "--file"], b"not UTF-8"),
+        (SURROGATE_NAME, ["show"], b"lone surrogate"),
+        (SURROGATE_NAME, ["--json", "show"], b"lone surrogate"),
+    ],
+    ids=["algebra-not-utf8", "involution-not-utf8", "identity-not-utf8", "surrogate-name", "surrogate-name-json"],
+)
+def test_text_that_cannot_be_read_or_written_exits_65(content, argv, message, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kantor.cli", *argv, str(path)],
+        capture_output=True,
+        env=_process_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 65
+    assert proc.stdout == b"" and message in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 def test_results_print_at_any_size(tmp_path, capsys):
     # a 3000-digit constant c gives (a*a)*a = c^2 a^3, a 6000-digit witness
     c = int("7" * 3000)
@@ -627,12 +662,11 @@ def test_call_order_does_not_change_a_report(capsys):
 
 
 def test_a_closed_stdout_exits_74_without_a_traceback():
-    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "kantor.cli", "--json", "wn", "3"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=_process_env(),
     )
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)

@@ -113,9 +113,8 @@ def test_quasi_unit_wn2(wn2):
     assert qs.particular == minus_e1
     assert qs.kernel == jacobi_space(wn2)
     # -e1 is a left quasi-unit but not a left unit
-    e1 = wn2.gen(0)
-    e2 = wn2.gen(1)
-    assert (-e1) * e2 != e2
+    e2 = unit_vec(8, 1)
+    assert wn2.mul_vec(minus_e1, e2) != e2
 
 
 def test_quasi_unit_zero_algebra():
@@ -138,11 +137,14 @@ def test_quasi_unit_certificate(name):
 
 
 def test_quasi_unit_defining_identity(wn2):
-    e = wn2.element(quasi_units(wn2).particular)
+    e = quasi_units(wn2).particular
+    mul = wn2.mul_vec
     for i in range(8):
         for j in range(8):
-            x, y = wn2.gen(i), wn2.gen(j)
-            assert e * (x * y) == (e * x) * y + x * (e * y) - x * y
+            x, y = unit_vec(8, i), unit_vec(8, j)
+            xy = mul(x, y)
+            rhs = zip(mul(mul(e, x), y), mul(x, mul(e, y)), xy)
+            assert mul(e, xy) == tuple(a + b - c for a, b, c in rhs)
 
 
 @settings(deadline=None, max_examples=15)
@@ -240,8 +242,7 @@ def test_unknown_convention_rejected(w2sym):
 def test_wn1():
     w1 = build_wn(1)
     assert w1.dim == 1
-    u = w1.gen(0)
-    assert u * u == -u
+    assert w1.mul_vec((1,), (1,)) == (-1,)
     assert conservativity(w1).conservative
 
 

@@ -8,34 +8,33 @@ from kantor.algebra import Algebra
 from kantor.conservative import conservativity
 from kantor.errors import GateError
 from kantor.identities import builtin_identities, suite_holds
-from kantor.linalg import Matrix
+from kantor.linalg import Matrix, unit_vec
 from kantor import identities, zoo
 
 from helpers import identity_matrix, matrix_unit, opposite, rename
 
 
 def test_m7_products(m7):
-    x, y, z = m7.gen("x"), m7.gen("y"), m7.gen("z")
-    xp, yp, zp = m7.gen("x'"), m7.gen("y'"), m7.gen("z'")
-    h = m7.gen("h")
-    assert x * xp == h
-    assert xp * yp == -2 * z
-    assert x * h == -2 * x  # anticommutative completion of h x = 2x
-    assert y * x == -2 * zp
+    names = ("x", "y", "z", "x'", "y'", "z'", "h")
+    x, y, z, xp, yp, zp, h = (unit_vec(7, m7.basis_names.index(name)) for name in names)
+    mul = m7.mul_vec
+    assert mul(x, xp) == h
+    assert mul(xp, yp) == tuple(-2 * c for c in z)
+    assert mul(x, h) == tuple(-2 * c for c in x)  # anticommutative completion of h x = 2x
+    assert mul(y, x) == tuple(-2 * c for c in zp)
 
 
 def test_simple_left_commutative_values():
     alg = zoo.simple_left_commutative(2)
-    e1, e2 = alg.gen(0), alg.gen(1)
-    assert e1 * e2 == 2 * e2
-    assert e2 * e2 == 2 * e2
+    e1, e2 = unit_vec(2, 0), unit_vec(2, 1)
+    assert alg.mul_vec(e1, e2) == (0, 2)
+    assert alg.mul_vec(e2, e2) == (0, 2)
     assert suite_holds(alg, builtin_identities()["left_commutative"])
 
 
 def test_simple_left_commutative_one_dimensional():
     alg = zoo.simple_left_commutative(1)
-    e1 = alg.gen(0)
-    assert e1 * e1 == e1
+    assert alg.mul_vec((1,), (1,)) == (1,)
     assert suite_holds(alg, builtin_identities()["associative"])
     assert conservativity(alg).conservative
 
