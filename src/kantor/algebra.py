@@ -20,7 +20,10 @@ vectors with it, and `mul_vec` is the same kernel on concrete coordinate
 vectors at the constant monomial 0, which enter as `linalg._sparse` gives
 them.  A caller that needs only the first nonzero coordinate of a sum of
 products gathers them all and stops `multiply_out` there, as the identity
-engine does with an identity's defect.
+engine does with an identity's defect.  Every product of two subspace
+rows is one of `basis_products`, the kernel on sparse rows: generated
+subalgebras, the derived series, induced tables and `closure_witness`
+all read them there.
 """
 
 from __future__ import annotations
@@ -227,48 +230,19 @@ def basis_products(alg: Algebra, rows) -> Iterator[dict]:
     return ({k: terms[0] for k, terms in alg.mul_expanded(a, b).items()} for a in vectors for b in vectors)
 
 
-def _contraction(alg: Algebra, nu) -> dict:
-    """{i: {j: nu(e_i e_j)}} over the nonzero values, for a sparse
-    functional nu {k: value}: the structure constants contracted with it."""
-    form = {}
-    for i, row in enumerate(alg.sparse_table):
-        values = {}
-        for j, outputs in enumerate(row):
-            v = sum(c * nu[k] for k, c in outputs if k in nu)
-            if v:
-                values[j] = v
-        if values:
-            form[i] = values
-    return form
-
-
 def closure_witness(alg: Algebra, s: Subspace):
     """(i, j, product) for the first basis product of s that leaves s, in
     the order of `basis_products`, or None.
 
-    A vector lies in s iff every normal nu of s, a basis vector of
-    `s.orthogonal_complement()`, vanishes on it, and nu(x y) is the
-    bilinear form `_contraction(alg, nu)` at (x, y).  So each basis row x
-    is multiplied into each form once, and nu(x y) for every basis row y
-    is a dot product with that.  Rows and normals are taken through
-    `_sparse`; only the first failing pair is multiplied out, by
-    `mul_vec`.
+    A product lies in s iff every normal of s, a basis vector of
+    `s.orthogonal_complement()` taken through `_sparse`, vanishes on it.
     """
     if s.ambient_dim != alg.dim:
         raise DimensionMismatchError.of(alg.dim, s.ambient_dim)
-    rows = [_sparse(r) for r in s.basis]
-    forms = [_contraction(alg, _sparse(nu)) for nu in s.orthogonal_complement().basis]
-    for i, x in enumerate(rows):
-        images = []  # x B for each form B, as {j: value}
-        for form in forms:
-            image = defaultdict(int)
-            for r, xr in x.items():
-                for j, v in form.get(r, {}).items():
-                    image[j] += xr * v
-            images.append(image)
-        for j, y in enumerate(rows):
-            if any(sum(image[t] * yt for t, yt in y.items() if t in image) for image in images):
-                return (i, j, alg.mul_vec(s.basis[i], s.basis[j]))
+    normals = [_sparse(nu) for nu in s.orthogonal_complement().basis]
+    for idx, product in enumerate(basis_products(alg, [_sparse(r) for r in s.basis])):
+        if any(sum(c * nu[k] for k, c in product.items() if k in nu) for nu in normals):
+            return (*divmod(idx, s.dim), _dense(product, alg.dim))
     return None
 
 

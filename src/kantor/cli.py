@@ -76,6 +76,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def _check_value(self, action, value):
+        # the choices as repr, as argparse wrote them until later 3.12 and
+        # 3.13 releases switched to str: one wording on every interpreter
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
+
 
 class _UsageError(Exception):
     pass

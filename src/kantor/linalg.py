@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Values are exact rationals, with no floating point anywhere in this
-package: inside, an integral value stays an `int` (`exact`); every vector
-handed back across the public boundary holds `fractions.Fraction`s.
+package (`frac` refuses a float): inside, an integral value stays an
+`int` (`exact`); every vector handed back across the public boundary
+holds `fractions.Fraction`s.
 Everything here is immutable after construction and all operations are
 pure, so values can be shared freely.
 
@@ -27,7 +28,9 @@ quasi-units, induced tables and the two-sided annihilator and unit hand
 it sparse columns, and Der(A) itself hands `eliminate` the Leibniz
 equations as sparse rows.  A kernel of dense rows is the orthogonal
 complement of their span,
-`Subspace.from_spanning(n, rows).orthogonal_complement()`.
+`Subspace.from_spanning(n, rows).orthogonal_complement()`, and the
+coordinates of a vector in a subspace are the canonical solution with
+the basis rows as columns.
 A Fredholm certificate, `fredholm_certificate`, is the canonical solution
 of the transposed system, solved from the same sparse columns and
 computed only when a system is infeasible; it comes back keyed by the
@@ -51,9 +54,13 @@ Vec = tuple  # tuple[Fraction, ...]
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, strings like ``"2/3"``, and Fractions to Fraction."""
+    """Coerce ints, strings like ``"2/3"``, and Fractions to Fraction; a
+    float is a TypeError, for its value is a binary fraction near the
+    rational it was written as."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, float):
+        raise TypeError(f"expected an exact rational, got the float {x!r}")
     return Fraction(x)
 
 
@@ -297,23 +304,12 @@ class Subspace:
         return self.coordinates(v) is not None
 
     def coordinates(self, v):
-        """Coordinates of v in the RREF basis, or None if v is outside.
-
-        Valid because each basis row is the unique one with a nonzero entry
-        in its pivot column, and is zero before it.
-        """
-        v = list(vec(v))
+        """Coordinates of v in the RREF basis, or None if v is outside: the
+        canonical solution of ``sum_r x_r basis[r] = v``."""
+        v = vec(v)
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError.of(self.ambient_dim, len(v))
-        coords = tuple(v[p] for p in self.pivot_columns)
-        for c, row, p in zip(coords, self.basis, self.pivot_columns):
-            if c:
-                for k in range(p, self.ambient_dim):
-                    if row[k]:
-                        v[k] -= c * row[k]
-        if any(v):
-            return None
-        return coords
+        return solve_columns([_sparse(r) for r in self.basis], [_sparse(v)]).solution(self.dim)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)

@@ -179,7 +179,7 @@ class MultilinearOp:
         return MultilinearOp(self.arity, self.dim, {k: -c for k, c in self.coeffs.items()})
 
     def scale(self, c) -> "MultilinearOp":
-        c = Fraction(c)
+        c = frac(c)
         return MultilinearOp(self.arity, self.dim, {k: c * v for k, v in self.coeffs.items()})
 
     def __eq__(self, other):

@@ -11,7 +11,9 @@ where <products> is either a dense n x n array of {basis_name: "p/q"}
 maps, or a sparse object mapping "ei*ej" to {basis_name: "p/q"}; a key
 is read at the one "*" that splits it into two basis names, and a key with
 more than one such split is refused on reading and on writing, as is a
-key given twice in any object of any file read.  Omitted
+key given twice in any object of any file read.  A basis name that holds
+a lone surrogate, which no text encoding can write, is refused on reading
+and on writing.  Omitted
 entries are zero and every rational is a string `p/q` or `p`, the sign on
 the numerator; no other form is read, and no integer of more than
 MAX_DIGITS digits as written.  `bracket_table` carries a second product
@@ -125,6 +127,14 @@ def _parse_products(obj, names, where):
     return Algebra.from_products(n, table, names)
 
 
+def _check_names(names, where=None):
+    """Refuse a basis name that holds a lone surrogate, on reading and on
+    writing: no file can hold one as text."""
+    for name in names:
+        if _SURROGATE.search(name):
+            raise AlgebraFormatError(f"basis name {name!r} holds a lone surrogate", where)
+
+
 def parse_algebra_document(doc, where="<algebra>"):
     """Parse a loaded JSON document into (product, bracket-or-None)."""
     if not isinstance(doc, dict):
@@ -139,9 +149,7 @@ def parse_algebra_document(doc, where="<algebra>"):
     if not isinstance(basis, list) or not all(isinstance(b, (str, int, float)) for b in basis):
         raise AlgebraFormatError("basis must be a list of names", f"{where}.basis")
     names = tuple(str(b) for b in basis)
-    for name in names:
-        if _SURROGATE.search(name):
-            raise AlgebraFormatError(f"basis name {name!r} holds a lone surrogate", f"{where}.basis")
+    _check_names(names, f"{where}.basis")
     if len(names) != dim or len(set(names)) != dim:
         raise AlgebraFormatError(f"basis must list {dim} distinct names", f"{where}.basis")
     if "table" not in doc:
@@ -211,7 +219,9 @@ def _products_document(alg: Algebra):
 
 
 def algebra_document(alg: Algebra, bracket: Algebra = None):
-    """Canonical (sparse, zero-free) JSON document for an algebra."""
+    """Canonical (sparse, zero-free) JSON document for an algebra; a basis
+    name that no file can hold is an AlgebraFormatError."""
+    _check_names(alg.basis_names)
     doc = {
         "dim": alg.dim,
         "basis": list(alg.basis_names),

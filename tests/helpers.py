@@ -13,9 +13,10 @@ and the distinct-first basis that `poly._groebner`'s linear round
 replaced, the exponent-keyed pivot system that `codim1._pivot_system`
 replaced, the codim1 sweep that built and solved every pivot's full system
 before the linear rows decided pivots first, the elimination that reduced every row in full before
-`linalg.eliminate` dropped the unknowns pinned to zero, the columns
-[E_rs, P] that `derivations._leibniz_rows` replaced and the Der(A) solved
-from them, the `kantor_bracket` columns [L_z, P] and targets
+`linalg.eliminate` dropped the unknowns pinned to zero, the in-place
+reduction that `Subspace.coordinates` replaced with `solve_columns`,
+the columns [E_rs, P] that `derivations._leibniz_rows` replaced and the
+Der(A) solved from them, the `kantor_bracket` columns [L_z, P] and targets
 [[L_a, P], L_b] that `conservative._bracket_system` replaced and the
 conservativity, Jacobi space, quasi-units and tensor route solved from
 them, the triple bracket [[[P, x], P], P] multiplied out as an identity
@@ -42,7 +43,7 @@ from kantor.algebra import Algebra, verify_subalgebra
 from kantor.codim1 import Codim1Report, PivotCase, hyperplane_basis
 from kantor.conservative import TERMINAL_CONVENTIONS, ConservativityVerdict, InfeasibilityWitness, jacobi_space
 from kantor.derivations import DerivationAlgebra
-from kantor.errors import BudgetExceededError, NotClosedError
+from kantor.errors import BudgetExceededError, DimensionMismatchError, NotClosedError
 from kantor.identities import Prod, Sum, Var, _fields, identity
 from kantor.linalg import (
     F0,
@@ -506,6 +507,24 @@ def eliminate_in_full(rows, cols: int) -> Echelon:
         pivot_rows[p] = row
     pivots = tuple(sorted(pivot_rows))
     return Echelon(cols, pivots, tuple(pivot_rows[p] for p in pivots), frozenset(inconsistent))
+
+
+def coordinates_by_reduction(s: Subspace, v):
+    """`Subspace.coordinates` reducing v in place by the RREF rows: each
+    basis row is the only one nonzero in its pivot column, and zero before
+    it, so v's pivot entries are its coordinates."""
+    v = list(vec(v))
+    if len(v) != s.ambient_dim:
+        raise DimensionMismatchError.of(s.ambient_dim, len(v))
+    coords = tuple(v[p] for p in s.pivot_columns)
+    for c, row, p in zip(coords, s.basis, s.pivot_columns):
+        if c:
+            for k in range(p, s.ambient_dim):
+                if row[k]:
+                    v[k] -= c * row[k]
+    if any(v):
+        return None
+    return coords
 
 
 def derivation_columns(alg: Algebra) -> list:

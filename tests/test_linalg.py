@@ -15,7 +15,7 @@ from kantor.linalg import (
     unit_vec,
 )
 
-from helpers import eliminate_in_full, identity_matrix, mat_apply, mat_col, pair, row_list, same_set, zero_matrix, zero_vec
+from helpers import coordinates_by_reduction, eliminate_in_full, identity_matrix, mat_apply, mat_col, pair, row_list, same_set, zero_matrix, zero_vec
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -363,6 +363,33 @@ def test_subspace_coordinates_roundtrip():
             rebuilt[k] += c * x
     assert tuple(rebuilt) == tuple(Fraction(x) for x in v)
     assert s.coordinates((0, 0, 1)) is None
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(rationals, min_size=n, max_size=n), max_size=n),
+        st.lists(rationals, min_size=n, max_size=n),
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+    )
+))
+def test_subspace_coordinates_match_the_in_place_reduction(case):
+    gens, drawn, weights = case
+    n = len(drawn)
+    s = Subspace.from_spanning(n, gens)
+    normals = s.orthogonal_complement().basis
+    # a combination of the spanning set lies inside s, and over Q a nonzero
+    # normal of s lies outside it; a drawn vector may lie either side
+    inside = [sum((w * g[k] for w, g in zip(weights, gens)), Fraction(0)) for k in range(n)]
+    assert s.coordinates(inside) is not None
+    assert all(s.coordinates(nu) is None for nu in normals)
+    for v in (inside, drawn, [0] * n, *normals):
+        coords = s.coordinates(v)
+        assert coords == coordinates_by_reduction(s, v)
+        assert coords is None or (len(coords) == s.dim and all(type(c) is Fraction for c in coords))
+    for v in ([0] * (n + 1), [1] * (n - 1)):
+        with pytest.raises(DimensionMismatchError):
+            s.coordinates(v)
 
 
 @pytest.mark.parametrize("v", [(1,), (1, 0, 0)])
