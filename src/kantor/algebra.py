@@ -8,27 +8,24 @@ assumes associativity, commutativity, or anything else about the product,
 so the same object doubles as an arbitrary bilinear map V x V -> V.
 
 The package multiplies coordinate-major vectors {coordinate: {monomial:
-coefficient}} in two steps.  `Algebra.gather` is the one walk over the
-nonzero structure constants of `sparse_table`: it files each constant it
-meets under its output coordinate, with the two input coordinates it
-pairs.  `multiply_out` turns each coordinate's filed terms into its
-{monomial: coefficient} polynomial, in ascending order and only when the
-caller reaches it.  A monomial is a packed int, so the product of two
-monomials is their sum.  `mul_expanded` is the walk plus every coordinate
-multiplied out.  The identity evaluator multiplies generic (symbolic)
-vectors with it, and `mul_vec` is the same kernel on concrete coordinate
-vectors at the constant monomial 0, which enter as `linalg._sparse` gives
-them.  A caller that needs only the first nonzero coordinate of a sum of
-products gathers them all and stops `multiply_out` there, as the identity
-engine does with an identity's defect.  Every product of two subspace
-rows is one of `basis_products`, the kernel on sparse rows: generated
-subalgebras, the derived series, induced tables and `closure_witness`
-all read them there.
+coefficient}}, a monomial being a packed int so that the product of two
+monomials is their sum, in two directions over the same constants.
+Concrete vectors are pushed: `mul_expanded` walks the nonzero constants
+of `sparse_table` once, pair by pair of nonzero input coordinates, and
+scatters each term into its output.  `mul_vec` is that kernel on
+coordinate vectors at the constant monomial 0, which enter as
+`linalg._sparse` gives them, and every product of two subspace rows is one
+of `basis_products`, the kernel on sparse rows: generated subalgebras, the
+derived series, induced tables and `closure_witness` all read them there.
+The identity engine pulls by output instead: `by_output` files the same
+constants under their output coordinate, so that coordinate k of a
+product is read without building the others, nor more of its operands
+than k needs.  `conservative` reads the same index for its closed-form
+brackets.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,26 +45,6 @@ from .linalg import (
 
 def default_names(n: int):
     return tuple(f"e{i + 1}" for i in range(n))
-
-
-def multiply_out(groups):
-    """The coordinates of a product from the terms `Algebra.gather` filed:
-    for each k in ascending order, (k, {monomial: coeff}) holding the sum
-    of c * x * y at m1 + m2 over the filed (c, u, v) and the monomials m1
-    of u and m2 of v, zeros dropped; a coordinate whose terms cancel is
-    skipped.  A generator: each coordinate is multiplied out only when it
-    is reached, so a caller that needs the first stops there."""
-    for k in sorted(groups):
-        acc = {}
-        for c, u, v in groups[k]:
-            for m1, x in u.items():
-                cx = c * x
-                for m2, y in v.items():
-                    m = m1 + m2
-                    acc[m] = acc.get(m, 0) + cx * y
-        terms = {m: c for m, c in acc.items() if c}
-        if terms:
-            yield k, terms
 
 
 @dataclass(frozen=True)
@@ -129,34 +106,53 @@ class Algebra:
         n = self.dim
         return tuple(tuple(_dense(dict(p), n) for p in row) for row in self.sparse_table)
 
-    def gather(self, groups, a, b, f=1):
-        """File the terms of f * (a b) under their output coordinates, for
-        `multiply_out`: groups[k], a list in a `defaultdict(list)`, gains one
-        (f * c_ijk, a[i], b[j]) per nonzero constant c_ijk met.
+    @cached_property
+    def by_output(self) -> tuple:
+        """The nonzero structure constants filed by output coordinate:
+        by_output[k] lists (i, j, c_ijk) over the nonzero c_ijk, i then j
+        ascending, built from `sparse_table` on first use and kept with
+        the algebra."""
+        meets = [[] for _ in range(self.dim)]
+        for i, row in enumerate(self.sparse_table):
+            for j, outputs in enumerate(row):
+                for k, c in outputs:
+                    meets[k].append((i, j, c))
+        return tuple(map(tuple, meets))
 
-        a and b are vectors {coordinate: {monomial: coeff}}.  A monomial is
-        a packed int: one fixed-width field per symbol holds its exponent,
-        symbol 0 in the most significant field, so the product of monomials
-        m1 and m2 is m1 + m2 (the caller picks fields wide enough that no
-        exponent carries) and int order is lex order of exponent vectors.
-        This is the package's one walk over `sparse_table` that multiplies
-        vectors; a pair (i, j) with no nonzero constant costs one lookup.
-        The filed vectors are a's and b's own, not copies."""
+    def mul_expanded(self, a, b):
+        """Product of two vectors stored as {coordinate: {monomial: coeff}},
+        its coordinates in ascending order.
+
+        A monomial is a packed int: one fixed-width field per symbol holds
+        its exponent, symbol 0 in the most significant field, so the product
+        of monomials m1 and m2 is m1 + m2 (the caller picks fields wide
+        enough that no exponent carries) and int order is lex order of
+        exponent vectors.  This is the package's one walk over `sparse_table`
+        that multiplies concrete vectors: a pair of coordinates (i, j) with
+        no nonzero constant costs one lookup and touches no monomial.
+        Coefficients may be ints or Fractions; the result keeps only nonzero
+        ones, and no coordinate without any."""
         table = self.sparse_table
+        out = {}
         for i, u in a.items():
             row = table[i]
             for j, v in b.items():
-                for k, c in row[j]:
-                    groups[k].append((f * c, u, v))
-
-    def mul_expanded(self, a, b):
-        """Product of two vectors stored as {coordinate: {monomial: coeff}}:
-        `gather`, then every coordinate of `multiply_out`.  Coefficients may
-        be ints or Fractions; the result keeps only nonzero ones, and no
-        coordinate without any."""
-        groups = defaultdict(list)
-        self.gather(groups, a, b)
-        return dict(multiply_out(groups))
+                outputs = row[j]
+                if not outputs:
+                    continue
+                products = [(m1 + m2, x * y) for m1, x in u.items() for m2, y in v.items()]
+                for k, c in outputs:
+                    acc = out.get(k)
+                    if acc is None:
+                        acc = out[k] = {}
+                    for m, xy in products:
+                        acc[m] = acc.get(m, 0) + xy * c
+        product = {}
+        for k in sorted(out):
+            terms = {m: c for m, c in out[k].items() if c}
+            if terms:
+                product[k] = terms
+        return product
 
     def mul_vec(self, x, y):
         """Product of two coordinate vectors, as Fractions: `mul_expanded`

@@ -16,45 +16,45 @@ decides non-multilinear identities (Jordan, Malcev, ...) without any
 linearization calculus.
 
 One evaluator expands every expression, over coordinate-major vectors
-{coordinate: {monomial: coefficient}} with packed monomials (the sparse,
-packed-monomial layout of Monagan & Pearce, CASC 2007).  Symbol t*n + i is
-coordinate i of the t-th free variable, and a monomial is one int with a
-field of B bits per symbol, B being the bit length of the expression's
-degree, and symbol 0 in the most significant field: no exponent reaches
-2**B, so multiplying monomials is adding ints, and int order is lex order
-of exponent vectors.  A concrete vector sits at the constant monomial 0,
-its coordinates taken through `linalg._sparse`, so `evaluate_identity`
-runs the same code.
-A linear combination is one `Sum` node, and every node but a variable
-goes through the package's one product kernel.  Every product reached
-from a node through sums (and a bare product) goes to `Algebra.gather`,
-the one walk over the nonzero structure constants, which files its terms
-under their output coordinates, each scaled by the product of the sum
-coefficients above it; a variable reached that way goes in as its
-coordinates times the constant monomial.  `algebra.multiply_out` then
-turns each coordinate's filed terms into its polynomial.  The operands of
-a product are built whole this way; the defect itself, the top level, is
-not: `defect_coordinates` yields its nonzero coordinates in ascending
-order, multiplying each out only when it is reached.  The defect is a
-unique polynomial vector, so this changes no value: only how much of it is
-built.  Like the heap multiplication of Monagan & Pearce, which produces
-terms in order so that a caller can stop early, it lets `check_identity`,
-`suite_holds` and the cross-check of `conservative.verify_associated`
-stop at the first nonzero coordinate.  Coefficients stay Python ints
-while they are integral (exact, and far cheaper than Fraction).  The
-witness of a failing identity is read off the first nonzero coordinate of
-its defect: the largest monomial, and a point found by fixing one symbol
-at a time.
+with packed monomials (the sparse, packed-monomial layout of Monagan &
+Pearce, CASC 2007): coordinate k is a polynomial {monomial: coefficient}.
+Symbol t*n + i is coordinate i of the t-th free variable, and a monomial
+is one int with a field of B bits per symbol, B being the bit length of
+the expression's degree, and symbol 0 in the most significant field: no
+exponent reaches 2**B, so multiplying monomials is adding ints, and int
+order is lex order of exponent vectors.  A concrete vector sits at the
+constant monomial 0, its coordinates taken through `linalg._sparse`, so
+`evaluate_identity` runs the same code.
+
+The defect is pulled one coordinate at a time, through the whole
+expression tree.  Each `Identity` keeps a plan (`_plan`): for the root and
+every product operand that is not a variable, the products and variables
+reached from it through sums, each with the product of the sum
+coefficients above it.  Coordinate k of such a node is the sum, over its
+products, of f * c * left[i] * right[j] over the (i, j, c) that
+`Algebra.by_output[k]` lists for the product's table, plus f * v[k] over
+its variables.  An operand coordinate is built the first time a product
+reads it, and kept for the rest of the call; a term whose left factor is
+zero never reads its right one.  The defect is a unique polynomial
+vector, so this changes no value: only how much of it is built.  Like the
+heap multiplication of Monagan & Pearce, which produces terms in order so
+that a caller can stop early, `defect_coordinates` yields the nonzero
+coordinates in ascending order, so `check_identity`, `suite_holds` and
+the cross-check of `conservative.verify_associated` stop at the first
+one, having built only the operand coordinates it reads.  Coefficients
+stay Python ints while they are integral (exact, and far cheaper than
+Fraction).  The witness of a failing identity is read off the first
+nonzero coordinate of its defect: the largest monomial, and a point found
+by fixing one symbol at a time.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import Algebra, multiply_out
+from .algebra import Algebra
 from .errors import AlgebraFormatError, DimensionMismatchError, ExprSyntaxError, MissingBracketError
 from .linalg import F0, _exact, _sparse, frac
 from .storage import MAX_DIGITS, read_json
@@ -262,6 +262,17 @@ class Identity:
     def needs_bracket(self) -> bool:
         return uses_bracket(self.expr)
 
+    @cached_property
+    def degree(self) -> int:
+        """`product_degree` of the expression, walked once."""
+        return product_degree(self.expr)
+
+    @cached_property
+    def plan(self) -> tuple:
+        """(root, entries): how `_defect` pulls this identity's defect; see
+        `_plan`."""
+        return _plan(self.variables, self.expr)
+
 
 def _is_variable_name(v) -> bool:
     """True iff v is exactly one `var` token of the expression language."""
@@ -287,61 +298,113 @@ def identity(name, variables, source) -> Identity:
         )
     if len(declared) > MAX_FREE_VARIABLES:
         raise ExprSyntaxError(f"{name}: more than {MAX_FREE_VARIABLES} free variables", 0)
-    if product_degree(expr) > MAX_DEGREE:
+    ident = Identity(name, tuple(variables), source, expr)
+    if ident.degree > MAX_DEGREE:
         raise ExprSyntaxError(f"{name}: degree exceeds {MAX_DEGREE}", 0)
-    return Identity(name, tuple(variables), source, expr)
+    return ident
 
 
 # -- evaluation ---------------------------------------------------------------
 
 
-def _eval(node, env, alg, bracket):
-    """Value of an expression over vectors {coordinate: {monomial: coeff}}:
-    a variable's own vector, any other node gathered by `_gather_top` and
-    every coordinate multiplied out."""
-    if isinstance(node, Var):
-        return env[node.name]
-    groups = defaultdict(list)
-    _gather_top(node, 1, env, alg, bracket, groups)
-    return dict(multiply_out(groups))
+def _plan(variables, expr):
+    """(root, entries) for pulling the value of expr one coordinate at a
+    time.  Slot t < len(variables) is the t-th variable, whose entry is
+    None; every other slot is a node, the root or a product operand that
+    is not a variable, and its entry is (products, leaves): the products
+    reached from it through sums, as (f, is_bracket, left slot, right
+    slot), and the variables so reached, as (f, slot).  f is the product of
+    the sum coefficients on the way, an int wherever it is integral: a
+    term's coefficient and its product with f are both made exact, so
+    integers multiply as ints and an integral product of Fractions becomes
+    one.  Equal operands share a slot, and an operand's slot comes before
+    the slots that read it."""
+    slots = {Var(v): t for t, v in enumerate(variables)}
+    entries = [None] * len(variables)
+
+    def reach(node, f, products, leaves):
+        if isinstance(node, Sum):
+            for coeff, arg in node.terms:
+                reach(arg, _exact(f * _exact(coeff)), products, leaves)
+        elif isinstance(node, Var):
+            leaves.append((f, slots[node]))
+        else:
+            products.append((f, isinstance(node, Bracket), slot(node.left), slot(node.right)))
+
+    def entry(node):
+        products, leaves = [], []
+        reach(node, 1, products, leaves)
+        entries.append((tuple(products), tuple(leaves)))
+        return len(entries) - 1
+
+    def slot(node):
+        t = slots.get(node)
+        if t is None:
+            t = slots[node] = entry(node)
+        return t
+
+    root = entry(expr)
+    return root, tuple(entries)
 
 
-_ONE = {0: 1}  # the constant monomial with coefficient 1
+def _defect(alg: Algebra, ident: Identity, columns, bracket: Algebra):
+    """The defect of the identity at the vectors `columns`, the t-th
+    variable's coordinates as a list of n polynomials {monomial: coeff}
+    ({} for zero), as an iterator of (k, {monomial: coeff}) over its
+    nonzero coordinates, k ascending.
 
-
-def _gather_top(node, f, env, alg, bracket, groups):
-    """File f * node into groups as `Algebra.gather` does, without building
-    the value of any product reached through sums from the node: the
-    operands of such a product are built by `_eval`, the product itself only
-    gathered.  A variable's coordinate k goes in as (f, v[k], {0: 1}).
-    f is an int wherever it is integral: a term's coefficient and its
-    product with f are both made exact, so integers multiply as ints and
-    an integral product of Fractions becomes one."""
-    if isinstance(node, Sum):
-        for coeff, arg in node.terms:
-            _gather_top(arg, _exact(f * _exact(coeff)), env, alg, bracket, groups)
-    elif isinstance(node, Var):
-        for k, terms in env[node.name].items():
-            groups[k].append((f, terms, _ONE))
-    else:
-        a = _eval(node.left, env, alg, bracket)
-        b = _eval(node.right, env, alg, bracket)
-        (alg if isinstance(node, Prod) else bracket).gather(groups, a, b, f)
-
-
-def _defect(alg: Algebra, ident: Identity, env, bracket: Algebra):
-    """The defect of the identity over the vectors in `env`, as an iterator
-    of (k, {monomial: coeff}) over its nonzero coordinates, k ascending.
-    The top-level products are gathered at once and each coordinate
-    multiplied out only when the iterator reaches it."""
+    Coordinate k of a node is the sum over its plan's products of
+    f * c * left[i] * right[j] over each (i, j, c) of the product's
+    `Algebra.by_output[k]`, plus f * v[k] over its variables.  An operand
+    coordinate is built the first time a product reads it, a right one
+    only when the left factor of its term is nonzero, and kept for the
+    rest of the iteration.  A missing or mismatched bracket raises here,
+    before anything is built."""
     if ident.needs_bracket:
         if bracket is None:
             raise MissingBracketError(f"identity {ident.name!r} uses {{,}} but no bracket table was supplied")
         if bracket.dim != alg.dim:
             raise DimensionMismatchError.of(alg.dim, bracket.dim)
-    groups = defaultdict(list)
-    _gather_top(ident.expr, 1, env, alg, bracket, groups)
-    return multiply_out(groups)
+    n = alg.dim
+    root, entries = ident.plan
+    indexes = (alg.by_output, bracket.by_output if ident.needs_bracket else None)
+    values = [*columns, *([None] * n for _ in entries[len(columns):])]
+
+    def coordinate(s, k):
+        products, leaves = entries[s]
+        acc = {}
+        for f, is_bracket, left_slot, right_slot in products:
+            left, right = values[left_slot], values[right_slot]
+            for i, j, c in indexes[is_bracket][k]:
+                u = left[i]
+                if u is None:
+                    u = coordinate(left_slot, i)
+                if not u:
+                    continue
+                v = right[j]
+                if v is None:
+                    v = coordinate(right_slot, j)
+                if not v:
+                    continue
+                fc = f * c
+                for m1, x in u.items():
+                    cx = fc * x
+                    for m2, y in v.items():
+                        m = m1 + m2
+                        acc[m] = acc.get(m, 0) + cx * y
+        for f, t in leaves:
+            for m, x in values[t][k].items():
+                acc[m] = acc.get(m, 0) + f * x
+        terms = values[s][k] = {m: c for m, c in acc.items() if c}
+        return terms
+
+    def nonzero():
+        for k in range(n):
+            terms = coordinate(root, k)
+            if terms:
+                yield k, terms
+
+    return nonzero()
 
 
 def evaluate_identity(alg: Algebra, ident: Identity, assignment, bracket: Algebra = None):
@@ -350,13 +413,14 @@ def evaluate_identity(alg: Algebra, ident: Identity, assignment, bracket: Algebr
     `assignment` maps each free variable to a coordinate vector.
     """
     n = alg.dim
-    env = {}
+    columns = []
     for v in ident.variables:
         coords = tuple(assignment[v])
         if len(coords) != n:
             raise DimensionMismatchError.of(n, len(coords))
-        env[v] = {i: {0: c} for i, c in _sparse(coords).items()}
-    defect = dict(_defect(alg, ident, env, bracket))
+        sparse = _sparse(coords)
+        columns.append([{0: sparse[i]} if i in sparse else {} for i in range(n)])
+    defect = dict(_defect(alg, ident, columns, bracket))
     return tuple(frac(defect[k][0]) if k in defect else F0 for k in range(n))
 
 
@@ -427,24 +491,21 @@ def _fields(ident: Identity, n: int):
     s has the field of `width` bits at bit shifts[s], symbol 0 highest.  No
     exponent exceeds the identity's degree, so none carries into the next
     field."""
-    width, count = product_degree(ident.expr).bit_length(), len(ident.variables) * n
+    width, count = ident.degree.bit_length(), len(ident.variables) * n
     return width, tuple(width * (count - 1 - s) for s in range(count))
 
 
 def defect_coordinates(alg: Algebra, ident: Identity, bracket: Algebra = None):
     """The defect at generic vectors, as an iterator of (k, {monomial:
     coeff}) over its nonzero coordinates, k ascending, every coefficient
-    nonzero; empty iff the identity holds.  Each coordinate is multiplied
-    out only when reached, so a caller that needs the first stops there.
+    nonzero; empty iff the identity holds.  Each coordinate is pulled
+    only when reached, so a caller that needs the first stops there.
     Monomials are packed as `_fields` says.  A missing or mismatched
     bracket raises here, before anything is expanded."""
     n = alg.dim
     _, shifts = _fields(ident, n)
-    env = {
-        v: {i: {1 << shifts[t * n + i]: 1} for i in range(n)}
-        for t, v in enumerate(ident.variables)
-    }
-    return _defect(alg, ident, env, bracket)
+    columns = [[{1 << shifts[t * n + i]: 1} for i in range(n)] for t in range(len(ident.variables))]
+    return _defect(alg, ident, columns, bracket)
 
 
 def generic_defect(alg: Algebra, ident: Identity, bracket: Algebra = None):

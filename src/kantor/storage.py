@@ -220,8 +220,13 @@ def _products_document(alg: Algebra):
 
 def algebra_document(alg: Algebra, bracket: Algebra = None):
     """Canonical (sparse, zero-free) JSON document for an algebra; a basis
-    name that no file can hold is an AlgebraFormatError."""
+    name that no file can hold, and a bracket over another basis, which
+    the file could not say, are AlgebraFormatErrors."""
     _check_names(alg.basis_names)
+    if bracket is not None and bracket.basis_names != alg.basis_names:
+        raise AlgebraFormatError(
+            f"bracket basis {list(bracket.basis_names)} is not the algebra's basis {list(alg.basis_names)}"
+        )
     doc = {
         "dim": alg.dim,
         "basis": list(alg.basis_names),
@@ -279,8 +284,10 @@ def dumps_algebra(alg: Algebra, bracket: Algebra = None) -> str:
 
 
 def save_algebra(alg: Algebra, path, bracket: Algebra = None):
+    """Write `dumps_algebra` to path; a document it refuses leaves no file."""
+    text = dumps_algebra(alg, bracket)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_algebra(alg, bracket))
+        fh.write(text)
 
 
 def load_linear_map(path, expected_dim=None) -> Matrix:

@@ -5,8 +5,8 @@ version of something the package computes another way (left and right
 multiplication for `MultilinearOp.partial`, the unit for `zoo.find_unit`,
 W(n) product by product for `wn.build_wn`'s closed form, the slot-by-slot
 insertion loop for `multiops`' cached layouts, the scatter loop for
-`Algebra.mul_expanded`'s gather-then-multiply-out, the whole-expression
-evaluator for the identity engine's coordinate-at-a-time defect,
+`Algebra.mul_expanded`, the whole-expression evaluator for the identity
+engine's defect pulled one coordinate at a time,
 a polynomial's value for the Groebner solver, the pairwise scan that
 `poly._distinct` replaced with a hash key, the per-variable substitution
 and the distinct-first basis that `poly._groebner`'s linear round
@@ -161,6 +161,12 @@ def mul_by_scatter(alg: Algebra, a, b):
     return _pruned(out)
 
 
+def typed(vector):
+    """A vector {coordinate: {monomial: coeff}} with each coefficient paired
+    with its type, so that comparing two compares int against Fraction."""
+    return {k: {m: (type(c), c) for m, c in terms.items()} for k, terms in vector.items()}
+
+
 def _pruned(vector):
     out = {}
     for k, terms in vector.items():
@@ -172,21 +178,39 @@ def _pruned(vector):
 
 def expand_whole(node, env, alg: Algebra, bracket: Algebra = None):
     """The value of an identity's expression over the vectors in env, every
-    node built whole: a sum added term by term into one vector, a product
-    through `mul_by_scatter`."""
-    if isinstance(node, Var):
-        return env[node.name]
+    node built whole: the products and variables reached from it through
+    sums are scattered into one vector, each times f, the product of the sum
+    coefficients on the way, made exact at each step as the identity engine
+    makes it; a product's operands are built whole first.  Zeros are
+    dropped from a whole node's value only, so a coefficient is a Fraction
+    exactly where one of its terms has a Fraction factor, as in the
+    engine."""
+    acc = {}
+    _scatter_whole(acc, node, 1, env, alg, bracket)
+    return _pruned(acc)
+
+
+def _scatter_whole(acc, node, f, env, alg, bracket):
+    """Add f * node into acc, as `expand_whole` says."""
     if isinstance(node, Sum):
-        acc = {}
         for coeff, arg in node.terms:
-            for k, terms in expand_whole(arg, env, alg, bracket).items():
-                row = acc.setdefault(k, {})
-                for m, v in terms.items():
-                    row[m] = row.get(m, 0) + coeff * v
-        return _pruned(acc)
-    left = expand_whole(node.left, env, alg, bracket)
-    right = expand_whole(node.right, env, alg, bracket)
-    return mul_by_scatter(alg if isinstance(node, Prod) else bracket, left, right)
+            _scatter_whole(acc, arg, _exact(f * _exact(coeff)), env, alg, bracket)
+    elif isinstance(node, Var):
+        for k, terms in env[node.name].items():
+            row = acc.setdefault(k, {})
+            for m, x in terms.items():
+                row[m] = row.get(m, 0) + f * x
+    else:
+        left = expand_whole(node.left, env, alg, bracket)
+        right = expand_whole(node.right, env, alg, bracket)
+        table = (alg if isinstance(node, Prod) else bracket).sparse_table
+        for i, u in left.items():
+            for j, v in right.items():
+                for k, c in table[i][j]:
+                    row = acc.setdefault(k, {})
+                    for m1, x in u.items():
+                        for m2, y in v.items():
+                            row[m1 + m2] = row.get(m1 + m2, 0) + f * c * x * y
 
 
 def generic_env(alg: Algebra, ident):

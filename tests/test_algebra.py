@@ -36,7 +36,16 @@ from kantor.storage import (
 from kantor.wn import XI_LABELS, Z_LABELS, build_wn, w2sym_subspace, wn_associated_F
 from kantor import zoo
 
-from helpers import as_matrix, identity_matrix, left_mul_operator, mat_col, mat_combination, mul_by_scatter, right_mul_operator
+from helpers import (
+    as_matrix,
+    identity_matrix,
+    left_mul_operator,
+    mat_col,
+    mat_combination,
+    mul_by_scatter,
+    right_mul_operator,
+    typed as _typed,
+)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -150,10 +159,6 @@ def _expanded_vectors(n):
     coeff = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(2)])
     terms = st.dictionaries(st.integers(0, 15), coeff, min_size=1, max_size=3)
     return st.dictionaries(st.integers(0, n - 1), terms, max_size=n)
-
-
-def _typed(vector):
-    return {k: {m: (type(c), c) for m, c in terms.items()} for k, terms in vector.items()}
 
 
 @settings(deadline=None, max_examples=100)
@@ -471,6 +476,24 @@ def test_storage_bracket_roundtrip(tmp_path):
     c2, b2 = load_algebra_pair(path)
     assert c2.table == comm.table
     assert b2.table == bracket.table
+
+
+@pytest.mark.parametrize(
+    "bracket",
+    [
+        Algebra.from_products(1, {(0, 0): {0: 1}}, names=["y"]),  # its keys would read as bad
+        Algebra.zero(2, names=["x", "z"]),  # would load back as a zero bracket of dim 1
+    ],
+    ids=["renamed", "zero of another dim"],
+)
+def test_storage_refuses_a_bracket_over_another_basis(tmp_path, bracket):
+    alg = Algebra.from_products(1, {(0, 0): {0: 2}}, names=["x"])
+    with pytest.raises(AlgebraFormatError, match="bracket basis"):
+        dumps_algebra(alg, bracket)
+    path = tmp_path / "pair.json"
+    with pytest.raises(AlgebraFormatError, match="bracket basis"):
+        save_algebra(alg, path, bracket=bracket)
+    assert not path.exists()  # the document is refused before the file opens
 
 
 def test_storage_rejects_zero_denominator():

@@ -34,7 +34,7 @@ from kantor.identities import (
 from kantor.linalg import frac, unit_vec
 from kantor import identities, wn, zoo
 
-from helpers import expand_whole, whole_defect
+from helpers import expand_whole, typed, whole_defect
 
 
 def test_parse_associator():
@@ -484,18 +484,25 @@ def _raw_identity(expr, source=""):
     return Identity("expr", ("a", "b", "c"), source, expr)
 
 
+def _whole_at(alg, ident, bracket, point):
+    """The defect at a concrete point, {variable: coordinates}, expanded
+    whole by `expand_whole`, as a tuple of Fractions."""
+    env = {v: {i: {0: c} for i, c in enumerate(point[v]) if c} for v in ident.variables}
+    whole = expand_whole(ident.expr, env, alg, bracket)
+    return tuple(frac(whole[k][0]) if k in whole else Fraction(0) for k in range(alg.dim))
+
+
 def _assert_coordinates_match_the_oracle(alg, ident, bracket):
-    expected = whole_defect(alg, ident, bracket)
+    # values and their types: an int coefficient stays an int
+    expected = typed(whole_defect(alg, ident, bracket))
     got = list(defect_coordinates(alg, ident, bracket))
     assert [k for k, _ in got] == sorted(expected)
-    assert dict(got) == expected == generic_defect(alg, ident, bracket)
+    assert typed(dict(got)) == expected == typed(generic_defect(alg, ident, bracket))
     # and at a concrete point: coordinate i of the t-th variable is i - t
-    env = {v: {i: {0: frac(i - t)} for i in range(alg.dim) if i != t} for t, v in enumerate(ident.variables)}
-    whole = expand_whole(ident.expr, env, alg, bracket)
     point = {v: tuple(frac(i - t) for i in range(alg.dim)) for t, v in enumerate(ident.variables)}
-    assert evaluate_identity(alg, ident, point, bracket) == tuple(
-        frac(whole[k][0]) if k in whole else 0 for k in range(alg.dim)
-    )
+    defect = evaluate_identity(alg, ident, point, bracket)
+    assert all(type(c) is Fraction for c in defect)
+    assert defect == _whole_at(alg, ident, bracket, point)
 
 
 def _random_table(data, n):
@@ -546,19 +553,19 @@ def test_nested_integer_sums_keep_int_coefficients(name, source):
     # the parser's scalars are Fractions; an integral table and integral
     # scalars, or nested scalars whose product is integral (1/2 of 2), must
     # still give int coefficients at every level, sums inside product
-    # operands included (the oracles compare values, not types)
+    # operands included
     alg = zoo.fixture(name)
     assert all(type(c) is int for row in alg.sparse_table for outputs in row for _, c in outputs)
     ident = _raw_identity(parse_expr(source), source)
     defect = generic_defect(alg, ident, alg)
-    assert defect == whole_defect(alg, ident, alg)
+    assert typed(defect) == typed(whole_defect(alg, ident, alg))
     assert defect and all(type(c) is int for terms in defect.values() for c in terms.values())
 
 
-def _oracle_witness(alg, ident, bracket):
+def _oracle_witness(alg, ident, defect):
     """(coordinate, monomial, coefficient, assignment) of the witness, read
-    off the whole defect as the witness is defined; None when it holds."""
-    defect = whole_defect(alg, ident, bracket)
+    off `defect`, the identity's whole defect, as the witness is defined;
+    None when it is empty."""
     if not defect:
         return None
     n, k = alg.dim, min(defect)
@@ -574,21 +581,50 @@ def _oracle_witness(alg, ident, bracket):
     )
 
 
+def _assert_verdict_matches_the_oracle(alg, ident, bracket, defect):
+    """check_identity's verdict and witness, the defect at the witness's
+    point included, against `defect`, the identity's whole defect."""
+    verdict = check_identity(alg, ident, bracket)
+    expected = _oracle_witness(alg, ident, defect)
+    assert verdict.holds == (expected is None)
+    if expected is not None:
+        w = verdict.witness
+        assert (w.coordinate, w.monomial, w.coefficient, w.assignment) == expected
+        assert w.defect == _whole_at(alg, ident, bracket, w.assignment)
+    return verdict.holds
+
+
 @pytest.mark.parametrize("name", sorted(zoo.FIXTURES))
 def test_witnesses_and_suite_verdicts_match_the_oracle_on_fixtures(name):
     alg = zoo.fixture(name)
     for suite in builtin_identities().values():
-        expected_holds = True
-        for ident in suite.identities:
-            verdict = check_identity(alg, ident, alg)
-            expected = _oracle_witness(alg, ident, alg)
-            assert verdict.holds == (expected is None)
-            if expected is not None:
-                w = verdict.witness
-                assert (w.coordinate, w.monomial, w.coefficient, w.assignment) == expected
-                assert w.defect == evaluate_identity(alg, ident, w.assignment, alg)
-                expected_holds = False
-        assert suite_holds(alg, suite, alg) == expected_holds
+        holds = [
+            _assert_verdict_matches_the_oracle(alg, ident, alg, whole_defect(alg, ident, alg))
+            for ident in suite.identities
+        ]
+        assert suite_holds(alg, suite, alg) == all(holds)
+
+
+_wn = functools.cache(wn.build_wn)
+
+
+@pytest.mark.parametrize("suite", builtin_identities().values(), ids=lambda s: s.name)
+@pytest.mark.parametrize("n", [3, 4])
+def test_first_coordinate_and_witness_match_the_oracle_on_wn(n, suite):
+    # at the target scale: the first nonzero coordinate, the only one
+    # check_identity pulls, and the witness read off it; W(n) is its own
+    # bracket
+    alg = _wn(n)
+    holds = []
+    for ident in suite.identities:
+        defect = whole_defect(alg, ident, alg)
+        first = next(defect_coordinates(alg, ident, alg), None)
+        k = min(defect, default=None)
+        assert first == (None if k is None else (k, defect[k]))
+        if first is not None:
+            assert typed(dict([first])) == typed({k: defect[k]})
+        holds.append(_assert_verdict_matches_the_oracle(alg, ident, alg, defect))
+    assert suite_holds(alg, suite, alg) == all(holds)
 
 
 def test_bracket_errors_raise_from_every_entry_point():
