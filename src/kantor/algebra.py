@@ -7,27 +7,26 @@ n x n x n `table` is a view derived from it on request.  Nothing here
 assumes associativity, commutativity, or anything else about the product,
 so the same object doubles as an arbitrary bilinear map V x V -> V.
 
-The package multiplies coordinate-major vectors {coordinate: {monomial:
-coefficient}}, a monomial being a packed int so that the product of two
-monomials is their sum, in two directions over the same constants.
-Concrete vectors are pushed: `mul_expanded` walks the nonzero constants
-of `sparse_table` once, pair by pair of nonzero input coordinates, and
-scatters each term into its output.  `mul_vec` is that kernel on
-coordinate vectors at the constant monomial 0, which enter as
-`linalg._sparse` gives them, and every product of two subspace rows is one
-of `basis_products`, the kernel on sparse rows: generated subalgebras, the
-derived series, induced tables and `closure_witness` all read them there.
-The identity engine pulls by output instead: `by_output` files the same
-constants under their output coordinate, so that coordinate k of a
-product is read without building the others, nor more of its operands
-than k needs.  `conservative` reads the same index for its closed-form
-brackets.
+A concrete vector enters a product as the sparse row {i: c} of its
+nonzero coordinates, as `linalg._sparse` gives it.  `mul_sparse`
+multiplies two such rows, walking the nonzero constants of `sparse_table`
+once pair by pair of nonzero input coordinates and pushing each term into
+its output; it is the one kernel for concrete products.  `mul_vec` is it
+on coordinate vectors, and every product of two subspace rows is one of
+`basis_products`: generated subalgebras, the derived series, induced
+tables and `closure_witness` all read them there.  The identity engine
+pulls by output instead, over polynomials of its own: `by_output` files
+the same constants under their output coordinate, so that coordinate k
+of a product is read without building the others, nor more of its
+operands than k needs.  `conservative` reads the same index for its
+closed-form brackets.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .errors import DimensionMismatchError, NotClosedError
@@ -64,6 +63,8 @@ class Algebra:
             for outputs in row:
                 last = -1
                 for k, c in outputs:
+                    if type(c) is not int and type(c) is not Fraction:
+                        raise TypeError(f"structure constant {c!r} is not an int or a Fraction")
                     if not (type(k) is int and last < k < n) or not c:
                         raise ValueError(f"bad structure constant ({k!r}, {c!r}) for dim {n}")
                     last = k
@@ -119,50 +120,36 @@ class Algebra:
                     meets[k].append((i, j, c))
         return tuple(map(tuple, meets))
 
-    def mul_expanded(self, a, b):
-        """Product of two vectors stored as {coordinate: {monomial: coeff}},
-        its coordinates in ascending order.
+    def mul_sparse(self, a, b):
+        """Product of two sparse rows {i: c}, as the {k: c} of its nonzero
+        coordinates, k ascending.
 
-        A monomial is a packed int: one fixed-width field per symbol holds
-        its exponent, symbol 0 in the most significant field, so the product
-        of monomials m1 and m2 is m1 + m2 (the caller picks fields wide
-        enough that no exponent carries) and int order is lex order of
-        exponent vectors.  This is the package's one walk over `sparse_table`
-        that multiplies concrete vectors: a pair of coordinates (i, j) with
-        no nonzero constant costs one lookup and touches no monomial.
-        Coefficients may be ints or Fractions; the result keeps only nonzero
-        ones, and no coordinate without any."""
+        This is the package's one walk over `sparse_table` that multiplies
+        concrete vectors: a pair of coordinates (i, j) with no nonzero
+        constant costs one lookup and no multiplication, and each other
+        pair forms x * y once before adding its multiple of each constant.
+        Values may be ints or Fractions, and each output keeps the type
+        that arithmetic gives it."""
         table = self.sparse_table
         out = {}
-        for i, u in a.items():
+        for i, x in a.items():
             row = table[i]
-            for j, v in b.items():
+            for j, y in b.items():
                 outputs = row[j]
                 if not outputs:
                     continue
-                products = [(m1 + m2, x * y) for m1, x in u.items() for m2, y in v.items()]
+                xy = x * y
                 for k, c in outputs:
-                    acc = out.get(k)
-                    if acc is None:
-                        acc = out[k] = {}
-                    for m, xy in products:
-                        acc[m] = acc.get(m, 0) + xy * c
-        product = {}
-        for k in sorted(out):
-            terms = {m: c for m, c in out[k].items() if c}
-            if terms:
-                product[k] = terms
-        return product
+                    out[k] = out.get(k, 0) + xy * c
+        return {k: out[k] for k in sorted(out) if out[k]}
 
     def mul_vec(self, x, y):
-        """Product of two coordinate vectors, as Fractions: `mul_expanded`
-        on the constant monomial 0, each vector taken through `_sparse`."""
+        """Product of two coordinate vectors, as Fractions: `mul_sparse` on
+        the sparse rows that `linalg._sparse` makes of them."""
         n = self.dim
         if len(x) != n or len(y) != n:
             raise DimensionMismatchError.of(n, (len(x), len(y)))
-        a = {i: {0: c} for i, c in _sparse(x).items()}
-        b = {j: {0: c} for j, c in _sparse(y).items()}
-        return _dense({k: terms[0] for k, terms in self.mul_expanded(a, b).items()}, n)
+        return _dense(self.mul_sparse(_sparse(x), _sparse(y)), n)
 
 
 def _signed_sum(terms) -> str:
@@ -219,11 +206,10 @@ def annihilator(alg: Algebra) -> Subspace:
 
 
 def basis_products(alg: Algebra, rows) -> Iterator[dict]:
-    """Every product of two of the sparse rows {i: c}, lazily, as the sparse
-    {k: c} row of its nonzeros, `Algebra.mul_expanded` on the constant
-    monomial 0; rows[i] rows[j] comes at index i * len(rows) + j."""
-    vectors = [{i: {0: c} for i, c in row.items()} for row in rows]
-    return ({k: terms[0] for k, terms in alg.mul_expanded(a, b).items()} for a in vectors for b in vectors)
+    """Every product of two of the sparse rows {i: c}, lazily, as
+    `Algebra.mul_sparse` gives it; rows[i] rows[j] comes at index
+    i * len(rows) + j."""
+    return (alg.mul_sparse(a, b) for a in rows for b in rows)
 
 
 def closure_witness(alg: Algebra, s: Subspace):

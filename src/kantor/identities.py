@@ -444,14 +444,20 @@ class IdentityVerdict:
         return self.holds
 
 
-def _find_nonvanishing(terms, width, shifts, candidates=(0, 1, -1, 2, -2, 3)):
+# Values tried for each symbol, in order: a polynomial of degree <= 5 in a
+# symbol cannot vanish at all six.
+_CANDIDATES = (0, 1, -1, 2, -2, 3)
+
+
+def _find_nonvanishing(terms, width, shifts):
     """A point, {symbol: Fraction}, where the polynomial {monomial:
     coefficient} does not vanish, symbol s having the `width`-bit field at
     bit shifts[s] of each monomial; symbols it lacks stay free.
 
     Fixes its symbols in increasing order, so the one being fixed sits in
-    the top field of every monomial left; degree <= 5 per symbol guarantees
-    one of the six candidate values keeps the rest nonzero.
+    the top field of every monomial left, and tries the `_CANDIDATES` in
+    turn.  Setting a symbol to 0 only drops the monomials that hold it, so
+    that candidate keeps the terms with an empty top field as they are.
     """
     used = 0
     for m in terms:
@@ -460,18 +466,21 @@ def _find_nonvanishing(terms, width, shifts, candidates=(0, 1, -1, 2, -2, 3)):
     for s, shift in enumerate(shifts):
         if not used >> shift & (1 << width) - 1:
             continue
-        for c in candidates:
-            fixed = {}
-            for m, coeff in terms.items():
-                e = m >> shift
-                rest = m - (e << shift)
-                fixed[rest] = fixed.get(rest, 0) + coeff * c**e
-            fixed = {m: coeff for m, coeff in fixed.items() if coeff}
+        for c in _CANDIDATES:
+            if c:
+                fixed = {}
+                for m, coeff in terms.items():
+                    e = m >> shift
+                    rest = m - (e << shift)
+                    fixed[rest] = fixed.get(rest, 0) + coeff * c**e
+                fixed = {m: coeff for m, coeff in fixed.items() if coeff}
+            else:
+                fixed = {m: coeff for m, coeff in terms.items() if not m >> shift}
             if fixed:
                 assignment[s] = Fraction(c)
                 terms = fixed
                 break
-        else:  # pragma: no cover - impossible for degree <= |candidates| - 1
+        else:  # pragma: no cover - impossible for degree <= len(_CANDIDATES) - 1
             raise RuntimeError("no non-vanishing point found")
     return assignment
 

@@ -5,8 +5,9 @@ version of something the package computes another way (left and right
 multiplication for `MultilinearOp.partial`, the unit for `zoo.find_unit`,
 W(n) product by product for `wn.build_wn`'s closed form, the slot-by-slot
 insertion loop for `multiops`' cached layouts, the scatter loop for
-`Algebra.mul_expanded`, the whole-expression evaluator for the identity
-engine's defect pulled one coordinate at a time,
+`Algebra.mul_sparse`, the whole-expression evaluator for the identity
+engine's defect pulled one coordinate at a time, the witness search that
+substitutes every candidate value, 0 included, into the whole polynomial,
 a polynomial's value for the Groebner solver, the pairwise scan that
 `poly._distinct` replaced with a hash key, the per-variable substitution
 and the distinct-first basis that `poly._groebner`'s linear round
@@ -144,21 +145,45 @@ def insertion_by_slots(a: MultilinearOp, b: MultilinearOp) -> MultilinearOp:
 
 
 def mul_by_scatter(alg: Algebra, a, b):
-    """The product of two vectors {coordinate: {monomial: coeff}}, packed
-    monomials added: for each pair (i, j) with a nonzero constant, every
-    monomial product of a[i] and b[j], scattered into each output k."""
+    """The product of two sparse rows {i: c}: for each pair of coordinates
+    (i, j), x * y times each constant of e_i e_j scattered into its output
+    k; zeros dropped."""
     out = {}
-    for i, u in a.items():
-        for j, v in b.items():
-            outputs = alg.sparse_table[i][j]
-            if not outputs:
-                continue
-            products = [(m1 + m2, x * y) for m1, x in u.items() for m2, y in v.items()]
-            for k, c in outputs:
-                acc = out.setdefault(k, {})
-                for m, xy in products:
-                    acc[m] = acc.get(m, 0) + xy * c
-    return _pruned(out)
+    for i, x in a.items():
+        for j, y in b.items():
+            for k, c in alg.sparse_table[i][j]:
+                out[k] = out.get(k, 0) + x * y * c
+    return {k: c for k, c in out.items() if c}
+
+
+def find_nonvanishing(terms, width, shifts):
+    """The point, {symbol: Fraction}, that the identity engine's witness
+    search finds on the packed polynomial {monomial: coefficient}, symbol s
+    having the `width`-bit field at bit shifts[s]: each symbol the
+    polynomial uses, in increasing order, takes the first of 0, 1, -1, 2,
+    -2, 3 that leaves it nonzero, the whole polynomial substituted for each
+    value tried."""
+    used = 0
+    for m in terms:
+        used |= m
+    assignment = {}
+    for s, shift in enumerate(shifts):
+        if not used >> shift & (1 << width) - 1:
+            continue
+        for c in (0, 1, -1, 2, -2, 3):
+            fixed = {}
+            for m, coeff in terms.items():
+                e = m >> shift
+                rest = m - (e << shift)
+                fixed[rest] = fixed.get(rest, 0) + coeff * c**e
+            fixed = {m: coeff for m, coeff in fixed.items() if coeff}
+            if fixed:
+                assignment[s] = Fraction(c)
+                terms = fixed
+                break
+        else:
+            raise RuntimeError("no non-vanishing point found")
+    return assignment
 
 
 def typed(vector):

@@ -44,7 +44,6 @@ from helpers import (
     mat_combination,
     mul_by_scatter,
     right_mul_operator,
-    typed as _typed,
 )
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -153,24 +152,32 @@ def test_mul_vec_is_the_triple_sum(data):
     assert all(isinstance(c, Fraction) for c in product)
 
 
-def _expanded_vectors(n):
-    """Vectors {coordinate: {monomial: coeff}} over dim n, with small packed
-    monomials and nonzero int, Fraction and integral-Fraction coefficients."""
-    coeff = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(2)])
-    terms = st.dictionaries(st.integers(0, 15), coeff, min_size=1, max_size=3)
-    return st.dictionaries(st.integers(0, n - 1), terms, max_size=n)
+def _sparse_rows(n):
+    """Sparse rows {i: c} over dim n, with nonzero int, Fraction and
+    integral-Fraction values."""
+    value = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(2)])
+    return st.dictionaries(st.integers(0, n - 1), value, max_size=n)
 
 
 @settings(deadline=None, max_examples=100)
 @given(st.data())
-def test_mul_expanded_matches_the_scatter_loop(data):
-    # gather, then multiply out each coordinate: the same coefficients, of
-    # the same types, as scattering every pair's products into its outputs
+def test_mul_sparse_matches_the_scatter_loop(data):
+    # the same values, of the same types, k ascending, as scattering every
+    # pair's products into their outputs
     alg = _random_algebra(data, 4)
-    a, b = (data.draw(_expanded_vectors(alg.dim)) for _ in range(2))
-    product = alg.mul_expanded(a, b)
-    assert _typed(product) == _typed(mul_by_scatter(alg, a, b))
-    assert list(product) == sorted(product)
+    a, b = (data.draw(_sparse_rows(alg.dim)) for _ in range(2))
+    product = alg.mul_sparse(a, b)
+    expected = mul_by_scatter(alg, a, b)
+    assert [(k, type(c), c) for k, c in product.items()] == sorted((k, type(c), c) for k, c in expected.items())
+
+
+def test_mul_sparse_of_an_empty_row_and_of_cancelling_terms():
+    # e1 e1 = e1 + e2 and e1 e2 = -e2, so e1 (e1 + e2) = e1: its e2 terms cancel
+    alg = Algebra.from_products(2, {(0, 0): {0: 1, 1: 1}, (0, 1): {1: -1}})
+    assert alg.mul_sparse({}, {0: 1, 1: 2}) == {} == alg.mul_sparse({0: 1}, {})
+    assert list(alg.mul_sparse({0: 1}, {0: 1, 1: 1}).items()) == [(0, 1)]
+    product = alg.mul_sparse({0: Fraction(1, 2)}, {0: 2, 1: 2})
+    assert [(k, type(c), c) for k, c in product.items()] == [(0, Fraction, 1)]
 
 
 @settings(deadline=None, max_examples=20)
@@ -524,6 +531,12 @@ def test_from_products_refuses_indices_out_of_range(products):
 def test_the_constructor_checks_the_sparse_form(entry):
     with pytest.raises(ValueError, match="structure constant"):
         Algebra(("a", "b"), ((entry, ()), ((), ())))
+
+
+@pytest.mark.parametrize("value", [0.5, "1/2"])
+def test_the_constructor_refuses_a_constant_that_is_not_rational(value):
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        Algebra(("a",), ((((0, value),),),))
 
 
 def test_the_constructor_checks_n_rows_of_n_products():

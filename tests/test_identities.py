@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 import re
 from fractions import Fraction
@@ -34,7 +35,7 @@ from kantor.identities import (
 from kantor.linalg import frac, unit_vec
 from kantor import identities, wn, zoo
 
-from helpers import expand_whole, typed, whole_defect
+from helpers import expand_whole, find_nonvanishing, typed, whole_defect
 
 
 def test_parse_associator():
@@ -125,7 +126,7 @@ def test_eq4_template_on_nilpotent_fixture(nilp4):
 
 
 def test_suite_holds_builds_no_witness(monkeypatch):
-    def no_witness(poly, candidates=()):
+    def no_witness(*args):
         raise AssertionError("a witness was built")
 
     monkeypatch.setattr(identities, "_find_nonvanishing", no_witness)
@@ -373,6 +374,33 @@ def test_a_fifth_power_fills_its_exponent_field():
     assert w.defect == (1,)
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_witness_point_matches_the_substituting_oracle(data):
+    # random packed polynomials, exponents up to 5 so that one of the six
+    # candidate values keeps each symbol's polynomial nonzero: the point
+    # found is the oracle's, of the same types, and the polynomial is
+    # nonzero there
+    count = data.draw(st.integers(1, 4))
+    width = data.draw(st.integers(3, 4))
+    shifts = tuple(width * (count - 1 - s) for s in range(count))
+    exponents = st.tuples(*[st.integers(0, 5)] * count)
+    coeff = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(2)])
+    terms = {
+        sum(e << shift for e, shift in zip(key, shifts)): c
+        for key, c in data.draw(st.dictionaries(exponents, coeff, min_size=1, max_size=8)).items()
+    }
+    point = identities._find_nonvanishing(terms, width, shifts)
+    assert [(s, type(c), c) for s, c in point.items()] == [
+        (s, type(c), c) for s, c in find_nonvanishing(terms, width, shifts).items()
+    ]
+    value = sum(
+        c * math.prod(point.get(s, 0) ** (m >> shift & (1 << width) - 1) for s, shift in enumerate(shifts))
+        for m, c in terms.items()
+    )
+    assert value != 0
+
+
 @pytest.mark.parametrize(
     "n, products",
     [(1, {(0, 0): {0: 1}}), (2, {(0, 0): {0: 1, 1: 1}, (0, 1): {1: 2}, (1, 0): {0: -1}, (1, 1): {1: Fraction(1, 2)}})],
@@ -572,7 +600,7 @@ def _oracle_witness(alg, ident, defect):
     terms = defect[k]
     width, shifts = identities._fields(ident, n)
     leading = max(terms)
-    point = identities._find_nonvanishing(terms, width, shifts)
+    point = find_nonvanishing(terms, width, shifts)
     return (
         k,
         tuple(leading >> shift & (1 << width) - 1 for shift in shifts),

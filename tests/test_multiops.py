@@ -201,6 +201,12 @@ def test_kernel_matches_the_slot_by_slot_oracle(data):
             assert c and (type(c) is int or c.denominator > 1)
 
 
+@pytest.mark.parametrize("value", [0.5, "1/2"])
+def test_the_constructor_refuses_a_coefficient_that_is_not_rational(value):
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        MultilinearOp(1, 2, {((0,), 0): value})
+
+
 def test_dim_mismatch():
     with pytest.raises(DimensionMismatchError):
         insertion_product(MultilinearOp.identity(2), MultilinearOp.identity(3))
