@@ -7,8 +7,8 @@ budget exceeded, 74 stdout closed before the report was written, 1 failed
 assertion.  Identical inputs produce byte-identical reports.
 
 The argument parser is built on the first call of `main` and reused by
-every later call in the same process, and so is each fixture's input
-digest.
+every later call in the same process, and so is each fixture's input:
+its algebra, bracket and digest.
 """
 
 from __future__ import annotations
@@ -161,19 +161,14 @@ def _digest(alg):
     return hashlib.sha256(dumps_algebra(alg).encode()).hexdigest()
 
 
-def _fixture_input(name, pair=False):
-    """(algebra, bracket, input digest) of a named fixture; with `pair`,
-    poisson_trunc's commutative algebra and its bracket, the pair the
-    fixture is built from."""
-    alg, bracket = zoo.truncated_poisson_pair() if pair else (_fixture(name), None)
-    return alg, bracket, _fixture_digest(name, pair)
-
-
 @functools.cache
-def _fixture_digest(name, pair):
-    """`_fixture_input`'s digest, encoded once per process: a fixture is
-    the same algebra every time it is built."""
-    return _digest(zoo.truncated_poisson_pair()[0] if pair else _fixture(name))
+def _fixture_input(name, pair):
+    """(algebra, bracket, input digest) of a named fixture, built and
+    encoded once per process: a fixture is the same algebra every time.
+    With `pair`, poisson_trunc's commutative algebra and its bracket, the
+    pair the fixture is built from."""
+    alg, bracket = zoo.truncated_poisson_pair() if pair else (_fixture(name), None)
+    return alg, bracket, _digest(alg)
 
 
 def _record_input(report, source, digest):
@@ -283,7 +278,7 @@ def _wn(args, report):
 
 
 def _fixture_command(args, report):
-    alg, _, digest = _fixture_input(args.name)
+    alg, _, digest = _fixture_input(args.name, False)
     _record_input(report, f"fixture:{args.name}", digest)
     return _show_algebra(report, alg, audit=args.name)
 

@@ -18,7 +18,7 @@ its reduction budget, as the first linear round of the full system would.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .algebra import Algebra, verify_subalgebra
@@ -69,14 +69,26 @@ def pivot_system(alg: Algebra, p: int):
 
 
 def _nonzero_products(alg: Algebra):
-    """(i, j, outputs) for each nonzero product e_i e_j in (i, j) order,
-    outputs as `Algebra.sparse_table` lists them: a sweep over every pivot
-    lists them once, instead of scanning all n^2 products per pivot."""
-    return [(i, j, outputs) for i, row in enumerate(alg.sparse_table) for j, outputs in enumerate(row) if outputs]
+    """(i, j, outputs) for each nonzero product e_i e_j, outputs as
+    `Algebra.sparse_table` lists them, sorted by smallest output and then
+    by (i, j): a sweep over every pivot lists them once, and the products
+    that can touch pivot p's generators, those with an output at or below
+    p - 1, are the prefix `_reaching` cuts."""
+    products = [(i, j, outputs) for i, row in enumerate(alg.sparse_table) for j, outputs in enumerate(row) if outputs]
+    return sorted(products, key=_smallest_output)
+
+
+def _smallest_output(product):
+    return product[2][0][0]
+
+
+def _reaching(products, q):
+    """The prefix of `_nonzero_products` with an output at or below q."""
+    return products[: bisect_right(products, q, key=_smallest_output)]
 
 
 def _pivot_system(products, p):
-    """`pivot_system` for pivot p from the algebra's nonzero products.
+    """`pivot_system` for pivot p from `_nonzero_products`.
 
     Each generator is summed on short keys, the sorted a-indices of a
     term, and each key becomes its exponent tuple once per pivot; the
@@ -103,10 +115,8 @@ def _pivot_system(products, p):
                     key = keys[raw] = tuple(sorted(raw))
             terms[key] = terms.get(key, 0) + c
 
-    for i, j, outputs in products:
+    for i, j, outputs in _reaching(products, q):
         form = phi(outputs)
-        if not form:
-            continue
         if i != q and j != q:
             add(i, j, (), form)
         elif i != q:
@@ -141,20 +151,11 @@ def _pivot_system(products, p):
     return variables, tuple(generators)
 
 
-def _by_smallest_output(products):
-    """The nonzero products sorted by their smallest output (the first of
-    their ascending outputs), and those smallest outputs: the products that
-    can touch pivot p's generators, those with an output at or below p - 1,
-    are a prefix."""
-    ordered = sorted(products, key=lambda t: t[2][0][0])
-    return ordered, [outputs[0][0] for _, _, outputs in ordered]
-
-
-def _linear_rows(table, ordered, lows, p):
+def _linear_rows(table, products, p):
     """The generators of pivot p that are linear by construction, as
     `eliminate` rows {m: coefficient of a_(m+1), p - 1: constant term}
     keyed by the basis pair (i, j) of phi(h_i h_j), summed straight from
-    `table` (`Algebra.sparse_table`) and `_by_smallest_output`'s products;
+    `table` (`Algebra.sparse_table`) and `_nonzero_products`' products;
     a row may hold zeros, and one whose entries all vanish is a generator
     that cancels to zero.  None when no row has a constant term: the origin
     then solves them, so they leave the pivot open.
@@ -170,7 +171,7 @@ def _linear_rows(table, ordered, lows, p):
     top = table[q]  # e_q e_j
     square = bool(top[q]) and top[q][0][0] <= q  # rows (m < q, m2 < q) not linear
     rows = {}
-    for i, j, outputs in ordered[: bisect_right(lows, q)]:
+    for i, j, outputs in _reaching(products, q):
         if i == q or j == q:
             continue
         if j < q and (i < q and square or table[i][q] and table[i][q][0][0] < q):
@@ -210,16 +211,14 @@ class PivotCase:
     subalgebras: tuple         # verified Subspaces, solution order
     error: object = None       # BudgetExceededError when the pivot failed
     products: object = field(default=(), compare=False, repr=False)  # the sweep's, for `ideal`
-    generators: InitVar[tuple] = None  # the closure generators, when the pivot built them
-
-    def __post_init__(self, generators):
-        if generators is not None:
-            self.__dict__["ideal"] = generators
+    generators: object = field(default=None, compare=False, repr=False)  # when the pivot built them
 
     @cached_property
     def ideal(self):
-        """The closure generators (`pivot_system`): kept if the pivot built
-        them, else built from `products` on first access."""
+        """The closure generators (`pivot_system`): `generators` if the
+        pivot built them, else built from `products` on first read."""
+        if self.generators is not None:
+            return self.generators
         return _pivot_system(self.products, self.pivot)[1]
 
 
@@ -227,7 +226,11 @@ class PivotCase:
 class Codim1Report:
     algebra_dim: int
     cases: tuple
-    subalgebras: tuple  # flat, pivots ascending then lex solution order
+
+    @property
+    def subalgebras(self):
+        """Every case's subalgebras, pivots ascending then lex solution order."""
+        return tuple(sub for c in self.cases for sub in c.subalgebras)
 
     @property
     def budget_errors(self):
@@ -248,13 +251,11 @@ def codim1_subalgebras(alg: Algebra, max_reductions=MAX_REDUCTIONS) -> Codim1Rep
     """
     n = alg.dim
     cases = []
-    flat = []
     products = _nonzero_products(alg)
-    ordered, lows = _by_smallest_output(products)
     for p in range(1, n + 1):
         gens = gb = None
         try:
-            rows = _linear_rows(alg.sparse_table, ordered, lows, p)
+            rows = _linear_rows(alg.sparse_table, products, p)
             if rows is not None:
                 variables = _pivot_variables(p)
                 gb = unit_basis_of_linear(rows.values(), variables, max_reductions)
@@ -272,5 +273,4 @@ def codim1_subalgebras(alg: Algebra, max_reductions=MAX_REDUCTIONS) -> Codim1Rep
                 raise RuntimeError(f"pivot {p}: solution fails closure re-verification")
             subs.append(sub)
         cases.append(PivotCase(p, variables, gb, sols, tuple(subs), None, products, gens))
-        flat.extend(subs)
-    return Codim1Report(n, tuple(cases), tuple(flat))
+    return Codim1Report(n, tuple(cases))

@@ -72,8 +72,14 @@ def exact(x):
 
 def _exact(x):
     """`exact` of an int or a Fraction, private so that the benchmark tracer
-    leaves the per-entry loops of `eliminate` and `MultilinearOp` alone."""
-    return x.numerator if x.denominator == 1 else x
+    leaves the per-entry loops of `eliminate` and `MultilinearOp` alone; any
+    other value, a float or a string among them, is a TypeError."""
+    if type(x) is int:
+        return x
+    try:
+        return x.numerator if x.denominator == 1 else x
+    except AttributeError:
+        raise TypeError(f"{x!r} is not an int or a Fraction") from None
 
 
 def vec(values) -> Vec:

@@ -66,10 +66,7 @@ class MultilinearOp:
             raise ValueError("arity must be nonnegative")
         self.arity = arity
         self.dim = dim
-        try:
-            self.coeffs = {k: _exact(v) for k, v in (coeffs or {}).items() if v}
-        except AttributeError:  # a value with no numerator or denominator
-            raise TypeError("a coefficient is not an int or a Fraction") from None
+        self.coeffs = {k: _exact(v) for k, v in (coeffs or {}).items() if v}
 
     # -- constructors -------------------------------------------------
 

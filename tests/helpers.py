@@ -454,7 +454,6 @@ def codim1_in_full(alg: Algebra, max_reductions=MAX_REDUCTIONS) -> Codim1Report:
     `buchberger`, whatever its linear rows say."""
     n = alg.dim
     cases = []
-    flat = []
     products = codim1._nonzero_products(alg)
     for p in range(1, n + 1):
         variables, gens = codim1._pivot_system(products, p)
@@ -467,8 +466,7 @@ def codim1_in_full(alg: Algebra, max_reductions=MAX_REDUCTIONS) -> Codim1Report:
         subs = tuple(Subspace.from_spanning(n, hyperplane_basis(n, p, point)) for point in sols.points)
         assert all(verify_subalgebra(alg, sub) for sub in subs)
         cases.append(PivotCase(p, variables, gb, sols, subs, generators=gens))
-        flat.extend(subs)
-    return Codim1Report(n, tuple(cases), tuple(flat))
+    return Codim1Report(n, tuple(cases))
 
 
 def linear_prepass_distinct_first(gens, budget):

@@ -184,6 +184,18 @@ def test_input_digest_of_the_poisson_pair_a_file_and_wn(tmp_path, capsys):
     assert json.loads(out)["input_digest"] == _digest(build_wn(2))
 
 
+def test_a_fixture_input_is_digested_once_per_process(monkeypatch, capsys):
+    # the cache lives for the whole process, so start from an empty one
+    cli._fixture_input.cache_clear()
+    digested = []
+    real = cli._digest
+    monkeypatch.setattr(cli, "_digest", lambda alg: digested.append(alg) or real(alg))
+    runs = [["fixture", "wn2"], ["show", "--fixture", "wn2"], *[["twist", "poisson", "--fixture", "poisson_trunc"]] * 2]
+    for argv in runs:
+        assert run_cli(["--json", *argv], capsys)[0] == 0
+    assert digested == [zoo.fixture("wn2"), zoo.truncated_poisson_pair()[0]]
+
+
 def test_twist_poisson_file(tmp_path, capsys):
     comm, bracket = zoo.truncated_poisson_pair()
     path = tmp_path / "pair.json"

@@ -6,7 +6,6 @@ import pytest
 from kantor import codim1, poly
 from kantor.algebra import Algebra, verify_subalgebra
 from kantor.codim1 import (
-    _by_smallest_output,
     _linear_rows,
     _nonzero_products,
     codim1_subalgebras,
@@ -102,6 +101,8 @@ def test_codim1_s2(s2):
 def test_codim1_verified_and_disjoint(wn2, w2sym, s2):
     for alg in (wn2, w2sym, s2):
         report = codim1_subalgebras(alg)
+        assert [c.pivot for c in report.cases] == list(range(1, alg.dim + 1))
+        assert report.subalgebras == tuple(sub for c in report.cases for sub in c.subalgebras)
         seen = set()
         for sub in report.subalgebras:
             assert verify_subalgebra(alg, sub)
@@ -295,9 +296,8 @@ def test_every_pivot_matches_the_full_sweep_at_the_default_budget(name):
 def _pivot_rows(alg):
     """Per pivot p: (p, its linear rows, its generators keyed (i, j))."""
     products = _nonzero_products(alg)
-    ordered, lows = _by_smallest_output(products)
     for p in range(1, alg.dim + 1):
-        yield p, _linear_rows(alg.sparse_table, ordered, lows, p), labelled_pivot_system(products, p)
+        yield p, _linear_rows(alg.sparse_table, products, p), labelled_pivot_system(products, p)
 
 
 def _as_row(g):
@@ -307,6 +307,18 @@ def _as_row(g):
 
 
 _ROW_ALGEBRAS = [*sorted(zoo.FIXTURES), "W3", "M4", *(f"random{s}" for s in range(40))]
+
+
+@pytest.mark.parametrize("name", _ROW_ALGEBRAS)
+def test_nonzero_products_are_the_table_by_smallest_output(name):
+    # the sweep's one product list: each nonzero entry of the table once,
+    # ordered by (smallest output, i, j)
+    alg = _named(name)
+    table = alg.sparse_table
+    products = _nonzero_products(alg)
+    expected = sorted((outputs[0][0], i, j) for i, row in enumerate(table) for j, outputs in enumerate(row) if outputs)
+    assert [(outputs[0][0], i, j) for i, j, outputs in products] == expected
+    assert all(outputs is table[i][j] for i, j, outputs in products)
 
 
 def _linear_by_construction(table, p, i, j):

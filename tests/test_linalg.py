@@ -246,6 +246,21 @@ def _int_systems(draw):
     return cols, _sparse(rows), order, as_fraction
 
 
+@pytest.mark.parametrize("value", [0.5, "1/2"])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda rows: eliminate(rows, 1),
+        lambda rows: solve_columns(rows).kernel(),
+        lambda rows: fredholm_certificate(rows, {1: 1}),
+    ],
+    ids=["eliminate", "solve_columns", "fredholm_certificate"],
+)
+def test_a_value_that_is_not_rational_is_a_type_error(solve, value):
+    with pytest.raises(TypeError, match="is not an int or a Fraction"):
+        solve([{0: value}])
+
+
 @settings(deadline=None, max_examples=100)
 @given(_int_systems())
 def test_eliminate_ignores_row_order_and_value_type(system):
